@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True, help="grid size from 1.0 up")
     p.add_argument("--nu", type=_nu_argument, default=None)
     p.add_argument("--quad-points", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     _add_report_options(p)
 
     p = sub.add_parser("sums", help="eigenvalue-sum bounds over an index grid")
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="log-subsample to about this many indices (default: all)",
     )
     p.add_argument("--melas-m", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     _add_report_options(p)
 
     p = sub.add_parser("asymptotics", help="high-energy two-term diagnostics")
@@ -422,7 +420,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         nu=args.nu,
         quad_points=args.quad_points,
         slack=args.slack,
-        workers=args.workers,
     )
     report = sweep_riesz(cfg)
     if args.csv is not None:
@@ -445,7 +442,6 @@ def _cmd_sums(args: argparse.Namespace) -> int:
         n_grid=grid,
         melas_m=args.melas_m,
         slack=args.slack,
-        workers=args.workers,
     )
     report = sweep_sums(cfg)
     if args.csv is not None:

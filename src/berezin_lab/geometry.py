@@ -9,9 +9,11 @@ part of the domain, because sliced bounds depend on the orientation; it is
 slicing_stats collects the two quantities the corrected bounds consume: the
 volume of the subset of the domain whose section through a cross point is
 longer than the critical length pi/sqrt(lambda), and the cross-sectional
-measure of those long-section points. Both are closed-form for boxes,
-unions, and disks; the generic class uses a midpoint rule over the
-bounding-box cross variables.
+measure of those long-section points. Both are closed-form for disks; for
+boxes, unions, and the generic class they are sums over one family of
+(section length, cross weight) pairs, exact for boxes and unions and a
+midpoint rule over the bounding-box cross variables for the generic class.
+The sliced bound sums over the same family.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import UnsupportedDomainError
 
@@ -32,6 +37,7 @@ __all__ = [
     "Domain",
     "SlicingStats",
     "critical_length",
+    "section_family",
     "sections",
     "slicing_stats",
     "volume",
@@ -172,32 +178,24 @@ Domain = Union[AxisBox, BoxUnion, Disk, GenericSliced]
 
 @dataclass(frozen=True)
 class SlicingStats:
-    lam: float
-    vol_omega_lambda: float
-    d_lambda: float
+    """Long-section statistics; the fields are arrays when lam is one."""
+
+    lam: ArrayLike
+    vol_omega_lambda: ArrayLike
+    d_lambda: ArrayLike
     exact: bool
 
 
-def critical_length(lam: float) -> float:
-    """Section-length threshold pi/sqrt(lambda)."""
-    if not (math.isfinite(lam) and lam > 0.0):
+def critical_length(lam: ArrayLike) -> ArrayLike:
+    """Section-length threshold pi/sqrt(lambda), elementwise."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    return math.pi / math.sqrt(lam)
-
-
-def _domain_dim(dom: Domain) -> int:
-    return dom.dim
+    return math.pi / np.sqrt(lam)
 
 
 def _cross_indices(dim: int, axis: int) -> list[int]:
     return [i for i in range(dim) if i != axis - 1]
-
-
-def _box_cross_area(box: AxisBox, axis: int) -> float:
-    area = 1.0
-    for i in _cross_indices(box.dim, axis):
-        area *= box.sides[i]
-    return area
 
 
 def sections(dom: Domain, x_prime: Sequence[float]) -> list[Interval]:
@@ -231,49 +229,63 @@ def _box_sections(box: AxisBox, axis: int, xp: tuple[float, ...]) -> list[Interv
     return [(box.origin[ax], box.origin[ax] + box.sides[ax])]
 
 
-def slicing_stats(dom: Domain, lam: float, quad_points: int | None = None) -> SlicingStats:
+def section_family(
+    dom: Domain, quad_points: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Section lengths along the slicing axis and the cross weight of each.
+
+    A box or union gives one section per box, weighted by its cross area.
+    GenericSliced gives every nonempty section through the midpoint nodes of
+    its bounding box, weighted by the node's cell measure. A disk's sections
+    form a continuous family, which its callers treat in closed form.
+    Callers sum over the family along the last axis of (energies, sections)
+    arrays, so an energy alone gives the same bits as inside a grid.
+    """
+    if isinstance(dom, (AxisBox, BoxUnion)):
+        boxes = dom.boxes if isinstance(dom, BoxUnion) else (dom,)
+        axis = dom.slicing_axis
+        lengths = [b.sides[axis - 1] for b in boxes]
+        weights = [
+            math.prod(b.sides[i] for i in _cross_indices(b.dim, axis)) for b in boxes
+        ]
+    elif isinstance(dom, GenericSliced):
+        lengths, weights = [], []
+        for xp, w in _midpoint_grid(dom, quad_points):
+            for t0, t1 in dom.section_fn(xp):
+                if t1 > t0:
+                    lengths.append(t1 - t0)
+                    weights.append(w)
+    else:
+        raise UnsupportedDomainError(
+            f"no discrete section family for {type(dom).__name__}"
+        )
+    return np.array(lengths, dtype=float), np.array(weights, dtype=float)
+
+
+def slicing_stats(
+    dom: Domain, lam: ArrayLike, quad_points: int | None = None
+) -> SlicingStats:
     """Volume of the long-section subset and cross measure of its base.
 
     Sections count as long only when strictly above the critical length, so
-    a box whose slicing side equals it exactly contributes nothing.
+    a box whose slicing side equals it exactly contributes nothing. lam may
+    be an array; the statistics then are arrays of the same shape.
     """
     l_crit = critical_length(lam)
-    if isinstance(dom, AxisBox):
-        vol, dl = _box_slicing(dom, dom.slicing_axis, l_crit)
-        return SlicingStats(lam, vol, dl, exact=True)
-    if isinstance(dom, BoxUnion):
-        vol = dl = 0.0
-        for b in dom.boxes:
-            v, d = _box_slicing(b, dom.slicing_axis, l_crit)
-            vol += v
-            dl += d
-        return SlicingStats(lam, vol, dl, exact=True)
     if isinstance(dom, Disk):
         r = dom.radius
-        if 2.0 * r <= l_crit:
-            return SlicingStats(lam, 0.0, 0.0, exact=True)
-        u_star = math.sqrt(r * r - 0.25 * l_crit * l_crit)
-        dl = 2.0 * u_star
-        vol = u_star * l_crit + 2.0 * r * r * math.asin(u_star / r)
-        return SlicingStats(lam, vol, dl, exact=True)
-    if isinstance(dom, GenericSliced):
-        vol = dl = 0.0
-        for xp, w in _midpoint_grid(dom, quad_points):
-            for t0, t1 in dom.section_fn(xp):
-                length = t1 - t0
-                if length > l_crit:
-                    vol += length * w
-                    dl += w
-        return SlicingStats(lam, vol, dl, exact=False)
-    raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
-
-
-def _box_slicing(box: AxisBox, axis: int, l_crit: float) -> tuple[float, float]:
-    t = box.sides[axis - 1]
-    if t > l_crit:
-        area = _box_cross_area(box, axis)
-        return t * area, area
-    return 0.0, 0.0
+        long = 2.0 * r > l_crit
+        u_star = np.sqrt(np.maximum(r * r - 0.25 * l_crit * l_crit, 0.0))
+        vol = np.where(long, u_star * l_crit + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
+        dl = np.where(long, 2.0 * u_star, 0.0)
+        exact = True
+    else:
+        lengths, weights = section_family(dom, quad_points)
+        long = lengths > l_crit[..., None]
+        vol = (weights * np.where(long, lengths, 0.0)).sum(axis=-1)
+        dl = (weights * long).sum(axis=-1)
+        exact = not isinstance(dom, GenericSliced)
+    return SlicingStats(lam, vol[()], dl[()], exact=exact)
 
 
 def _midpoint_grid(dom: GenericSliced, quad_points: int | None):
@@ -312,12 +324,8 @@ def volume(dom: Domain) -> float:
         return sum(math.prod(b.sides) for b in dom.boxes)
     if isinstance(dom, Disk):
         return math.pi * dom.radius**2
-    if isinstance(dom, GenericSliced):
-        total = 0.0
-        for xp, w in _midpoint_grid(dom, None):
-            total += sum(t1 - t0 for t0, t1 in dom.section_fn(xp)) * w
-        return total
-    raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
+    lengths, weights = section_family(dom)
+    return float(np.sum(lengths * weights))
 
 
 def surface(dom: Domain) -> float:

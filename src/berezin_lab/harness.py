@@ -1,10 +1,8 @@
 """Grid sweeps over spectral cutoffs and eigenvalue counts, with verdicts.
 
 Each sweep enumerates the spectrum once at the grid maximum and evaluates
-every row from that shared enumeration. Rows are independent; with
-workers > 1 they are computed through an order-preserving thread map, and
-each row's arithmetic does not depend on the partitioning, so output is
-byte-identical for any worker count.
+every column over the whole grid at once, as arrays; rows are assembled
+from the columns at the end.
 
 Inequality verdicts use a scale-aware slack: lhs <= rhs + slack * max(1, |rhs|).
 A fail verdict always sits next to the raw values and the signed margin
@@ -14,12 +12,12 @@ rhs - lhs, so violations are quantified, not just flagged.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .bounds import (
     BoundInputs,
@@ -114,15 +112,12 @@ class SweepConfig:
     melas_m: float | None = None
     quad_points: int | None = None
     slack: float = 1e-9
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if not self.slack > 0.0:
             raise ValueError(f"slack must be positive, got {self.slack!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         for name, grid in (("lambda_grid", self.lambda_grid), ("n_grid", self.n_grid)):
             if grid is not None:
                 if len(grid) == 0:
@@ -224,22 +219,36 @@ def _fmt(v) -> str:
     return f"{f:.17g}"
 
 
-def _check_le(lhs: float, rhs: float, slack: float) -> tuple[str, float]:
-    if math.isnan(lhs) or math.isnan(rhs):
-        return "n/a", math.nan
-    ok = lhs <= rhs + slack * max(1.0, abs(rhs))
-    return ("pass" if ok else "fail"), rhs - lhs
+# One str object per verdict, shared by every row.
+_VERDICTS = np.array(("pass", "fail", "n/a"), dtype=object)
 
 
-def _na() -> tuple[str, float]:
-    return "n/a", math.nan
+def _check_le(
+    lhs: ArrayLike, rhs: ArrayLike, slack: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise verdicts of lhs <= rhs with slack, and margins rhs - lhs."""
+    lhs, rhs = np.broadcast_arrays(
+        np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    )
+    na = np.isnan(lhs) | np.isnan(rhs)
+    ok = lhs <= rhs + slack * np.maximum(1.0, np.abs(rhs))
+    verdict = _VERDICTS[np.where(na, 2, np.where(ok, 0, 1))]
+    return verdict, np.where(na, math.nan, rhs - lhs)
 
 
-def _map_rows(workers: int, fn: Callable, items: Sequence) -> list[dict]:
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+def _rows(size: int, values: dict, checks: dict) -> list[dict]:
+    """Row dicts from whole-grid columns and (verdicts, margins) per check.
+
+    A scalar stands for a constant column. tolist() and item() give Python
+    ints, floats and strs.
+    """
+    columns = dict(values)
+    for name, (verdict, margin) in checks.items():
+        columns[name] = verdict
+        columns[f"{name}_margin"] = margin
+    cols = [np.asarray(v) for v in columns.values()]
+    cols = [v.tolist() if v.ndim else [v.item()] * size for v in cols]
+    return [dict(zip(columns, row)) for row in zip(*cols)]
 
 
 def _try_surface(dom: Domain) -> float | None:
@@ -255,7 +264,6 @@ def _base_metadata(cfg: SweepConfig) -> dict:
         "domain": repr(cfg.domain),
         "sigma": cfg.sigma,
         "slack": cfg.slack,
-        "workers": cfg.workers,
     }
 
 
@@ -266,6 +274,7 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
     dom = cfg.domain
     d = dom.dim
     p = SemiclassicalParams(cfg.sigma, d)
+    lam = np.array(cfg.lambda_grid, dtype=float)
     spec = enumerate_spectrum(dom, cfg.lambda_grid[-1])
     vol = volume(dom)
     surf = _try_surface(dom)
@@ -289,62 +298,55 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
     # admissible geometry; beyond it the nonnegativity check is off.
     nu_cap = 2.0 * beta(0.5, 1.0 + cfg.sigma + 0.5 * (d - 1)) if d >= 2 else math.nan
 
-    def row(lam: float) -> dict:
-        n = counting(spec, lam)
-        s_val = riesz_mean(spec, cfg.sigma, lam)
-        eta = phase_space_eta(d, vol, lam)
-        scl = s_classical(p, vol, lam)
-        st = slicing_stats(dom, lam, cfg.quad_points)
-        sliced = sliced_bound(dom, p, lam, cfg.quad_points) if sliced_ok else math.nan
-        improved = (
-            improved_rhs(
-                BoundInputs(
-                    params=p,
-                    lam=lam,
-                    vol_omega_lambda=st.vol_omega_lambda,
-                    d_lambda=st.d_lambda,
-                    nu=nu,
-                    exploratory=exploratory,
-                )
+    n = counting(spec, lam)
+    s_val = riesz_mean(spec, cfg.sigma, lam)
+    eta = phase_space_eta(d, vol, lam)
+    scl = s_classical(p, vol, lam)
+    st = slicing_stats(dom, lam, cfg.quad_points)
+    sliced = sliced_bound(dom, p, lam, cfg.quad_points) if sliced_ok else math.nan
+    improved = (
+        improved_rhs(
+            BoundInputs(
+                params=p,
+                lam=lam,
+                vol_omega_lambda=st.vol_omega_lambda,
+                d_lambda=st.d_lambda,
+                nu=nu,
+                exploratory=exploratory,
             )
-            if improved_ok
-            else math.nan
         )
-        ms1 = (
-            two_term_riesz(p, vol, surf, lam)
-            if surf is not None and cfg.sigma > 0.0
-            else math.nan
-        )
-        out = {
-            "lambda": lam,
-            "n": n,
-            "riesz_mean": s_val,
-            "eta": eta,
-            "s_classical": scl,
-            "sliced_bound": sliced,
-            "improved_rhs": improved,
-            "two_term_riesz": ms1,
-            "vol_omega_lambda": st.vol_omega_lambda,
-            "d_lambda": st.d_lambda,
-        }
-        checks = {
-            "s_le_sliced": _check_le(s_val, sliced, cfg.slack),
-            "sliced_le_improved": _check_le(sliced, improved, cfg.slack),
-            "improved_le_classical": _check_le(improved, scl, cfg.slack),
-            "berezin": _check_le(s_val, scl, cfg.slack) if cfg.sigma >= 1.0 else _na(),
-            "polya": _check_le(float(n), eta, cfg.slack) if tiling else _na(),
-            "improved_nonneg": (
-                _check_le(0.0, improved, cfg.slack)
-                if not math.isnan(improved) and nu <= nu_cap * (1.0 + 1e-12)
-                else _na()
-            ),
-        }
-        for name, (verdict, margin) in checks.items():
-            out[name] = verdict
-            out[f"{name}_margin"] = margin
-        return out
-
-    rows = _map_rows(cfg.workers, row, cfg.lambda_grid)
+        if improved_ok
+        else math.nan
+    )
+    ms1 = (
+        two_term_riesz(p, vol, surf, lam)
+        if surf is not None and cfg.sigma > 0.0
+        else math.nan
+    )
+    values = {
+        "lambda": lam,
+        "n": n,
+        "riesz_mean": s_val,
+        "eta": eta,
+        "s_classical": scl,
+        "sliced_bound": sliced,
+        "improved_rhs": improved,
+        "two_term_riesz": ms1,
+        "vol_omega_lambda": st.vol_omega_lambda,
+        "d_lambda": st.d_lambda,
+    }
+    checks = {
+        "s_le_sliced": _check_le(s_val, sliced, cfg.slack),
+        "sliced_le_improved": _check_le(sliced, improved, cfg.slack),
+        "improved_le_classical": _check_le(improved, scl, cfg.slack),
+        # A NaN side turns a check that does not apply into n/a.
+        "berezin": _check_le(s_val, scl if cfg.sigma >= 1.0 else math.nan, cfg.slack),
+        "polya": _check_le(n, eta if tiling else math.nan, cfg.slack),
+        "improved_nonneg": _check_le(
+            0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan, cfg.slack
+        ),
+    }
+    rows = _rows(len(lam), values, checks)
     metadata = _base_metadata(cfg)
     metadata.update(
         {
@@ -393,61 +395,48 @@ def sweep_sums(cfg: SweepConfig) -> BoundReport:
     surf = _try_surface(dom)
     moment = moment_J(dom) if cfg.melas_m is not None else None
 
+    n = np.array(cfg.n_grid)
     eigs = spec.expanded
-    cum_1 = np.cumsum(eigs)
-    cum_sigma = np.cumsum(eigs**cfg.sigma) if cfg.sigma > 0.0 else None
-    holder_ok = cfg.sigma > 1.0
-    conj_expo = cfg.sigma / (cfg.sigma - 1.0) if holder_ok else math.nan
-
-    def row(n: int) -> dict:
-        lam_n = float(eigs[n - 1])
-        s1 = float(cum_1[n - 1])
-        s_sig = float(cum_sigma[n - 1]) if cum_sigma is not None else math.nan
-        scl_sig = sum_classical(p, vol, n) if cfg.sigma > 0.0 else math.nan
-        ly = li_yau_rhs(d, vol, n)
-        mel = (
-            melas_rhs(d, vol, moment, n, cfg.melas_m)
-            if cfg.melas_m is not None
-            else math.nan
-        )
-        lam_low = eigenvalue_lower(d, vol, n)
-        ms2 = (
-            two_term_sum(p, vol, surf, n)
-            if surf is not None and cfg.sigma > 0.0
-            else math.nan
-        )
-        holder_rhs = (
-            s_sig ** (1.0 / cfg.sigma) * float(n) ** (1.0 / conj_expo)
-            if holder_ok
-            else math.nan
-        )
-        out = {
-            "n_index": n,
-            "lambda_n": lam_n,
-            "s1": s1,
-            "s_sigma": s_sig,
-            "s_classical_sigma": scl_sig,
-            "li_yau_rhs": ly,
-            "melas_rhs": mel,
-            "eigenvalue_lower": lam_low,
-            "two_term_sum": ms2,
-        }
-        checks = {
-            "li_yau": _check_le(ly, s1, cfg.slack),
-            "lambda_lower": _check_le(lam_low, lam_n, cfg.slack),
-            "melas": (
-                _check_le(mel, s1, cfg.slack) if cfg.melas_m is not None else _na()
-            ),
-            "holder_upper": (
-                _check_le(s1, holder_rhs, cfg.slack) if holder_ok else _na()
-            ),
-        }
-        for name, (verdict, margin) in checks.items():
-            out[name] = verdict
-            out[f"{name}_margin"] = margin
-        return out
-
-    rows = _map_rows(cfg.workers, row, cfg.n_grid)
+    lam_n = eigs[n - 1]
+    s1 = np.cumsum(eigs)[n - 1]
+    s_sig = np.cumsum(eigs**cfg.sigma)[n - 1] if cfg.sigma > 0.0 else math.nan
+    scl_sig = sum_classical(p, vol, n) if cfg.sigma > 0.0 else math.nan
+    ly = li_yau_rhs(d, vol, n)
+    mel = (
+        melas_rhs(d, vol, moment, n, cfg.melas_m)
+        if cfg.melas_m is not None
+        else math.nan
+    )
+    lam_low = eigenvalue_lower(d, vol, n)
+    ms2 = (
+        two_term_sum(p, vol, surf, n)
+        if surf is not None and cfg.sigma > 0.0
+        else math.nan
+    )
+    if cfg.sigma > 1.0:
+        conj_expo = cfg.sigma / (cfg.sigma - 1.0)
+        holder_rhs = s_sig ** (1.0 / cfg.sigma) * n.astype(float) ** (1.0 / conj_expo)
+    else:
+        holder_rhs = math.nan
+    values = {
+        "n_index": n,
+        "lambda_n": lam_n,
+        "s1": s1,
+        "s_sigma": s_sig,
+        "s_classical_sigma": scl_sig,
+        "li_yau_rhs": ly,
+        "melas_rhs": mel,
+        "eigenvalue_lower": lam_low,
+        "two_term_sum": ms2,
+    }
+    # NaN without melas_m, or for sigma <= 1, makes those checks n/a.
+    checks = {
+        "li_yau": _check_le(ly, s1, cfg.slack),
+        "lambda_lower": _check_le(lam_low, lam_n, cfg.slack),
+        "melas": _check_le(mel, s1, cfg.slack),
+        "holder_upper": _check_le(s1, holder_rhs, cfg.slack),
+    }
+    rows = _rows(len(n), values, checks)
     metadata = _base_metadata(cfg)
     metadata.update(
         {
@@ -487,31 +476,24 @@ def asymptotic_diagnostics(
     vol = volume(dom)
     spec = enumerate_spectrum(dom, lams[-1])
 
-    rows = []
-    for lam in lams:
-        s_val = riesz_mean(spec, sigma, lam)
-        scl = s_classical(p, vol, lam)
-        boundary = (
-            0.25 * lt_value(sigma, d - 1) * surf * lam ** (sigma + 0.5 * (d - 1))
-        )
-        ratio_main = s_val / scl if scl > 0.0 else math.nan
-        ratio_second = (scl - s_val) / boundary if boundary > 0.0 else math.nan
-        verdict, margin = (
-            _check_le(s_val, scl, slack) if sigma >= 1.0 else _na()
-        )
-        rows.append(
-            {
-                "lambda": lam,
-                "riesz_mean": s_val,
-                "s_classical": scl,
-                "ratio_main": ratio_main,
-                "ratio_second": ratio_second,
-                "berezin": verdict,
-                "berezin_margin": margin,
-            }
-        )
+    lam = np.array(lams)
+    s_val = riesz_mean(spec, sigma, lam)
+    scl = s_classical(p, vol, lam)
+    boundary = 0.25 * lt_value(sigma, d - 1) * surf * lam ** (sigma + 0.5 * (d - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_main = np.where(scl > 0.0, s_val / scl, math.nan)
+        ratio_second = np.where(boundary > 0.0, (scl - s_val) / boundary, math.nan)
+    values = {
+        "lambda": lam,
+        "riesz_mean": s_val,
+        "s_classical": scl,
+        "ratio_main": ratio_main,
+        "ratio_second": ratio_second,
+    }
+    checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan, slack)}
+    rows = _rows(len(lam), values, checks)
 
-    ratios = [row["ratio_main"] for row in rows]
+    ratios = ratio_main.tolist()
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     metadata = {
         "tool_version": TOOL_VERSION,

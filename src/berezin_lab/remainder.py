@@ -16,16 +16,19 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import TailGuardError
 from .specfun import beta
 
-__all__ = ["RemainderResult", "f_mu", "epsilon_mu", "nu_bounds"]
+__all__ = ["RemainderResult", "f_mu", "lattice_sum", "epsilon_mu", "nu_bounds"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_STEP = 1e-3
 DEFAULT_SCAN_UPPER = 60.0
 DEFAULT_TOL = 1e-12
+# Elements of the (j, r) array lattice_sum builds per block.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -42,56 +45,64 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be finite and > 0, got {mu!r}")
 
 
-def f_mu(mu: float, a: float) -> float:
-    """Remainder at scaled length a >= 1; tends to 1/2 as a grows."""
+def f_mu(mu: float, a: ArrayLike) -> ArrayLike:
+    """Remainder at scaled lengths a >= 1 (elementwise); tends to 1/2."""
     _check_mu(mu)
-    if not a >= 1.0:
+    a = np.asarray(a, dtype=float)
+    if not np.all(a >= 1.0):
         raise ValueError(f"f_mu requires A >= 1, got {a!r}")
-    return 0.5 * a * beta(1.0 + mu, 0.5) - _lattice_sum(mu, a)
+    return 0.5 * a * beta(1.0 + mu, 0.5) - lattice_sum(mu, a)
 
 
-def _lattice_sum(mu: float, a: float) -> float:
-    kmax = int(math.floor(a))
-    if kmax >= 512:
-        k = np.arange(1, kmax + 1, dtype=float)
-        t = 1.0 - (k / a) ** 2
+def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
+    """Sum over j >= 1 of (1 - j^2/r^2)_+^e, elementwise over r > 0, for e > 0.
+
+    The terms are added one at a time in increasing j whatever the shape of
+    r, so each value depends only on its own r. The r values are taken in
+    blocks that keep the (j, r) array near _BLOCK elements.
+    """
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    out = np.empty(flat.size)
+    step = max(1, _BLOCK // max(int(flat.max(initial=0.0)), 1))
+    for start in range(0, flat.size, step):
+        block = flat[start : start + step]
+        # numpy reduces axis 0 of a (jmax, n) array one row at a time, except
+        # for n == 1, where it sums the lone column pairwise; so pad to two.
+        cols = np.resize(block, max(block.size, 2))
+        j2 = np.arange(1.0, int(cols.max()) + 1.0) ** 2
+        t = np.subtract(1.0, np.multiply.outer(j2, 1.0 / (cols * cols)))
         np.maximum(t, 0.0, out=t)
-        return float(np.sum(t**mu))
-    total = 0.0
-    inv = 1.0 / (a * a)
-    for k in range(1, kmax + 1):
-        t = 1.0 - k * k * inv
-        if t > 0.0:
-            total += t**mu
-    return total
-
-
-def _f_grid(mu: float, a: np.ndarray) -> np.ndarray:
-    out = 0.5 * a * beta(1.0 + mu, 0.5)
-    kmax = int(math.floor(float(a.max())))
-    aa = a * a
-    for k in range(1, kmax + 1):
-        t = 1.0 - (k * k) / aa
-        np.maximum(t, 0.0, out=t)
-        out -= t**mu
-    return out
+        np.power(t, e, out=t)
+        out[start : start + block.size] = t.sum(axis=0)[: block.size]
+    return out.reshape(r.shape)[()]
 
 
 def _golden_min(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
+    fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of fn over the brackets [lo, hi], all in lockstep.
+
+    Each bracket takes the same steps it would take alone and stops once it
+    is no wider than tol; fn is evaluated once per step on the live brackets.
+    """
+    lo, hi = lo.copy(), hi.copy()
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fn(d)
+    live = hi - lo > tol
+    while live.any():
+        left = live & (fc < fd)
+        right = live & ~left
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - _GOLDEN * (hi[left] - lo[left])
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + _GOLDEN * (hi[right] - lo[right])
+        fx = np.empty_like(lo)
+        fx[live] = fn(np.where(left, c, d)[live])
+        fc[left] = fx[left]
+        fd[right] = fx[right]
+        live = hi - lo > tol
     x = 0.5 * (lo + hi)
     return x, fn(x)
 
@@ -102,9 +113,11 @@ def epsilon_mu(
 ) -> RemainderResult:
     """Global minimum of f_mu over [1, scan_upper], with a tail guard.
 
-    The guard verifies that f_mu stays above the located minimum out to
-    4 * scan_upper and raises TailGuardError otherwise, so a minimum hiding
-    beyond the scan cannot be reported silently.
+    Each unit segment is scanned on a fine grid, and the bracket around its
+    grid minimum is refined by golden-section search (all segments in
+    lockstep). The guard verifies that f_mu stays above the located minimum
+    out to 4 * scan_upper and raises TailGuardError otherwise, so a minimum
+    hiding beyond the scan cannot be reported silently.
     """
     _check_mu(mu)
     if not scan_upper >= 2.0:
@@ -112,26 +125,31 @@ def epsilon_mu(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    best_f = math.inf
-    best_x = math.nan
+    # Candidates in scan order, each segment's grid minimum and then its
+    # refined minimum; the first of the smallest values wins.
+    grid_x, grid_f, lo, hi = [], [], [], []
     seg = 1.0
     while seg < scan_upper:
         s0, s1 = seg, min(seg + 1.0, scan_upper)
         npts = max(int(math.ceil((s1 - s0) / _SCAN_STEP)) + 1, 3)
         grid = np.linspace(s0, s1, npts)
-        vals = _f_grid(mu, grid)
+        vals = f_mu(mu, grid)
         i = int(np.argmin(vals))
-        if float(vals[i]) < best_f:
-            best_f, best_x = float(vals[i]), float(grid[i])
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, npts - 1)])
-        x, fx = _golden_min(lambda t: f_mu(mu, t), lo, hi, tol)
-        if fx < best_f:
-            best_f, best_x = fx, x
+        grid_x.append(grid[i])
+        grid_f.append(vals[i])
+        lo.append(grid[max(i - 1, 0)])
+        hi.append(grid[min(i + 1, npts - 1)])
         seg += 1.0
+    gold_x, gold_f = _golden_min(
+        lambda t: f_mu(mu, t), np.array(lo), np.array(hi), tol
+    )
+    cand_x = np.column_stack([grid_x, gold_x]).ravel()
+    cand_f = np.column_stack([grid_f, gold_f]).ravel()
+    k = int(np.argmin(cand_f))
+    best_f, best_x = float(cand_f[k]), float(cand_x[k])
 
     tail = np.linspace(scan_upper, 4.0 * scan_upper, 257)
-    if float(np.min(_f_grid(mu, tail))) <= best_f:
+    if float(np.min(f_mu(mu, tail))) <= best_f:
         raise TailGuardError(
             f"f_mu minimum for mu={mu} may lie beyond scan_upper={scan_upper}"
         )

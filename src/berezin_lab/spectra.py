@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .constants import lt_value
 from .errors import (
@@ -166,36 +167,42 @@ def _merge(pairs: list[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
     return tuple((float(v), int(m)) for v, m in out)
 
 
-def _check_query(spec: Spectrum, lam: float) -> None:
-    if not math.isfinite(lam):
+def _check_query(spec: Spectrum, lam: ArrayLike) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
         raise ValueError(f"lambda must be finite, got {lam!r}")
-    if lam > spec.cutoff:
+    if np.any(lam > spec.cutoff):
         raise CutoffExceededError(
-            f"query at lambda={lam} exceeds the enumerated cutoff {spec.cutoff}"
+            f"query at lambda={lam.max()} exceeds the enumerated cutoff {spec.cutoff}"
         )
+    return lam
 
 
-def counting(spec: Spectrum, lam: float) -> int:
-    """Number of eigenvalues strictly below lam, with multiplicity."""
-    _check_query(spec, lam)
-    if not spec.values:
-        return 0
-    i = int(np.searchsorted(spec.eigenvalues, lam, side="left"))
-    return 0 if i == 0 else int(spec.cumulative_counts[i - 1])
+def counting(spec: Spectrum, lam: ArrayLike) -> ArrayLike:
+    """Number of eigenvalues strictly below lam, with multiplicity (elementwise)."""
+    lam = _check_query(spec, lam)
+    ends = np.searchsorted(spec.eigenvalues, lam, side="left")
+    counts = np.concatenate(([0], spec.cumulative_counts))[ends]
+    return counts if counts.ndim else int(counts)
 
 
-def riesz_mean(spec: Spectrum, sigma: float, lam: float) -> float:
-    """Sum of (lam - eigenvalue)_+^sigma; sigma = 0 recovers counting."""
+def riesz_mean(spec: Spectrum, sigma: float, lam: ArrayLike) -> ArrayLike:
+    """Sum of (lam - eigenvalue)_+^sigma, elementwise; sigma = 0 gives counting.
+
+    One search finds each lam's eigenvalues below it, and each sum runs over
+    that prefix only, so no (grid x spectrum) array is formed.
+    """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    _check_query(spec, lam)
+    lam = _check_query(spec, lam)
     if sigma == 0.0:
-        return float(counting(spec, lam))
-    gaps = lam - spec.eigenvalues
-    mask = gaps > 0.0
-    if not mask.any():
-        return 0.0
-    return float(np.sum(spec.multiplicities[mask] * gaps[mask] ** sigma))
+        return np.asarray(counting(spec, lam), dtype=float)[()]
+    ev, mult = spec.eigenvalues, spec.multiplicities
+    ends = np.searchsorted(ev, lam, side="left")
+    out = [
+        np.sum(mult[:i] * (x - ev[:i]) ** sigma) for x, i in zip(lam.flat, ends.flat)
+    ]
+    return np.reshape(out, lam.shape)[()]
 
 
 def _require_count(spec: Spectrum, n: int) -> None:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import berezin_lab.remainder as remainder
 from berezin_lab.bounds import (
     BoundInputs,
     eigenvalue_lower,
@@ -279,6 +280,37 @@ def test_sliced_bound_disk_matches_midpoint_fallback():
         exact = sliced_bound(disk, p, lam)
         approx = sliced_bound(wrapped, p, lam, quad_points=8192)
         assert approx == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_grid_evaluation_matches_pointwise(block, monkeypatch):
+    # a whole grid in one call gives the same bits as one call per energy,
+    # also when the lattice sums are taken in many blocks
+    if block is not None:
+        monkeypatch.setattr(remainder, "_BLOCK", block)
+    lams = np.geomspace(1.0, 2e4, 120)
+    p = SemiclassicalParams(1.5, 2)
+    union = BoxUnion(
+        (
+            AxisBox((1.0, 1.0), (0.0, 0.0)),
+            AxisBox((2.0, 0.5), (1.0, 0.0)),
+            AxisBox((0.3, 0.7), (0.0, 1.0)),
+        )
+    )
+    for dom in (AxisBox((3.0, 1.0)), union, Disk(1.0)):
+        grid = sliced_bound(dom, p, lams)
+        assert np.array_equal(grid, [sliced_bound(dom, p, lam) for lam in lams])
+        st = slicing_stats(dom, lams)
+        for lam, vol_l, d_l in zip(lams, st.vol_omega_lambda, st.d_lambda):
+            one = slicing_stats(dom, lam)
+            assert (vol_l, d_l) == (one.vol_omega_lambda, one.d_lambda)
+    n = np.arange(1, 300)
+    assert np.array_equal(
+        two_term_sum(p, 2.0, 6.0, n), [two_term_sum(p, 2.0, 6.0, k) for k in n]
+    )
+    assert np.array_equal(
+        s_classical(p, 2.0, lams), [s_classical(p, 2.0, lam) for lam in lams]
+    )
 
 
 def test_sliced_bound_validation():

@@ -1,9 +1,14 @@
 """Command line surface: domain grammar, subcommands, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import berezin_lab
 from berezin_lab.cli import CliInvocation, main, parse_domain, render_domain, run
 from berezin_lab.errors import DomainParseError, UnsupportedDomainError
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
@@ -95,6 +100,22 @@ def test_version_and_usage_exits(capsys):
     assert main([]) == 2
     assert main(["check", "--domain", "box(1x1", "--sigma", "1.5", "--lambda", "5"]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(berezin_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "berezin_lab", "--version"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"berezin-lab {TOOL_VERSION}"
+    assert proc.stderr == ""
 
 
 def test_constants_output(capsys):

@@ -7,6 +7,7 @@ supposed to orchestrate.
 
 import io
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from berezin_lab.bounds import (
     sliced_bound,
     two_term_riesz,
 )
+from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import InsufficientCutoffError, UnsupportedDomainError
 from berezin_lab.geometry import AxisBox, Disk, generic_wrapper, slicing_stats
@@ -199,19 +201,26 @@ def test_riesz_axis_choice_is_geometric():
                 assert va == vb
 
 
-def test_csv_identical_across_worker_counts():
+def test_csv_identical_across_runs(tmp_path):
     grid = tuple(np.geomspace(1.0, 5e3, 40))
     outs = []
-    for workers in (1, 4):
+    for _ in range(2):
         rep = sweep_riesz(
-            SweepConfig(
-                domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=grid, workers=workers
-            )
+            SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=grid)
         )
         buf = io.StringIO()
         rep.to_csv(buf)
         outs.append(buf.getvalue())
     assert outs[0] == outs[1]
+
+    dest = tmp_path / "sweep.csv"
+    with redirect_stdout(io.StringIO()):
+        rc = main(
+            ["sweep", "--domain", "box:1x1", "--sigma", "1.5", "--lambda-max", "5e3",
+             "--points", "40", "--csv", str(dest)]
+        )
+    assert rc == 0
+    assert dest.read_text() == outs[0]
 
 
 def test_csv_format():
@@ -298,8 +307,6 @@ def test_sweep_config_validation():
         SweepConfig(domain=sq, sigma=1.0, lambda_grid=(2.0, 1.0))
     with pytest.raises(ValueError):
         SweepConfig(domain=sq, sigma=1.0, lambda_grid=(1.0,), slack=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(domain=sq, sigma=1.0, lambda_grid=(1.0,), workers=0)
     with pytest.raises(ValueError):
         SweepConfig(domain=sq, sigma=1.0, n_grid=(5, 5))
     with pytest.raises(ValueError):

@@ -41,6 +41,35 @@ def test_large_argument_limit():
     assert abs(f_mu(2.0, 1e5) - 0.5) <= 0.001
 
 
+def test_lattice_sum_is_elementwise(monkeypatch):
+    rng = np.random.default_rng(7)
+    r = 0.5 + 80.0 * rng.random(300)
+    for e in (1.5, 2.0, 3.25):
+        whole = remainder.lattice_sum(e, r)
+        assert whole.shape == r.shape
+        assert np.array_equal(whole, [remainder.lattice_sum(e, x) for x in r])
+        grid = remainder.lattice_sum(e, r.reshape(20, 15))
+        assert np.array_equal(grid, whole.reshape(20, 15))
+        with monkeypatch.context() as m:
+            m.setattr(remainder, "_BLOCK", 500)  # many small blocks
+            assert np.array_equal(remainder.lattice_sum(e, r), whole)
+        for x, v in zip(r, whole):
+            assert v == pytest.approx(lattice_sum_oracle(e, x), rel=1e-13, abs=1e-300)
+
+
+def test_lockstep_refinement_matches_single_brackets():
+    lo = np.array([1.2, 1.69, 3.0, 7.5])
+    hi = lo + np.array([2e-3, 1e-3, 2e-3, 5e-4])
+
+    def fn(t):
+        return f_mu(2.0, t)
+
+    x, fx = remainder._golden_min(fn, lo, hi, DEFAULT_TOL)
+    for k in range(len(lo)):
+        xk, fk = remainder._golden_min(fn, lo[k : k + 1], hi[k : k + 1], DEFAULT_TOL)
+        assert (x[k], fx[k]) == (xk[0], fk[0])
+
+
 def test_positive_on_sampled_range():
     rng = np.random.default_rng(1234)
     for a in 1.0 + 99.0 * rng.random(1000):
@@ -109,14 +138,15 @@ def test_semiclassical_deficit_dominates_lattice_sums():
 
 
 def test_tail_guard_detects_late_dip(monkeypatch):
-    real_grid = remainder._f_grid
+    real_sum = remainder.lattice_sum
 
-    def dipped(mu, a):
-        out = real_grid(mu, a)
-        return np.where(a > 8.0, out - 1.0, out)
+    def dipped(e, r):
+        # a larger lattice sum is a smaller remainder f_mu
+        out = real_sum(e, r)
+        return np.where(np.asarray(r) > 8.0, out + 1.0, out)
 
     epsilon_mu.cache_clear()
-    monkeypatch.setattr(remainder, "_f_grid", dipped)
+    monkeypatch.setattr(remainder, "lattice_sum", dipped)
     try:
         with pytest.raises(TailGuardError):
             epsilon_mu(2.0, 8.0)

@@ -138,6 +138,21 @@ def test_riesz_mean_at_sigma_zero_is_counting():
         assert riesz_mean(spec, 0.0, lam) == float(counting(spec, lam))
 
 
+def test_grid_queries_match_pointwise():
+    spec = enumerate_spectrum(AxisBox((2.0, 1.0)), 5e3)
+    # unsorted, and with eigenvalues themselves, where counting is strict
+    lams = np.concatenate([np.geomspace(5e3, 1.0, 150), spec.eigenvalues[:40]])
+    counts = counting(spec, lams)
+    means = riesz_mean(spec, 1.5, lams)
+    assert counts.shape == means.shape == lams.shape
+    for lam, n, s in zip(lams.tolist(), counts.tolist(), means.tolist()):
+        assert n == counting(spec, lam) == np.count_nonzero(spec.expanded < lam)
+        assert s == riesz_mean(spec, 1.5, lam)
+        assert s == pytest.approx(
+            float(np.sum(np.clip(lam - spec.expanded, 0.0, None) ** 1.5)), rel=1e-12
+        )
+
+
 def test_riesz_mean_square_closed_value():
     spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 100.0)
     pi2 = math.pi**2
