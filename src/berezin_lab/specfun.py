@@ -1,4 +1,4 @@
-"""Scalar special functions: Gamma, Beta, integer-order Bessel J, Bessel zeros.
+"""Special functions: Gamma, Beta, integer-order Bessel J, Bessel zeros.
 
 Gamma and Beta wrap the C library's gamma/lgamma; Beta goes through
 log-Gamma so large arguments do not overflow, and its symmetry in (a, b) is
@@ -14,17 +14,23 @@ trapezoidal rule is spectrally accurate; aliasing leaves an error of order
 J_{2n-m}(x), which is negligible once 2n - m clears the turning point x by a
 few transition widths x^(1/3).
 
-Zeros are bracketed by a unit-step sign scan (consecutive zeros of J_m are
-more than one apart for every m) and refined by Newton steps using
-J_m' = (J_{m-1} - J_{m+1})/2, falling back to bisection whenever a step
-would leave the bracket.
+One batched engine serves every Bessel routine: its kernel evaluates (m, x)
+points in groups of equal node count, each with exactly the arithmetic of a
+lone evaluation. A unit-step sign scan brackets the zeros of all requested
+orders at once (consecutive zeros of J_m are more than one apart), and
+Newton steps with J_m' = (J_{m-1} - J_{m+1})/2, bisecting whenever a step
+would leave the bracket, refine all brackets in lockstep. A certificate
+raises ConvergenceError unless each order's zeros are more than one apart
+and adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF
+10.21.3); only a lost last zero of an order whose neighbours' counts allow
+one fewer can pass it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -98,9 +104,7 @@ def bessel_j(m: int, x: float) -> float:
     _check_order(m)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError(f"bessel_j requires finite x >= 0, got {x!r}")
-    if x <= _SERIES_LIMIT:
-        return _j_series(int(m), x)
-    return _j_quadrature(int(m), x)
+    return float(_j(np.array([int(m)]), np.array([float(x)]))[0])
 
 
 def _j_series(m: int, x: float) -> float:
@@ -117,18 +121,32 @@ def _j_series(m: int, x: float) -> float:
     return total
 
 
-def _j_quadrature(m: int, x: float) -> float:
-    span = m + x + 14.0 * (0.5 * x) ** (1.0 / 3.0) + 20.0
-    n = int(math.ceil(0.5 * span))
-    theta = np.linspace(0.0, math.pi, n + 1)
-    vals = np.cos(m * theta - x * np.sin(theta))
-    return float((0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()) / n)
+# Largest (points x nodes) array the quadrature forms at once.
+_BLOCK = 1 << 18
 
 
-def _j_derivative(m: int, x: float) -> float:
-    if m == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+def _j(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_m(x) elementwise over 1-D arrays of orders m >= 0 and x >= 0."""
+    out = np.empty(x.shape)
+    small = x <= _SERIES_LIMIT
+    out[small] = [_j_series(a, b) for a, b in zip(m[small].tolist(), x[small].tolist())]
+    big = np.flatnonzero(~small)
+    # Python's ** is C pow; np.power may differ from it in the last bit.
+    root = np.array([v ** (1.0 / 3.0) for v in (0.5 * x[big]).tolist()])
+    nodes = np.ceil(0.5 * (m[big] + x[big] + 14.0 * root + 20.0)).astype(np.int64)
+    order = np.argsort(nodes, kind="stable")
+    big, nodes = big[order], nodes[order]
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(big))):
+        n = int(nodes[lo])
+        theta = np.linspace(0.0, math.pi, n + 1)
+        sin = np.sin(theta)
+        rows = max(1, _BLOCK // (n + 1))
+        for s in range(lo, hi, rows):
+            i = big[s : min(s + rows, hi)]
+            vals = np.cos(m[i, None] * theta - x[i, None] * sin)
+            out[i] = (0.5 * (vals[:, 0] + vals[:, -1]) + vals[:, 1:-1].sum(axis=1)) / n
+    return out
 
 
 def _mcmahon(m: int, k: int) -> float:
@@ -144,46 +162,74 @@ def _mcmahon(m: int, k: int) -> float:
     )
 
 
-def _bracket_scan(m: int, max_steps: int = 1_000_000) -> Iterator[tuple[float, float]]:
-    """Yield unit brackets around consecutive zeros of J_m, in order.
+def _brackets(
+    orders: np.ndarray, x_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (m, lo, hi) with lo < x_max around the zeros of each J_m, in order.
 
     J_m is positive on (0, j_{m,1}) and zeros are separated by more than one,
-    so scanning with step one cannot skip a sign change.
+    so scanning x = m, m + 1, ... cannot skip a sign change; a grid value of
+    exactly zero gets the bracket of width one centred on it.
     """
-    x = float(m)
-    f = bessel_j(m, x)
-    for _ in range(max_steps):
-        x2 = x + 1.0
-        f2 = bessel_j(m, x2)
-        if f2 == 0.0:
-            yield (x2 - 0.5, x2 + 0.5)
-        elif f * f2 < 0.0:
-            yield (x, x2)
-        x, f = x2, f2
-    raise ConvergenceError(f"zero scan for order {m} exceeded {max_steps} steps")
+    counts = np.maximum(math.floor(x_max) + 2 - orders, 0)
+    m = np.repeat(orders, counts)
+    step = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    x = (m + step).astype(float)
+    f = _j(m, x)
+    x1, x2, f1, f2 = x[:-1], x[1:], f[:-1], f[1:]
+    zero = f2 == 0.0
+    lo = np.where(zero, x2 - 0.5, x1)
+    found = (m[:-1] == m[1:]) & (zero | (f1 * f2 < 0.0)) & (lo < x_max)
+    return m[1:][found], lo[found], np.where(zero, x2 + 0.5, x2)[found]
 
 
-def _refine(m: int, lo: float, hi: float, guess: float, acc: Accuracy) -> float:
-    f_lo = bessel_j(m, lo)
-    x = guess if lo < guess < hi else 0.5 * (lo + hi)
+def _newton(
+    m: np.ndarray, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, acc: Accuracy
+) -> np.ndarray:
+    """Refine all brackets in lockstep; each takes exactly the steps it takes alone."""
+    f_lo = _j(m, lo)
+    x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    z = np.empty_like(x)
+    idx = np.arange(x.size)
     for _ in range(acc.max_iter):
-        fx = bessel_j(m, x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo = x
-        else:
-            hi = x
-        d = _j_derivative(m, x)
-        x_new = x - fx / d if d != 0.0 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= acc.abs_tol + acc.rel_tol * abs(x_new):
-            return x_new
-        x = x_new
-    raise ConvergenceError(
-        f"zero refinement for order {m} stalled after {acc.max_iter} iterations"
-    )
+        if not idx.size:
+            break
+        orders = np.concatenate([m, abs(m - 1), m + 1])
+        fx, below, above = np.split(_j(orders, np.tile(x, 3)), 3)
+        up = (fx > 0.0) == (f_lo > 0.0)
+        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
+        d = np.where(m == 0, -above, 0.5 * (below - above))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = np.where(d != 0.0, x - fx / d, math.nan)
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        root = fx == 0.0
+        done = root | (abs(x_new - x) <= acc.abs_tol + acc.rel_tol * abs(x_new))
+        z[idx[done]] = np.where(root, x, x_new)[done]
+        go = ~done
+        m, lo, hi, f_lo, x, idx = m[go], lo[go], hi[go], f_lo[go], x_new[go], idx[go]
+    if idx.size:
+        raise ConvergenceError(
+            f"zero refinement for order {m[0]} stalled after {acc.max_iter} iterations"
+        )
+    return z
+
+
+def _certify(orders: np.ndarray, zeros: list[np.ndarray]) -> None:
+    """Raise ConvergenceError unless each order's zeros are more than one apart
+    and adjacent orders interlace."""
+    z = np.full((len(zeros), max(map(len, zeros)) + 1), math.inf)
+    for row, zs in zip(z, zeros):
+        row[: len(zs)] = zs
+    a, b, end = z[:-1], z[1:], np.isinf(z)
+    ok = (a < b) | (end[:-1] & end[1:])
+    ok[:, :-1] &= (b[:, :-1] < a[:, 1:]) | end[:-1, 1:]
+    apart = (z[:, 1:] > z[:, :-1] + 1.0) | end[:, 1:]
+    bad = ~apart.all(axis=1)
+    bad[:-1] |= (np.diff(orders) == 1) & ~ok.all(axis=1)
+    if bad.any():
+        raise ConvergenceError(
+            f"zeros of order {orders[bad][0]} fail the spacing or interlacing certificate"
+        )
 
 
 def bessel_zero(m: int, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -191,29 +237,35 @@ def bessel_zero(m: int, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     _check_order(m)
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"zero index must be a positive integer, got {k!r}")
-    count = 0
-    for lo, hi in _bracket_scan(int(m)):
-        count += 1
-        if count == k:
-            return _refine(int(m), lo, hi, _mcmahon(int(m), int(k)), acc)
-    raise ConvergenceError("unreachable")  # pragma: no cover
+    x_max = (int(k) + int(m) + 1) * math.pi
+    while len(zeros := bessel_zeros_below(int(m), x_max, acc)) < k:
+        x_max *= 2.0
+    return zeros[k - 1]
 
 
 def bessel_zeros_below(
-    m: int, x_max: float, acc: Accuracy = DEFAULT_ACCURACY
-) -> list[float]:
-    """All positive zeros of J_m strictly below x_max, ascending."""
-    _check_order(m)
+    m: int | Sequence[int], x_max: float, acc: Accuracy = DEFAULT_ACCURACY
+) -> list[float] | list[list[float]]:
+    """All positive zeros of J_m strictly below x_max, ascending.
+
+    m is one order, giving one list, or a strictly increasing sequence of
+    orders, giving one list per order, found in one batch.
+    """
+    single = np.ndim(m) == 0
+    orders = [m] if single else list(m)
+    for order in orders:
+        _check_order(order)
+    orders = np.array(orders, dtype=np.int64)
+    if orders.size == 0 or np.any(np.diff(orders) <= 0):
+        raise ValueError(f"orders must be a strictly increasing sequence, got {m!r}")
     if not (x_max > 0.0 and math.isfinite(x_max)):
         raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
-    zeros: list[float] = []
-    k = 0
-    for lo, hi in _bracket_scan(int(m)):
-        if lo >= x_max:
-            break
-        k += 1
-        z = _refine(int(m), lo, hi, _mcmahon(int(m), k), acc)
-        if z >= x_max:
-            break
-        zeros.append(z)
-    return zeros
+    bm, lo, hi = _brackets(orders, x_max)
+    k = np.arange(bm.size) - np.searchsorted(bm, bm) + 1
+    guess = np.array([_mcmahon(a, b) for a, b in zip(bm.tolist(), k.tolist())])
+    z = _newton(bm, lo, hi, guess, acc)
+    below = z < x_max
+    zeros = np.split(z[below], np.searchsorted(bm[below], orders[1:]))
+    _certify(orders, zeros)
+    lists = [zs.tolist() for zs in zeros]
+    return lists[0] if single else lists

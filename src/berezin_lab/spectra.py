@@ -137,23 +137,24 @@ def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> lis
 def _disk_eigenvalues(
     radius: float, cutoff: float, limit: int, acc: Accuracy
 ) -> list[tuple[float, int]]:
+    # Lower bound on the entries, from the inscribed square (Dirichlet
+    # monotonicity): its lattice count below the cutoff is at least the area
+    # pi*(r - sqrt(2))^2/4, r = R*sqrt(2*cutoff)/pi; an entry holds <= 2 values.
+    r = radius * math.sqrt(2.0 * cutoff) / math.pi
+    if r > math.sqrt(2.0) and math.pi * (r - math.sqrt(2.0)) ** 2 / 8.0 > limit:
+        raise EnumerationLimitError(
+            f"enumeration would exceed the limit of {limit} entries"
+        )
     z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
+    orders = np.arange(math.floor(z_max) + 1)
     pairs: list[tuple[float, int]] = []
-    m = 0
-    while True:
-        zeros = bessel_zeros_below(m, z_max, acc)
-        if not zeros:
-            break
-        mult = 1 if m == 0 else 2
-        for z in zeros:
-            lam = (z / radius) ** 2
-            if lam < cutoff:
-                pairs.append((lam, mult))
-        if len(pairs) > limit:
-            raise EnumerationLimitError(
-                f"enumeration exceeded the limit of {limit} entries"
-            )
-        m += 1
+    for m, zeros in enumerate(bessel_zeros_below(orders, z_max, acc)):
+        lams = ((z / radius) ** 2 for z in zeros)
+        pairs.extend((lam, 1 if m == 0 else 2) for lam in lams if lam < cutoff)
+    if len(pairs) > limit:
+        raise EnumerationLimitError(
+            f"enumeration exceeded the limit of {limit} entries"
+        )
     return pairs
 
 

@@ -47,6 +47,11 @@ CASES = {
          "--lambda-max", "3e3", "--points", "50"],
         0,
     ),
+    "sweep-disk-1.3": (
+        ["sweep", "--domain", "disk:1.3", "--sigma", "2",
+         "--lambda-max", "1.5e4", "--points", "40"],
+        0,
+    ),
     "sweep-box-1x2x0.5": (
         ["sweep", "--domain", "box:1x2x0.5", "--sigma", "1.5",
          "--lambda-max", "2e3", "--points", "50"],

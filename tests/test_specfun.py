@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from berezin_lab import specfun
 from berezin_lab.specfun import (
     DEFAULT_ACCURACY,
     Accuracy,
@@ -194,3 +195,144 @@ def test_refinement_reports_exhaustion():
 def test_default_accuracy_is_tight():
     assert DEFAULT_ACCURACY.abs_tol <= 1e-12
     assert DEFAULT_ACCURACY.rel_tol <= 1e-12
+
+
+# Scalar reference for the batched engine: one point and one bracket at a
+# time, with the arithmetic the engine must reproduce bit for bit.
+def scalar_j(m, x):
+    if x <= 6.0:
+        return specfun._j_series(m, x)
+    span = m + x + 14.0 * (0.5 * x) ** (1.0 / 3.0) + 20.0
+    n = int(math.ceil(0.5 * span))
+    theta = np.linspace(0.0, math.pi, n + 1)
+    vals = np.cos(m * theta - x * np.sin(theta))
+    return float((0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()) / n)
+
+
+def scalar_zeros_below(m, x_max, acc=DEFAULT_ACCURACY):
+    zeros, x, f = [], float(m), scalar_j(m, float(m))
+    while True:
+        x2 = x + 1.0
+        f2 = scalar_j(m, x2)
+        lo, hi = (x2 - 0.5, x2 + 0.5) if f2 == 0.0 else (x, x2)
+        x, f, crossed = x2, f2, f2 == 0.0 or f * f2 < 0.0
+        if not crossed:
+            continue
+        if lo >= x_max:
+            return zeros
+        f_lo = scalar_j(m, lo)
+        guess = specfun._mcmahon(m, len(zeros) + 1)
+        z = guess if lo < guess < hi else 0.5 * (lo + hi)
+        for _ in range(acc.max_iter):
+            fz = scalar_j(m, z)
+            if fz == 0.0:
+                break
+            if (fz > 0.0) == (f_lo > 0.0):
+                lo = z
+            else:
+                hi = z
+            d = -scalar_j(1, z) if m == 0 else 0.5 * (scalar_j(m - 1, z) - scalar_j(m + 1, z))
+            z_new = z - fz / d if d != 0.0 else math.nan
+            if not lo < z_new < hi:
+                z_new = 0.5 * (lo + hi)
+            z, step = z_new, abs(z_new - z)
+            if step <= acc.abs_tol + acc.rel_tol * abs(z_new):
+                break
+        else:
+            raise ConvergenceError("reference refinement stalled")
+        if z >= x_max:
+            return zeros
+        zeros.append(z)
+
+
+def node_count_edges(m, x_lo, x_hi):
+    """Pairs of nearby x on both sides of each node-count change of order m."""
+    xs = np.linspace(x_lo, x_hi, 20001)
+    n = np.ceil(0.5 * (m + xs + 14.0 * (0.5 * xs) ** (1.0 / 3.0) + 20.0))
+    i = np.flatnonzero(np.diff(n))
+    return np.concatenate((xs[i], xs[i + 1]))
+
+
+def test_batched_j_matches_scalar_reference_bitwise():
+    rng = np.random.default_rng(1618)
+    m = rng.integers(0, 300, 3000)
+    x = np.concatenate((6.0 * rng.random(500), [0.0, 6.0, np.nextafter(6.0, 7.0)],
+                        400.0 * rng.random(2497)))
+    edges = [(k, xe) for k in (0, 3, 57) for xe in node_count_edges(k, 6.5, 80.0)]
+    m = np.concatenate((m, [k for k, _ in edges])).astype(np.int64)
+    x = np.concatenate((x, [xe for _, xe in edges]))
+    want = np.array([scalar_j(int(a), float(b)) for a, b in zip(m, x)])
+    got = specfun._j(m, x)
+    assert np.array_equal(got, want)
+    # order within the batch and block size do not matter either
+    perm = rng.permutation(m.size)
+    assert np.array_equal(specfun._j(m[perm], x[perm]), want[perm])
+    assert [bessel_j(int(a), float(b)) for a, b in zip(m[:200], x[:200])] == want[:200].tolist()
+
+
+def test_batched_j_blocks_match(monkeypatch):
+    rng = np.random.default_rng(7)
+    m, x = rng.integers(0, 50, 400), 6.0 + 100.0 * rng.random(400)
+    want = specfun._j(m, x)
+    monkeypatch.setattr(specfun, "_BLOCK", 64)
+    assert np.array_equal(specfun._j(m, x), want)
+
+
+def test_zeros_match_scalar_reference_bitwise():
+    for m in (0, 1, 2, 9, 30):
+        assert bessel_zeros_below(m, 75.0) == scalar_zeros_below(m, 75.0)
+
+
+def test_bessel_zero_is_entry_of_zeros_below():
+    for m, k in ((0, 1), (0, 12), (4, 3), (25, 1), (25, 9), (120, 2)):
+        z = bessel_zero(m, k)
+        assert z == bessel_zeros_below(m, z + 5.0)[k - 1]
+
+
+def test_all_orders_call_matches_per_order_calls():
+    x_max = 61.5
+    orders = np.arange(int(x_max) + 1)
+    batched = bessel_zeros_below(orders, x_max)
+    assert len(batched) == orders.size
+    assert batched == [bessel_zeros_below(int(m), x_max) for m in orders]
+    assert batched[-1] == []
+
+
+def test_zeros_below_validates_orders():
+    with pytest.raises(ValueError):
+        bessel_zeros_below([2, 1], 10.0)
+    with pytest.raises(ValueError):
+        bessel_zeros_below([0, 0], 10.0)
+    with pytest.raises(ValueError):
+        bessel_zeros_below([0, 1.5], 10.0)
+    with pytest.raises(ValueError):
+        bessel_zeros_below([], 10.0)
+
+
+@pytest.mark.parametrize("drop", [0, 5, -1])
+def test_certificate_catches_a_dropped_bracket(monkeypatch, drop):
+    scan = specfun._brackets
+
+    def lossy(orders, x_max):
+        m, lo, hi = scan(orders, x_max)
+        i = np.flatnonzero(m == 3)[drop]  # a zero of J_3 goes missing
+        return np.delete(m, i), np.delete(lo, i), np.delete(hi, i)
+
+    orders = np.arange(41)
+    assert bessel_zeros_below(orders, 40.0)  # passes untouched
+    monkeypatch.setattr(specfun, "_brackets", lossy)
+    with pytest.raises(ConvergenceError, match="interlacing"):
+        bessel_zeros_below(orders, 40.0)
+
+
+def test_certificate_catches_a_doubled_zero(monkeypatch):
+    scan = specfun._brackets
+
+    def doubled(orders, x_max):
+        m, lo, hi = scan(orders, x_max)
+        i = np.flatnonzero(m == 7)[2]
+        return np.insert(m, i, m[i]), np.insert(lo, i, lo[i]), np.insert(hi, i, hi[i])
+
+    monkeypatch.setattr(specfun, "_brackets", doubled)
+    with pytest.raises(ConvergenceError, match="interlacing"):
+        bessel_zeros_below(7, 40.0)

@@ -7,6 +7,7 @@ values are cross-checked against an (m, k) scan in mpmath arithmetic.
 
 import itertools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -117,6 +118,35 @@ def test_disk_spectrum_matches_mpmath_scan():
     oracle = disk_eigenvalues_oracle(1.0, 2000.0)
     assert spec.total_count == len(oracle)
     np.testing.assert_allclose(spec.expanded, oracle, rtol=1e-11)
+
+
+def test_disk_spectrum_matches_scipy_at_high_cutoff():
+    special = pytest.importorskip("scipy.special")
+    cutoff = 5e4
+    z_max = math.sqrt(cutoff)
+    oracle = []
+    for m in range(int(z_max) + 1):
+        zs = special.jn_zeros(m, int(z_max / math.pi) + 2)
+        assert zs[-1] > z_max
+        lam = zs[zs < z_max] ** 2
+        oracle.extend(np.repeat(lam, 1 if m == 0 else 2))
+    spec = enumerate_spectrum(Disk(1.0), cutoff)
+    assert spec.total_count == len(oracle)
+    np.testing.assert_allclose(spec.expanded, np.sort(oracle), rtol=1e-12, atol=0.0)
+
+
+def test_disk_enumeration_limit_is_bounded_work():
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match="would exceed"):
+        enumerate_spectrum(Disk(1.0), 1e9)
+    assert time.perf_counter() - start < 2.0
+    # raised before the scan from the inscribed square's lattice count ...
+    with pytest.raises(EnumerationLimitError, match="would exceed"):
+        enumerate_spectrum(Disk(1.0), 1e4, limit=100)
+    # ... or after it, when that lower bound is below the limit but the count is not
+    assert len(enumerate_spectrum(Disk(1.0), 2000.0).values) == 246
+    with pytest.raises(EnumerationLimitError, match="exceeded"):
+        enumerate_spectrum(Disk(1.0), 2000.0, limit=245)
 
 
 def test_spectrum_structural_invariants():
