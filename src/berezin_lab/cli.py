@@ -196,10 +196,7 @@ def _nu_argument(text: str) -> float | None:
 
 
 def _emit_csv(report: BoundReport, dest: str) -> None:
-    if dest == "-":
-        report._write_csv(sys.stdout)
-    else:
-        report.to_csv(dest)
+    report.to_csv(sys.stdout if dest == "-" else dest)
 
 
 def _domain_from_args(args: argparse.Namespace) -> Domain:
@@ -348,31 +345,27 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     dom = _domain_from_args(args)
     spec = enumerate_spectrum(dom, args.cutoff)
-    rows = [
-        {"eigenvalue": v, "multiplicity": m, "cumulative_count": c}
-        for (v, m), c in zip(spec.values, spec.cumulative_counts)
-    ]
     if args.csv is not None:
         report = BoundReport(
             "spectrum",
-            ("eigenvalue", "multiplicity", "cumulative_count"),
+            {
+                "eigenvalue": spec.eigenvalues,
+                "multiplicity": spec.multiplicities,
+                "cumulative_count": spec.cumulative_counts,
+            },
             (),
-            rows,
         )
         _emit_csv(report, args.csv)
         if args.csv != "-":
-            print(f"wrote {len(rows)} rows to {args.csv}")
+            print(f"wrote {report.n_rows} rows to {args.csv}")
         return 0
     print(f"domain = {render_domain(dom)}")
     print(f"cutoff = {_show(args.cutoff)}")
-    print(f"distinct = {len(rows)}")
+    print(f"distinct = {len(spec.values)}")
     print(f"total = {spec.total_count}")
     print("eigenvalue multiplicity cumulative_count")
-    for row in rows:
-        print(
-            f"{_show(row['eigenvalue'])} {row['multiplicity']}"
-            f" {row['cumulative_count']}"
-        )
+    for (value, mult), count in zip(spec.values, spec.cumulative_counts):
+        print(f"{_show(value)} {mult} {count}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Grid sweeps over spectral cutoffs and eigenvalue counts, with verdicts.
 
-Each sweep enumerates the spectrum once at the grid maximum and evaluates
-every column over the whole grid at once, as arrays; rows are assembled
-from the columns at the end.
+Each sweep enumerates the spectrum once at the grid maximum, evaluates every
+column over the whole grid at once as an array, and keeps those arrays as the
+report's table; row dicts are built only on request.
 
 Inequality verdicts use a scale-aware slack: lhs <= rhs + slack * max(1, |rhs|).
 A fail verdict always sits next to the raw values and the signed margin
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -128,24 +128,41 @@ class SweepConfig:
 
 @dataclass
 class BoundReport:
-    """Sweep result: column-ordered rows plus run metadata.
+    """Sweep result: a table stored as columns, plus run metadata.
 
-    Verdict columns hold 'pass', 'fail', or 'n/a'; each has a sibling
+    `columns` maps each CSV column name, in order, to an array with one entry
+    per row: integers, floats (NaN for a missing value) or strings. Verdict
+    columns hold 'pass', 'fail', or 'n/a'; each has a sibling
     '<name>_margin' column with the signed gap rhs - lhs.
     """
 
     kind: str
-    columns: tuple[str, ...]
+    columns: dict[str, np.ndarray]
     checks: tuple[str, ...]
-    rows: list[dict]
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def n_rows(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    @property
+    def rows(self) -> list[dict]:
+        """One dict of Python scalars per row, built on demand."""
+        cols = [c.tolist() for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*cols)]
+
     def failures(self) -> list[tuple[int, str, float]]:
-        out = []
-        for i, row in enumerate(self.rows):
-            for c in self.checks:
-                if row[c] == "fail":
-                    out.append((i, c, row[f"{c}_margin"]))
+        """(row, check, margin) per failing verdict, then (-1, key, nan) per
+        failing '*_verdict' metadata entry."""
+        hits = sorted(
+            (i, k)
+            for k, c in enumerate(self.checks)
+            for i in np.flatnonzero(self.columns[c] == "fail").tolist()
+        )
+        out = [
+            (i, self.checks[k], self.columns[f"{self.checks[k]}_margin"][i].item())
+            for i, k in hits
+        ]
         for key, value in self.metadata.items():
             if key.endswith("_verdict") and value == "fail":
                 out.append((-1, key, math.nan))
@@ -163,31 +180,39 @@ class BoundReport:
             self._write_csv(dest)
 
     def _write_csv(self, fh: IO[str]) -> None:
-        fh.write(f"# berezin-lab v{TOOL_VERSION}\n")
-        fh.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            fh.write(",".join(_fmt(row[c]) for c in self.columns) + "\n")
+        fh.write(f"# berezin-lab v{TOOL_VERSION}\n" + ",".join(self.columns) + "\n")
+        fh.writelines(self._csv_blocks(slice(None)))
+
+    def _csv_blocks(self, which: slice) -> Iterator[str]:
+        """CSV lines of the rows selected, _CSV_BLOCK rows per string.
+
+        One printf template serves them all: %d for integer columns, %s for
+        strings and %.17g for floats. A NaN cell is an empty field, so a float
+        column holding one is formatted cell by cell.
+        """
+        cols = [c[which] for c in self.columns.values()]
+        nan = [c.dtype.kind == "f" and np.isnan(c).any() for c in cols]
+        specs = (_SPECS.get(c.dtype.kind, "%s") for c in cols)
+        template = ",".join("%s" if n else f for f, n in zip(specs, nan)) + "\n"
+        for lo in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK):
+            block = [c[lo : lo + _CSV_BLOCK].tolist() for c in cols]
+            for j in np.flatnonzero(nan):
+                block[j] = ["" if v != v else "%.17g" % v for v in block[j]]
+            yield "".join([template % row for row in zip(*block)])
 
     def summary(self) -> str:
         lines = [f"berezin-lab v{TOOL_VERSION} {self.kind} report"]
         for key in sorted(self.metadata):
             lines.append(f"  {key}: {self.metadata[key]}")
-        lines.append(f"  rows: {len(self.rows)}")
+        lines.append(f"  rows: {self.n_rows}")
         for c in self.checks:
-            states = [row[c] for row in self.rows]
-            n_pass = states.count("pass")
-            n_fail = states.count("fail")
-            n_na = states.count("n/a")
+            states = self.columns[c]
+            n_pass, n_fail, n_na = (np.count_nonzero(states == v) for v in _VERDICTS)
             line = f"  check {c}: pass={n_pass} fail={n_fail} n/a={n_na}"
-            margins = [
-                (row[f"{c}_margin"], i)
-                for i, row in enumerate(self.rows)
-                if isinstance(row[f"{c}_margin"], float)
-                and not math.isnan(row[f"{c}_margin"])
-            ]
-            if margins:
-                worst, i = min(margins)
-                line += f" worst_margin={worst:.6g} (row {i})"
+            margins = self.columns[f"{c}_margin"]
+            if not np.isnan(margins).all():
+                i = int(np.nanargmin(margins))  # the first row on ties
+                line += f" worst_margin={margins[i].item():.6g} (row {i})"
             lines.append(line)
         fails = self.failures()
         if fails:
@@ -198,8 +223,10 @@ class BoundReport:
                 default=fails[0],
             )
             if worst[0] >= 0:
-                row = self.rows[worst[0]]
-                detail = ", ".join(f"{c}={_fmt(row[c])}" for c in self.columns)
+                cells = next(self._csv_blocks(slice(worst[0], worst[0] + 1)))
+                detail = ", ".join(
+                    f"{c}={v}" for c, v in zip(self.columns, cells[:-1].split(","))
+                )
                 lines.append(f"  worst row [{worst[0]}] {worst[1]}: {detail}")
             else:
                 lines.append(f"  failing metadata check: {worst[1]}")
@@ -208,15 +235,10 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return f"{f:.17g}"
+# Rows formatted per string written, so a long table is never one string.
+_CSV_BLOCK = 4096
+# printf field per numpy dtype kind; other columns hold strings.
+_SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
 # One str object per verdict, shared by every row.
@@ -236,19 +258,13 @@ def _check_le(
     return verdict, np.where(na, math.nan, rhs - lhs)
 
 
-def _rows(size: int, values: dict, checks: dict) -> list[dict]:
-    """Row dicts from whole-grid columns and (verdicts, margins) per check.
-
-    A scalar stands for a constant column. tolist() and item() give Python
-    ints, floats and strs.
-    """
+def _table(size: int, values: dict, checks: dict) -> dict[str, np.ndarray]:
+    """Report columns from whole-grid values (a scalar is a constant column)
+    and (verdicts, margins) per check."""
     columns = dict(values)
     for name, (verdict, margin) in checks.items():
-        columns[name] = verdict
-        columns[f"{name}_margin"] = margin
-    cols = [np.asarray(v) for v in columns.values()]
-    cols = [v.tolist() if v.ndim else [v.item()] * size for v in cols]
-    return [dict(zip(columns, row)) for row in zip(*cols)]
+        columns.update({name: verdict, f"{name}_margin": margin})
+    return {k: np.broadcast_to(v, (size,)) for k, v in columns.items()}
 
 
 def _try_surface(dom: Domain) -> float | None:
@@ -346,7 +362,7 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
             0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan, cfg.slack
         ),
     }
-    rows = _rows(len(lam), values, checks)
+    columns = _table(len(lam), values, checks)
     metadata = _base_metadata(cfg)
     metadata.update(
         {
@@ -362,10 +378,7 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
         metadata["epsilon"] = eps_info.epsilon
         metadata["epsilon_argmin_a"] = eps_info.argmin_a
         metadata["epsilon_mu"] = eps_info.mu
-    columns = RIESZ_COLUMNS + tuple(
-        name for c in RIESZ_CHECKS for name in (c, f"{c}_margin")
-    )
-    return BoundReport("riesz", columns, RIESZ_CHECKS, rows, metadata)
+    return BoundReport("riesz", columns, RIESZ_CHECKS, metadata)
 
 
 def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
@@ -436,7 +449,7 @@ def sweep_sums(cfg: SweepConfig) -> BoundReport:
         "melas": _check_le(mel, s1, cfg.slack),
         "holder_upper": _check_le(s1, holder_rhs, cfg.slack),
     }
-    rows = _rows(len(n), values, checks)
+    columns = _table(len(n), values, checks)
     metadata = _base_metadata(cfg)
     metadata.update(
         {
@@ -446,10 +459,7 @@ def sweep_sums(cfg: SweepConfig) -> BoundReport:
             "melas_m": "none" if cfg.melas_m is None else f"{cfg.melas_m} (external constant)",
         }
     )
-    columns = SUMS_COLUMNS + tuple(
-        name for c in SUMS_CHECKS for name in (c, f"{c}_margin")
-    )
-    return BoundReport("sums", columns, SUMS_CHECKS, rows, metadata)
+    return BoundReport("sums", columns, SUMS_CHECKS, metadata)
 
 
 def asymptotic_diagnostics(
@@ -491,7 +501,7 @@ def asymptotic_diagnostics(
         "ratio_second": ratio_second,
     }
     checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan, slack)}
-    rows = _rows(len(lam), values, checks)
+    columns = _table(len(lam), values, checks)
 
     ratios = ratio_main.tolist()
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -501,10 +511,7 @@ def asymptotic_diagnostics(
         "domain": repr(dom),
         "sigma": sigma,
         "ratio_main_monotone_verdict": "pass" if monotone else "fail",
-        "ratio_second_first": rows[0]["ratio_second"],
-        "ratio_second_last": rows[-1]["ratio_second"],
+        "ratio_second_first": ratio_second[0].item(),
+        "ratio_second_last": ratio_second[-1].item(),
     }
-    columns = ASYMP_COLUMNS + tuple(
-        name for c in ASYMP_CHECKS for name in (c, f"{c}_margin")
-    )
-    return BoundReport("asymptotics", columns, ASYMP_CHECKS, rows, metadata)
+    return BoundReport("asymptotics", columns, ASYMP_CHECKS, metadata)

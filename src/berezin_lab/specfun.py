@@ -20,10 +20,11 @@ lone evaluation. A unit-step sign scan brackets the zeros of all requested
 orders at once (consecutive zeros of J_m are more than one apart), and
 Newton steps with J_m' = (J_{m-1} - J_{m+1})/2, bisecting whenever a step
 would leave the bracket, refine all brackets in lockstep. A certificate
-raises ConvergenceError unless each order's zeros are more than one apart
-and adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF
-10.21.3); only a lost last zero of an order whose neighbours' counts allow
-one fewer can pass it.
+raises ConvergenceError unless each order's zeros are more than one apart,
+adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3),
+and the sign of J_m(x_max) matches the parity of each order's count, which
+catches a lost last zero; the sign test is inconclusive, and skipped, where
+|J_m(x_max)| is within ten refinement tolerances of zero.
 """
 
 from __future__ import annotations
@@ -214,9 +215,14 @@ def _newton(
     return z
 
 
-def _certify(orders: np.ndarray, zeros: list[np.ndarray]) -> None:
-    """Raise ConvergenceError unless each order's zeros are more than one apart
-    and adjacent orders interlace."""
+def _certify(
+    orders: np.ndarray, zeros: list[np.ndarray], x_max: float, acc: Accuracy
+) -> None:
+    """Raise ConvergenceError unless each order's zeros are more than one apart,
+    adjacent orders interlace, and sign(J_m(x_max)) = (-1)^count (J_m > 0 below
+    its first zero). As |J_m'| <= 1, a zero within tolerance of x_max may lie on
+    either side, so the sign test is inconclusive, and skipped, where
+    |J_m(x_max)| <= 10 (abs_tol + rel_tol x_max): about 1e-12 for small x_max."""
     z = np.full((len(zeros), max(map(len, zeros)) + 1), math.inf)
     for row, zs in zip(z, zeros):
         row[: len(zs)] = zs
@@ -226,9 +232,13 @@ def _certify(orders: np.ndarray, zeros: list[np.ndarray]) -> None:
     apart = (z[:, 1:] > z[:, :-1] + 1.0) | end[:, 1:]
     bad = ~apart.all(axis=1)
     bad[:-1] |= (np.diff(orders) == 1) & ~ok.all(axis=1)
+    f = _j(orders, np.full(orders.size, float(x_max)))
+    odd = np.array([len(zs) % 2 == 1 for zs in zeros])
+    bad |= (abs(f) > 10.0 * (acc.abs_tol + acc.rel_tol * x_max)) & ((f < 0.0) != odd)
     if bad.any():
         raise ConvergenceError(
-            f"zeros of order {orders[bad][0]} fail the spacing or interlacing certificate"
+            f"zeros of order {orders[bad][0]} fail the spacing, interlacing"
+            " or sign certificate"
         )
 
 
@@ -266,6 +276,6 @@ def bessel_zeros_below(
     z = _newton(bm, lo, hi, guess, acc)
     below = z < x_max
     zeros = np.split(z[below], np.searchsorted(bm[below], orders[1:]))
-    _certify(orders, zeros)
+    _certify(orders, zeros, x_max, acc)
     lists = [zs.tolist() for zs in zeros]
     return lists[0] if single else lists

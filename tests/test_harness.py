@@ -367,9 +367,8 @@ def test_report_summary_content():
 def test_report_failures_include_metadata_verdicts():
     rep = BoundReport(
         kind="riesz",
-        columns=("lambda",),
+        columns={"lambda": np.empty(0)},
         checks=(),
-        rows=[],
         metadata={"ratio_main_monotone_verdict": "fail"},
     )
     fails = rep.failures()

@@ -336,3 +336,25 @@ def test_certificate_catches_a_doubled_zero(monkeypatch):
     monkeypatch.setattr(specfun, "_brackets", doubled)
     with pytest.raises(ConvergenceError, match="interlacing"):
         bessel_zeros_below(7, 40.0)
+
+
+def test_certificate_catches_a_lost_last_zero_of_a_single_order(monkeypatch):
+    scan = specfun._brackets
+
+    def lossy(orders, x_max):
+        m, lo, hi = scan(orders, x_max)
+        return m[:-1], lo[:-1], hi[:-1]  # the last zero below x_max goes missing
+
+    assert len(bessel_zeros_below(3, 40.0)) == 11  # passes untouched
+    monkeypatch.setattr(specfun, "_brackets", lossy)
+    with pytest.raises(ConvergenceError, match="sign"):
+        bessel_zeros_below(3, 40.0)
+
+
+@pytest.mark.parametrize("m, k", [(0, 1), (0, 6), (3, 2), (3, 8)])
+def test_sign_certificate_is_inconclusive_at_a_zero(m, k):
+    # J_m at its own computed zero is a rounding residue of either sign
+    # (negative for (0, 1), positive for (0, 6) and (3, 8)), which says
+    # nothing about the parity of the count below it.
+    z = bessel_zero(m, k)
+    assert len(bessel_zeros_below(m, z)) == k - 1
