@@ -59,8 +59,6 @@ __all__ = [
     "parse_domain",
     "render_domain",
     "build_parser",
-    "CliInvocation",
-    "run",
 ]
 
 _UNION_BOX = re.compile(r"box\(([^()]*)\)@\(([^()]*)\)")
@@ -361,15 +359,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         return 0
     print(f"domain = {render_domain(dom)}")
     print(f"cutoff = {_show(args.cutoff)}")
-    print(f"distinct = {len(spec.values)}")
+    print(f"distinct = {spec.eigenvalues.size}")
     print(f"total = {spec.total_count}")
     print("eigenvalue multiplicity cumulative_count")
-    for (value, mult), count in zip(spec.values, spec.cumulative_counts):
+    columns = (spec.eigenvalues, spec.multiplicities, spec.cumulative_counts)
+    for value, mult, count in zip(*(c.tolist() for c in columns)):
         print(f"{_show(value)} {mult} {count}")
     return 0
 
 
-def _report_exit(report: BoundReport) -> int:
+def _report_exit(report: BoundReport, csv: str | None) -> int:
+    if csv is not None:
+        _emit_csv(report, csv)
     print(report.summary())
     return 0 if report.all_passed else 1
 
@@ -415,9 +416,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         slack=args.slack,
     )
     report = sweep_riesz(cfg)
-    if args.csv is not None:
-        _emit_csv(report, args.csv)
-    return _report_exit(report)
+    return _report_exit(report, args.csv)
 
 
 def _cmd_sums(args: argparse.Namespace) -> int:
@@ -437,9 +436,7 @@ def _cmd_sums(args: argparse.Namespace) -> int:
         slack=args.slack,
     )
     report = sweep_sums(cfg)
-    if args.csv is not None:
-        _emit_csv(report, args.csv)
-    return _report_exit(report)
+    return _report_exit(report, args.csv)
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
@@ -448,9 +445,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     lams = tuple(float(v) for v in np.geomspace(args.lam, args.lambda_max, args.points))
     report = asymptotic_diagnostics(dom, args.sigma, lams, args.slack)
-    if args.csv is not None:
-        _emit_csv(report, args.csv)
-    return _report_exit(report)
+    return _report_exit(report, args.csv)
 
 
 _HANDLERS = {
@@ -481,31 +476,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainParseError, UnsupportedDomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-
-
-@dataclasses.dataclass(frozen=True)
-class CliInvocation:
-    """Programmatic form of one command line call.
-
-    flags maps long option names (without the leading dashes) to values;
-    a None value emits the flag bare. output, when set, is passed as --csv.
-    """
-
-    subcommand: str
-    flags: dict[str, object] = dataclasses.field(default_factory=dict)
-    output: str | None = None
-
-
-def run(inv: CliInvocation) -> int:
-    """Execute an invocation through the regular argv path."""
-    argv = [inv.subcommand]
-    for name, value in inv.flags.items():
-        argv.append(f"--{name}")
-        if value is not None:
-            argv.append(str(value))
-    if inv.output is not None:
-        argv.extend(["--csv", inv.output])
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -372,6 +372,8 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
             "nu_nonneg_cap": nu_cap,
             "lambda_max": cfg.lambda_grid[-1],
             "eigenvalues_enumerated": spec.total_count,
+            "merge_joins": spec.merge_joins,
+            "merge_max_gap": spec.merge_max_gap,
         }
     )
     if eps_info is not None:
@@ -456,6 +458,8 @@ def sweep_sums(cfg: SweepConfig) -> BoundReport:
             "kind": "sums",
             "n_max": n_max,
             "cutoff_used": spec.cutoff,
+            "merge_joins": spec.merge_joins,
+            "merge_max_gap": spec.merge_max_gap,
             "melas_m": "none" if cfg.melas_m is None else f"{cfg.melas_m} (external constant)",
         }
     )

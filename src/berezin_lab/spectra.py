@@ -1,10 +1,15 @@
 """Exact Dirichlet spectra for boxes, box unions, and disks.
 
 Box eigenvalues are pi^2 * sum (n_i / a_i)^2 over positive integer
-multi-indices; a disjoint union's spectrum is the multiset union of the
-members'; disk eigenvalues are (j_{m,k} / R)^2 with multiplicity one for
-m = 0 and two for m >= 1. Enumeration is strict below the cutoff, values
-within 1e-9 relative are merged into one entry with summed multiplicity.
+multi-indices; a union's spectrum is the multiset union of its boxes' (a box
+is a one-box union); disk eigenvalues are (j_{m,k} / R)^2 with multiplicity
+one for m = 0 and two for m >= 1. Enumeration is strict below the cutoff.
+Sorted values merge by the anchor rule: v joins the current entry when
+v - first <= 1e-9 * v for the entry's first value, else starts one, so a run
+of neighbours each within 1e-9 of the next can still split. A Spectrum
+records merge_joins, the eigenvalues joined to a first value that differs
+from them in any bit (rounding twins, or distinct values closer than 1e-9),
+and merge_max_gap, the widest (v - first) / v among them (0.0 if none).
 """
 
 from __future__ import annotations
@@ -41,34 +46,45 @@ _MERGE_REL_TOL = 1e-9
 DEFAULT_ENUMERATION_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted (eigenvalue, multiplicity) pairs below a cutoff."""
+    """Distinct eigenvalues below a cutoff, ascending, and their multiplicities,
+    as read-only float64 and int64 arrays, with the merge record."""
 
     domain: Domain
     cutoff: float
-    values: tuple[tuple[float, int], ...]
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
+    merge_joins: int
+    merge_max_gap: float
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([v for v, _ in self.values], dtype=float)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues, np.float64))
+        object.__setattr__(self, "multiplicities", _readonly(self.multiplicities, np.int64))
 
-    @cached_property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.values], dtype=np.int64)
+    @property
+    def values(self) -> tuple[tuple[float, int], ...]:
+        """(eigenvalue, multiplicity) pairs, built on each access."""
+        return tuple(zip(self.eigenvalues.tolist(), self.multiplicities.tolist()))
 
     @cached_property
     def cumulative_counts(self) -> np.ndarray:
-        return np.cumsum(self.multiplicities)
+        return _readonly(np.cumsum(self.multiplicities))
 
     @cached_property
     def expanded(self) -> np.ndarray:
         """Eigenvalues repeated by multiplicity, ascending."""
-        return np.repeat(self.eigenvalues, self.multiplicities)
+        return _readonly(np.repeat(self.eigenvalues, self.multiplicities))
 
     @property
     def total_count(self) -> int:
-        return int(self.cumulative_counts[-1]) if self.values else 0
+        return int(self.cumulative_counts[-1]) if self.eigenvalues.size else 0
+
+
+def _readonly(a: ArrayLike, dtype: type | None = None) -> np.ndarray:
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 def enumerate_spectrum(
@@ -80,26 +96,28 @@ def enumerate_spectrum(
     """All eigenvalues strictly below cutoff, merged and sorted."""
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    if isinstance(dom, AxisBox):
-        pairs = [(v, 1) for v in _box_eigenvalues(dom.sides, cutoff, limit)]
-    elif isinstance(dom, BoxUnion):
-        pairs = []
-        for b in dom.boxes:
-            pairs.extend((v, 1) for v in _box_eigenvalues(b.sides, cutoff, limit))
-            if len(pairs) > limit:
-                raise EnumerationLimitError(
-                    f"enumeration exceeded the limit of {limit} entries"
-                )
+    if isinstance(dom, (AxisBox, BoxUnion)):
+        parts: list[np.ndarray] = []
+        for box in dom.boxes if isinstance(dom, BoxUnion) else (dom,):
+            parts.append(_box_eigenvalues(box.sides, cutoff, limit))
+            _check_limit(sum(p.size for p in parts), limit)
+        vals = np.concatenate(parts)
+        mult = np.ones(vals.size, dtype=np.int64)
     elif isinstance(dom, Disk):
-        pairs = _disk_eigenvalues(dom.radius, cutoff, limit, acc)
+        vals, mult = _disk_eigenvalues(dom.radius, cutoff, limit, acc)
     else:
         raise UnsupportedDomainError(
             "spectra are available for boxes, box unions, and disks only"
         )
-    return Spectrum(domain=dom, cutoff=float(cutoff), values=_merge(pairs))
+    return Spectrum(dom, float(cutoff), *_merge(vals, mult))
 
 
-def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> list[float]:
+def _check_limit(entries: int, limit: int) -> None:
+    if entries > limit:
+        raise EnumerationLimitError(f"enumeration exceeded the limit of {limit} entries")
+
+
+def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> np.ndarray:
     d = len(sides)
     inv2 = [1.0 / (a * a) for a in sides]
     # Minimal contribution of the not-yet-assigned indices, for pruning.
@@ -112,18 +130,10 @@ def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> lis
         w = inv2[i]
         n = 1
         if i == d - 1:
-            while True:
-                total = acc + n * n * w
-                val = pi2 * total
-                if val >= cutoff:
-                    if total > budget:
-                        break
-                else:
-                    out.append(val)
-                    if len(out) > limit:
-                        raise EnumerationLimitError(
-                            f"enumeration exceeded the limit of {limit} entries"
-                        )
+            # val grows with n, so nothing past the first val >= cutoff is kept.
+            while (val := pi2 * (acc + n * n * w)) < cutoff:
+                out.append(val)
+                _check_limit(len(out), limit)
                 n += 1
         else:
             while acc + n * n * w + tail[i] <= budget:
@@ -131,12 +141,12 @@ def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> lis
                 n += 1
 
     rec(0, 0.0)
-    return out
+    return np.array(out, dtype=float)
 
 
 def _disk_eigenvalues(
     radius: float, cutoff: float, limit: int, acc: Accuracy
-) -> list[tuple[float, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     # Lower bound on the entries, from the inscribed square (Dirichlet
     # monotonicity): its lattice count below the cutoff is at least the area
     # pi*(r - sqrt(2))^2/4, r = R*sqrt(2*cutoff)/pi; an entry holds <= 2 values.
@@ -147,25 +157,42 @@ def _disk_eigenvalues(
         )
     z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
     orders = np.arange(math.floor(z_max) + 1)
-    pairs: list[tuple[float, int]] = []
-    for m, zeros in enumerate(bessel_zeros_below(orders, z_max, acc)):
-        lams = ((z / radius) ** 2 for z in zeros)
-        pairs.extend((lam, 1 if m == 0 else 2) for lam in lams if lam < cutoff)
-    if len(pairs) > limit:
-        raise EnumerationLimitError(
-            f"enumeration exceeded the limit of {limit} entries"
-        )
-    return pairs
+    zeros = bessel_zeros_below(orders, z_max, acc)
+    # Python's scalar ** (C pow), not numpy's square, which differs in the last bit.
+    lams = np.array([(z / radius) ** 2 for zs in zeros for z in zs], dtype=float)
+    mult = np.repeat(np.where(orders == 0, 1, 2), [len(zs) for zs in zeros])
+    below = lams < cutoff
+    _check_limit(int(np.count_nonzero(below)), limit)
+    return lams[below], mult[below]
 
 
-def _merge(pairs: list[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
-    out: list[list[float | int]] = []
-    for v, m in sorted(pairs):
-        if out and v - out[-1][0] <= _MERGE_REL_TOL * abs(v):
-            out[-1][1] += m
-        else:
-            out.append([v, m])
-    return tuple((float(v), int(m)) for v, m in out)
+def _merge(
+    vals: np.ndarray, mult: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Entries by the anchor rule, and the merge record. A gap above the tolerance
+    always splits; only runs wider than the tolerance are walked value by value."""
+    order = np.argsort(vals, kind="stable")
+    v, m = vals[order], mult[order]
+    tol = _MERGE_REL_TOL * np.abs(v)
+    start = np.ones(v.size, dtype=bool)
+    start[1:] = v[1:] - v[:-1] > tol[1:]
+    idx = np.arange(v.size)
+    first = np.maximum.accumulate(np.where(start, idx, 0))
+    wide = np.unique(first[v - v[first] > tol])
+    if wide.size:
+        runs = np.flatnonzero(start)
+        ends = np.append(runs[1:], v.size)[np.searchsorted(runs, wide)]
+        for s, e in zip(wide.tolist(), ends.tolist()):
+            anchor = float(v[s])
+            for k, x in enumerate(v[s + 1 : e].tolist(), s + 1):
+                if x - anchor > _MERGE_REL_TOL * abs(x):
+                    start[k] = True
+                    anchor = x
+        first = np.maximum.accumulate(np.where(start, idx, 0))
+    joined = v != v[first]
+    gap = float(np.max((v - v[first])[joined] / v[joined], initial=0.0))
+    starts = np.flatnonzero(start)
+    return v[starts], np.add.reduceat(m, starts), int(np.sum(m[joined])), gap
 
 
 def _check_query(spec: Spectrum, lam: ArrayLike) -> np.ndarray:

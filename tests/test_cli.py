@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import berezin_lab
-from berezin_lab.cli import CliInvocation, main, parse_domain, render_domain, run
+from berezin_lab.cli import main, parse_domain, render_domain
 from berezin_lab.errors import DomainParseError, UnsupportedDomainError
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
 from berezin_lab.version import TOOL_VERSION
@@ -323,26 +323,3 @@ def test_numeric_failure_exit_code(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "numeric failure" in err
-
-
-def test_invocation_wrapper(tmp_path, capsys):
-    rc = run(
-        CliInvocation(
-            subcommand="check",
-            flags={"domain": "box:1x1", "sigma": 1.5, "lambda": 100.0},
-        )
-    )
-    assert rc == 0
-    inv = CliInvocation(
-        subcommand="sweep",
-        flags={
-            "domain": "box:1x1",
-            "sigma": 1.5,
-            "lambda-max": 100.0,
-            "points": 5,
-        },
-        output=str(tmp_path / "inv.csv"),
-    )
-    assert run(inv) == 0
-    assert (tmp_path / "inv.csv").exists()
-    capsys.readouterr()

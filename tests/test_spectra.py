@@ -2,7 +2,9 @@
 
 The box oracle below enumerates lattice tuples directly with nested loops
 and no merging, so it exercises none of the production code paths. Disk
-values are cross-checked against an (m, k) scan in mpmath arithmetic.
+values are cross-checked against an (m, k) scan in mpmath arithmetic. The
+array merge is checked against the tuple merge it replaced, kept below
+verbatim as the reference.
 """
 
 import itertools
@@ -12,7 +14,9 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from berezin_lab import spectra
 from berezin_lab.errors import (
     CutoffExceededError,
     EnumerationLimitError,
@@ -20,7 +24,10 @@ from berezin_lab.errors import (
     UnsupportedDomainError,
 )
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
+from berezin_lab.harness import SweepConfig, sweep_riesz, sweep_sums
+from berezin_lab.specfun import bessel_zeros_below
 from berezin_lab.spectra import (
+    Spectrum,
     counting,
     eigenvalue_n,
     enumerate_spectrum,
@@ -41,6 +48,30 @@ def box_eigenvalues_oracle(sides, cutoff):
         if lam < cutoff:
             out.append(lam)
     return np.sort(np.array(out))
+
+
+def merge_reference(pairs):
+    """The tuple merge that spectra._merge replaced, verbatim."""
+    out = []
+    for v, m in sorted(pairs):
+        if out and v - out[-1][0] <= 1e-9 * abs(v):
+            out[-1][1] += m
+        else:
+            out.append([v, m])
+    return tuple((float(v), int(m)) for v, m in out)
+
+
+def merge_record_reference(pairs):
+    """The same walk, counting values joined to a first value that differs."""
+    joins, max_gap, anchor = 0, 0.0, None
+    for v, m in sorted(pairs):
+        if anchor is not None and v - anchor <= 1e-9 * abs(v):
+            if v != anchor:
+                joins += m
+                max_gap = max(max_gap, (v - anchor) / v)
+        else:
+            anchor = v
+    return joins, max_gap
 
 
 def disk_eigenvalues_oracle(radius, cutoff, dps=20):
@@ -266,3 +297,114 @@ def test_enumeration_guards():
         enumerate_spectrum(generic_wrapper(Disk(1.0)), 100.0)
     with pytest.raises(ValueError):
         enumerate_spectrum(AxisBox((1.0, 1.0)), -5.0)
+
+
+def test_enumeration_limit_counts_the_whole_union():
+    a = AxisBox((1.0, 1.0))
+    b = AxisBox((1.0, 1.0), origin=(2.0, 0.0))
+    n = enumerate_spectrum(a, 2000.0).total_count  # entries, one per lattice point
+    enumerate_spectrum(a, 2000.0, limit=n)
+    with pytest.raises(EnumerationLimitError, match="exceeded"):
+        enumerate_spectrum(a, 2000.0, limit=n - 1)
+    # each member is within the limit, the union is not
+    with pytest.raises(EnumerationLimitError, match="exceeded"):
+        enumerate_spectrum(BoxUnion((a, b)), 2000.0, limit=n)
+    union = enumerate_spectrum(BoxUnion((a, b)), 2000.0, limit=2 * n)
+    assert union.total_count == 2 * n
+
+
+def test_spectrum_arrays_are_read_only():
+    spec = enumerate_spectrum(AxisBox((2.0, 1.0)), 500.0)
+    arrays = (spec.eigenvalues, spec.multiplicities, spec.cumulative_counts, spec.expanded)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert spec.eigenvalues.dtype == np.float64
+    assert spec.multiplicities.dtype == np.int64
+    assert spec.values == tuple(
+        zip(spec.eigenvalues.tolist(), spec.multiplicities.tolist())
+    )
+    # built from writable arrays, the spectrum is read-only and the inputs are not
+    ev, mult = np.array([1.0, 2.0]), np.array([1, 2])
+    built = Spectrum(spec.domain, 3.0, ev, mult, 0, 0.0)
+    assert not built.eigenvalues.flags.writeable
+    ev[0] = 0.5
+    assert built.eigenvalues[0] == 0.5 and ev.flags.writeable
+
+
+def test_disk_values_are_python_scalar_squares():
+    # numpy's vectorised square differs from Python's ** (C pow) in the last
+    # bit of a few of these values; tests/golden/ pins those bits.
+    cutoff = 2e4
+    z_max = math.sqrt(cutoff) * (1.0 + 1e-12)
+    zeros = bessel_zeros_below(list(range(math.floor(z_max) + 1)), z_max)
+    lams = ((z / 1.0) ** 2 for zs in zeros for z in zs)
+    expected = sorted(lam for lam in lams if lam < cutoff)
+    spec = enumerate_spectrum(Disk(1.0), cutoff)
+    assert spec.eigenvalues.tobytes() == np.array(expected).tobytes()
+
+
+# One cluster member: offset from the base in units of 1e-9 relative, then
+# this many ulps, and a multiplicity.
+_near = st.tuples(
+    st.floats(0.0, 3.0) | st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.integers(-2, 2),
+    st.sampled_from([1, 2]),
+)
+_clusters = st.lists(
+    st.tuples(st.floats(1e-3, 1e7), st.lists(_near, min_size=1, max_size=8)),
+    max_size=12,
+)
+
+
+def _cluster_values(clusters):
+    pairs = []
+    for base, members in clusters:
+        for offset, ulps, mult in members:
+            v = base * (1.0 + offset * 1e-9)
+            for _ in range(abs(ulps)):
+                v = float(np.nextafter(v, math.copysign(math.inf, ulps)))
+            pairs.append((v, mult))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(clusters=_clusters, data=st.data())
+@example(clusters=[], data=None)  # empty input
+@example(clusters=[(1.0, [(0.0, 0, 1), (0.6, 0, 2), (1.2, 0, 1), (1.8, 0, 2)])], data=None)
+def test_merge_matches_tuple_reference(clusters, data):
+    pairs = _cluster_values(clusters)
+    if data is not None:
+        pairs = data.draw(st.permutations(pairs))
+    vals = np.array([v for v, _ in pairs], dtype=float)
+    mult = np.array([m for _, m in pairs], dtype=np.int64)
+    ev, mu, joins, max_gap = spectra._merge(vals, mult)
+    ref = merge_reference(pairs)
+    assert ev.tobytes() == np.array([v for v, _ in ref], dtype=float).tobytes()
+    assert mu.tolist() == [m for _, m in ref]
+    assert (joins, max_gap) == merge_record_reference(pairs)
+
+
+def test_merge_record():
+    # 2x1: coincident eigenvalues are bit-equal, so nothing is recorded
+    spec = enumerate_spectrum(AxisBox((2.0, 1.0)), 1e5)
+    assert (spec.merge_joins, spec.merge_max_gap) == (0, 0.0)
+    assert spec.total_count > len(spec.eigenvalues)
+    # near sqrt(2): distinct eigenvalues within 1e-9, in runs wider than 1e-9
+    sides, cutoff = (1.41421356, 1.0), 2e5
+    spec = enumerate_spectrum(AxisBox(sides), cutoff)
+    raw = spectra._box_eigenvalues(sides, cutoff, spectra.DEFAULT_ENUMERATION_LIMIT)
+    pairs = [(v, 1) for v in raw.tolist()]
+    assert spec.values == merge_reference(pairs)
+    assert (spec.merge_joins, spec.merge_max_gap) == merge_record_reference(pairs)
+    assert spec.merge_joins > 1000 and 1e-10 < spec.merge_max_gap <= 1e-9
+    # the sweeps report the record of the spectrum they read
+    dom = AxisBox(sides)
+    rep = sweep_riesz(SweepConfig(domain=dom, sigma=1.5, lambda_grid=(1e3, cutoff)))
+    assert rep.metadata["merge_joins"] == spec.merge_joins
+    assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
+    rep = sweep_sums(SweepConfig(domain=dom, sigma=2.0, n_grid=(1, 20000)))
+    spec = enumerate_spectrum(dom, rep.metadata["cutoff_used"])
+    assert rep.metadata["merge_joins"] == spec.merge_joins > 0
+    assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
+    assert not any(c.startswith("merge") for c in rep.columns)
