@@ -57,13 +57,9 @@ from .spectra import (
     Spectrum,
     counting,
     enumerate_spectrum,
-    eigenvalue_n,
-    partial_sum,
-    riesz_integral_check,
     riesz_mean,
 )
 from .bounds import (
-    BoundInputs,
     eigenvalue_lower,
     improved_rhs,
     li_yau_rhs,
@@ -91,7 +87,6 @@ __version__ = TOOL_VERSION
 __all__ = [
     "Accuracy",
     "AxisBox",
-    "BoundInputs",
     "BoundReport",
     "BoxUnion",
     "ConvergenceError",
@@ -122,7 +117,6 @@ __all__ = [
     "critical_length",
     "dimension_reduction_identity_residual",
     "eigenvalue_lower",
-    "eigenvalue_n",
     "enumerate_spectrum",
     "epsilon_mu",
     "f_mu",
@@ -136,13 +130,11 @@ __all__ = [
     "melas_rhs",
     "moment_J",
     "nu_bounds",
-    "partial_sum",
     "parse_domain",
     "phase_space_eta",
     "polya_counting_factor",
     "render_domain",
     "rho_lower",
-    "riesz_integral_check",
     "riesz_mean",
     "s_classical",
     "sections",

@@ -11,7 +11,6 @@ evaluated in one call; scalars give scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -21,12 +20,12 @@ from .geometry import Disk, Domain, critical_length, section_family
 from .remainder import lattice_sum
 
 __all__ = [
-    "BoundInputs",
     "phase_space_eta",
     "s_classical",
     "sum_classical",
     "improved_rhs",
     "sliced_bound",
+    "boundary_term",
     "li_yau_rhs",
     "melas_rhs",
     "eigenvalue_lower",
@@ -43,24 +42,6 @@ _gl_wphi = 0.25 * math.pi * _gl_w
 _gl_cos = np.cos(_gl_phi)
 _gl_cos2 = _gl_cos**2
 _gl_sin2 = np.sin(_gl_phi) ** 2
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Bundle of evaluation inputs for bound right-hand sides.
-
-    Only the fields a given bound consumes need to be present; lam and the
-    slicing statistics may be arrays of one shape. exploratory permits
-    parameter values outside the guaranteed regime; reports flag the rows
-    produced that way.
-    """
-
-    params: SemiclassicalParams
-    lam: ArrayLike | None = None
-    vol_omega_lambda: ArrayLike | None = None
-    d_lambda: ArrayLike | None = None
-    nu: float | None = None
-    exploratory: bool = False
 
 
 def _check_lam(lam: ArrayLike) -> np.ndarray:
@@ -83,18 +64,32 @@ def _check_positive(name: str, v: float) -> float:
     return float(v)
 
 
+def _weyl_term(sigma: float, d: int, measure: ArrayLike, lam: np.ndarray) -> ArrayLike:
+    """L_{sigma,d} * measure * lam^(sigma + d/2), the leading Weyl term."""
+    return lt_value(sigma, d) * measure * lam ** (sigma + 0.5 * d)
+
+
+def boundary_term(
+    weight: float, sigma: float, d: int, measure: ArrayLike, lam: np.ndarray
+) -> ArrayLike:
+    """weight * L_{sigma,d-1} * measure * lam^(sigma + (d-1)/2).
+
+    With weight 1/4 and measure |dOmega| this is the second Weyl term; the
+    corrected bound subtracts it with weight nu/4 and measure d(Omega_Lambda).
+    """
+    return weight * lt_value(sigma, d - 1) * measure * lam ** (sigma + 0.5 * (d - 1))
+
+
 def phase_space_eta(d: int, vol: float, lam: ArrayLike) -> ArrayLike:
     """First Weyl term of the counting function."""
     _check_positive("vol", vol)
-    lam = _check_lam(lam)
-    return lt_value(0.0, d) * vol * lam ** (0.5 * d)
+    return _weyl_term(0.0, d, vol, _check_lam(lam))
 
 
 def s_classical(p: SemiclassicalParams, vol: float, lam: ArrayLike) -> ArrayLike:
     """First Weyl term of the Riesz mean of order sigma."""
     _check_positive("vol", vol)
-    lam = _check_lam(lam)
-    return lt_value(p.sigma, p.dim) * vol * lam ** (p.sigma + 0.5 * p.dim)
+    return _weyl_term(p.sigma, p.dim, vol, _check_lam(lam))
 
 
 def sum_classical(p: SemiclassicalParams, vol: float, n: ArrayLike) -> ArrayLike:
@@ -108,32 +103,32 @@ def sum_classical(p: SemiclassicalParams, vol: float, n: ArrayLike) -> ArrayLike
     )
 
 
-def improved_rhs(inputs: BoundInputs) -> ArrayLike:
-    """Two-term upper bound: classical term minus a boundary-layer correction.
+def improved_rhs(
+    *,
+    params: SemiclassicalParams,
+    lam: ArrayLike,
+    vol_omega_lambda: ArrayLike,
+    d_lambda: ArrayLike,
+    nu: float,
+    exploratory: bool = False,
+) -> ArrayLike:
+    """Two-term upper bound: the Weyl term of the long sections' volume
+    vol(Omega_Lambda) minus boundary_term with weight nu/4 over their cross
+    measure d(Omega_Lambda); lam and the statistics may be arrays of one shape.
 
-    The correction is proportional to the cross measure of long sections and
-    carries the weight nu; the guaranteed regime is sigma >= 3/2, dim >= 2.
+    The guaranteed regime is sigma >= 3/2, dim >= 2 and nu = 4 epsilon_mu (see
+    remainder.nu_bounds); it is nonnegative for nu <= remainder.nu_nonneg_cap.
+    exploratory admits sigma < 3/2; sweeps set it for an explicit nu.
     """
-    p = inputs.params
-    if not inputs.exploratory:
-        if p.sigma < 1.5:
-            raise ValueError("improved_rhs requires sigma >= 3/2 (or exploratory=True)")
-    if p.dim < 2:
+    if not exploratory and params.sigma < 1.5:
+        raise ValueError("improved_rhs requires sigma >= 3/2 (or exploratory=True)")
+    if params.dim < 2:
         raise ValueError("improved_rhs requires dim >= 2")
-    if inputs.lam is None or inputs.vol_omega_lambda is None or inputs.d_lambda is None:
-        raise ValueError("improved_rhs needs lam, vol_omega_lambda, and d_lambda")
-    if inputs.nu is None or not math.isfinite(inputs.nu):
+    if not math.isfinite(nu):
         raise ValueError("improved_rhs needs a finite nu")
-    lam = _check_lam(inputs.lam)
-    main = lt_value(p.sigma, p.dim) * inputs.vol_omega_lambda * lam ** (p.sigma + 0.5 * p.dim)
-    corr = (
-        0.25
-        * inputs.nu
-        * lt_value(p.sigma, p.dim - 1)
-        * inputs.d_lambda
-        * lam ** (p.sigma + 0.5 * (p.dim - 1))
-    )
-    return main - corr
+    lam = _check_lam(lam)
+    main = _weyl_term(params.sigma, params.dim, vol_omega_lambda, lam)
+    return main - boundary_term(0.25 * nu, params.sigma, params.dim, d_lambda, lam)
 
 
 def sliced_bound(
@@ -221,9 +216,7 @@ def two_term_counting(d: int, vol: float, surf: float, lam: ArrayLike) -> ArrayL
     _check_positive("vol", vol)
     _check_positive("surf", surf)
     lam = _check_lam(lam)
-    return phase_space_eta(d, vol, lam) - 0.25 * lt_value(0.0, d - 1) * surf * lam ** (
-        0.5 * (d - 1)
-    )
+    return phase_space_eta(d, vol, lam) - boundary_term(0.25, 0.0, d, surf, lam)
 
 
 def two_term_riesz(
@@ -235,9 +228,7 @@ def two_term_riesz(
     _check_positive("vol", vol)
     _check_positive("surf", surf)
     lam = _check_lam(lam)
-    return s_classical(p, vol, lam) - 0.25 * lt_value(p.sigma, p.dim - 1) * surf * lam ** (
-        p.sigma + 0.5 * (p.dim - 1)
-    )
+    return s_classical(p, vol, lam) - boundary_term(0.25, p.sigma, p.dim, surf, lam)
 
 
 def two_term_sum(

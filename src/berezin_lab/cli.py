@@ -49,9 +49,8 @@ from .harness import (
     sweep_riesz,
     sweep_sums,
 )
-from .remainder import DEFAULT_SCAN_UPPER, DEFAULT_TOL, epsilon_mu, nu_bounds
+from .remainder import DEFAULT_SCAN_UPPER, DEFAULT_TOL, epsilon_mu, nu_bounds, nu_ceiling
 from .spectra import enumerate_spectrum
-from .specfun import beta
 from .version import TOOL_VERSION
 
 __all__ = [
@@ -319,12 +318,15 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
+    window = None
     if args.mu is not None:
         if args.sigma is not None or args.dim is not None:
             raise ValueError("give either --mu or the pair --sigma/--dim, not both")
         mu = args.mu
     elif args.sigma is not None and args.dim is not None:
         mu = args.sigma + 0.5 * (args.dim - 1)
+        # Rejects a (sigma, dim) outside the guaranteed regime before any output.
+        window = nu_bounds(args.sigma, args.dim, args.scan_upper, args.tol)
     else:
         raise ValueError("epsilon needs --mu, or both --sigma and --dim")
     res = epsilon_mu(mu, args.scan_upper, args.tol)
@@ -332,11 +334,10 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
     print(f"epsilon = {_show(res.epsilon)}")
     print(f"argmin_a = {_show(res.argmin_a)}")
     print(f"four_epsilon = {_show(4.0 * res.epsilon)}")
-    print(f"admissible_upper = {_show(2.0 * min(1.0, beta(1.0 + mu, 0.5)))}")
-    if args.sigma is not None:
-        lo, hi = nu_bounds(args.sigma, args.dim, args.scan_upper, args.tol)
-        print(f"nu_lower = {_show(lo)}")
-        print(f"nu_upper = {_show(hi)}")
+    print(f"admissible_upper = {_show(nu_ceiling(mu))}")
+    if window is not None:
+        print(f"nu_lower = {_show(window[0])}")
+        print(f"nu_upper = {_show(window[1])}")
     return 0
 
 
@@ -388,7 +389,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = sweep_riesz(cfg)
     if args.csv is not None:
         _emit_csv(report, args.csv)
-    row = report.rows[0]
+    row = {name: column.tolist()[0] for name, column in report.columns.items()}
     print(f"berezin-lab v{TOOL_VERSION} check")
     print(f"domain = {render_domain(dom)}")
     print(f"nu = {_show(report.metadata['nu'])} ({report.metadata['nu_mode']})")

@@ -180,7 +180,6 @@ Domain = Union[AxisBox, BoxUnion, Disk, GenericSliced]
 class SlicingStats:
     """Long-section statistics; the fields are arrays when lam is one."""
 
-    lam: ArrayLike
     vol_omega_lambda: ArrayLike
     d_lambda: ArrayLike
     exact: bool
@@ -285,7 +284,7 @@ def slicing_stats(
         vol = (weights * np.where(long, lengths, 0.0)).sum(axis=-1)
         dl = (weights * long).sum(axis=-1)
         exact = not isinstance(dom, GenericSliced)
-    return SlicingStats(lam, vol[()], dl[()], exact=exact)
+    return SlicingStats(vol[()], dl[()], exact=exact)
 
 
 def _midpoint_grid(dom: GenericSliced, quad_points: int | None):

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .bounds import (
-    BoundInputs,
+    boundary_term,
     eigenvalue_lower,
     improved_rhs,
     li_yau_rhs,
@@ -43,9 +43,8 @@ from .geometry import (
     surface,
     volume,
 )
-from .remainder import epsilon_mu
+from .remainder import epsilon_mu, nu_nonneg_cap
 from .spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
-from .specfun import beta
 from .version import TOOL_VERSION
 
 __all__ = [
@@ -296,13 +295,14 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
     surf = _try_surface(dom)
     tiling = isinstance(dom, (AxisBox, BoxUnion))
     sliced_ok = cfg.sigma >= 1.5 and d >= 2
+    mu = cfg.sigma + 0.5 * (d - 1)
 
     eps_info = None
     if cfg.nu is not None:
         nu = float(cfg.nu)
         nu_mode = "explicit"
     elif sliced_ok:
-        eps_info = epsilon_mu(cfg.sigma + 0.5 * (d - 1))
+        eps_info = epsilon_mu(mu)
         nu = 4.0 * eps_info.epsilon
         nu_mode = "default-from-remainder-minimum"
     else:
@@ -310,9 +310,9 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
         nu_mode = "n/a"
     exploratory = nu_mode == "explicit"
     improved_ok = d >= 2 and math.isfinite(nu) and (cfg.sigma >= 1.5 or exploratory)
-    # Largest weight for which the corrected bound stays nonnegative on any
-    # admissible geometry; beyond it the nonnegativity check is off.
-    nu_cap = 2.0 * beta(0.5, 1.0 + cfg.sigma + 0.5 * (d - 1)) if d >= 2 else math.nan
+    # The corrected bound is nonnegative on every domain only for nu up to
+    # this cap, so improved_nonneg is n/a above it.
+    nu_cap = nu_nonneg_cap(mu) if d >= 2 else math.nan
 
     n = counting(spec, lam)
     s_val = riesz_mean(spec, cfg.sigma, lam)
@@ -322,14 +322,12 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
     sliced = sliced_bound(dom, p, lam, cfg.quad_points) if sliced_ok else math.nan
     improved = (
         improved_rhs(
-            BoundInputs(
-                params=p,
-                lam=lam,
-                vol_omega_lambda=st.vol_omega_lambda,
-                d_lambda=st.d_lambda,
-                nu=nu,
-                exploratory=exploratory,
-            )
+            params=p,
+            lam=lam,
+            vol_omega_lambda=st.vol_omega_lambda,
+            d_lambda=st.d_lambda,
+            nu=nu,
+            exploratory=exploratory,
         )
         if improved_ok
         else math.nan
@@ -493,7 +491,7 @@ def asymptotic_diagnostics(
     lam = np.array(lams)
     s_val = riesz_mean(spec, sigma, lam)
     scl = s_classical(p, vol, lam)
-    boundary = 0.25 * lt_value(sigma, d - 1) * surf * lam ** (sigma + 0.5 * (d - 1))
+    boundary = boundary_term(0.25, sigma, d, surf, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_main = np.where(scl > 0.0, s_val / scl, math.nan)
         ratio_second = np.where(boundary > 0.0, (scl - s_val) / boundary, math.nan)

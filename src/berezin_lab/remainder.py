@@ -21,7 +21,10 @@ from numpy.typing import ArrayLike
 from .errors import TailGuardError
 from .specfun import beta
 
-__all__ = ["RemainderResult", "f_mu", "lattice_sum", "epsilon_mu", "nu_bounds"]
+__all__ = [
+    "RemainderResult", "f_mu", "lattice_sum", "epsilon_mu",
+    "nu_bounds", "nu_ceiling", "nu_nonneg_cap",
+]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_STEP = 1e-3
@@ -162,14 +165,34 @@ def epsilon_mu(
     )
 
 
+def nu_nonneg_cap(mu: float) -> float:
+    """Largest weight that keeps the corrected bound nonnegative: 2 B(1 + mu, 1/2).
+
+    With mu = sigma + (d - 1)/2, pi L_{sigma,d} = L_{sigma,d-1} B(1 + mu, 1/2)/2,
+    so where vol(Omega_Lambda) >= (pi / sqrt(Lambda)) d(Omega_Lambda), as on every
+    sliced domain, improved_rhs >= L_{sigma,d-1} d(Omega_Lambda) Lambda^mu
+    (B(1 + mu, 1/2)/2 - nu/4), which is nonnegative for nu up to this cap.
+    """
+    return 2.0 * beta(1.0 + mu, 0.5)
+
+
+def nu_ceiling(mu: float) -> float:
+    """A-priori ceiling on the guaranteed weight: 4 epsilon_mu is at most
+    4 min(f_mu(1), lim f_mu) = 2 min(1, B(1 + mu, 1/2)), since f_mu(1) is
+    B(1 + mu, 1/2)/2 and f_mu tends to 1/2: nu_nonneg_cap clipped at 2."""
+    return min(2.0, nu_nonneg_cap(mu))
+
+
 def nu_bounds(sigma: float, dim: int, scan_upper: float = DEFAULT_SCAN_UPPER,
               tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Guaranteed bracket for the boundary-correction weight at (sigma, dim)."""
+    """Guaranteed weight 4 epsilon_mu and its ceiling nu_ceiling(mu) at
+    (sigma, dim), mu = sigma + (dim - 1)/2.
+
+    Raises ValueError outside the guaranteed regime sigma >= 3/2, dim >= 2.
+    """
     if not sigma >= 1.5:
         raise ValueError("nu_bounds requires sigma >= 3/2")
     if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 2):
         raise ValueError("nu_bounds requires integer dim >= 2")
     mu = sigma + 0.5 * (dim - 1)
-    res = epsilon_mu(mu, scan_upper, tol)
-    upper = 2.0 * min(1.0, beta(1.0 + mu, 0.5))
-    return 4.0 * res.epsilon, upper
+    return 4.0 * epsilon_mu(mu, scan_upper, tol).epsilon, nu_ceiling(mu)

@@ -21,14 +21,8 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .constants import lt_value
-from .errors import (
-    CutoffExceededError,
-    EnumerationLimitError,
-    InsufficientCutoffError,
-    UnsupportedDomainError,
-)
-from .geometry import AxisBox, BoxUnion, Disk, Domain, volume
+from .errors import CutoffExceededError, EnumerationLimitError, UnsupportedDomainError
+from .geometry import AxisBox, BoxUnion, Disk, Domain
 from .specfun import DEFAULT_ACCURACY, Accuracy, bessel_zeros_below
 
 __all__ = [
@@ -37,9 +31,6 @@ __all__ = [
     "enumerate_spectrum",
     "counting",
     "riesz_mean",
-    "partial_sum",
-    "eigenvalue_n",
-    "riesz_integral_check",
 ]
 
 _MERGE_REL_TOL = 1e-9
@@ -231,54 +222,3 @@ def riesz_mean(spec: Spectrum, sigma: float, lam: ArrayLike) -> ArrayLike:
         np.sum(mult[:i] * (x - ev[:i]) ** sigma) for x, i in zip(lam.flat, ends.flat)
     ]
     return np.reshape(out, lam.shape)[()]
-
-
-def _require_count(spec: Spectrum, n: int) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if spec.total_count < n:
-        d = spec.domain.dim
-        vol = volume(spec.domain)
-        hint = 1.3 * ((n + 8) / (lt_value(0.0, d) * vol)) ** (2.0 / d)
-        raise InsufficientCutoffError(
-            f"spectrum below cutoff {spec.cutoff} holds {spec.total_count} "
-            f"eigenvalues but N={n} were requested; re-enumerate with cutoff "
-            f"around {hint:.6g}"
-        )
-
-
-def eigenvalue_n(spec: Spectrum, n: int) -> float:
-    """n-th smallest eigenvalue counted with multiplicity (1-based)."""
-    _require_count(spec, n)
-    return float(spec.expanded[n - 1])
-
-
-def partial_sum(spec: Spectrum, sigma: float, n: int) -> float:
-    """Sum of the sigma-th powers of the lowest n eigenvalues."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    _require_count(spec, n)
-    return float(np.sum(spec.expanded[:n] ** sigma))
-
-
-def riesz_integral_check(spec: Spectrum, sigma: float, lam: float) -> float:
-    """Relative gap between the Riesz mean and its counting-function integral.
-
-    The counting function is piecewise constant, so the Aronszajn-style
-    integral sigma * int_0^lam (lam - tau)^(sigma-1) n(tau) dtau evaluates in
-    closed form; agreement with the direct sum is an end-to-end consistency
-    check of enumeration, counting, and summation.
-    """
-    if not (math.isfinite(sigma) and sigma >= 1.0):
-        raise ValueError(f"sigma must be finite and >= 1, got {sigma!r}")
-    _check_query(spec, lam)
-    direct = riesz_mean(spec, sigma, lam)
-    i = int(np.searchsorted(spec.eigenvalues, lam, side="left"))
-    if i == 0:
-        return 0.0
-    breaks = spec.eigenvalues[:i]
-    counts = spec.cumulative_counts[:i].astype(float)
-    uppers = np.append(breaks[1:], lam)
-    integral = float(np.sum(counts * ((lam - breaks) ** sigma - (lam - uppers) ** sigma)))
-    denom = max(abs(direct), abs(integral))
-    return 0.0 if denom == 0.0 else abs(integral - direct) / denom

@@ -13,7 +13,6 @@ import pytest
 
 import berezin_lab.remainder as remainder
 from berezin_lab.bounds import (
-    BoundInputs,
     eigenvalue_lower,
     improved_rhs,
     li_yau_rhs,
@@ -39,7 +38,7 @@ from berezin_lab.geometry import (
     volume,
 )
 from berezin_lab.remainder import epsilon_mu
-from berezin_lab.spectra import enumerate_spectrum, eigenvalue_n, riesz_mean
+from berezin_lab.spectra import enumerate_spectrum, riesz_mean
 from berezin_lab.specfun import beta
 
 
@@ -115,7 +114,7 @@ def test_eigenvalue_lower_bound():
     assert r == pytest.approx(4.0, rel=1e-13)
     spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 3000.0)
     for n in (1, 7, 50, 200):
-        assert eigenvalue_lower(2, 1.0, n) <= eigenvalue_n(spec, n) * (1.0 + 1e-12)
+        assert eigenvalue_lower(2, 1.0, n) <= spec.expanded[n - 1] * (1.0 + 1e-12)
 
 
 def test_two_term_counting_square_form():
@@ -145,15 +144,11 @@ def test_two_term_orderings():
 
 def test_improved_rhs_degenerate_and_reduction():
     p = SemiclassicalParams(1.5, 2)
-    zero = improved_rhs(
-        BoundInputs(params=p, lam=50.0, vol_omega_lambda=0.0, d_lambda=0.0, nu=1.9)
-    )
+    zero = improved_rhs(params=p, lam=50.0, vol_omega_lambda=0.0, d_lambda=0.0, nu=1.9)
     assert zero == 0.0
     # nu = 0 with the full volume reduces to the one-term classical bound
     for lam in (30.0, 500.0):
-        full = improved_rhs(
-            BoundInputs(params=p, lam=lam, vol_omega_lambda=2.0, d_lambda=1.0, nu=0.0)
-        )
+        full = improved_rhs(params=p, lam=lam, vol_omega_lambda=2.0, d_lambda=1.0, nu=0.0)
         assert full == s_classical(p, 2.0, lam)
 
 
@@ -163,13 +158,11 @@ def test_improved_rhs_below_classical_on_square():
     nu = 4.0 * epsilon_mu(2.0).epsilon
     st = slicing_stats(AxisBox((1.0, 1.0)), lam)
     got = improved_rhs(
-        BoundInputs(
-            params=p,
-            lam=lam,
-            vol_omega_lambda=st.vol_omega_lambda,
-            d_lambda=st.d_lambda,
-            nu=nu,
-        )
+        params=p,
+        lam=lam,
+        vol_omega_lambda=st.vol_omega_lambda,
+        d_lambda=st.d_lambda,
+        nu=nu,
     )
     assert got < s_classical(p, 1.0, lam)
 
@@ -186,13 +179,11 @@ def test_improved_rhs_thin_rectangle_closed_form():
     for h, nu in ((0.51, 1.9), (0.9, cap), (2.0, 0.7)):
         st = slicing_stats(AxisBox((w, h)), lam)
         got = improved_rhs(
-            BoundInputs(
-                params=p,
-                lam=lam,
-                vol_omega_lambda=st.vol_omega_lambda,
-                d_lambda=st.d_lambda,
-                nu=nu,
-            )
+            params=p,
+            lam=lam,
+            vol_omega_lambda=st.vol_omega_lambda,
+            d_lambda=st.d_lambda,
+            nu=nu,
         )
         closed = lt_value(sigma, 2) * w * lam ** (sigma + 1.0) * (h - nu / cap * l_crit)
         assert got == pytest.approx(closed, rel=1e-12)
@@ -200,13 +191,11 @@ def test_improved_rhs_thin_rectangle_closed_form():
     h = l_crit * (1.0 + 1e-9)
     st = slicing_stats(AxisBox((w, h)), lam)
     tiny = improved_rhs(
-        BoundInputs(
-            params=p,
-            lam=lam,
-            vol_omega_lambda=st.vol_omega_lambda,
-            d_lambda=st.d_lambda,
-            nu=cap,
-        )
+        params=p,
+        lam=lam,
+        vol_omega_lambda=st.vol_omega_lambda,
+        d_lambda=st.d_lambda,
+        nu=cap,
     )
     assert 0.0 < tiny < 1e-7 * s_classical(p, w * h, lam)
 
@@ -215,22 +204,23 @@ def test_improved_rhs_guards():
     p_low = SemiclassicalParams(1.0, 2)
     inputs = dict(lam=50.0, vol_omega_lambda=1.0, d_lambda=1.0, nu=1.0)
     with pytest.raises(ValueError):
-        improved_rhs(BoundInputs(params=p_low, **inputs))
+        improved_rhs(params=p_low, **inputs)
     # the exploratory escape hatch admits the same parameters
-    improved_rhs(BoundInputs(params=p_low, exploratory=True, **inputs))
+    improved_rhs(params=p_low, exploratory=True, **inputs)
     with pytest.raises(ValueError):
-        improved_rhs(BoundInputs(params=SemiclassicalParams(1.5, 1), **inputs))
-    with pytest.raises(ValueError):
-        improved_rhs(BoundInputs(params=SemiclassicalParams(1.5, 2), lam=50.0, nu=1.0))
+        improved_rhs(params=SemiclassicalParams(1.5, 1), **inputs)
+    # every input but exploratory is a required keyword
+    with pytest.raises(TypeError):
+        improved_rhs(params=SemiclassicalParams(1.5, 2), lam=50.0, nu=1.0)
+    with pytest.raises(TypeError):
+        improved_rhs(SemiclassicalParams(1.5, 2), **inputs)
     with pytest.raises(ValueError):
         improved_rhs(
-            BoundInputs(
-                params=SemiclassicalParams(1.5, 2),
-                lam=50.0,
-                vol_omega_lambda=1.0,
-                d_lambda=1.0,
-                nu=math.nan,
-            )
+            params=SemiclassicalParams(1.5, 2),
+            lam=50.0,
+            vol_omega_lambda=1.0,
+            d_lambda=1.0,
+            nu=math.nan,
         )
 
 
@@ -333,13 +323,11 @@ def test_sandwich_chain_on_square():
         sliced = sliced_bound(sq, p, lam)
         st = slicing_stats(sq, lam)
         improved = improved_rhs(
-            BoundInputs(
-                params=p,
-                lam=lam,
-                vol_omega_lambda=st.vol_omega_lambda,
-                d_lambda=st.d_lambda,
-                nu=nu,
-            )
+            params=p,
+            lam=lam,
+            vol_omega_lambda=st.vol_omega_lambda,
+            d_lambda=st.d_lambda,
+            nu=nu,
         )
         classical = s_classical(p, 1.0, lam)
         eps = 1e-9 * max(1.0, classical)

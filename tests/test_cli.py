@@ -155,6 +155,14 @@ def test_epsilon_output(capsys):
     assert float(lines["nu_lower"]) == float(lines["four_epsilon"])
 
 
+@pytest.mark.parametrize("sigma, dim", [("1", "2"), ("1.5", "1")])
+def test_epsilon_outside_guaranteed_regime_prints_nothing(sigma, dim, capsys):
+    assert main(["epsilon", "--sigma", sigma, "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: nu_bounds requires" in captured.err
+
+
 def test_epsilon_flag_exclusivity(capsys):
     assert main(["epsilon", "--mu", "2", "--sigma", "1.5", "--dim", "2"]) == 2
     assert main(["epsilon", "--sigma", "1.5"]) == 2

@@ -14,7 +14,6 @@ import pytest
 
 import berezin_lab.harness as harness
 from berezin_lab.bounds import (
-    BoundInputs,
     improved_rhs,
     li_yau_rhs,
     phase_space_eta,
@@ -112,13 +111,11 @@ def test_riesz_rows_match_direct_evaluation():
         assert row["vol_omega_lambda"] == st.vol_omega_lambda
         assert row["d_lambda"] == st.d_lambda
         expected_improved = improved_rhs(
-            BoundInputs(
-                params=p,
-                lam=lam,
-                vol_omega_lambda=st.vol_omega_lambda,
-                d_lambda=st.d_lambda,
-                nu=nu,
-            )
+            params=p,
+            lam=lam,
+            vol_omega_lambda=st.vol_omega_lambda,
+            d_lambda=st.d_lambda,
+            nu=nu,
         )
         assert row["improved_rhs"] == pytest.approx(expected_improved, rel=1e-15)
         assert row["two_term_riesz"] == pytest.approx(
@@ -262,6 +259,19 @@ def test_sums_rows_interval():
     assert row["melas"] == "n/a"
     assert row["holder_upper"] == "n/a"  # needs sigma > 1
     assert rep.rows[2]["s1"] == pytest.approx(sum(k * k for k in range(1, 6)), rel=1e-12)
+
+
+def test_sums_square_partial_sums_are_one_based():
+    rep = sweep_sums(
+        SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=2.0, n_grid=(1, 2, 3))
+    )
+    pi2 = math.pi**2
+    lam_n, s1, s_sigma = (rep.columns[k] for k in ("lambda_n", "s1", "s_sigma"))
+    assert lam_n[0] == pytest.approx(2.0 * pi2, rel=1e-14)
+    assert lam_n[1] == lam_n[2]  # degenerate pair
+    assert s1[0] == pytest.approx(2.0 * pi2, rel=1e-14)
+    assert s1[2] == pytest.approx(12.0 * pi2, rel=1e-14)
+    assert s_sigma[2] == pytest.approx((4.0 + 25.0 + 25.0) * pi2**2, rel=1e-14)
 
 
 def test_sums_with_melas_and_holder():

@@ -5,14 +5,29 @@ exactly. That closed form, the truncated-sum identity, and a direct numpy
 lattice sum serve as oracles for the scanned minimum.
 """
 
+import io
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import berezin_lab.remainder as remainder
+from berezin_lab.bounds import improved_rhs, s_classical
+from berezin_lab.cli import main
+from berezin_lab.constants import SemiclassicalParams, lt_value
 from berezin_lab.errors import TailGuardError
-from berezin_lab.remainder import DEFAULT_TOL, epsilon_mu, f_mu, nu_bounds
+from berezin_lab.geometry import AxisBox, critical_length, slicing_stats, volume
+from berezin_lab.harness import SweepConfig, sweep_riesz
+from berezin_lab.remainder import (
+    DEFAULT_TOL,
+    epsilon_mu,
+    f_mu,
+    nu_bounds,
+    nu_ceiling,
+    nu_nonneg_cap,
+)
 from berezin_lab.specfun import beta
 
 
@@ -184,3 +199,58 @@ def test_nu_bounds_validation():
         nu_bounds(1.5, 1)
     with pytest.raises(ValueError):
         nu_bounds(1.5, 2.0)
+
+
+@pytest.mark.parametrize("sigma, dim", [(1.5, 2), (2.0, 2), (3.0, 3), (2.5, 4)])
+def test_nu_caps_pinned(sigma, dim):
+    mu = sigma + 0.5 * (dim - 1)
+    # the ceiling is 4 min(f_mu(1), lim f_mu), and the epsilon command prints it
+    assert nu_ceiling(mu) == min(4.0 * f_mu(mu, 1.0), 2.0)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["epsilon", "--sigma", str(sigma), "--dim", str(dim)]) == 0
+    lines = dict(line.split(" = ", 1) for line in out.getvalue().splitlines())
+    upper = nu_bounds(sigma, dim)[1]
+    assert float(lines["admissible_upper"]) == upper == nu_ceiling(mu)
+    assert float(lines["nu_upper"]) == upper
+    # the nonnegativity cap: pi L_{sigma,d} = L_{sigma,d-1} * cap / 4
+    cap = nu_nonneg_cap(mu)
+    assert cap == pytest.approx(
+        2.0 * math.gamma(1.0 + mu) * math.sqrt(math.pi) / math.gamma(mu + 1.5), rel=1e-14
+    )
+    assert math.pi * lt_value(sigma, dim) == pytest.approx(
+        lt_value(sigma, dim - 1) * cap / 4.0, rel=1e-13
+    )
+    box = AxisBox((3.0,) + (1.0,) * (dim - 1))
+    rep = sweep_riesz(SweepConfig(domain=box, sigma=sigma, lambda_grid=(50.0,)))
+    assert rep.metadata["nu_nonneg_cap"] == cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.floats(1.5, 4.0),
+    cross=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=2),
+    lam=st.floats(1.0, 1e4),
+    t=st.floats(1e-9, 3.0),
+)
+def test_improved_rhs_nonnegative_up_to_the_cap(sigma, cross, lam, t):
+    # thin boxes sliced along a side just above pi/sqrt(lam)
+    p = SemiclassicalParams(sigma, len(cross) + 1)
+    cap = nu_nonneg_cap(sigma + 0.5 * len(cross))
+
+    def rhs(side, nu):
+        box = AxisBox((*cross, side))
+        stats = slicing_stats(box, lam)
+        value = improved_rhs(
+            params=p,
+            lam=lam,
+            vol_omega_lambda=stats.vol_omega_lambda,
+            d_lambda=stats.d_lambda,
+            nu=nu,
+        )
+        return value / s_classical(p, volume(box), lam)
+
+    l_crit = critical_length(lam)
+    assert rhs(l_crit * (1.0 + t), cap) >= -1e-12
+    # the cap is tight: slightly above it, a side slightly above l_crit goes negative
+    assert rhs(l_crit * (1.0 + 1e-9), cap * (1.0 + 1e-6)) < 0.0

@@ -7,6 +7,7 @@ array merge is checked against the tuple merge it replaced, kept below
 verbatim as the reference.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -20,21 +21,13 @@ from berezin_lab import spectra
 from berezin_lab.errors import (
     CutoffExceededError,
     EnumerationLimitError,
-    InsufficientCutoffError,
     UnsupportedDomainError,
 )
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
 from berezin_lab.harness import SweepConfig, sweep_riesz, sweep_sums
 from berezin_lab.specfun import bessel_zeros_below
-from berezin_lab.spectra import (
-    Spectrum,
-    counting,
-    eigenvalue_n,
-    enumerate_spectrum,
-    partial_sum,
-    riesz_integral_check,
-    riesz_mean,
-)
+from berezin_lab.spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
+from oracles import riesz_integral_check
 
 # frozen in test_specfun.py from the series-bisection oracle
 J0_ZERO_1 = 2.404825557695773
@@ -227,41 +220,34 @@ def test_riesz_mean_monotone_in_lambda():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_partial_sums():
-    pi2 = math.pi**2
-    spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 200.0)
-    assert partial_sum(spec, 1.0, 1) == pytest.approx(2.0 * pi2, rel=1e-14)
-    assert partial_sum(spec, 1.0, 3) == pytest.approx(12.0 * pi2, rel=1e-14)
-    interval = enumerate_spectrum(AxisBox((math.pi,)), 100.0)
-    assert partial_sum(interval, 2.0, 1) == pytest.approx(1.0, rel=1e-13)
-    with pytest.raises(InsufficientCutoffError):
-        partial_sum(spec, 1.0, 10_000)
-    with pytest.raises(ValueError):
-        partial_sum(spec, 0.0, 1)
-    with pytest.raises(ValueError):
-        partial_sum(spec, 1.0, 0)
+_side = st.floats(0.4, 2.0)
 
 
-def test_eigenvalue_n_is_one_based():
-    spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 200.0)
-    assert eigenvalue_n(spec, 1) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
-    assert eigenvalue_n(spec, 2) == eigenvalue_n(spec, 3)  # degenerate pair
-    with pytest.raises(ValueError):
-        eigenvalue_n(spec, 0)
+@functools.lru_cache(maxsize=None)
+def _integral_spectrum(dom):
+    return enumerate_spectrum(dom, 800.0 if dom.dim == 2 else 300.0)
 
 
-def test_riesz_integral_identity():
-    cases = [
-        (AxisBox((1.0, 1.0)), 1.5, 100.0),
-        (Disk(1.0), 2.0, 200.0),
-        (AxisBox((2.0, 1.0)), 1.0, 300.0),
-    ]
-    for dom, sigma, lam in cases:
-        spec = enumerate_spectrum(dom, 2.0 * lam)
-        assert riesz_integral_check(spec, sigma, lam) <= 1e-12
-    spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 100.0)
-    with pytest.raises(ValueError):
-        riesz_integral_check(spec, 0.5, 50.0)
+@settings(max_examples=80, deadline=None)
+@given(
+    dom=st.one_of(
+        st.tuples(_side, _side).map(AxisBox),
+        st.tuples(_side, _side, _side).map(AxisBox),
+        st.tuples(_side, _side, _side, _side).map(
+            lambda s: BoxUnion((AxisBox(s[:2]), AxisBox(s[2:], origin=(s[0], 0.0))))
+        ),
+        st.just(Disk(0.8)),
+    ),
+    sigma=st.floats(1.0, 4.0),
+    frac=st.floats(0.01, 1.0),
+)
+@example(dom=AxisBox((1.0, 1.0)), sigma=1.5, frac=0.125)
+@example(dom=AxisBox((2.0, 1.0)), sigma=1.0, frac=0.375)
+@example(dom=Disk(0.8), sigma=2.0, frac=0.25)
+def test_riesz_integral_identity(dom, sigma, frac):
+    # random boxes (d = 2, 3), two-box unions and one disk
+    spec = _integral_spectrum(dom)
+    assert riesz_integral_check(spec, sigma, frac * spec.cutoff) <= 1e-12
 
 
 def test_weyl_ratio_improves_with_lambda():
