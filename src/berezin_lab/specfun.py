@@ -18,17 +18,23 @@ One batched engine serves every Bessel routine: its kernel evaluates (m, x)
 points in groups of equal node count, each with exactly the arithmetic of a
 lone evaluation. A unit-step sign scan brackets the zeros of all requested
 orders at once (consecutive zeros of J_m are more than one apart), and
-Newton steps with J_m' = (J_{m-1} - J_{m+1})/2, bisecting whenever a step
-would leave the bracket, refine all brackets in lockstep. A certificate
-raises ConvergenceError unless each order's zeros are more than one apart,
-adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3),
-and the sign of J_m(x_max) matches the parity of each order's count, which
-catches a lost last zero; the sign test is inconclusive, and skipped, where
-|J_m(x_max)| is within ten refinement tolerances of zero.
+Newton steps with J_m' = (m/x) J_m - J_{m+1} (DLMF 10.6.2) refine all
+brackets in lockstep. A step that lands in the closed bracket is taken and
+any other step bisects; a step within tolerance ends the refinement, also
+when it rounds onto a bracket end, so each zero is a converged Newton
+iterate, within a few ulps of the true zero. A certificate raises
+ConvergenceError unless each zero lies in its own scan bracket (a unit
+interval with a checked sign change, so each zero is tied to exactly one
+sign change), each order's zeros are more than one apart, adjacent orders
+interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3), and the sign of
+J_m(x_max) matches the parity of each order's count, which catches a lost
+last zero; the sign test is inconclusive, and skipped, where |J_m(x_max)| is
+within ten refinement tolerances of zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,6 +132,15 @@ def _j_series(m: int, x: float) -> float:
 _BLOCK = 1 << 18
 
 
+@functools.cache
+def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 trapezoid nodes on [0, pi] and their sines, made once per n."""
+    theta = np.linspace(0.0, math.pi, n + 1)
+    sin = np.sin(theta)
+    theta.flags.writeable = sin.flags.writeable = False
+    return theta, sin
+
+
 def _j(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_m(x) elementwise over 1-D arrays of orders m >= 0 and x >= 0."""
     out = np.empty(x.shape)
@@ -140,8 +155,7 @@ def _j(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.diff(nodes, prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(big))):
         n = int(nodes[lo])
-        theta = np.linspace(0.0, math.pi, n + 1)
-        sin = np.sin(theta)
+        theta, sin = _nodes(n)
         rows = max(1, _BLOCK // (n + 1))
         for s in range(lo, hi, rows):
             i = big[s : min(s + rows, hi)]
@@ -185,29 +199,35 @@ def _brackets(
 
 
 def _newton(
-    m: np.ndarray, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, acc: Accuracy
+    m: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray, acc: Accuracy
 ) -> np.ndarray:
-    """Refine all brackets in lockstep; each takes exactly the steps it takes alone."""
-    f_lo = _j(m, lo)
+    """Refine the brackets of the k-th zeros of J_m in lockstep; each takes
+    exactly the steps it takes alone.
+
+    J_m > 0 below j_{m,1}, so J_m(lo) has the sign (-1)^(k-1). A Newton step
+    that lands in the closed bracket is taken, any other step bisects, and a
+    step within tolerance ends the refinement: one that rounds onto a bracket
+    end, or a zero step from an exact root, is converged.
+    """
+    guess = np.array([_mcmahon(a, b) for a, b in zip(m.tolist(), k.tolist())])
+    lo_positive = k % 2 == 1
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     z = np.empty_like(x)
     idx = np.arange(x.size)
     for _ in range(acc.max_iter):
         if not idx.size:
             break
-        orders = np.concatenate([m, abs(m - 1), m + 1])
-        fx, below, above = np.split(_j(orders, np.tile(x, 3)), 3)
-        up = (fx > 0.0) == (f_lo > 0.0)
+        fx, above = np.split(_j(np.concatenate([m, m + 1]), np.tile(x, 2)), 2)
+        up = (fx > 0.0) == lo_positive
         lo, hi = np.where(up, x, lo), np.where(up, hi, x)
-        d = np.where(m == 0, -above, 0.5 * (below - above))
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = np.where(d != 0.0, x - fx / d, math.nan)
-        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        root = fx == 0.0
-        done = root | (abs(x_new - x) <= acc.abs_tol + acc.rel_tol * abs(x_new))
-        z[idx[done]] = np.where(root, x, x_new)[done]
+            x_new = x - fx / (m / x * fx - above)  # J_m' = (m/x) J_m - J_{m+1}
+        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+        done = abs(x_new - x) <= acc.abs_tol + acc.rel_tol * abs(x_new)
+        z[idx[done]] = x_new[done]
         go = ~done
-        m, lo, hi, f_lo, x, idx = m[go], lo[go], hi[go], f_lo[go], x_new[go], idx[go]
+        m, lo, hi, lo_positive = m[go], lo[go], hi[go], lo_positive[go]
+        x, idx = x_new[go], idx[go]
     if idx.size:
         raise ConvergenceError(
             f"zero refinement for order {m[0]} stalled after {acc.max_iter} iterations"
@@ -216,13 +236,19 @@ def _newton(
 
 
 def _certify(
-    orders: np.ndarray, zeros: list[np.ndarray], x_max: float, acc: Accuracy
+    orders: np.ndarray,
+    zeros: list[np.ndarray],
+    x_max: float,
+    acc: Accuracy,
+    strays: np.ndarray,
 ) -> None:
-    """Raise ConvergenceError unless each order's zeros are more than one apart,
-    adjacent orders interlace, and sign(J_m(x_max)) = (-1)^count (J_m > 0 below
-    its first zero). As |J_m'| <= 1, a zero within tolerance of x_max may lie on
-    either side, so the sign test is inconclusive, and skipped, where
-    |J_m(x_max)| <= 10 (abs_tol + rel_tol x_max): about 1e-12 for small x_max."""
+    """Raise ConvergenceError if an order is in strays (the orders of zeros
+    found outside their own scan bracket), or unless each order's zeros are
+    more than one apart, adjacent orders interlace, and sign(J_m(x_max)) =
+    (-1)^count (J_m > 0 below its first zero). As |J_m'| <= 1, a zero within
+    tolerance of x_max may lie on either side, so the sign test is
+    inconclusive, and skipped, where |J_m(x_max)| <= 10 (abs_tol + rel_tol
+    x_max): about 1e-12 for small x_max."""
     z = np.full((len(zeros), max(map(len, zeros)) + 1), math.inf)
     for row, zs in zip(z, zeros):
         row[: len(zs)] = zs
@@ -230,15 +256,15 @@ def _certify(
     ok = (a < b) | (end[:-1] & end[1:])
     ok[:, :-1] &= (b[:, :-1] < a[:, 1:]) | end[:-1, 1:]
     apart = (z[:, 1:] > z[:, :-1] + 1.0) | end[:, 1:]
-    bad = ~apart.all(axis=1)
+    bad = ~apart.all(axis=1) | np.isin(orders, strays)
     bad[:-1] |= (np.diff(orders) == 1) & ~ok.all(axis=1)
     f = _j(orders, np.full(orders.size, float(x_max)))
     odd = np.array([len(zs) % 2 == 1 for zs in zeros])
     bad |= (abs(f) > 10.0 * (acc.abs_tol + acc.rel_tol * x_max)) & ((f < 0.0) != odd)
     if bad.any():
         raise ConvergenceError(
-            f"zeros of order {orders[bad][0]} fail the spacing, interlacing"
-            " or sign certificate"
+            f"zeros of order {orders[bad][0]} fail the bracket, spacing,"
+            " interlacing or sign certificate"
         )
 
 
@@ -272,10 +298,9 @@ def bessel_zeros_below(
         raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
     bm, lo, hi = _brackets(orders, x_max)
     k = np.arange(bm.size) - np.searchsorted(bm, bm) + 1
-    guess = np.array([_mcmahon(a, b) for a, b in zip(bm.tolist(), k.tolist())])
-    z = _newton(bm, lo, hi, guess, acc)
+    z = _newton(bm, k, lo, hi, acc)
     below = z < x_max
     zeros = np.split(z[below], np.searchsorted(bm[below], orders[1:]))
-    _certify(orders, zeros, x_max, acc)
+    _certify(orders, zeros, x_max, acc, strays=bm[(z < lo) | (z > hi)])
     lists = [zs.tolist() for zs in zeros]
     return lists[0] if single else lists

@@ -149,8 +149,7 @@ def _disk_eigenvalues(
     z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
     orders = np.arange(math.floor(z_max) + 1)
     zeros = bessel_zeros_below(orders, z_max, acc)
-    # Python's scalar ** (C pow), not numpy's square, which differs in the last bit.
-    lams = np.array([(z / radius) ** 2 for zs in zeros for z in zs], dtype=float)
+    lams = np.square(np.concatenate(zeros, dtype=float) / radius)
     mult = np.repeat(np.where(orders == 0, 1, 2), [len(zs) for zs in zeros])
     below = lams < cutoff
     _check_limit(int(np.count_nonzero(below)), limit)

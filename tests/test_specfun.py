@@ -197,8 +197,8 @@ def test_default_accuracy_is_tight():
     assert DEFAULT_ACCURACY.rel_tol <= 1e-12
 
 
-# Scalar reference for the batched engine: one point and one bracket at a
-# time, with the arithmetic the engine must reproduce bit for bit.
+# Scalar reference for the batched kernel: one point at a time, with the
+# arithmetic the kernel must reproduce bit for bit.
 def scalar_j(m, x):
     if x <= 6.0:
         return specfun._j_series(m, x)
@@ -207,42 +207,6 @@ def scalar_j(m, x):
     theta = np.linspace(0.0, math.pi, n + 1)
     vals = np.cos(m * theta - x * np.sin(theta))
     return float((0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()) / n)
-
-
-def scalar_zeros_below(m, x_max, acc=DEFAULT_ACCURACY):
-    zeros, x, f = [], float(m), scalar_j(m, float(m))
-    while True:
-        x2 = x + 1.0
-        f2 = scalar_j(m, x2)
-        lo, hi = (x2 - 0.5, x2 + 0.5) if f2 == 0.0 else (x, x2)
-        x, f, crossed = x2, f2, f2 == 0.0 or f * f2 < 0.0
-        if not crossed:
-            continue
-        if lo >= x_max:
-            return zeros
-        f_lo = scalar_j(m, lo)
-        guess = specfun._mcmahon(m, len(zeros) + 1)
-        z = guess if lo < guess < hi else 0.5 * (lo + hi)
-        for _ in range(acc.max_iter):
-            fz = scalar_j(m, z)
-            if fz == 0.0:
-                break
-            if (fz > 0.0) == (f_lo > 0.0):
-                lo = z
-            else:
-                hi = z
-            d = -scalar_j(1, z) if m == 0 else 0.5 * (scalar_j(m - 1, z) - scalar_j(m + 1, z))
-            z_new = z - fz / d if d != 0.0 else math.nan
-            if not lo < z_new < hi:
-                z_new = 0.5 * (lo + hi)
-            z, step = z_new, abs(z_new - z)
-            if step <= acc.abs_tol + acc.rel_tol * abs(z_new):
-                break
-        else:
-            raise ConvergenceError("reference refinement stalled")
-        if z >= x_max:
-            return zeros
-        zeros.append(z)
 
 
 def node_count_edges(m, x_lo, x_hi):
@@ -278,9 +242,37 @@ def test_batched_j_blocks_match(monkeypatch):
     assert np.array_equal(specfun._j(m, x), want)
 
 
-def test_zeros_match_scalar_reference_bitwise():
-    for m in (0, 1, 2, 9, 30):
-        assert bessel_zeros_below(m, 75.0) == scalar_zeros_below(m, 75.0)
+def test_zeros_match_mpmath_to_a_few_ulps():
+    mpmath.mp.dps = 30
+    zeros = bessel_zeros_below(list(range(141)), 142.0)
+    pairs = [(m, k) for m, zs in enumerate(zeros) for k in range(1, len(zs) + 1)]
+    rng = np.random.default_rng(2718)
+    for i in rng.choice(len(pairs), 80, replace=False):
+        m, k = pairs[i]
+        ref = mpmath.besseljzero(m, k)
+        assert abs(zeros[m][k - 1] - ref) <= 1e-15 * ref, (m, k)
+
+
+def _kernel_points_per_zero(monkeypatch, orders, x_max):
+    points = []
+    kernel = specfun._j
+
+    def counting(m, x):
+        points.append(x.size)
+        return kernel(m, x)
+
+    monkeypatch.setattr(specfun, "_j", counting)
+    zeros = bessel_zeros_below(orders, x_max)
+    return sum(points) / (len(zeros) if np.ndim(orders) == 0 else sum(map(len, zeros)))
+
+
+def test_converged_newton_steps_end_the_refinement(monkeypatch):
+    # A Newton step that rounds onto a bracket end is converged, not a cue to
+    # bisect the bracket down to the tolerance, which costs about 36 and 21
+    # kernel points per zero here.
+    x_max = math.sqrt(2e4) * (1.0 + 1e-12)
+    assert _kernel_points_per_zero(monkeypatch, list(range(142)), x_max) <= 14.0
+    assert _kernel_points_per_zero(monkeypatch, 0, 120.0) <= 9.0
 
 
 def test_bessel_zero_is_entry_of_zeros_below():
@@ -348,6 +340,20 @@ def test_certificate_catches_a_lost_last_zero_of_a_single_order(monkeypatch):
     assert len(bessel_zeros_below(3, 40.0)) == 11  # passes untouched
     monkeypatch.setattr(specfun, "_brackets", lossy)
     with pytest.raises(ConvergenceError, match="sign"):
+        bessel_zeros_below(3, 40.0)
+
+
+def test_certificate_catches_a_zero_outside_its_bracket(monkeypatch):
+    refine = specfun._newton
+
+    def shifted(*args):
+        z = refine(*args)
+        z[4] += 1.0  # still more than one from its neighbours, but past its bracket
+        return z
+
+    assert len(bessel_zeros_below(3, 40.0)) == 11  # passes untouched
+    monkeypatch.setattr(specfun, "_newton", shifted)
+    with pytest.raises(ConvergenceError, match="bracket"):
         bessel_zeros_below(3, 40.0)
 
 

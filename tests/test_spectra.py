@@ -156,7 +156,7 @@ def test_disk_spectrum_matches_scipy_at_high_cutoff():
         oracle.extend(np.repeat(lam, 1 if m == 0 else 2))
     spec = enumerate_spectrum(Disk(1.0), cutoff)
     assert spec.total_count == len(oracle)
-    np.testing.assert_allclose(spec.expanded, np.sort(oracle), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(spec.expanded, np.sort(oracle), rtol=5e-15, atol=0.0)
 
 
 def test_disk_enumeration_limit_is_bounded_work():
@@ -318,16 +318,19 @@ def test_spectrum_arrays_are_read_only():
     assert built.eigenvalues[0] == 0.5 and ev.flags.writeable
 
 
-def test_disk_values_are_python_scalar_squares():
+def test_disk_values_are_numpy_squares():
     # numpy's vectorised square differs from Python's ** (C pow) in the last
     # bit of a few of these values; tests/golden/ pins those bits.
-    cutoff = 2e4
-    z_max = math.sqrt(cutoff) * (1.0 + 1e-12)
+    radius, cutoff = 1.3, 1.2e4
+    z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
     zeros = bessel_zeros_below(list(range(math.floor(z_max) + 1)), z_max)
-    lams = ((z / 1.0) ** 2 for zs in zeros for z in zs)
-    expected = sorted(lam for lam in lams if lam < cutoff)
-    spec = enumerate_spectrum(Disk(1.0), cutoff)
-    assert spec.eigenvalues.tobytes() == np.array(expected).tobytes()
+    flat = [z for zs in zeros for z in zs]
+    lams = np.square(np.array(flat) / radius)
+    expected = np.sort(lams[lams < cutoff])
+    spec = enumerate_spectrum(Disk(radius), cutoff)
+    assert spec.eigenvalues.tobytes() == expected.tobytes()
+    # the rule is visible: Python's ** differs from it in some last bit
+    assert not np.array_equal(lams, [(z / radius) ** 2 for z in flat])
 
 
 # One cluster member: offset from the base in units of 1e-9 relative, then
