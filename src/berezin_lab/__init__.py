@@ -24,7 +24,6 @@ from .errors import (
     EnumerationLimitError,
     InsufficientCutoffError,
     NumericFailure,
-    TailGuardError,
     UnsupportedDomainError,
 )
 from .geometry import (
@@ -44,8 +43,6 @@ from .geometry import (
 )
 from .remainder import RemainderResult, epsilon_mu, f_mu, nu_bounds
 from .specfun import (
-    Accuracy,
-    DEFAULT_ACCURACY,
     bessel_j,
     bessel_zero,
     bessel_zeros_below,
@@ -85,13 +82,11 @@ from .version import TOOL_VERSION
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "Accuracy",
     "AxisBox",
     "BoundReport",
     "BoxUnion",
     "ConvergenceError",
     "CutoffExceededError",
-    "DEFAULT_ACCURACY",
     "Disk",
     "Domain",
     "DomainParseError",
@@ -104,7 +99,6 @@ __all__ = [
     "SlicingStats",
     "Spectrum",
     "SweepConfig",
-    "TailGuardError",
     "TOOL_VERSION",
     "UnsupportedDomainError",
     "asymptotic_diagnostics",

@@ -49,7 +49,7 @@ from .harness import (
     sweep_riesz,
     sweep_sums,
 )
-from .remainder import DEFAULT_SCAN_UPPER, DEFAULT_TOL, epsilon_mu, nu_bounds, nu_ceiling
+from .remainder import epsilon_mu, nu_bounds, nu_ceiling
 from .spectra import enumerate_spectrum
 from .version import TOOL_VERSION
 
@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, help="remainder exponent")
     p.add_argument("--sigma", type=float, default=None, help="with --dim, sets mu")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--scan-upper", type=float, default=DEFAULT_SCAN_UPPER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("spectrum", help="eigenvalues of a domain below a cutoff")
     _add_domain_options(p)
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="correction weight, 'auto' (default) uses the guaranteed one",
     )
-    p.add_argument("--quad-points", type=int, default=None)
     _add_report_options(p)
 
     p = sub.add_parser("sweep", help="Riesz-mean bounds over an energy grid")
@@ -267,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True, help="grid size from 1.0 up")
     p.add_argument("--nu", type=_nu_argument, default=None)
-    p.add_argument("--quad-points", type=int, default=None)
     _add_report_options(p)
 
     p = sub.add_parser("sums", help="eigenvalue-sum bounds over an index grid")
@@ -326,10 +322,10 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
     elif args.sigma is not None and args.dim is not None:
         mu = args.sigma + 0.5 * (args.dim - 1)
         # Rejects a (sigma, dim) outside the guaranteed regime before any output.
-        window = nu_bounds(args.sigma, args.dim, args.scan_upper, args.tol)
+        window = nu_bounds(args.sigma, args.dim)
     else:
         raise ValueError("epsilon needs --mu, or both --sigma and --dim")
-    res = epsilon_mu(mu, args.scan_upper, args.tol)
+    res = epsilon_mu(mu)
     print(f"mu = {_show(res.mu)}")
     print(f"epsilon = {_show(res.epsilon)}")
     print(f"argmin_a = {_show(res.argmin_a)}")
@@ -383,7 +379,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         lambda_grid=(args.lam,),
         nu=args.nu,
-        quad_points=args.quad_points,
         slack=args.slack,
     )
     report = sweep_riesz(cfg)
@@ -413,7 +408,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         lambda_grid=grid,
         nu=args.nu,
-        quad_points=args.quad_points,
         slack=args.slack,
     )
     report = sweep_riesz(cfg)

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
 NumericFailure marks results that must not be trusted (exit code 3 in the
-CLI); the ValueError subclasses mark bad requests (exit code 2).
+CLI); the ValueError subclasses mark bad requests (exit code 2). A remainder
+minimum whose tail bound reaches past the scan limit (mu below 1.162 or above
+505.4) is a ConvergenceError, like a Bessel zero that does not converge.
 """
 
 
@@ -10,11 +12,7 @@ class NumericFailure(RuntimeError):
 
 
 class ConvergenceError(NumericFailure):
-    """An iterative solver exhausted its iteration budget."""
-
-
-class TailGuardError(NumericFailure):
-    """A scan-based minimum may lie beyond the scanned range."""
+    """An iterative solver or a scan exhausted its budget, or a certificate failed."""
 
 
 class CutoffExceededError(NumericFailure):

@@ -101,7 +101,11 @@ ASYMP_CHECKS = ("berezin",)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Inputs of a sweep; exactly the knobs the CLI exposes."""
+    """Inputs of a sweep, as the `check`, `sweep` and `sums` commands set them.
+
+    No quadrature setting: it would only reach GenericSliced domains, which
+    enumerate_spectrum rejects, so no sweep could use it.
+    """
 
     domain: Domain
     sigma: float
@@ -109,7 +113,6 @@ class SweepConfig:
     n_grid: tuple[int, ...] | None = None
     nu: float | None = None  # None selects the guaranteed default weight
     melas_m: float | None = None
-    quad_points: int | None = None
     slack: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -318,8 +321,8 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
     s_val = riesz_mean(spec, cfg.sigma, lam)
     eta = phase_space_eta(d, vol, lam)
     scl = s_classical(p, vol, lam)
-    st = slicing_stats(dom, lam, cfg.quad_points)
-    sliced = sliced_bound(dom, p, lam, cfg.quad_points) if sliced_ok else math.nan
+    st = slicing_stats(dom, lam)
+    sliced = sliced_bound(dom, p, lam) if sliced_ok else math.nan
     improved = (
         improved_rhs(
             params=p,

@@ -6,6 +6,17 @@ A >= 1 sizes the negative boundary correction the improved bounds can carry.
 f_mu has kinks at integer A (a new lattice term enters), so the minimizer is
 located by a coarse scan refined with golden-section searches whose brackets
 never straddle an integer.
+
+The scan needs no upper limit from the caller. Poisson summation gives
+f_mu(A) = 1/2 - A sum_{k>=1} g(Ak), with the Fourier transform
+g(xi) = Gamma(mu+1) sqrt(pi) (pi xi)^-(mu+1/2) J_{mu+1/2}(2 pi xi) of
+(1 - t^2)_+^mu. With |J_nu| <= 1 (DLMF 10.14.1) and zeta(s) <= s/(s-1),
+|f_mu(A) - 1/2| <= C_mu A^-(mu-1/2), C_mu = Gamma(mu+1) pi^-mu
+(mu+1/2)/(mu-1/2), for mu > 1/2. So f_mu exceeds a found value e < 1/2 for
+every A beyond A0 = (C_mu / (1/2 - e))^(1/(mu-1/2)), and the scan stops at
+the first integer at or past A0. A0 stays within the scan limit of 60 for
+1.162 <= mu <= 505.4, which holds the guaranteed regime mu >= 2 of every
+practical (sigma, d).
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import TailGuardError
+from .errors import ConvergenceError
 from .specfun import beta
 
 __all__ = [
@@ -28,8 +39,10 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_STEP = 1e-3
-DEFAULT_SCAN_UPPER = 60.0
-DEFAULT_TOL = 1e-12
+# Golden-section brackets stop once no wider than this.
+_TOL = 1e-12
+# The scan covers at most [1, _SCAN_LIMIT]; an A0 beyond it raises.
+_SCAN_LIMIT = 60
 # Elements of the (j, r) array lattice_sum builds per block.
 _BLOCK = 1 << 18
 
@@ -40,7 +53,6 @@ class RemainderResult:
     epsilon: float
     argmin_a: float
     scan_upper: float
-    tol: float
 
 
 def _check_mu(mu: float) -> None:
@@ -110,58 +122,64 @@ def _golden_min(
     return x, fn(x)
 
 
-@lru_cache(maxsize=128)
-def epsilon_mu(
-    mu: float, scan_upper: float = DEFAULT_SCAN_UPPER, tol: float = DEFAULT_TOL
-) -> RemainderResult:
-    """Global minimum of f_mu over [1, scan_upper], with a tail guard.
+def _log_tail_constant(mu: float) -> float:
+    """log C_mu, |f_mu(A) - 1/2| <= C_mu A^-(mu-1/2) for A >= 1 and mu > 1/2;
+    in logs because C_mu overflows a float from mu near 170."""
+    ratio = (mu + 0.5) / (mu - 0.5)
+    return math.lgamma(mu + 1.0) - mu * math.log(math.pi) + math.log(ratio)
 
-    Each unit segment is scanned on a fine grid, and the bracket around its
-    grid minimum is refined by golden-section search (all segments in
-    lockstep). The guard verifies that f_mu stays above the located minimum
-    out to 4 * scan_upper and raises TailGuardError otherwise, so a minimum
-    hiding beyond the scan cannot be reported silently.
+
+@lru_cache(maxsize=128)
+def epsilon_mu(mu: float) -> RemainderResult:
+    """Global minimum of f_mu over A >= 1.
+
+    Unit segments [1, 2], [2, 3], ... are scanned on a fine grid until the
+    next one starts beyond A0, computed from the smallest grid value so far
+    (the refined minimum is no larger, so A0 is conservative); then the
+    bracket around each segment's grid minimum is refined by golden-section
+    search (all segments in lockstep). Raises ConvergenceError where A0
+    exceeds _SCAN_LIMIT: for mu < 1.162 (every mu <= 1/2 included), and for
+    mu > 505.4, as C_mu^(1/(mu-1/2)) grows like mu/(e pi).
     """
     _check_mu(mu)
-    if not scan_upper >= 2.0:
-        raise ValueError(f"scan_upper must be >= 2, got {scan_upper!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not mu > 0.5:
+        raise ConvergenceError(f"f_mu minimum for mu={mu} has no tail bound (A0=inf)")
+    log_c = _log_tail_constant(mu)
+    npts = int(math.ceil(1.0 / _SCAN_STEP)) + 1
 
     # Candidates in scan order, each segment's grid minimum and then its
     # refined minimum; the first of the smallest values wins.
     grid_x, grid_f, lo, hi = [], [], [], []
-    seg = 1.0
-    while seg < scan_upper:
-        s0, s1 = seg, min(seg + 1.0, scan_upper)
-        npts = max(int(math.ceil((s1 - s0) / _SCAN_STEP)) + 1, 3)
-        grid = np.linspace(s0, s1, npts)
+    seg, a0 = 1, math.inf
+    while seg < a0:
+        if seg >= _SCAN_LIMIT:
+            raise ConvergenceError(
+                f"f_mu minimum for mu={mu} is bounded only beyond A0={a0:.6g},"
+                f" past the scan limit {_SCAN_LIMIT}"
+            )
+        grid = np.linspace(seg, seg + 1.0, npts)
         vals = f_mu(mu, grid)
         i = int(np.argmin(vals))
         grid_x.append(grid[i])
         grid_f.append(vals[i])
         lo.append(grid[max(i - 1, 0)])
         hi.append(grid[min(i + 1, npts - 1)])
-        seg += 1.0
+        seg += 1
+        low = min(grid_f)
+        if low < 0.5:
+            # clamped below overflow: only whether A0 passes the limit matters
+            a0 = math.exp(min((log_c - math.log(0.5 - low)) / (mu - 0.5), 700.0))
     gold_x, gold_f = _golden_min(
-        lambda t: f_mu(mu, t), np.array(lo), np.array(hi), tol
+        lambda t: f_mu(mu, t), np.array(lo), np.array(hi), _TOL
     )
     cand_x = np.column_stack([grid_x, gold_x]).ravel()
     cand_f = np.column_stack([grid_f, gold_f]).ravel()
     k = int(np.argmin(cand_f))
-    best_f, best_x = float(cand_f[k]), float(cand_x[k])
-
-    tail = np.linspace(scan_upper, 4.0 * scan_upper, 257)
-    if float(np.min(f_mu(mu, tail))) <= best_f:
-        raise TailGuardError(
-            f"f_mu minimum for mu={mu} may lie beyond scan_upper={scan_upper}"
-        )
     return RemainderResult(
         mu=float(mu),
-        epsilon=best_f,
-        argmin_a=best_x,
-        scan_upper=float(scan_upper),
-        tol=float(tol),
+        epsilon=float(cand_f[k]),
+        argmin_a=float(cand_x[k]),
+        scan_upper=float(seg),
     )
 
 
@@ -183,8 +201,7 @@ def nu_ceiling(mu: float) -> float:
     return min(2.0, nu_nonneg_cap(mu))
 
 
-def nu_bounds(sigma: float, dim: int, scan_upper: float = DEFAULT_SCAN_UPPER,
-              tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def nu_bounds(sigma: float, dim: int) -> tuple[float, float]:
     """Guaranteed weight 4 epsilon_mu and its ceiling nu_ceiling(mu) at
     (sigma, dim), mu = sigma + (dim - 1)/2.
 
@@ -195,4 +212,4 @@ def nu_bounds(sigma: float, dim: int, scan_upper: float = DEFAULT_SCAN_UPPER,
     if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 2):
         raise ValueError("nu_bounds requires integer dim >= 2")
     mu = sigma + 0.5 * (dim - 1)
-    return 4.0 * epsilon_mu(mu, scan_upper, tol).epsilon, nu_ceiling(mu)
+    return 4.0 * epsilon_mu(mu).epsilon, nu_ceiling(mu)

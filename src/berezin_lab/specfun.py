@@ -30,13 +30,16 @@ interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3), and the sign of
 J_m(x_max) matches the parity of each order's count, which catches a lost
 last zero; the sign test is inconclusive, and skipped, where |J_m(x_max)| is
 within ten refinement tolerances of zero.
+
+The refinement tolerance is fixed: a step is within tolerance once it moves
+x by at most 1e-13 (1 + |x|), and a zero that needs more than 100 steps
+raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +47,6 @@ import numpy as np
 from .errors import ConvergenceError
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
     "gamma",
     "log_gamma",
     "beta",
@@ -55,22 +56,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Tolerance budget for iterative refinement."""
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-13
-    max_iter: int = 100
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_ACCURACY = Accuracy()
+# Refinement tolerance and step budget (see the module docstring).
+_ABS_TOL = 1e-13
+_REL_TOL = 1e-13
+_MAX_ITER = 100
 
 
 def gamma(x: float) -> float:
@@ -199,7 +188,7 @@ def _brackets(
 
 
 def _newton(
-    m: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray, acc: Accuracy
+    m: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """Refine the brackets of the k-th zeros of J_m in lockstep; each takes
     exactly the steps it takes alone.
@@ -214,7 +203,7 @@ def _newton(
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     z = np.empty_like(x)
     idx = np.arange(x.size)
-    for _ in range(acc.max_iter):
+    for _ in range(_MAX_ITER):
         if not idx.size:
             break
         fx, above = np.split(_j(np.concatenate([m, m + 1]), np.tile(x, 2)), 2)
@@ -223,31 +212,27 @@ def _newton(
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = x - fx / (m / x * fx - above)  # J_m' = (m/x) J_m - J_{m+1}
         x_new = np.where((lo <= x_new) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-        done = abs(x_new - x) <= acc.abs_tol + acc.rel_tol * abs(x_new)
+        done = abs(x_new - x) <= _ABS_TOL + _REL_TOL * abs(x_new)
         z[idx[done]] = x_new[done]
         go = ~done
         m, lo, hi, lo_positive = m[go], lo[go], hi[go], lo_positive[go]
         x, idx = x_new[go], idx[go]
     if idx.size:
         raise ConvergenceError(
-            f"zero refinement for order {m[0]} stalled after {acc.max_iter} iterations"
+            f"zero refinement for order {m[0]} stalled after {_MAX_ITER} iterations"
         )
     return z
 
 
 def _certify(
-    orders: np.ndarray,
-    zeros: list[np.ndarray],
-    x_max: float,
-    acc: Accuracy,
-    strays: np.ndarray,
+    orders: np.ndarray, zeros: list[np.ndarray], x_max: float, strays: np.ndarray
 ) -> None:
     """Raise ConvergenceError if an order is in strays (the orders of zeros
     found outside their own scan bracket), or unless each order's zeros are
     more than one apart, adjacent orders interlace, and sign(J_m(x_max)) =
     (-1)^count (J_m > 0 below its first zero). As |J_m'| <= 1, a zero within
     tolerance of x_max may lie on either side, so the sign test is
-    inconclusive, and skipped, where |J_m(x_max)| <= 10 (abs_tol + rel_tol
+    inconclusive, and skipped, where |J_m(x_max)| <= 10 (_ABS_TOL + _REL_TOL
     x_max): about 1e-12 for small x_max."""
     z = np.full((len(zeros), max(map(len, zeros)) + 1), math.inf)
     for row, zs in zip(z, zeros):
@@ -260,7 +245,7 @@ def _certify(
     bad[:-1] |= (np.diff(orders) == 1) & ~ok.all(axis=1)
     f = _j(orders, np.full(orders.size, float(x_max)))
     odd = np.array([len(zs) % 2 == 1 for zs in zeros])
-    bad |= (abs(f) > 10.0 * (acc.abs_tol + acc.rel_tol * x_max)) & ((f < 0.0) != odd)
+    bad |= (abs(f) > 10.0 * (_ABS_TOL + _REL_TOL * x_max)) & ((f < 0.0) != odd)
     if bad.any():
         raise ConvergenceError(
             f"zeros of order {orders[bad][0]} fail the bracket, spacing,"
@@ -268,19 +253,19 @@ def _certify(
         )
 
 
-def bessel_zero(m: int, k: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def bessel_zero(m: int, k: int) -> float:
     """k-th positive zero of J_m (k >= 1), guaranteed-bracket Newton."""
     _check_order(m)
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"zero index must be a positive integer, got {k!r}")
     x_max = (int(k) + int(m) + 1) * math.pi
-    while len(zeros := bessel_zeros_below(int(m), x_max, acc)) < k:
+    while len(zeros := bessel_zeros_below(int(m), x_max)) < k:
         x_max *= 2.0
     return zeros[k - 1]
 
 
 def bessel_zeros_below(
-    m: int | Sequence[int], x_max: float, acc: Accuracy = DEFAULT_ACCURACY
+    m: int | Sequence[int], x_max: float
 ) -> list[float] | list[list[float]]:
     """All positive zeros of J_m strictly below x_max, ascending.
 
@@ -298,9 +283,9 @@ def bessel_zeros_below(
         raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
     bm, lo, hi = _brackets(orders, x_max)
     k = np.arange(bm.size) - np.searchsorted(bm, bm) + 1
-    z = _newton(bm, k, lo, hi, acc)
+    z = _newton(bm, k, lo, hi)
     below = z < x_max
     zeros = np.split(z[below], np.searchsorted(bm[below], orders[1:]))
-    _certify(orders, zeros, x_max, acc, strays=bm[(z < lo) | (z > hi)])
+    _certify(orders, zeros, x_max, strays=bm[(z < lo) | (z > hi)])
     lists = [zs.tolist() for zs in zeros]
     return lists[0] if single else lists

@@ -23,7 +23,7 @@ from numpy.typing import ArrayLike
 
 from .errors import CutoffExceededError, EnumerationLimitError, UnsupportedDomainError
 from .geometry import AxisBox, BoxUnion, Disk, Domain
-from .specfun import DEFAULT_ACCURACY, Accuracy, bessel_zeros_below
+from .specfun import bessel_zeros_below
 
 __all__ = [
     "Spectrum",
@@ -82,7 +82,6 @@ def enumerate_spectrum(
     dom: Domain,
     cutoff: float,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    acc: Accuracy = DEFAULT_ACCURACY,
 ) -> Spectrum:
     """All eigenvalues strictly below cutoff, merged and sorted."""
     if not (math.isfinite(cutoff) and cutoff > 0.0):
@@ -95,7 +94,7 @@ def enumerate_spectrum(
         vals = np.concatenate(parts)
         mult = np.ones(vals.size, dtype=np.int64)
     elif isinstance(dom, Disk):
-        vals, mult = _disk_eigenvalues(dom.radius, cutoff, limit, acc)
+        vals, mult = _disk_eigenvalues(dom.radius, cutoff, limit)
     else:
         raise UnsupportedDomainError(
             "spectra are available for boxes, box unions, and disks only"
@@ -136,7 +135,7 @@ def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> np.
 
 
 def _disk_eigenvalues(
-    radius: float, cutoff: float, limit: int, acc: Accuracy
+    radius: float, cutoff: float, limit: int
 ) -> tuple[np.ndarray, np.ndarray]:
     # Lower bound on the entries, from the inscribed square (Dirichlet
     # monotonicity): its lattice count below the cutoff is at least the area
@@ -148,7 +147,7 @@ def _disk_eigenvalues(
         )
     z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
     orders = np.arange(math.floor(z_max) + 1)
-    zeros = bessel_zeros_below(orders, z_max, acc)
+    zeros = bessel_zeros_below(orders, z_max)
     lams = np.square(np.concatenate(zeros, dtype=float) / radius)
     mult = np.repeat(np.where(orders == 0, 1, 2), [len(zs) for zs in zeros])
     below = lams < cutoff

@@ -163,6 +163,35 @@ def test_epsilon_outside_guaranteed_regime_prints_nothing(sigma, dim, capsys):
     assert "usage error: nu_bounds requires" in captured.err
 
 
+@pytest.mark.parametrize("mu", ["1", "0.4"])
+def test_epsilon_below_the_certified_range_fails(mu, capsys):
+    # the tail bound reaches past the scan limit (mu < 1.162), or does not
+    # exist (mu <= 1/2): a numeric failure, with nothing on stdout
+    assert main(["epsilon", "--mu", mu]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"numeric failure: f_mu minimum for mu={float(mu)}")
+    assert "A0=" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epsilon", "--mu", "2", "--scan-upper", "6"],
+        ["epsilon", "--mu", "2", "--tol", "1e-10"],
+        ["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "50",
+         "--quad-points", "0"],
+        ["sweep", "--domain", "box:1x1", "--sigma", "1.5", "--lambda-max", "50",
+         "--points", "3", "--quad-points", "64"],
+    ],
+)
+def test_deleted_flags_are_rejected(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_epsilon_flag_exclusivity(capsys):
     assert main(["epsilon", "--mu", "2", "--sigma", "1.5", "--dim", "2"]) == 2
     assert main(["epsilon", "--sigma", "1.5"]) == 2

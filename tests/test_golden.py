@@ -7,10 +7,13 @@ and `riesz_mean` columns must match byte for byte. Every other float must
 lie within RTOL times the largest |value| in its row, which leaves room for
 last-digit changes in how a bound is evaluated but not for a wrong formula.
 
-To record the tables for a new case (only from a version whose numbers are
-trusted):
+To record the table of a new case, or to re-record a case on purpose (only
+from a version whose numbers are trusted), name each case to write:
 
-    PYTHONPATH=src python tests/test_golden.py tests/golden
+    PYTHONPATH=src python tests/test_golden.py tests/golden NAME...
+
+Only the named tables are written; with no name the command writes nothing
+and exits 2, so one re-record cannot silently rewrite the other tables.
 """
 
 from __future__ import annotations
@@ -116,9 +119,34 @@ def test_golden_matrix(name, tmp_path):
     _compare(dest.read_text(), want)
 
 
-if __name__ == "__main__":
-    out_dir = Path(sys.argv[1])
+def record(out_dir: Path, names: list[str]) -> int:
+    """Write the tables of the named cases into out_dir; exit status."""
+    if not names or not set(names) <= CASES.keys():
+        print(
+            "usage: test_golden.py DIR NAME..., each NAME one of: "
+            + ", ".join(sorted(CASES)),
+            file=sys.stderr,
+        )
+        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (argv, code) in CASES.items():
+    for name in names:
+        argv, code = CASES[name]
         rc = _run(argv, out_dir / f"{name}.csv")
         print(f"{name}: exit {rc} (expected {code})")
+    return 0
+
+
+def test_record_writes_only_the_named_cases(tmp_path, capsys):
+    assert record(tmp_path, []) == 2
+    assert record(tmp_path, ["no-such-case"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert record(tmp_path, ["check-overweight-nu"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["check-overweight-nu.csv"]
+    want = (GOLDEN_DIR / "check-overweight-nu.csv").read_text()
+    _compare((tmp_path / "check-overweight-nu.csv").read_text(), want)
+    capsys.readouterr()
+
+
+if __name__ == "__main__":
+    out_dir, *names = sys.argv[1:] or ["."]
+    sys.exit(record(Path(out_dir), names))

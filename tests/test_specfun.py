@@ -14,8 +14,6 @@ import pytest
 
 from berezin_lab import specfun
 from berezin_lab.specfun import (
-    DEFAULT_ACCURACY,
-    Accuracy,
     bessel_j,
     bessel_zero,
     bessel_zeros_below,
@@ -178,23 +176,12 @@ def test_zeros_below_cutoff_is_consistent():
     assert bessel_zeros_below(3, 6.0) == []
 
 
-def test_accuracy_validation():
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(max_iter=0)
-    acc = Accuracy(abs_tol=1e-8, rel_tol=1e-8, max_iter=60)
-    assert bessel_zero(0, 1, acc) == pytest.approx(J0_ZERO_1, abs=1e-7)
-
-
-def test_refinement_reports_exhaustion():
-    with pytest.raises(ConvergenceError):
-        bessel_zero(0, 1, Accuracy(abs_tol=1e-300, rel_tol=1e-300, max_iter=3))
-
-
-def test_default_accuracy_is_tight():
-    assert DEFAULT_ACCURACY.abs_tol <= 1e-12
-    assert DEFAULT_ACCURACY.rel_tol <= 1e-12
+def test_refinement_reports_exhaustion(monkeypatch):
+    monkeypatch.setattr(specfun, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(specfun, "_REL_TOL", 1e-300)
+    monkeypatch.setattr(specfun, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match="stalled after 3 iterations"):
+        bessel_zero(0, 1)
 
 
 # Scalar reference for the batched kernel: one point at a time, with the
