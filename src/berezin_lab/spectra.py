@@ -4,6 +4,11 @@ Box eigenvalues are pi^2 * sum (n_i / a_i)^2 over positive integer
 multi-indices; a union's spectrum is the multiset union of its boxes' (a box
 is a one-box union); disk eigenvalues are (j_{m,k} / R)^2 with multiplicity
 one for m = 0 and two for m >= 1. Enumeration is strict below the cutoff.
+A box is walked one coordinate at a time, in numpy over all prefixes at once:
+a prefix keeps the indices whose all-ones completion is below the cutoff, so
+each kept prefix leads to entries, which come in the order of nested loops.
+EnumerationLimitError is raised once a level keeps more than `limit` prefixes,
+exactly when the box has more than `limit` entries, before that array exists.
 Sorted values merge by the anchor rule: v joins the current entry when
 v - first <= 1e-9 * v for the entry's first value, else starts one, so a run
 of neighbours each within 1e-9 of the next can still split. A Spectrum
@@ -108,30 +113,35 @@ def _check_limit(entries: int, limit: int) -> None:
 
 
 def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> np.ndarray:
-    d = len(sides)
-    inv2 = [1.0 / (a * a) for a in sides]
-    # Minimal contribution of the not-yet-assigned indices, for pruning.
-    tail = [sum(inv2[j + 1 :]) for j in range(d)]
-    budget = cutoff / math.pi**2 * (1.0 + 1e-12)
-    pi2 = math.pi**2
-    out: list[float] = []
+    d, pi2, budget = len(sides), math.pi**2, cutoff / math.pi**2 * (1.0 + 1e-12)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = (1.0 / np.square(np.asarray(sides, dtype=float))).tolist()  # inf if a*a underflows
+        tail = [sum(w[j + 1 :]) for j in range(d)]  # least the unset indices add
 
-    def rec(i: int, acc: float) -> None:
-        w = inv2[i]
-        n = 1
-        if i == d - 1:
-            # val grows with n, so nothing past the first val >= cutoff is kept.
-            while (val := pi2 * (acc + n * n * w)) < cutoff:
-                out.append(val)
-                _check_limit(len(out), limit)
-                n += 1
-        else:
-            while acc + n * n * w + tail[i] <= budget:
-                rec(i + 1, acc + n * n * w)
-                n += 1
+        def kept(i: int, acc: np.ndarray, n: np.ndarray) -> np.ndarray:
+            # n after a prefix leads to an entry iff its all-ones completion
+            # passes every comparison of the walk (each one is monotone in n).
+            c, ok = acc + (n * n) * w[i], np.ones(acc.shape, dtype=bool)
+            for j in range(i, d - 1):
+                ok &= c + tail[j] <= budget
+                c = c + w[j + 1]
+            return ok & (pi2 * c < cutoff)
 
-    rec(0, 0.0)
-    return np.array(out, dtype=float)
+        # Per prefix the kept n are 1..lo, found from the guess, its neighbour, then
+        # bisection. Kept prefixes lead to distinct entries, so the check is exact.
+        acc = np.zeros(1)
+        for i in range(d):
+            guess = np.sqrt(np.maximum(cutoff / pi2 - tail[i] - acc, 0.0) / w[i])
+            k, first = np.fmax(np.fmin(guess, limit + 1), 1).astype(np.int64), True
+            lo, hi = np.zeros_like(k), np.full_like(k, limit + 2)  # kept(lo), not kept(hi)
+            while np.any(hi - lo > 1):
+                t = kept(i, acc, k)
+                lo, hi = np.where(t, np.maximum(lo, k), lo), np.where(t, hi, np.minimum(hi, k))
+                k, first = (np.where(t, k + 1, k - 1) if first else (lo + hi) // 2), False
+            _check_limit(int(lo.sum()), limit)
+            n = np.arange(1, lo.sum() + 1) - np.repeat(np.cumsum(lo) - lo, lo)
+            acc = np.repeat(acc, lo) + (n * n) * w[i]
+    return pi2 * acc
 
 
 def _disk_eigenvalues(

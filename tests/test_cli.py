@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -360,3 +362,54 @@ def test_numeric_failure_exit_code(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "numeric failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--domain", "box:1e-200x1", "--sigma", "1.5", "--lambda-max", "100",
+         "--points", "3"],
+        ["check", "--domain", "box:1x1x1e-170", "--sigma", "1.5", "--lambda", "100"],
+    ],
+)
+def test_thin_box_has_an_empty_spectrum(argv, capsys):
+    # a side whose square underflows has weight inf: no eigenvalue, no crash
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "VERDICT: PASS" in out
+
+
+def test_thin_box_sums_cannot_enumerate(capsys):
+    assert main(["sums", "--domain", "box:1e-200x1", "--sigma", "2", "--n-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: could not enumerate 5 eigenvalues")
+
+
+@pytest.mark.parametrize(
+    "domain, lambda_max",
+    [
+        ("box:1x1", "1e13"),
+        ("box:1x1", "1e300"),
+        ("box:1x1x1", "1e13"),
+        ("box:1x1x1", "1e300"),
+        ("box:1e200x1", "1e4"),  # the long side's weight underflows to 0
+    ],
+)
+def test_huge_box_enumeration_is_bounded_work(domain, lambda_max, capsys):
+    argv = ["sweep", "--domain", domain, "--sigma", "1.5", "--lambda-max", lambda_max,
+            "--points", "3"]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert time.perf_counter() - start < 20.0
+    # the limit is 2e6 entries: a few arrays of that many float64 values at most
+    assert peak < 400 * 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumeration exceeded the limit of 2000000 entries" in captured.err

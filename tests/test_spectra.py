@@ -3,8 +3,9 @@
 The box oracle below enumerates lattice tuples directly with nested loops
 and no merging, so it exercises none of the production code paths. Disk
 values are cross-checked against an (m, k) scan in mpmath arithmetic. The
-array merge is checked against the tuple merge it replaced, kept below
-verbatim as the reference.
+array merge and the array box walk are checked, bit for bit, against the
+tuple merge and the recursive walk they replaced, kept below verbatim as
+references.
 """
 
 import functools
@@ -41,6 +42,34 @@ def box_eigenvalues_oracle(sides, cutoff):
         if lam < cutoff:
             out.append(lam)
     return np.sort(np.array(out))
+
+
+def box_walk_reference(sides, cutoff, limit):
+    """The recursive walk that spectra._box_eigenvalues replaced, verbatim."""
+    d = len(sides)
+    inv2 = [1.0 / (a * a) for a in sides]
+    # Minimal contribution of the not-yet-assigned indices, for pruning.
+    tail = [sum(inv2[j + 1 :]) for j in range(d)]
+    budget = cutoff / math.pi**2 * (1.0 + 1e-12)
+    pi2 = math.pi**2
+    out = []
+
+    def rec(i, acc):
+        w = inv2[i]
+        n = 1
+        if i == d - 1:
+            # val grows with n, so nothing past the first val >= cutoff is kept.
+            while (val := pi2 * (acc + n * n * w)) < cutoff:
+                out.append(val)
+                spectra._check_limit(len(out), limit)
+                n += 1
+        else:
+            while acc + n * n * w + tail[i] <= budget:
+                rec(i + 1, acc + n * n * w)
+                n += 1
+
+    rec(0, 0.0)
+    return np.array(out, dtype=float)
 
 
 def merge_reference(pairs):
@@ -111,20 +140,6 @@ def test_box_spectra_match_oracle():
         oracle = box_eigenvalues_oracle(sides, 2000.0)
         assert spec.total_count == len(oracle)
         np.testing.assert_allclose(spec.expanded, oracle, rtol=1e-12)
-
-
-def test_union_spectrum_is_multiset_union():
-    a = AxisBox((1.0, 1.0))
-    b = AxisBox((math.pi, 1.0), origin=(5.0, 0.0))
-    cutoff = 2000.0
-    spec = enumerate_spectrum(BoxUnion((a, b)), cutoff)
-    merged = np.sort(
-        np.concatenate(
-            [enumerate_spectrum(a, cutoff).expanded, enumerate_spectrum(b, cutoff).expanded]
-        )
-    )
-    assert spec.total_count == len(merged)
-    np.testing.assert_allclose(spec.expanded, merged, rtol=1e-12)
 
 
 def test_disk_ground_state():
@@ -397,3 +412,97 @@ def test_merge_record():
     assert rep.metadata["merge_joins"] == spec.merge_joins > 0
     assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
     assert not any(c.startswith("merge") for c in rep.columns)
+
+
+@st.composite
+def _boxes(draw, min_d=1, max_d=4):
+    """Sides in [0.05, 5] and a cutoff up to 1e5 with at most about 30,000
+    entries, by the Weyl count omega_d |box| cutoff^(d/2) / (2 pi)^d."""
+    d = draw(st.integers(min_d, max_d))
+    sides = tuple(draw(st.floats(0.05, 5.0)) for _ in range(d))
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    top = min(1e5, 2 * math.pi * (3e4 / (ball * math.prod(sides))) ** (2 / d))
+    return sides, 10 ** draw(st.floats(0.0, math.log10(top)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=_boxes())
+@example(box=((2.0, 1.0), 1e6))  # the box-sweep benchmark box
+@example(box=((1.41421356, 1.0), 2e5))  # distinct values closer than 1e-9
+@example(box=((1.7, 0.31, 1.13), 3e4))
+@example(box=((1.0, 1.0), 2 * math.pi**2))  # empty: the ground state is the cutoff
+@example(box=((1e-150, 1.0), 1e4))  # empty: one side's weight is 1e300
+def test_box_walk_matches_recursive_reference(box):
+    sides, cutoff = box
+    limit = spectra.DEFAULT_ENUMERATION_LIMIT
+    walk = spectra._box_eigenvalues(sides, cutoff, limit)
+    assert walk.dtype == np.float64
+    assert walk.tobytes() == box_walk_reference(sides, cutoff, limit).tobytes()
+
+
+def _tight_cutoff(sides, indices):
+    """pi^2 times the sum of n_i^2 / a_i^2 at `indices`, added as the walk adds
+    it: that lattice point sits on the cutoff, not below it, and the recursion
+    keeps its prefixes anyway, inside its 1e-12 slack."""
+    acc = 0.0
+    for n, a in zip(indices, sides):
+        acc = acc + n * n * (1.0 / (a * a))
+    return math.pi**2 * acc
+
+
+@pytest.mark.parametrize(
+    "sides, cutoff",
+    [
+        ((1.0,), _tight_cutoff((1.0,), (3,))),
+        # 10 prefixes n_1 = 1..10 are kept by the recursion, 9 lead to entries
+        ((10.0, 0.1), _tight_cutoff((10.0, 0.1), (10, 1))),
+        ((1.0, 1.0, 1.0), _tight_cutoff((1.0, 1.0, 1.0), (5, 1, 1))),
+        ((1.3, 0.7, 1.1, 0.9), 900.0),
+    ],
+)
+def test_box_walk_limit_is_exact(sides, cutoff):
+    ref = box_walk_reference(sides, cutoff, spectra.DEFAULT_ENUMERATION_LIMIT)
+    count = ref.size
+    assert count > 0
+    assert spectra._box_eigenvalues(sides, cutoff, count).tobytes() == ref.tobytes()
+    with pytest.raises(EnumerationLimitError, match=f"the limit of {count - 1} entries"):
+        spectra._box_eigenvalues(sides, cutoff, count - 1)
+    with pytest.raises(EnumerationLimitError):
+        box_walk_reference(sides, cutoff, count - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=_boxes(min_d=2), data=st.data())
+@example(box=((2.0, 1.0), 2e4), data=None)
+@example(box=((1.7, 0.31, 1.13), 3e4), data=None)
+def test_box_spectrum_is_invariant_under_side_permutation(box, data):
+    sides, cutoff = box
+    perm = tuple(reversed(sides)) if data is None else data.draw(st.permutations(sides))
+    spec = enumerate_spectrum(AxisBox(sides), cutoff)
+    other = enumerate_spectrum(AxisBox(tuple(perm)), cutoff)
+    assert other.total_count == spec.total_count
+    np.testing.assert_allclose(other.expanded, spec.expanded, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sides=st.lists(
+        st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)), min_size=1, max_size=3
+    ),
+    cutoff=st.floats(20.0, 3e3),
+)
+@example(sides=[(1.0, 1.0), (math.pi, 1.0)], cutoff=2e3)
+@example(sides=[(1.0, 1.0), (1.0, 1.0)], cutoff=2e3)  # every value doubled
+@example(sides=[(2.0, 1.0), (1.0, 2.0), (math.pi, 1.0)], cutoff=1e3)
+def test_union_spectrum_is_multiset_union(sides, cutoff):
+    boxes, x = [], 0.0
+    for a, b in sides:  # side by side along the first axis, disjoint
+        boxes.append(AxisBox((a, b), origin=(x, 0.0)))
+        x += a + 1.0
+    union = enumerate_spectrum(BoxUnion(tuple(boxes)), cutoff)
+    parts = [enumerate_spectrum(box, cutoff) for box in boxes]
+    assert union.total_count == sum(p.total_count for p in parts)
+    merged = np.sort(np.concatenate([p.expanded for p in parts]))
+    # merging moves a value to the first of its entry, by at most the merge gap
+    gap = union.merge_max_gap + max(p.merge_max_gap for p in parts)
+    np.testing.assert_allclose(union.expanded, merged, rtol=1e-12 + gap, atol=0.0)
