@@ -3,7 +3,9 @@
 NumericFailure marks results that must not be trusted (exit code 3 in the
 CLI); the ValueError subclasses mark bad requests (exit code 2). A remainder
 minimum whose tail bound reaches past the scan limit (mu below 1.162 or above
-505.4) is a ConvergenceError, like a Bessel zero that does not converge.
+505.4) is a ConvergenceError, like a Bessel zero that does not converge. A
+lattice sum over more indices than the enumeration limit (a section far
+longer than the critical length) is an EnumerationLimitError.
 """
 
 
@@ -24,7 +26,7 @@ class InsufficientCutoffError(NumericFailure):
 
 
 class EnumerationLimitError(NumericFailure):
-    """Eigenvalue enumeration would exceed the configured entry limit."""
+    """Eigenvalue or lattice-index enumeration would exceed its limit."""
 
 
 class UnsupportedDomainError(ValueError):

@@ -29,8 +29,9 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, EnumerationLimitError
 from .specfun import beta
+from .spectra import DEFAULT_ENUMERATION_LIMIT
 
 __all__ = [
     "RemainderResult", "f_mu", "lattice_sum", "epsilon_mu",
@@ -74,19 +75,28 @@ def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
 
     The terms are added one at a time in increasing j whatever the shape of
     r, so each value depends only on its own r. The r values are taken in
-    blocks that keep the (j, r) array near _BLOCK elements.
+    blocks that keep the (j, r) array near _BLOCK elements. A sum over more
+    lattice indices j < r than the enumeration limit raises
+    EnumerationLimitError before any array is built.
     """
     r = np.asarray(r, dtype=float)
     flat = r.ravel()
+    top = flat.max(initial=0.0)
+    if not top < DEFAULT_ENUMERATION_LIMIT + 1:
+        raise EnumerationLimitError(
+            f"lattice sum at scaled section length {top:.6g} would exceed the"
+            f" limit of {DEFAULT_ENUMERATION_LIMIT} lattice indices"
+        )
     out = np.empty(flat.size)
-    step = max(1, _BLOCK // max(int(flat.max(initial=0.0)), 1))
+    step = max(1, _BLOCK // max(int(top), 1))
     for start in range(0, flat.size, step):
         block = flat[start : start + step]
         # numpy reduces axis 0 of a (jmax, n) array one row at a time, except
         # for n == 1, where it sums the lone column pairwise; so pad to two.
         cols = np.resize(block, max(block.size, 2))
         j2 = np.arange(1.0, int(cols.max()) + 1.0) ** 2
-        t = np.subtract(1.0, np.multiply.outer(j2, 1.0 / (cols * cols)))
+        with np.errstate(divide="ignore"):  # r*r == 0 has no term: 1 - inf clips to 0
+            t = np.subtract(1.0, np.multiply.outer(j2, 1.0 / (cols * cols)))
         np.maximum(t, 0.0, out=t)
         np.power(t, e, out=t)
         out[start : start + block.size] = t.sum(axis=0)[: block.size]

@@ -17,19 +17,23 @@ few transition widths x^(1/3).
 One batched engine serves every Bessel routine: its kernel evaluates (m, x)
 points in groups of equal node count, each with exactly the arithmetic of a
 lone evaluation. A unit-step sign scan brackets the zeros of all requested
-orders at once (consecutive zeros of J_m are more than one apart), and
-Newton steps with J_m' = (m/x) J_m - J_{m+1} (DLMF 10.6.2) refine all
-brackets in lockstep. A step that lands in the closed bracket is taken and
-any other step bisects; a step within tolerance ends the refinement, also
-when it rounds onto a bracket end, so each zero is a converged Newton
-iterate, within a few ulps of the true zero. A certificate raises
-ConvergenceError unless each zero lies in its own scan bracket (a unit
-interval with a checked sign change, so each zero is tied to exactly one
-sign change), each order's zeros are more than one apart, adjacent orders
-interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3), and the sign of
-J_m(x_max) matches the parity of each order's count, which catches a lost
-last zero; the sign test is inconclusive, and skipped, where |J_m(x_max)| is
-within ten refinement tolerances of zero.
+orders at once (consecutive zeros of J_m are more than one apart). It reads
+J_m(x) at each integer x for every order m <= x from one FFT of
+exp(i x sin t) (Jacobi-Anger, DLMF 10.12.1), on a power-of-two node count no
+smaller than the kernel's 2n at m = x, so its aliasing is as negligible as
+the kernel's; only the signs of these values are used. Newton steps with
+J_m' = (m/x) J_m - J_{m+1} (DLMF 10.6.2) refine all brackets in lockstep.
+A step that lands in the closed bracket is taken and any other step bisects;
+a step within tolerance ends the refinement, also when it rounds onto a
+bracket end, so each zero is a converged Newton iterate, within a few ulps
+of the true zero. A certificate raises ConvergenceError unless each zero
+lies in its own scan bracket (a unit interval with a checked sign change, so
+each zero is tied to exactly one sign change), each order's zeros are more
+than one apart, adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1}
+(DLMF 10.21.3), and the sign of J_m(x_max) matches the parity of each
+order's count, which catches a lost last zero; the sign test is
+inconclusive, and skipped, where |J_m(x_max)| is within ten refinement
+tolerances of zero.
 
 The refinement tolerance is fixed: a step is within tolerance once it moves
 x by at most 1e-13 (1 + |x|), and a zero that needs more than 100 steps
@@ -117,8 +121,16 @@ def _j_series(m: int, x: float) -> float:
     return total
 
 
-# Largest (points x nodes) array the quadrature forms at once.
+# Largest (points x nodes) array the quadrature, or the scan's FFT, forms at once.
 _BLOCK = 1 << 18
+
+
+def _node_count(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid intervals n on [0, pi] for J_m(x): the aliasing term
+    J_{2n-m}(x) has 2n - m >= x + 14 (x/2)^(1/3) + 20."""
+    # Python's ** is C pow; np.power may differ from it in the last bit.
+    root = np.array([v ** (1.0 / 3.0) for v in (0.5 * x).tolist()])
+    return np.ceil(0.5 * (m + x + 14.0 * root + 20.0)).astype(np.int64)
 
 
 @functools.cache
@@ -136,9 +148,7 @@ def _j(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     small = x <= _SERIES_LIMIT
     out[small] = [_j_series(a, b) for a, b in zip(m[small].tolist(), x[small].tolist())]
     big = np.flatnonzero(~small)
-    # Python's ** is C pow; np.power may differ from it in the last bit.
-    root = np.array([v ** (1.0 / 3.0) for v in (0.5 * x[big]).tolist()])
-    nodes = np.ceil(0.5 * (m[big] + x[big] + 14.0 * root + 20.0)).astype(np.int64)
+    nodes = _node_count(m[big], x[big])
     order = np.argsort(nodes, kind="stable")
     big, nodes = big[order], nodes[order]
     starts = np.flatnonzero(np.diff(nodes, prepend=-1))
@@ -174,12 +184,32 @@ def _brackets(
     J_m is positive on (0, j_{m,1}) and zeros are separated by more than one,
     so scanning x = m, m + 1, ... cannot skip a sign change; a grid value of
     exactly zero gets the bracket of width one centred on it.
+
+    One FFT per integer x gives J_m(x) for every m <= x: by DLMF 10.12.1,
+    exp(i x sin t) = sum_m J_m(x) exp(i m t), so the FFT of its values at N
+    equispaced t on [0, 2 pi), over N, is J_m(x) + sum_{k != 0} J_{m+kN}(x).
+    N is the kernel's node count on the whole period at m = x, 2 n(x, x),
+    rounded up to a power of two, so each alias has order at least
+    N - x >= x + 14 (x/2)^(1/3) + 20, as negligible as the kernel's. Only the
+    signs of these values are used.
     """
-    counts = np.maximum(math.floor(x_max) + 2 - orders, 0)
-    m = np.repeat(orders, counts)
-    step = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    x = (m + step).astype(float)
-    f = _j(m, x)
+    points = np.arange(orders[0], math.floor(x_max) + 2)
+    sizes = 2 ** np.ceil(np.log2(2.0 * _node_count(points, points))).astype(np.int64)
+    table = np.empty((orders.size, points.size))  # J_m(x), read only where m <= x
+    groups = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for g, g_end in zip(groups, np.append(groups[1:], points.size)):
+        n = int(sizes[g])
+        sin = np.sin(2.0 * math.pi / n * np.arange(n))
+        rows = max(1, _BLOCK // n)
+        for s in range(g, g_end, rows):
+            xs = points[s : min(s + rows, g_end)]
+            coef = np.fft.fft(np.exp(1j * np.multiply.outer(xs, sin))).real
+            k = np.searchsorted(orders, xs[-1], side="right")
+            table[:k, s : s + xs.size] = coef[:, orders[:k]].T / n
+    scanned = orders[:, None] <= points  # x = m, m + 1, ... for each order
+    m = np.broadcast_to(orders[:, None], scanned.shape)[scanned]
+    x = np.broadcast_to(points.astype(float), scanned.shape)[scanned]
+    f = table[scanned]
     x1, x2, f1, f2 = x[:-1], x[1:], f[:-1], f[1:]
     zero = f2 == 0.0
     lo = np.where(zero, x2 - 0.5, x1)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -373,8 +374,12 @@ def test_numeric_failure_exit_code(capsys):
     ],
 )
 def test_thin_box_has_an_empty_spectrum(argv, capsys):
-    # a side whose square underflows has weight inf: no eigenvalue, no crash
-    assert main(argv) == 0
+    # a side whose square underflows has weight inf: no eigenvalue, no crash,
+    # and no warning from a section whose squared length underflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == []
     out = capsys.readouterr().out
     assert "VERDICT: PASS" in out
 
@@ -413,3 +418,24 @@ def test_huge_box_enumeration_is_bounded_work(domain, lambda_max, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "enumeration exceeded the limit of 2000000 entries" in captured.err
+
+
+def test_long_box_lattice_sum_is_bounded_work(capsys):
+    # 764,547 eigenvalues, well inside the limit, but a section of scaled
+    # length 3e12: its lattice sum would ask for one float per index
+    argv = ["sweep", "--domain", "box:1x3e12", "--sigma", "1.5",
+            "--lambda-max", "9.869604401090", "--points", "3"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 400 * 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: lattice sum at scaled section length 3e+12 would exceed"
+        " the limit of 2000000 lattice indices\n"
+    )

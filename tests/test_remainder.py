@@ -9,6 +9,7 @@ constant that ends the scan.
 
 import io
 import math
+import warnings
 from contextlib import redirect_stdout
 
 import mpmath
@@ -20,7 +21,7 @@ import berezin_lab.remainder as remainder
 from berezin_lab.bounds import improved_rhs, s_classical
 from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams, lt_value
-from berezin_lab.errors import ConvergenceError
+from berezin_lab.errors import ConvergenceError, EnumerationLimitError
 from berezin_lab.geometry import AxisBox, critical_length, slicing_stats, volume
 from berezin_lab.harness import SweepConfig, sweep_riesz
 from berezin_lab.remainder import (
@@ -31,6 +32,7 @@ from berezin_lab.remainder import (
     nu_nonneg_cap,
 )
 from berezin_lab.specfun import beta
+from berezin_lab.spectra import DEFAULT_ENUMERATION_LIMIT
 
 TOL = remainder._TOL
 # epsilon_mu raises below this mu: its tail bound reaches past A = 60.
@@ -76,6 +78,23 @@ def test_lattice_sum_is_elementwise(monkeypatch):
             assert np.array_equal(remainder.lattice_sum(e, r), whole)
         for x, v in zip(r, whole):
             assert v == pytest.approx(lattice_sum_oracle(e, x), rel=1e-13, abs=1e-300)
+
+
+def test_lattice_sum_index_limit():
+    limit = DEFAULT_ENUMERATION_LIMIT
+    # limit + 0.5 sums exactly `limit` indices; one index more raises
+    top = remainder.lattice_sum(1.5, [3.5, limit + 0.5])
+    assert top[1] == pytest.approx(lattice_sum_oracle(1.5, limit + 0.5), rel=1e-12)
+    for r in (limit + 1.0, 3e12, math.inf, math.nan):
+        with pytest.raises(EnumerationLimitError, match=f"limit of {limit} lattice"):
+            remainder.lattice_sum(1.5, [3.5, r])
+
+
+def test_lattice_sum_of_vanishing_length_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert remainder.lattice_sum(2.0, [0.0, 1e-170, 1.0, 2.5]).tolist() == [
+            0.0, 0.0, 0.0, (1.0 - 0.16) ** 2 + (1.0 - 0.64) ** 2]
 
 
 def test_lockstep_refinement_matches_single_brackets():

@@ -344,6 +344,44 @@ def test_certificate_catches_a_zero_outside_its_bracket(monkeypatch):
         bessel_zeros_below(3, 40.0)
 
 
+def unit_step_brackets(orders, x_max):
+    """The quadrature sign scan the FFT scan replaced: J_m by the trapezoid
+    kernel at x = m, m + 1, ..., floor(x_max) + 1, order by order."""
+    counts = np.maximum(math.floor(x_max) + 2 - orders, 0)
+    m = np.repeat(orders, counts)
+    step = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    x = (m + step).astype(float)
+    f = specfun._j(m, x)
+    x1, x2, f1, f2 = x[:-1], x[1:], f[:-1], f[1:]
+    zero = f2 == 0.0
+    lo = np.where(zero, x2 - 0.5, x1)
+    found = (m[:-1] == m[1:]) & (zero | (f1 * f2 < 0.0)) & (lo < x_max)
+    return m[1:][found], lo[found], np.where(zero, x2 + 0.5, x2)[found]
+
+
+def _all_orders(z_max):
+    return np.arange(math.floor(z_max) + 1), z_max
+
+
+@pytest.mark.parametrize(
+    "orders, x_max",
+    [
+        _all_orders(math.sqrt(2e4) * (1.0 + 1e-12)),
+        _all_orders(math.sqrt(3e3) * (1.0 + 1e-12)),  # golden sweep-disk-1
+        _all_orders(1.3 * math.sqrt(1.5e4) * (1.0 + 1e-12)),  # golden sweep-disk-1.3
+        (np.arange(0, 300, 2), 300.0),  # sparse orders, as for a quarter-disk
+        (np.array([0]), 1000.0),
+        (np.array([50]), 80.0),
+    ],
+    ids=["2e4", "sweep-disk-1", "sweep-disk-1.3", "even-orders", "order-0", "order-50"],
+)
+def test_fft_scan_brackets_match_the_unit_step_scan(orders, x_max):
+    got, want = specfun._brackets(orders, x_max), unit_step_brackets(orders, x_max)
+    assert got[0].size == want[0].size > 0
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("m, k", [(0, 1), (0, 6), (3, 2), (3, 8)])
 def test_sign_certificate_is_inconclusive_at_a_zero(m, k):
     # J_m at its own computed zero is a rounding residue of either sign
