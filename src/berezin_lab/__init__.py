@@ -11,7 +11,6 @@ from .constants import (
     SemiclassicalParams,
     c_const,
     dimension_reduction_identity_residual,
-    lt_classical,
     lt_value,
     polya_counting_factor,
     rho_lower,
@@ -47,8 +46,6 @@ from .specfun import (
     bessel_zero,
     bessel_zeros_below,
     beta,
-    gamma,
-    log_gamma,
 )
 from .spectra import (
     Spectrum,
@@ -65,7 +62,6 @@ from .bounds import (
     s_classical,
     sliced_bound,
     sum_classical,
-    two_term_counting,
     two_term_riesz,
     two_term_sum,
 )
@@ -114,12 +110,9 @@ __all__ = [
     "enumerate_spectrum",
     "epsilon_mu",
     "f_mu",
-    "gamma",
     "generic_wrapper",
     "improved_rhs",
     "li_yau_rhs",
-    "log_gamma",
-    "lt_classical",
     "lt_value",
     "melas_rhs",
     "moment_J",
@@ -138,7 +131,6 @@ __all__ = [
     "surface",
     "sweep_riesz",
     "sweep_sums",
-    "two_term_counting",
     "two_term_riesz",
     "two_term_sum",
     "unit_ball_volume",

@@ -29,7 +29,6 @@ __all__ = [
     "li_yau_rhs",
     "melas_rhs",
     "eigenvalue_lower",
-    "two_term_counting",
     "two_term_riesz",
     "two_term_sum",
 ]
@@ -204,19 +203,6 @@ def eigenvalue_lower(d: int, vol: float, n: ArrayLike) -> ArrayLike:
         * (lt_value(0.0, d) * vol) ** (-2.0 / d)
         * n ** (2.0 / d)
     )
-
-
-def two_term_counting(d: int, vol: float, surf: float, lam: ArrayLike) -> ArrayLike:
-    """Two-term Weyl approximation of the counting function (not a bound).
-
-    Valid down to d = 1, where surf counts the interval endpoints.
-    """
-    if d < 1:
-        raise ValueError("two_term_counting requires dim >= 1")
-    _check_positive("vol", vol)
-    _check_positive("surf", surf)
-    lam = _check_lam(lam)
-    return phase_space_eta(d, vol, lam) - boundary_term(0.25, 0.0, d, surf, lam)
 
 
 def two_term_riesz(

@@ -10,8 +10,9 @@ Subcommands:
     asymptotics  high-energy ratios against the two-term expansion
 
 Domains are given as text: "box:1x2", "disk:0.75",
-"union:box(1x1)@(0,0)+box(2x0.5)@(1,0)", each optionally followed by
-";axis=<i>" to slice along coordinate i instead of the last one.
+"union:box(1x1)@(0,0)+box(2x0.5)@(1,0)". A box or a union may be followed
+by ";axis=<i>" to slice along coordinate i instead of the last one; a disk
+takes no axis, since its sliced quantities do not depend on the direction.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 usage or malformed input, 3 a numeric procedure failed to converge.
@@ -20,7 +21,6 @@ usage or malformed input, 3 a numeric procedure failed to converge.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import re
 import sys
@@ -32,13 +32,17 @@ from .constants import (
     SemiclassicalParams,
     c_const,
     dimension_reduction_identity_residual,
-    lt_classical,
     lt_value,
     polya_counting_factor,
     rho_lower,
     unit_ball_volume,
 )
-from .errors import DomainParseError, NumericFailure, UnsupportedDomainError
+from .errors import (
+    DomainParseError,
+    EnumerationLimitError,
+    NumericFailure,
+    UnsupportedDomainError,
+)
 from .geometry import AxisBox, BoxUnion, Disk, Domain, GenericSliced
 from .harness import (
     BoundReport,
@@ -50,7 +54,7 @@ from .harness import (
     sweep_sums,
 )
 from .remainder import epsilon_mu, nu_bounds, nu_ceiling
-from .spectra import enumerate_spectrum
+from .spectra import DEFAULT_ENUMERATION_LIMIT, enumerate_spectrum
 from .version import TOOL_VERSION
 
 __all__ = [
@@ -61,44 +65,29 @@ __all__ = [
 ]
 
 _UNION_BOX = re.compile(r"box\(([^()]*)\)@\(([^()]*)\)")
+_AT_MOST = f"at most {DEFAULT_ENUMERATION_LIMIT:,}"  # bound of --points and --n-max
 
 
-def _fail(message: str, position: int) -> DomainParseError:
-    return DomainParseError(message, position)
-
-
-def _parse_positive(token: str, what: str, pos: int) -> float:
+def _parse_number(token: str, what: str, pos: int, positive: bool = True) -> float:
     try:
         v = float(token)
     except ValueError:
-        raise _fail(f"could not read {what} from {token!r}", pos) from None
-    if not (math.isfinite(v) and v > 0.0):
-        raise _fail(f"{what} must be positive and finite, got {token!r}", pos)
+        raise DomainParseError(f"could not read {what} from {token!r}", pos) from None
+    if not (math.isfinite(v) and (v > 0.0 or not positive)):
+        need = "positive and finite" if positive else "finite"
+        raise DomainParseError(f"{what} must be {need}, got {token!r}", pos)
     return v
 
 
-def _parse_sides(body: str, start: int) -> tuple[float, ...]:
-    sides = []
+def _parse_list(
+    body: str, sep: str, what: str, start: int, positive: bool = True
+) -> tuple[float, ...]:
+    values = []
     pos = start
-    for token in body.split("x"):
-        sides.append(_parse_positive(token, "side length", pos))
+    for token in body.split(sep):
+        values.append(_parse_number(token, what, pos, positive))
         pos += len(token) + 1
-    return tuple(sides)
-
-
-def _parse_origin(body: str, start: int) -> tuple[float, ...]:
-    origin = []
-    pos = start
-    for token in body.split(","):
-        try:
-            v = float(token)
-        except ValueError:
-            raise _fail(f"could not read origin coordinate from {token!r}", pos) from None
-        if not math.isfinite(v):
-            raise _fail(f"origin coordinate must be finite, got {token!r}", pos)
-        origin.append(v)
-        pos += len(token) + 1
-    return tuple(origin)
+    return tuple(values)
 
 
 def parse_domain(text: str) -> Domain:
@@ -109,31 +98,36 @@ def parse_domain(text: str) -> Domain:
         body, _, tail = body.partition(";")
         opt = re.fullmatch(r"\s*axis=(\d+)\s*", tail)
         if opt is None:
-            raise _fail(
+            raise DomainParseError(
                 f"unrecognized option {tail!r}, expected axis=<int>", len(body) + 1
             )
         axis = int(opt.group(1))
     kind, sep, rest = body.partition(":")
     if not sep:
-        raise _fail("expected <kind>:<parameters>", 0)
+        raise DomainParseError("expected <kind>:<parameters>", 0)
     start = len(kind) + 1
     if kind == "box":
-        return AxisBox(_parse_sides(rest, start), slicing_axis=axis)
+        return AxisBox(_parse_list(rest, "x", "side length", start), slicing_axis=axis)
     if kind == "disk":
-        return Disk(_parse_positive(rest, "radius", start), slicing_axis=axis)
+        radius = _parse_number(rest, "radius", start)
+        if axis is not None:
+            msg = "a disk takes no axis: its sections are the same in every direction"
+            raise DomainParseError(msg, len(body) + 1)
+        return Disk(radius)
     if kind == "union":
         boxes = []
         pos = start
-        for part in rest.split("+"):
+        for part in re.split(r"\+(?=box\()", rest):  # not the + of an exponent
             match = _UNION_BOX.fullmatch(part)
             if match is None:
-                raise _fail(
+                raise DomainParseError(
                     f"expected box(<sides>)@(<origin>), got {part!r}", pos
                 )
-            sides = _parse_sides(match.group(1), pos + 4)
-            origin = _parse_origin(match.group(2), pos + 4 + len(match.group(1)) + 3)
+            sides = _parse_list(match.group(1), "x", "side length", pos + 4)
+            at = pos + 4 + len(match.group(1)) + 3
+            origin = _parse_list(match.group(2), ",", "origin coordinate", at, False)
             if len(origin) != len(sides):
-                raise _fail(
+                raise DomainParseError(
                     f"origin has {len(origin)} coordinates for {len(sides)} sides", pos
                 )
             boxes.append(AxisBox(sides, origin))
@@ -141,8 +135,8 @@ def parse_domain(text: str) -> Domain:
         try:
             return BoxUnion(tuple(boxes), slicing_axis=axis)
         except ValueError as exc:
-            raise _fail(str(exc), start) from None
-    raise _fail(f"unknown domain kind {kind!r}", 0)
+            raise DomainParseError(str(exc), start) from None
+    raise DomainParseError(f"unknown domain kind {kind!r}", 0)
 
 
 def _join(values: tuple[float, ...], sep: str) -> str:
@@ -158,21 +152,14 @@ def render_domain(dom: Domain) -> str:
     if isinstance(dom, GenericSliced):
         raise UnsupportedDomainError("callback-backed domains have no text form")
     if isinstance(dom, Disk):
-        text = f"disk:{dom.radius!r}"
-        default_axis = 2
-    elif isinstance(dom, AxisBox):
-        default_axis = dom.dim
-        if all(o == 0.0 for o in dom.origin):
-            text = f"box:{_join(dom.sides, 'x')}"
-        else:
-            text = f"union:box({_join(dom.sides, 'x')})@({_join(dom.origin, ',')})"
+        return f"disk:{dom.radius!r}"
+    if isinstance(dom, AxisBox) and not any(dom.origin):
+        text = f"box:{_join(dom.sides, 'x')}"
     else:
-        default_axis = dom.dim
-        parts = [
-            f"box({_join(b.sides, 'x')})@({_join(b.origin, ',')})" for b in dom.boxes
-        ]
+        boxes = dom.boxes if isinstance(dom, BoxUnion) else (dom,)
+        parts = (f"box({_join(b.sides, 'x')})@({_join(b.origin, ',')})" for b in boxes)
         text = "union:" + "+".join(parts)
-    if dom.slicing_axis != default_axis:
+    if dom.slicing_axis != dom.dim:
         text += f";axis={dom.slicing_axis}"
     return text
 
@@ -196,18 +183,18 @@ def _emit_csv(report: BoundReport, dest: str) -> None:
     report.to_csv(sys.stdout if dest == "-" else dest)
 
 
-def _domain_from_args(args: argparse.Namespace) -> Domain:
-    dom = parse_domain(args.domain)
-    if getattr(args, "axis", None) is not None:
-        dom = dataclasses.replace(dom, slicing_axis=args.axis)
-    return dom
+def _bound_grid(flag: str, size: int, per_entry: int = 1) -> None:
+    """Exit 3 before building a grid larger than any enumeration could serve."""
+    cap = per_entry * DEFAULT_ENUMERATION_LIMIT
+    if size > cap:
+        raise EnumerationLimitError(
+            f"{flag} {size} exceeds {cap}, the most that the enumeration limit of "
+            f"{DEFAULT_ENUMERATION_LIMIT} entries allows"
+        )
 
 
 def _add_domain_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", required=True, help="domain text, e.g. box:1x2")
-    p.add_argument(
-        "--axis", type=int, default=None, help="override the slicing coordinate"
-    )
+    p.add_argument("--domain", required=True, help="domain text, e.g. box:1x2;axis=1")
 
 
 def _add_report_options(p: argparse.ArgumentParser) -> None:
@@ -262,19 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_options(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--points", type=int, required=True, help="grid size from 1.0 up")
+    p.add_argument(
+        "--points", type=int, required=True, help=f"grid size from 1.0 up, {_AT_MOST}"
+    )
     p.add_argument("--nu", type=_nu_argument, default=None)
     _add_report_options(p)
 
     p = sub.add_parser("sums", help="eigenvalue-sum bounds over an index grid")
     _add_domain_options(p)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument(
+        "--n-max", type=int, required=True, help=f"{_AT_MOST}, twice that for a disk"
+    )
     p.add_argument(
         "--points",
         type=int,
         default=None,
-        help="log-subsample to about this many indices (default: all)",
+        help=f"log-subsample to about this many indices, {_AT_MOST} (default: all)",
     )
     p.add_argument("--melas-m", type=float, default=None)
     _add_report_options(p)
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=float, default=100.0, help="grid start"
     )
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=int, default=8, help=f"grid size, {_AT_MOST}")
     _add_report_options(p)
 
     return parser
@@ -296,7 +287,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     p = SemiclassicalParams(args.sigma, args.dim)
     print(f"sigma = {_show(p.sigma)}")
     print(f"dim = {p.dim}")
-    print(f"lt_classical = {_show(lt_classical(p))}")
+    print(f"lt_classical = {_show(lt_value(p.sigma, p.dim))}")
     print(f"lt_lower_dim = {_show(lt_value(p.sigma, p.dim - 1))}")
     print(f"counting_constant = {_show(lt_value(0.0, p.dim))}")
     print(f"unit_ball_volume = {_show(unit_ball_volume(p.dim))}")
@@ -338,7 +329,7 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    dom = _domain_from_args(args)
+    dom = parse_domain(args.domain)
     spec = enumerate_spectrum(dom, args.cutoff)
     if args.csv is not None:
         report = BoundReport(
@@ -373,7 +364,7 @@ def _report_exit(report: BoundReport, csv: str | None) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    dom = _domain_from_args(args)
+    dom = parse_domain(args.domain)
     cfg = SweepConfig(
         domain=dom,
         sigma=args.sigma,
@@ -401,7 +392,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dom = _domain_from_args(args)
+    dom = parse_domain(args.domain)
+    _bound_grid("--points", args.points)
     grid = tuple(float(v) for v in np.geomspace(1.0, args.lambda_max, args.points))
     cfg = SweepConfig(
         domain=dom,
@@ -415,12 +407,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sums(args: argparse.Namespace) -> int:
-    dom = _domain_from_args(args)
+    dom = parse_domain(args.domain)
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    # An entry holds one box eigenvalue, or up to two disk eigenvalues.
+    _bound_grid("--n-max", args.n_max, 2 if isinstance(dom, Disk) else 1)
     if args.points is None:
         grid = tuple(range(1, args.n_max + 1))
     else:
+        _bound_grid("--points", args.points)
         raw = np.geomspace(1.0, float(args.n_max), args.points)
         grid = tuple(sorted({int(round(v)) for v in raw}))
     cfg = SweepConfig(
@@ -435,9 +430,10 @@ def _cmd_sums(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
-    dom = _domain_from_args(args)
+    dom = parse_domain(args.domain)
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
+    _bound_grid("--points", args.points)
     lams = tuple(float(v) for v in np.geomspace(args.lam, args.lambda_max, args.points))
     report = asymptotic_diagnostics(dom, args.sigma, lams, args.slack)
     return _report_exit(report, args.csv)

@@ -9,13 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import beta, log_gamma
+from .specfun import beta
 
 __all__ = [
     "SemiclassicalParams",
     "unit_ball_volume",
     "lt_value",
-    "lt_classical",
     "c_const",
     "dimension_reduction_identity_residual",
     "rho_lower",
@@ -48,7 +47,7 @@ class SemiclassicalParams:
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in d dimensions."""
     _check_dim(d)
-    return math.exp(0.5 * d * math.log(math.pi) - log_gamma(1.0 + 0.5 * d))
+    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d))
 
 
 def lt_value(sigma: float, dim: int) -> float:
@@ -57,14 +56,8 @@ def lt_value(sigma: float, dim: int) -> float:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0):
         raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
-    return math.exp(
-        log_gamma(sigma + 1.0) - 0.5 * dim * _LOG_4PI - log_gamma(1.0 + sigma + 0.5 * dim)
-    )
-
-
-def lt_classical(p: SemiclassicalParams) -> float:
-    """Leading coefficient of the semiclassical Riesz-mean asymptotics."""
-    return lt_value(p.sigma, p.dim)
+    lead = math.lgamma(sigma + 1.0) - 0.5 * dim * _LOG_4PI
+    return math.exp(lead - math.lgamma(1.0 + sigma + 0.5 * dim))
 
 
 def c_const(p: SemiclassicalParams) -> float:

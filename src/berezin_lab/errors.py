@@ -5,7 +5,8 @@ CLI); the ValueError subclasses mark bad requests (exit code 2). A remainder
 minimum whose tail bound reaches past the scan limit (mu below 1.162 or above
 505.4) is a ConvergenceError, like a Bessel zero that does not converge. A
 lattice sum over more indices than the enumeration limit (a section far
-longer than the critical length) is an EnumerationLimitError.
+longer than the critical length), or a command-line grid larger than any
+enumeration could serve, is an EnumerationLimitError.
 """
 
 

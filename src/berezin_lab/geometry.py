@@ -2,9 +2,11 @@
 
 Supported domains are axis-aligned boxes, finite unions of boxes with
 pairwise disjoint interiors, planar disks, and a generic callback-backed
-class described by its one-dimensional open sections. The slicing axis is
-part of the domain, because sliced bounds depend on the orientation; it is
-1-based and defaults to the last coordinate.
+class described by its one-dimensional open sections. Boxes and unions carry
+their slicing axis, because their sliced bounds depend on the orientation; it
+is 1-based and defaults to the last coordinate. A disk has no slicing axis:
+its sections are the same in every direction. The generic class is sliced
+along its last coordinate.
 
 slicing_stats collects the two quantities the corrected bounds consume: the
 volume of the subset of the domain whose section through a cross point is
@@ -89,17 +91,12 @@ class Disk:
     """Open planar disk of given radius, centered at the origin."""
 
     radius: float
-    slicing_axis: int | None = None
 
     def __post_init__(self) -> None:
         r = float(self.radius)
         if not (math.isfinite(r) and r > 0.0):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
-        axis = 2 if self.slicing_axis is None else int(self.slicing_axis)
-        if axis not in (1, 2):
-            raise ValueError(f"slicing_axis must be 1 or 2, got {axis}")
         object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "slicing_axis", axis)
 
     @property
     def dim(self) -> int:
@@ -168,10 +165,6 @@ class GenericSliced:
         if self.bounding_box.dim != self.dim:
             raise ValueError("bounding_box dimension must match dim")
 
-    @property
-    def slicing_axis(self) -> int:
-        return self.dim
-
 
 Domain = Union[AxisBox, BoxUnion, Disk, GenericSliced]
 
@@ -182,7 +175,6 @@ class SlicingStats:
 
     vol_omega_lambda: ArrayLike
     d_lambda: ArrayLike
-    exact: bool
 
 
 def critical_length(lam: ArrayLike) -> ArrayLike:
@@ -277,14 +269,12 @@ def slicing_stats(
         u_star = np.sqrt(np.maximum(r * r - 0.25 * l_crit * l_crit, 0.0))
         vol = np.where(long, u_star * l_crit + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
         dl = np.where(long, 2.0 * u_star, 0.0)
-        exact = True
     else:
         lengths, weights = section_family(dom, quad_points)
         long = lengths > l_crit[..., None]
         vol = (weights * np.where(long, lengths, 0.0)).sum(axis=-1)
         dl = (weights * long).sum(axis=-1)
-        exact = not isinstance(dom, GenericSliced)
-    return SlicingStats(vol[()], dl[()], exact=exact)
+    return SlicingStats(vol[()], dl[()])
 
 
 def _midpoint_grid(dom: GenericSliced, quad_points: int | None):
@@ -401,18 +391,13 @@ def moment_J(dom: Domain) -> float:
 
 def _bounding_box_cross_first(dom: Domain) -> AxisBox:
     """Bounding box with the slicing coordinate moved last."""
-    if isinstance(dom, AxisBox):
-        boxes = [dom]
-        axis = dom.slicing_axis
-    elif isinstance(dom, BoxUnion):
-        boxes = list(dom.boxes)
-        axis = dom.slicing_axis
-    elif isinstance(dom, Disk):
+    if isinstance(dom, Disk):
         r = dom.radius
         return AxisBox(sides=(2.0 * r, 2.0 * r), origin=(-r, -r))
-    else:
+    if not isinstance(dom, (AxisBox, BoxUnion)):
         raise UnsupportedDomainError("cannot wrap this domain class")
-    d = boxes[0].dim
+    boxes = dom.boxes if isinstance(dom, BoxUnion) else (dom,)
+    axis, d = dom.slicing_axis, dom.dim
     lo = [min(b.origin[i] for b in boxes) for i in range(d)]
     hi = [max(b.origin[i] + b.sides[i] for b in boxes) for i in range(d)]
     order = _cross_indices(d, axis) + [axis - 1]

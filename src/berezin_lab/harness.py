@@ -101,11 +101,7 @@ ASYMP_CHECKS = ("berezin",)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Inputs of a sweep, as the `check`, `sweep` and `sums` commands set them.
-
-    No quadrature setting: it would only reach GenericSliced domains, which
-    enumerate_spectrum rejects, so no sweep could use it.
-    """
+    """Inputs of a sweep, as the `check`, `sweep` and `sums` commands set them."""
 
     domain: Domain
     sigma: float
@@ -118,8 +114,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        if not self.slack > 0.0:
-            raise ValueError(f"slack must be positive, got {self.slack!r}")
+        _check_slack(self.slack)
         for name, grid in (("lambda_grid", self.lambda_grid), ("n_grid", self.n_grid)):
             if grid is not None:
                 if len(grid) == 0:
@@ -245,6 +240,12 @@ _SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 # One str object per verdict, shared by every row.
 _VERDICTS = np.array(("pass", "fail", "n/a"), dtype=object)
+
+
+def _check_slack(slack: float) -> None:
+    """Verdicts need a positive finite slack: inf passes and NaN fails every check."""
+    if not (math.isfinite(slack) and slack > 0.0):
+        raise ValueError(f"slack must be positive and finite, got {slack!r}")
 
 
 def _check_le(
@@ -485,6 +486,7 @@ def asymptotic_diagnostics(
         raise ValueError("lambda_list must hold at least two increasing values")
     if not sigma > 0.0:
         raise ValueError("asymptotic diagnostics require sigma > 0")
+    _check_slack(slack)
     d = dom.dim
     p = SemiclassicalParams(sigma, d)
     surf = surface(dom)

@@ -1,8 +1,7 @@
-"""Special functions: Gamma, Beta, integer-order Bessel J, Bessel zeros.
+"""Special functions: Beta, integer-order Bessel J, Bessel zeros.
 
-Gamma and Beta wrap the C library's gamma/lgamma; Beta goes through
-log-Gamma so large arguments do not overflow, and its symmetry in (a, b) is
-exact by construction.
+Beta goes through the C library's log-Gamma so large arguments do not
+overflow, and its symmetry in (a, b) is exact by construction.
 
 The Bessel evaluator combines the ascending series (small argument) with
 trapezoidal quadrature of the cosine integral representation
@@ -51,8 +50,6 @@ import numpy as np
 from .errors import ConvergenceError
 
 __all__ = [
-    "gamma",
-    "log_gamma",
     "beta",
     "bessel_j",
     "bessel_zero",
@@ -64,23 +61,6 @@ __all__ = [
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-13
 _MAX_ITER = 100
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive real x."""
-    if not x > 0.0:
-        raise ValueError(f"gamma requires x > 0, got {x!r}")
-    try:
-        return math.gamma(x)
-    except OverflowError as exc:
-        raise OverflowError(f"gamma({x}) exceeds the double-precision range") from exc
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for positive real x."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def beta(a: float, b: float) -> float:

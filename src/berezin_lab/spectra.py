@@ -47,7 +47,6 @@ class Spectrum:
     """Distinct eigenvalues below a cutoff, ascending, and their multiplicities,
     as read-only float64 and int64 arrays, with the merge record."""
 
-    domain: Domain
     cutoff: float
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
@@ -104,7 +103,7 @@ def enumerate_spectrum(
         raise UnsupportedDomainError(
             "spectra are available for boxes, box unions, and disks only"
         )
-    return Spectrum(dom, float(cutoff), *_merge(vals, mult))
+    return Spectrum(float(cutoff), *_merge(vals, mult))
 
 
 def _check_limit(entries: int, limit: int) -> None:

@@ -13,6 +13,7 @@ import pytest
 
 import berezin_lab.remainder as remainder
 from berezin_lab.bounds import (
+    boundary_term,
     eigenvalue_lower,
     improved_rhs,
     li_yau_rhs,
@@ -21,7 +22,6 @@ from berezin_lab.bounds import (
     s_classical,
     sliced_bound,
     sum_classical,
-    two_term_counting,
     two_term_riesz,
     two_term_sum,
 )
@@ -117,9 +117,10 @@ def test_eigenvalue_lower_bound():
         assert eigenvalue_lower(2, 1.0, n) <= spec.expanded[n - 1] * (1.0 + 1e-12)
 
 
-def test_two_term_counting_square_form():
+def test_boundary_term_square_counting_form():
+    # sigma = 0: the Weyl term minus the boundary term is the two-term counting
     lam = 300.0
-    got = two_term_counting(2, 1.0, 4.0, lam)
+    got = phase_space_eta(2, 1.0, lam) - boundary_term(0.25, 0.0, 2, 4.0, lam)
     assert got == pytest.approx(lam / (4.0 * math.pi) - math.sqrt(lam) / math.pi, rel=1e-13)
     assert got < phase_space_eta(2, 1.0, lam)
 

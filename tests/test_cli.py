@@ -10,9 +10,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import berezin_lab
 from berezin_lab.cli import main, parse_domain, render_domain
+from berezin_lab.constants import lt_value
 from berezin_lab.errors import DomainParseError, UnsupportedDomainError
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
 from berezin_lab.version import TOOL_VERSION
@@ -29,8 +32,12 @@ def test_parse_box():
 
 def test_parse_disk():
     assert parse_domain("disk:1") == Disk(1.0)
-    dom = parse_domain("disk:0.75;axis=1")
-    assert dom == Disk(0.75, slicing_axis=1)
+    assert parse_domain(" disk:0.75 ") == Disk(0.75)
+    # a disk's sections are the same in every direction: no axis to choose
+    for text, position in (("disk:0.75;axis=1", 10), ("disk:1;axis=2", 7)):
+        with pytest.raises(DomainParseError, match="a disk takes no axis") as e:
+            parse_domain(text)
+        assert e.value.position == position
 
 
 def test_parse_union():
@@ -65,29 +72,67 @@ def test_parse_error_positions():
         parse_domain("union:box(1x1)@(0,0)+box(1x1)@(0.5,0.5)")
 
 
-def test_round_trip_on_representable_domains():
-    domains = [
-        AxisBox((1.0, 1.0)),
-        AxisBox((2.0, 0.5), slicing_axis=1),
-        AxisBox((1.0, 2.0, 3.0)),
-        AxisBox((1.0, 1.0), origin=(4.0, -1.0)),
-        Disk(0.75),
-        Disk(1.0, slicing_axis=1),
-        BoxUnion((AxisBox((1.0, 1.0)), AxisBox((2.0, 0.5), origin=(1.5, -1.0)))),
-        BoxUnion(
-            (AxisBox((1.0, 1.0)), AxisBox((1.0, 1.0), origin=(2.0, 0.0))),
-            slicing_axis=1,
-        ),
-    ]
-    for dom in domains:
-        text = render_domain(dom)
-        back = parse_domain(text)
-        if isinstance(dom, AxisBox) and any(o != 0.0 for o in dom.origin):
-            # nonzero-origin boxes only exist as one-box unions in the grammar
-            assert isinstance(back, BoxUnion)
-            assert back.boxes == (dom,)
-        else:
-            assert back == dom
+_SIDE = st.one_of(
+    st.floats(min_value=1e-300, max_value=3e12),
+    st.sampled_from([1e-300, 3e12, 5e-324, 1.7976931348623157e308]),
+)
+_COORD = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _boxes(draw, dim: int, origin: bool):
+    sides = tuple(draw(st.lists(_SIDE, min_size=dim, max_size=dim)))
+    at = tuple(draw(st.lists(_COORD, min_size=dim, max_size=dim))) if origin else None
+    return AxisBox(sides, at)
+
+
+@st.composite
+def _text_domains(draw):
+    """Boxes and unions (d = 2, 3) with an axis in range, and disks."""
+    kind = draw(st.sampled_from(["box", "origin", "union", "disk"]))
+    if kind == "disk":
+        return Disk(draw(_SIDE))
+    dim = draw(st.sampled_from([2, 3]))
+    axis = draw(st.integers(1, dim))
+    if kind != "union":
+        box = draw(_boxes(dim, kind == "origin"))
+        return AxisBox(box.sides, box.origin, slicing_axis=axis)
+    # boxes placed side by side along the first axis have disjoint interiors
+    boxes, start = [], draw(_COORD.filter(lambda v: abs(v) < 1e12))
+    for box in draw(st.lists(_boxes(dim, True), min_size=1, max_size=3)):
+        boxes.append(AxisBox(box.sides, (start,) + box.origin[1:]))
+        start += 2.0 * box.sides[0]
+        if not math.isfinite(start):
+            break
+    return BoxUnion(tuple(boxes), slicing_axis=axis)
+
+
+@given(_text_domains())
+@example(AxisBox((1.0, 1.0)))
+@example(AxisBox((2.0, 0.5), slicing_axis=1))
+@example(AxisBox((1.0, 2.0, 3.0)))
+@example(AxisBox((1.0, 1.0), origin=(4.0, -1.0)))
+@example(Disk(0.75))
+@example(AxisBox((3e12, 1e-300), origin=(0.0, 1e16), slicing_axis=1))  # "1e+16"
+@example(BoxUnion((AxisBox((1.0, 1.0)), AxisBox((2.0, 0.5), origin=(1.5, -1.0)))))
+@example(
+    BoxUnion(
+        (AxisBox((1.0, 1.0)), AxisBox((1.0, 1.0), origin=(2.0, 0.0))), slicing_axis=1
+    )
+)
+def test_round_trip_on_representable_domains(dom):
+    text = render_domain(dom)
+    back = parse_domain(text)
+    if isinstance(dom, AxisBox) and any(o != 0.0 for o in dom.origin):
+        # nonzero-origin boxes only exist as one-box unions in the grammar
+        assert isinstance(back, BoxUnion)
+        assert back.boxes == (AxisBox(dom.sides, dom.origin),)
+        assert back.slicing_axis == dom.slicing_axis
+    else:
+        assert back == dom
+    if isinstance(dom, Disk):
+        with pytest.raises(DomainParseError, match="a disk takes no axis"):
+            parse_domain(f"{text};axis={1 + len(text) % 2}")
 
 
 def test_render_rejects_callback_domains():
@@ -138,6 +183,13 @@ def test_constants_output(capsys):
     assert float(lines["polya_counting_factor"]) == 2.0
 
 
+def test_constants_lt_classical_is_lt_value(capsys):
+    for sigma, dim in ((1.5, 2), (0.0, 3), (7.25, 5)):
+        assert main(["constants", "--sigma", str(sigma), "--dim", str(dim)]) == 0
+        out = capsys.readouterr().out
+        assert f"lt_classical = {lt_value(sigma, dim):.17g}\n" in out
+
+
 def test_epsilon_output(capsys):
     assert main(["epsilon", "--mu", "2"]) == 0
     out = capsys.readouterr().out
@@ -186,6 +238,15 @@ def test_epsilon_below_the_certified_range_fails(mu, capsys):
          "--quad-points", "0"],
         ["sweep", "--domain", "box:1x1", "--sigma", "1.5", "--lambda-max", "50",
          "--points", "3", "--quad-points", "64"],
+        # the slicing axis is spelled only in the domain text, as ;axis=N
+        ["spectrum", "--domain", "box:2x1", "--axis", "1", "--cutoff", "50"],
+        ["check", "--domain", "box:2x1", "--axis", "1", "--sigma", "1.5",
+         "--lambda", "80"],
+        ["sweep", "--domain", "box:2x1", "--axis", "1", "--sigma", "1.5",
+         "--lambda-max", "50", "--points", "3"],
+        ["sums", "--domain", "box:2x1", "--axis", "1", "--sigma", "2", "--n-max", "5"],
+        ["asymptotics", "--domain", "box:2x1", "--axis", "1", "--sigma", "1.5",
+         "--lambda-max", "1e3", "--points", "3"],
     ],
 )
 def test_deleted_flags_are_rejected(argv, capsys):
@@ -258,17 +319,76 @@ def test_check_fails_with_overweight_nu(capsys):
     assert "check sliced_le_improved: fail" in out
 
 
-def test_check_axis_override_equivalent(capsys):
+def test_check_axis_is_spelled_in_the_domain(capsys):
     rc = main(["check", "--domain", "box:2x1;axis=1", "--sigma", "1.5", "--lambda", "80"])
-    first = capsys.readouterr().out
+    out = capsys.readouterr().out
     assert rc == 0
-    rc = main(
-        ["check", "--domain", "box:2x1", "--axis", "1", "--sigma", "1.5", "--lambda", "80"]
+    assert "domain = box:2.0x1.0;axis=1" in out
+    rc = main(["check", "--domain", "disk:1;axis=1", "--sigma", "1.5", "--lambda", "80"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: a disk takes no axis: its sections are the same in every"
+        " direction (at position 7)\n"
     )
-    second = capsys.readouterr().out
-    assert rc == 0
-    assert first == second
-    assert "domain = box:2.0x1.0;axis=1" in first
+
+
+_REPORT_ARGV = {
+    "check": ["check", "--domain", "box:10x0.85", "--sigma", "1.5",
+              "--lambda", "39.47841760435743", "--nu", "2.1"],
+    "sweep": ["sweep", "--domain", "box:1x1", "--sigma", "1.5",
+              "--lambda-max", "1e3", "--points", "5"],
+    "sums": ["sums", "--domain", "box:1x1", "--sigma", "2", "--n-max", "50"],
+    "asymptotics": ["asymptotics", "--domain", "box:1x1", "--sigma", "1.5",
+                    "--lambda-max", "1e4", "--points", "3"],
+}
+
+
+@pytest.mark.parametrize("slack", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(_REPORT_ARGV))
+def test_unusable_slack_is_a_usage_error(command, slack, capsys):
+    # inf would pass every check (even the overweight-nu failure), NaN would
+    # fail every one, and a slack <= 0 grants no tolerance at all
+    assert main(_REPORT_ARGV[command] + ["--slack", slack]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: slack must be positive and finite")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap",
+    [
+        (["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "1000000000"],
+         "--n-max", 2000000),
+        (["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "2000001"],
+         "--n-max", 2000000),
+        (["sums", "--domain", "disk:1", "--sigma", "2", "--n-max", "4000001"],
+         "--n-max", 4000000),
+        (["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "50",
+          "--points", "1000000000"], "--points", 2000000),
+        (["sweep", "--domain", "box:2x1", "--sigma", "1.5", "--lambda-max", "1e3",
+          "--points", "1000000000"], "--points", 2000000),
+        (["asymptotics", "--domain", "box:2x1", "--sigma", "1.5",
+          "--lambda-max", "1e3", "--points", "1000000000"], "--points", 2000000),
+    ],
+)
+def test_grid_beyond_the_enumeration_limit_is_never_built(argv, flag, cap, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 64 * 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    size = argv[argv.index(flag) + 1]
+    assert captured.err == (
+        f"numeric failure: {flag} {size} exceeds {cap}, the most that the"
+        " enumeration limit of 2000000 entries allows\n"
+    )
 
 
 def test_check_rejects_bad_nu_text(capsys):

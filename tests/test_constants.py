@@ -7,6 +7,7 @@ out as closed forms in pi, so they do not depend on the module under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from berezin_lab.constants import (
     SemiclassicalParams,
     c_const,
     dimension_reduction_identity_residual,
-    lt_classical,
     lt_value,
     polya_counting_factor,
     rho_lower,
@@ -44,9 +44,13 @@ def test_lt_value_dimension_zero_is_one():
         assert lt_value(sigma, 0) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_lt_classical_matches_lt_value():
-    p = SemiclassicalParams(sigma=1.5, dim=2)
-    assert lt_classical(p) == lt_value(1.5, 2)
+def test_lt_value_where_gamma_overflows():
+    # Gamma(501) overflows a double; the log-Gamma form stays in range
+    for sigma, dim in ((500.0, 3), (2.5, 400)):
+        expected = mpmath.gamma(sigma + 1) / (
+            (4 * mpmath.pi) ** (mpmath.mpf(dim) / 2) * mpmath.gamma(1 + sigma + dim / 2)
+        )
+        assert lt_value(sigma, dim) == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_unit_ball_volumes():

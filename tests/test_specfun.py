@@ -18,8 +18,6 @@ from berezin_lab.specfun import (
     bessel_zero,
     bessel_zeros_below,
     beta,
-    gamma,
-    log_gamma,
 )
 from berezin_lab.errors import ConvergenceError
 
@@ -56,35 +54,6 @@ J1_ZERO_1 = 3.831705970207512
 def test_bisection_oracle_fixes_zeros():
     assert bisect_series_zero(0, 2.0, 3.0) == pytest.approx(J0_ZERO_1, abs=1e-13)
     assert bisect_series_zero(1, 3.0, 4.5) == pytest.approx(J1_ZERO_1, abs=1e-13)
-
-
-def test_gamma_classical_values():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-
-
-def test_gamma_rejects_nonpositive_and_overflows():
-    with pytest.raises(ValueError):
-        gamma(0.0)
-    with pytest.raises(ValueError):
-        gamma(-2.5)
-    with pytest.raises(OverflowError):
-        gamma(200.0)
-
-
-def test_gamma_recurrence():
-    rng = np.random.default_rng(61803)
-    for x in 0.5 + 49.5 * rng.random(200):
-        x = float(x)
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
-
-
-def test_log_gamma_consistent_with_gamma():
-    for x in (0.5, 1.0, 3.25, 20.0, 120.0):
-        assert log_gamma(x) == pytest.approx(math.log(gamma(x)), rel=1e-13)
-    # log form keeps working where gamma itself overflows
-    assert log_gamma(500.0) == pytest.approx(float(mpmath.loggamma(500)), rel=1e-13)
 
 
 def test_beta_values():

@@ -327,7 +327,7 @@ def test_spectrum_arrays_are_read_only():
     )
     # built from writable arrays, the spectrum is read-only and the inputs are not
     ev, mult = np.array([1.0, 2.0]), np.array([1, 2])
-    built = Spectrum(spec.domain, 3.0, ev, mult, 0, 0.0)
+    built = Spectrum(3.0, ev, mult, 0, 0.0)
     assert not built.eigenvalues.flags.writeable
     ev[0] = 0.5
     assert built.eigenvalues[0] == 0.5 and ev.flags.writeable
