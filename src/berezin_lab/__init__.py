@@ -67,7 +67,6 @@ from .bounds import (
 )
 from .harness import (
     BoundReport,
-    SweepConfig,
     asymptotic_diagnostics,
     sweep_riesz,
     sweep_sums,
@@ -94,7 +93,6 @@ __all__ = [
     "SemiclassicalParams",
     "SlicingStats",
     "Spectrum",
-    "SweepConfig",
     "TOOL_VERSION",
     "UnsupportedDomainError",
     "asymptotic_diagnostics",

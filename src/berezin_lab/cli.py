@@ -48,7 +48,6 @@ from .harness import (
     BoundReport,
     RIESZ_CHECKS,
     RIESZ_COLUMNS,
-    SweepConfig,
     asymptotic_diagnostics,
     sweep_riesz,
     sweep_sums,
@@ -106,8 +105,16 @@ def parse_domain(text: str) -> Domain:
     if not sep:
         raise DomainParseError("expected <kind>:<parameters>", 0)
     start = len(kind) + 1
+
+    def check_axis(d: int) -> None:
+        if axis is not None and not 1 <= axis <= d:
+            msg = f"slicing_axis must lie in [1, {d}], got {axis}"
+            raise DomainParseError(msg, len(body) + 1)
+
     if kind == "box":
-        return AxisBox(_parse_list(rest, "x", "side length", start), slicing_axis=axis)
+        sides = _parse_list(rest, "x", "side length", start)
+        check_axis(len(sides))
+        return AxisBox(sides, slicing_axis=axis)
     if kind == "disk":
         radius = _parse_number(rest, "radius", start)
         if axis is not None:
@@ -132,6 +139,7 @@ def parse_domain(text: str) -> Domain:
                 )
             boxes.append(AxisBox(sides, origin))
             pos += len(part) + 1
+        check_axis(boxes[0].dim)
         try:
             return BoxUnion(tuple(boxes), slicing_axis=axis)
         except ValueError as exc:
@@ -181,6 +189,13 @@ def _nu_argument(text: str) -> float | None:
 
 def _emit_csv(report: BoundReport, dest: str) -> None:
     report.to_csv(sys.stdout if dest == "-" else dest)
+
+
+def _positive(flag: str, value: float) -> float:
+    """A grid endpoint, rejected before numpy builds a grid from it."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+    return value
 
 
 def _bound_grid(flag: str, size: int, per_entry: int = 1) -> None:
@@ -365,14 +380,8 @@ def _report_exit(report: BoundReport, csv: str | None) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
-    cfg = SweepConfig(
-        domain=dom,
-        sigma=args.sigma,
-        lambda_grid=(args.lam,),
-        nu=args.nu,
-        slack=args.slack,
-    )
-    report = sweep_riesz(cfg)
+    grid = [_positive("--lambda", args.lam)]
+    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu, slack=args.slack)
     if args.csv is not None:
         _emit_csv(report, args.csv)
     row = {name: column.tolist()[0] for name, column in report.columns.items()}
@@ -393,16 +402,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
+    lambda_max = _positive("--lambda-max", args.lambda_max)
     _bound_grid("--points", args.points)
-    grid = tuple(float(v) for v in np.geomspace(1.0, args.lambda_max, args.points))
-    cfg = SweepConfig(
-        domain=dom,
-        sigma=args.sigma,
-        lambda_grid=grid,
-        nu=args.nu,
-        slack=args.slack,
-    )
-    report = sweep_riesz(cfg)
+    grid = np.geomspace(1.0, lambda_max, args.points)
+    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu, slack=args.slack)
     return _report_exit(report, args.csv)
 
 
@@ -413,29 +416,22 @@ def _cmd_sums(args: argparse.Namespace) -> int:
     # An entry holds one box eigenvalue, or up to two disk eigenvalues.
     _bound_grid("--n-max", args.n_max, 2 if isinstance(dom, Disk) else 1)
     if args.points is None:
-        grid = tuple(range(1, args.n_max + 1))
+        grid = np.arange(1, args.n_max + 1)
     else:
         _bound_grid("--points", args.points)
         raw = np.geomspace(1.0, float(args.n_max), args.points)
-        grid = tuple(sorted({int(round(v)) for v in raw}))
-    cfg = SweepConfig(
-        domain=dom,
-        sigma=args.sigma,
-        n_grid=grid,
-        melas_m=args.melas_m,
-        slack=args.slack,
-    )
-    report = sweep_sums(cfg)
+        grid = np.unique(np.rint(raw).astype(np.int64))
+    report = sweep_sums(dom, args.sigma, grid, melas_m=args.melas_m, slack=args.slack)
     return _report_exit(report, args.csv)
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
+    lam = _positive("--lambda", args.lam)
+    lambda_max = _positive("--lambda-max", args.lambda_max)
     _bound_grid("--points", args.points)
-    lams = tuple(float(v) for v in np.geomspace(args.lam, args.lambda_max, args.points))
-    report = asymptotic_diagnostics(dom, args.sigma, lams, args.slack)
+    grid = np.geomspace(lam, lambda_max, args.points)
+    report = asymptotic_diagnostics(dom, args.sigma, grid, slack=args.slack)
     return _report_exit(report, args.csv)
 
 

@@ -266,7 +266,8 @@ def slicing_stats(
     if isinstance(dom, Disk):
         r = dom.radius
         long = 2.0 * r > l_crit
-        u_star = np.sqrt(np.maximum(r * r - 0.25 * l_crit * l_crit, 0.0))
+        half = np.minimum(0.5 * l_crit, r)  # l_crit**2 overflows for a subnormal lam
+        u_star = np.sqrt(r * r - half * half)
         vol = np.where(long, u_star * l_crit + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
         dl = np.where(long, 2.0 * u_star, 0.0)
     else:

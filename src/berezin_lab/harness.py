@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -48,7 +48,6 @@ from .spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
 from .version import TOOL_VERSION
 
 __all__ = [
-    "SweepConfig",
     "BoundReport",
     "sweep_riesz",
     "sweep_sums",
@@ -97,30 +96,6 @@ ASYMP_COLUMNS = (
     "ratio_second",
 )
 ASYMP_CHECKS = ("berezin",)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Inputs of a sweep, as the `check`, `sweep` and `sums` commands set them."""
-
-    domain: Domain
-    sigma: float
-    lambda_grid: tuple[float, ...] | None = None
-    n_grid: tuple[int, ...] | None = None
-    nu: float | None = None  # None selects the guaranteed default weight
-    melas_m: float | None = None
-    slack: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        _check_slack(self.slack)
-        for name, grid in (("lambda_grid", self.lambda_grid), ("n_grid", self.n_grid)):
-            if grid is not None:
-                if len(grid) == 0:
-                    raise ValueError(f"{name} must not be empty")
-                if any(b <= a for a, b in zip(grid, grid[1:])):
-                    raise ValueError(f"{name} must be strictly increasing")
 
 
 @dataclass
@@ -248,6 +223,22 @@ def _check_slack(slack: float) -> None:
         raise ValueError(f"slack must be positive and finite, got {slack!r}")
 
 
+def _grid(values: ArrayLike, name: str, *, integer: bool) -> np.ndarray:
+    """A sweep grid as a read-only 1-d array, checked before any enumeration:
+    strictly increasing, and either integers >= 1 or finite floats."""
+    grid = np.array(values, dtype=None if integer else float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d grid, got shape {grid.shape}")
+    if integer and (grid.dtype.kind not in "iu" or (grid < 1).any()):
+        raise ValueError(f"{name} must hold integers >= 1")
+    if not (integer or np.isfinite(grid).all()):
+        raise ValueError(f"{name} must hold finite values")
+    if (grid[1:] <= grid[:-1]).any():
+        raise ValueError(f"{name} must be strictly increasing")
+    grid.flags.writeable = False
+    return grid
+
+
 def _check_le(
     lhs: ArrayLike, rhs: ArrayLike, slack: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -277,33 +268,43 @@ def _try_surface(dom: Domain) -> float | None:
         return None
 
 
-def _base_metadata(cfg: SweepConfig) -> dict:
+def _base_metadata(kind: str, domain: Domain, sigma: float, slack: float) -> dict:
     return {
         "tool_version": TOOL_VERSION,
-        "domain": repr(cfg.domain),
-        "sigma": cfg.sigma,
-        "slack": cfg.slack,
+        "kind": kind,
+        "domain": repr(domain),
+        "sigma": sigma,
+        "slack": slack,
     }
 
 
-def sweep_riesz(cfg: SweepConfig) -> BoundReport:
-    """Riesz-mean chain over a lambda grid: counting, means, and all bounds."""
-    if cfg.lambda_grid is None:
-        raise ValueError("sweep_riesz needs lambda_grid")
-    dom = cfg.domain
-    d = dom.dim
-    p = SemiclassicalParams(cfg.sigma, d)
-    lam = np.array(cfg.lambda_grid, dtype=float)
-    spec = enumerate_spectrum(dom, cfg.lambda_grid[-1])
-    vol = volume(dom)
-    surf = _try_surface(dom)
-    tiling = isinstance(dom, (AxisBox, BoxUnion))
-    sliced_ok = cfg.sigma >= 1.5 and d >= 2
-    mu = cfg.sigma + 0.5 * (d - 1)
+def sweep_riesz(
+    domain: Domain,
+    sigma: float,
+    lambda_grid: ArrayLike,
+    *,
+    nu: float | None = None,
+    slack: float = 1e-9,
+) -> BoundReport:
+    """Riesz-mean chain over a lambda grid: counting, means, and all bounds.
+
+    nu=None selects the guaranteed default weight, 4 eps_mu.
+    """
+    d = domain.dim
+    p = SemiclassicalParams(sigma, d)
+    _check_slack(slack)
+    lam = _grid(lambda_grid, "lambda_grid", integer=False)
+    lambda_max = lam[-1].item()
+    spec = enumerate_spectrum(domain, lambda_max)
+    vol = volume(domain)
+    surf = _try_surface(domain)
+    tiling = isinstance(domain, (AxisBox, BoxUnion))
+    sliced_ok = sigma >= 1.5 and d >= 2
+    mu = sigma + 0.5 * (d - 1)
 
     eps_info = None
-    if cfg.nu is not None:
-        nu = float(cfg.nu)
+    if nu is not None:
+        nu = float(nu)
         nu_mode = "explicit"
     elif sliced_ok:
         eps_info = epsilon_mu(mu)
@@ -313,17 +314,17 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
         nu = math.nan
         nu_mode = "n/a"
     exploratory = nu_mode == "explicit"
-    improved_ok = d >= 2 and math.isfinite(nu) and (cfg.sigma >= 1.5 or exploratory)
+    improved_ok = d >= 2 and math.isfinite(nu) and (sigma >= 1.5 or exploratory)
     # The corrected bound is nonnegative on every domain only for nu up to
     # this cap, so improved_nonneg is n/a above it.
     nu_cap = nu_nonneg_cap(mu) if d >= 2 else math.nan
 
     n = counting(spec, lam)
-    s_val = riesz_mean(spec, cfg.sigma, lam)
+    s_val = riesz_mean(spec, sigma, lam)
     eta = phase_space_eta(d, vol, lam)
     scl = s_classical(p, vol, lam)
-    st = slicing_stats(dom, lam)
-    sliced = sliced_bound(dom, p, lam) if sliced_ok else math.nan
+    st = slicing_stats(domain, lam)
+    sliced = sliced_bound(domain, p, lam) if sliced_ok else math.nan
     improved = (
         improved_rhs(
             params=p,
@@ -338,7 +339,7 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
     )
     ms1 = (
         two_term_riesz(p, vol, surf, lam)
-        if surf is not None and cfg.sigma > 0.0
+        if surf is not None and sigma > 0.0
         else math.nan
     )
     values = {
@@ -354,25 +355,24 @@ def sweep_riesz(cfg: SweepConfig) -> BoundReport:
         "d_lambda": st.d_lambda,
     }
     checks = {
-        "s_le_sliced": _check_le(s_val, sliced, cfg.slack),
-        "sliced_le_improved": _check_le(sliced, improved, cfg.slack),
-        "improved_le_classical": _check_le(improved, scl, cfg.slack),
+        "s_le_sliced": _check_le(s_val, sliced, slack),
+        "sliced_le_improved": _check_le(sliced, improved, slack),
+        "improved_le_classical": _check_le(improved, scl, slack),
         # A NaN side turns a check that does not apply into n/a.
-        "berezin": _check_le(s_val, scl if cfg.sigma >= 1.0 else math.nan, cfg.slack),
-        "polya": _check_le(n, eta if tiling else math.nan, cfg.slack),
+        "berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan, slack),
+        "polya": _check_le(n, eta if tiling else math.nan, slack),
         "improved_nonneg": _check_le(
-            0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan, cfg.slack
+            0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan, slack
         ),
     }
     columns = _table(len(lam), values, checks)
-    metadata = _base_metadata(cfg)
+    metadata = _base_metadata("riesz", domain, sigma, slack)
     metadata.update(
         {
-            "kind": "riesz",
             "nu": nu,
             "nu_mode": nu_mode,
             "nu_nonneg_cap": nu_cap,
-            "lambda_max": cfg.lambda_grid[-1],
+            "lambda_max": lambda_max,
             "eigenvalues_enumerated": spec.total_count,
             "merge_joins": spec.merge_joins,
             "merge_max_gap": spec.merge_max_gap,
@@ -399,40 +399,41 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     )
 
 
-def sweep_sums(cfg: SweepConfig) -> BoundReport:
+def sweep_sums(
+    domain: Domain,
+    sigma: float,
+    n_grid: ArrayLike,
+    *,
+    melas_m: float | None = None,
+    slack: float = 1e-9,
+) -> BoundReport:
     """Partial-sum side over an index grid: Li-Yau family and asymptotics."""
-    if cfg.n_grid is None:
-        raise ValueError("sweep_sums needs n_grid")
-    dom = cfg.domain
-    d = dom.dim
-    p = SemiclassicalParams(cfg.sigma, d)
-    n_max = cfg.n_grid[-1]
-    spec = _spectrum_for_count(dom, n_max)
-    vol = volume(dom)
-    surf = _try_surface(dom)
-    moment = moment_J(dom) if cfg.melas_m is not None else None
+    d = domain.dim
+    p = SemiclassicalParams(sigma, d)
+    _check_slack(slack)
+    n = _grid(n_grid, "n_grid", integer=True)
+    n_max = n[-1].item()
+    spec = _spectrum_for_count(domain, n_max)
+    vol = volume(domain)
+    surf = _try_surface(domain)
+    moment = moment_J(domain) if melas_m is not None else None
 
-    n = np.array(cfg.n_grid)
     eigs = spec.expanded
     lam_n = eigs[n - 1]
     s1 = np.cumsum(eigs)[n - 1]
-    s_sig = np.cumsum(eigs**cfg.sigma)[n - 1] if cfg.sigma > 0.0 else math.nan
-    scl_sig = sum_classical(p, vol, n) if cfg.sigma > 0.0 else math.nan
+    s_sig = np.cumsum(eigs**sigma)[n - 1] if sigma > 0.0 else math.nan
+    scl_sig = sum_classical(p, vol, n) if sigma > 0.0 else math.nan
     ly = li_yau_rhs(d, vol, n)
-    mel = (
-        melas_rhs(d, vol, moment, n, cfg.melas_m)
-        if cfg.melas_m is not None
-        else math.nan
-    )
+    mel = melas_rhs(d, vol, moment, n, melas_m) if melas_m is not None else math.nan
     lam_low = eigenvalue_lower(d, vol, n)
     ms2 = (
         two_term_sum(p, vol, surf, n)
-        if surf is not None and cfg.sigma > 0.0
+        if surf is not None and sigma > 0.0
         else math.nan
     )
-    if cfg.sigma > 1.0:
-        conj_expo = cfg.sigma / (cfg.sigma - 1.0)
-        holder_rhs = s_sig ** (1.0 / cfg.sigma) * n.astype(float) ** (1.0 / conj_expo)
+    if sigma > 1.0:
+        conj_expo = sigma / (sigma - 1.0)
+        holder_rhs = s_sig ** (1.0 / sigma) * n.astype(float) ** (1.0 / conj_expo)
     else:
         holder_rhs = math.nan
     values = {
@@ -448,30 +449,30 @@ def sweep_sums(cfg: SweepConfig) -> BoundReport:
     }
     # NaN without melas_m, or for sigma <= 1, makes those checks n/a.
     checks = {
-        "li_yau": _check_le(ly, s1, cfg.slack),
-        "lambda_lower": _check_le(lam_low, lam_n, cfg.slack),
-        "melas": _check_le(mel, s1, cfg.slack),
-        "holder_upper": _check_le(s1, holder_rhs, cfg.slack),
+        "li_yau": _check_le(ly, s1, slack),
+        "lambda_lower": _check_le(lam_low, lam_n, slack),
+        "melas": _check_le(mel, s1, slack),
+        "holder_upper": _check_le(s1, holder_rhs, slack),
     }
     columns = _table(len(n), values, checks)
-    metadata = _base_metadata(cfg)
+    metadata = _base_metadata("sums", domain, sigma, slack)
     metadata.update(
         {
-            "kind": "sums",
             "n_max": n_max,
             "cutoff_used": spec.cutoff,
             "merge_joins": spec.merge_joins,
             "merge_max_gap": spec.merge_max_gap,
-            "melas_m": "none" if cfg.melas_m is None else f"{cfg.melas_m} (external constant)",
+            "melas_m": "none" if melas_m is None else f"{melas_m} (external constant)",
         }
     )
     return BoundReport("sums", columns, SUMS_CHECKS, metadata)
 
 
 def asymptotic_diagnostics(
-    dom: Domain,
+    domain: Domain,
     sigma: float,
-    lambda_list: Sequence[float],
+    lambda_grid: ArrayLike,
+    *,
     slack: float = 1e-9,
 ) -> BoundReport:
     """High-energy convergence of the Riesz mean toward its two-term form.
@@ -481,19 +482,18 @@ def asymptotic_diagnostics(
     should drift toward one. Surface measure is required, so callback-backed
     domains are rejected.
     """
-    lams = tuple(float(v) for v in lambda_list)
-    if len(lams) < 2 or any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambda_list must hold at least two increasing values")
     if not sigma > 0.0:
         raise ValueError("asymptotic diagnostics require sigma > 0")
-    _check_slack(slack)
-    d = dom.dim
+    d = domain.dim
     p = SemiclassicalParams(sigma, d)
-    surf = surface(dom)
-    vol = volume(dom)
-    spec = enumerate_spectrum(dom, lams[-1])
+    _check_slack(slack)
+    lam = _grid(lambda_grid, "lambda_grid", integer=False)
+    if lam.size < 2:
+        raise ValueError("lambda_grid must hold at least two values")
+    surf = surface(domain)
+    vol = volume(domain)
+    spec = enumerate_spectrum(domain, lam[-1].item())
 
-    lam = np.array(lams)
     s_val = riesz_mean(spec, sigma, lam)
     scl = s_classical(p, vol, lam)
     boundary = boundary_term(0.25, sigma, d, surf, lam)
@@ -510,15 +510,13 @@ def asymptotic_diagnostics(
     checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan, slack)}
     columns = _table(len(lam), values, checks)
 
-    ratios = ratio_main.tolist()
-    monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
-    metadata = {
-        "tool_version": TOOL_VERSION,
-        "kind": "asymptotics",
-        "domain": repr(dom),
-        "sigma": sigma,
-        "ratio_main_monotone_verdict": "pass" if monotone else "fail",
-        "ratio_second_first": ratio_second[0].item(),
-        "ratio_second_last": ratio_second[-1].item(),
-    }
+    monotone = bool((ratio_main[1:] > ratio_main[:-1]).all())
+    metadata = _base_metadata("asymptotics", domain, sigma, slack)
+    metadata.update(
+        {
+            "ratio_main_monotone_verdict": "pass" if monotone else "fail",
+            "ratio_second_first": ratio_second[0].item(),
+            "ratio_second_last": ratio_second[-1].item(),
+        }
+    )
     return BoundReport("asymptotics", columns, ASYMP_CHECKS, metadata)

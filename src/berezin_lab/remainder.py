@@ -95,7 +95,8 @@ def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
         # for n == 1, where it sums the lone column pairwise; so pad to two.
         cols = np.resize(block, max(block.size, 2))
         j2 = np.arange(1.0, int(cols.max()) + 1.0) ** 2
-        with np.errstate(divide="ignore"):  # r*r == 0 has no term: 1 - inf clips to 0
+        # An r*r that is 0 or subnormal has no term: 1 - inf clips to 0.
+        with np.errstate(divide="ignore", over="ignore"):
             t = np.subtract(1.0, np.multiply.outer(j2, 1.0 / (cols * cols)))
         np.maximum(t, 0.0, out=t)
         np.power(t, e, out=t)

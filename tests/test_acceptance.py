@@ -29,7 +29,7 @@ from berezin_lab.geometry import (
     generic_wrapper,
     slicing_stats,
 )
-from berezin_lab.harness import SweepConfig, asymptotic_diagnostics, sweep_riesz, sweep_sums
+from berezin_lab.harness import asymptotic_diagnostics, sweep_riesz, sweep_sums
 from berezin_lab.remainder import epsilon_mu
 from berezin_lab.specfun import bessel_zero, beta
 from berezin_lab.spectra import counting, enumerate_spectrum
@@ -85,9 +85,7 @@ def test_criterion_03_unit_square_chain():
     with criterion(3, "unit-square bound chain holds on 200 energies in under 30s"):
         grid = tuple(np.geomspace(1.0, 5e4, 200))
         t0 = time.perf_counter()
-        rep = sweep_riesz(
-            SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=grid)
-        )
+        rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, grid)
         elapsed = time.perf_counter() - t0
         assert len(rep.rows) == 200
         assert rep.all_passed, rep.summary()
@@ -105,9 +103,7 @@ def test_criterion_04_chain_across_domains():
         ]
         for dom, grid in cases:
             for sigma in (1.5, 2.0):
-                rep = sweep_riesz(
-                    SweepConfig(domain=dom, sigma=sigma, lambda_grid=grid)
-                )
+                rep = sweep_riesz(dom, sigma, grid)
                 assert rep.all_passed, rep.summary()
 
 
@@ -148,7 +144,7 @@ def test_criterion_07_sum_bounds_and_polya():
     with criterion(7, "Li-Yau, eigenvalue-lower, Polya, and Hoelder checks on tiling boxes"):
         full = tuple(range(1, 10_001))
         for dom in BOXES:
-            rep = sweep_sums(SweepConfig(domain=dom, sigma=1.0, n_grid=full))
+            rep = sweep_sums(dom, 1.0, full)
             assert rep.all_passed, rep.summary()
             # Polya in sharp discrete form: right limits of the counting jumps
             spec = enumerate_spectrum(dom, 1e5)
@@ -158,9 +154,7 @@ def test_criterion_07_sum_bounds_and_polya():
             assert counting(spec, 1e5) <= phase_space_eta(2, vol, 1e5)
         short = tuple(range(1, 1_001))
         for sigma in (1.5, 2.0, 3.0):
-            rep = sweep_sums(
-                SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=sigma, n_grid=short)
-            )
+            rep = sweep_sums(AxisBox((1.0, 1.0)), sigma, short)
             assert rep.all_passed, rep.summary()
 
 
@@ -308,9 +302,7 @@ def test_criterion_10_deterministic_csv(tmp_path):
 
         # the library path agrees byte for byte as well
         grid = tuple(np.geomspace(1.0, 5e3, 50))
-        rep = sweep_riesz(
-            SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=grid)
-        )
+        rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, grid)
         buf = io.StringIO()
         rep.to_csv(buf)
         assert buf.getvalue().encode() == texts[0]

@@ -1,5 +1,6 @@
 """Command line surface: domain grammar, subcommands, exit codes."""
 
+import io
 import math
 import os
 import subprocess
@@ -7,10 +8,11 @@ import sys
 import time
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import berezin_lab
@@ -70,6 +72,15 @@ def test_parse_error_positions():
         parse_domain("union:box(1x1)@(0,0,0)")
     with pytest.raises(DomainParseError):  # overlapping interiors
         parse_domain("union:box(1x1)@(0,0)+box(1x1)@(0.5,0.5)")
+    # an axis out of range is reported at its suffix, for boxes and unions
+    for body, d in (("box:1x1", 2), ("union:box(1x1x1)@(0,0,0)", 3)):
+        for axis in (0, d + 1):
+            with pytest.raises(DomainParseError) as e:
+                parse_domain(f"{body};axis={axis}")
+            assert e.value.position == len(body) + 1
+            assert str(e.value).startswith(
+                f"slicing_axis must lie in [1, {d}], got {axis}"
+            )
 
 
 _SIDE = st.one_of(
@@ -389,6 +400,89 @@ def test_grid_beyond_the_enumeration_limit_is_never_built(argv, flag, cap, capsy
         f"numeric failure: {flag} {size} exceeds {cap}, the most that the"
         " enumeration limit of 2000000 entries allows\n"
     )
+
+
+_BOX = ["--domain", "box:1x1", "--sigma", "1.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", *_BOX, "--lambda-max", "inf", "--points", "5"], "--lambda-max"),
+        (["sweep", *_BOX, "--lambda-max", "-4", "--points", "5"], "--lambda-max"),
+        (["sweep", *_BOX, "--lambda-max", "0", "--points", "5"], "--lambda-max"),
+        (["sweep", *_BOX, "--lambda-max", "nan", "--points", "5"], "--lambda-max"),
+        (["asymptotics", *_BOX, "--lambda", "-1", "--lambda-max", "1e3"], "--lambda"),
+        (["asymptotics", *_BOX, "--lambda", "0", "--lambda-max", "1e3"], "--lambda"),
+        (["asymptotics", *_BOX, "--lambda-max", "inf"], "--lambda-max"),
+        (["check", *_BOX, "--lambda", "nan"], "--lambda"),
+        (["check", *_BOX, "--lambda", "-1"], "--lambda"),
+    ],
+)
+def test_grid_endpoints_are_checked_before_numpy(argv, flag, capsys):
+    # numpy would warn on these endpoints (log10 of a negative, inf * 0), or
+    # fail with its own message; the suite turns any warning into an error
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = float(argv[argv.index(flag) + 1])
+    assert captured.err == (
+        f"usage error: {flag} must be positive and finite, got {value!r}\n"
+    )
+
+
+_ENDPOINT = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-320", "1e300"]),
+    st.floats(min_value=0.5, max_value=500.0).map(repr),
+)
+_SIZE = st.one_of(st.integers(-2, 40), st.just(2_000_001))
+
+
+@st.composite
+def _grid_argv(draw):
+    command = draw(st.sampled_from(["check", "sweep", "sums", "asymptotics"]))
+    domain = draw(st.sampled_from(["box:1x1", "disk:0.5"]))
+    argv = [command, "--domain", domain, "--sigma", "1.5"]
+    # "=" keeps a value such as -inf from reading as a flag
+    if command == "check":
+        argv.append(f"--lambda={draw(_ENDPOINT)}")
+    elif command == "sums":
+        # one past the --n-max cap (a disk entry may hold two eigenvalues);
+        # 2,000,001 disk eigenvalues are within it and take minutes
+        over = 4_000_001 if domain.startswith("disk") else 2_000_001
+        argv.append(f"--n-max={draw(st.one_of(st.integers(-2, 40), st.just(over)))}")
+        points = draw(st.none() | _SIZE)
+        argv += [] if points is None else [f"--points={points}"]
+    else:
+        if command == "asymptotics" and draw(st.booleans()):
+            argv.append(f"--lambda={draw(_ENDPOINT)}")
+        argv += [f"--lambda-max={draw(_ENDPOINT)}", f"--points={draw(_SIZE)}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_grid_argv())
+@example(argv=["sweep", *_BOX, "--lambda-max=inf", "--points=5"])
+@example(argv=["check", "--domain", "disk:0.5", "--sigma", "1.5", "--lambda=1e-320"])
+@example(argv=["check", *_BOX, "--lambda=1e-320"])
+@example(argv=["sums", "--domain", "disk:0.5", "--sigma", "1.5", "--n-max=4000001"])
+@example(argv=["asymptotics", *_BOX, "--lambda=1e-320", "--lambda-max=150", "--points=5"])
+def test_grid_flags_end_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    assert time.perf_counter() - start < 5.0
+    assert [str(w.message) for w in caught] == []
+    assert rc in (0, 1, 2, 3)
+    if rc in (2, 3):
+        prefix = "usage error: " if rc == 2 else "numeric failure: "
+        assert err.getvalue().startswith(prefix)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 def test_check_rejects_bad_nu_text(capsys):

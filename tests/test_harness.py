@@ -7,7 +7,9 @@ supposed to orchestrate.
 
 import io
 import math
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from berezin_lab.harness import (
     SUMS_CHECKS,
     SUMS_COLUMNS,
     BoundReport,
-    SweepConfig,
     asymptotic_diagnostics,
     sweep_riesz,
     sweep_sums,
@@ -89,7 +90,7 @@ def test_column_contracts():
 def test_riesz_rows_match_direct_evaluation():
     sq = AxisBox((1.0, 1.0))
     grid = (15.0, 2.0 * math.pi**2, 100.0)
-    rep = sweep_riesz(SweepConfig(domain=sq, sigma=1.5, lambda_grid=grid))
+    rep = sweep_riesz(sq, 1.5, grid)
     assert rep.kind == "riesz"
     assert rep.all_passed
     assert rep.metadata["nu_mode"] == "default-from-remainder-minimum"
@@ -124,9 +125,7 @@ def test_riesz_rows_match_direct_evaluation():
 
 
 def test_riesz_low_lambda_rows_pass_trivially():
-    rep = sweep_riesz(
-        SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=(1.0, 5.0))
-    )
+    rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, (1.0, 5.0))
     assert rep.all_passed
     for row in rep.rows:
         assert row["riesz_mean"] == 0.0
@@ -136,9 +135,7 @@ def test_riesz_low_lambda_rows_pass_trivially():
 
 
 def test_riesz_disk_has_no_polya_verdict():
-    rep = sweep_riesz(
-        SweepConfig(domain=Disk(1.0), sigma=1.5, lambda_grid=(50.0, 100.0))
-    )
+    rep = sweep_riesz(Disk(1.0), 1.5, (50.0, 100.0))
     assert rep.all_passed
     for row in rep.rows:
         assert row["polya"] == "n/a"
@@ -146,9 +143,7 @@ def test_riesz_disk_has_no_polya_verdict():
 
 
 def test_riesz_below_three_halves_skips_sliced_chain():
-    rep = sweep_riesz(
-        SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.0, lambda_grid=(50.0, 100.0))
-    )
+    rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.0, (50.0, 100.0))
     assert rep.metadata["nu_mode"] == "n/a"
     assert rep.all_passed
     for row in rep.rows:
@@ -159,14 +154,7 @@ def test_riesz_below_three_halves_skips_sliced_chain():
 
 def test_riesz_exploratory_overweight_fails():
     # nu slightly above the guaranteed upper value breaks the middle link
-    rep = sweep_riesz(
-        SweepConfig(
-            domain=AxisBox((10.0, 0.85)),
-            sigma=1.5,
-            lambda_grid=(4.0 * math.pi**2,),
-            nu=2.1,
-        )
-    )
+    rep = sweep_riesz(AxisBox((10.0, 0.85)), 1.5, (4.0 * math.pi**2,), nu=2.1)
     assert rep.metadata["nu_mode"] == "explicit"
     assert not rep.all_passed
     fails = rep.failures()
@@ -179,16 +167,8 @@ def test_riesz_exploratory_overweight_fails():
 
 
 def test_riesz_axis_choice_is_geometric():
-    a = sweep_riesz(
-        SweepConfig(
-            domain=AxisBox((2.0, 1.0), slicing_axis=1),
-            sigma=1.5,
-            lambda_grid=(60.0, 180.0),
-        )
-    )
-    b = sweep_riesz(
-        SweepConfig(domain=AxisBox((1.0, 2.0)), sigma=1.5, lambda_grid=(60.0, 180.0))
-    )
+    a = sweep_riesz(AxisBox((2.0, 1.0), slicing_axis=1), 1.5, (60.0, 180.0))
+    b = sweep_riesz(AxisBox((1.0, 2.0)), 1.5, (60.0, 180.0))
     for ra, rb in zip(a.rows, b.rows):
         for c in RIESZ_COLUMNS:
             va, vb = ra[c], rb[c]
@@ -202,9 +182,7 @@ def test_csv_identical_across_runs(tmp_path):
     grid = tuple(np.geomspace(1.0, 5e3, 40))
     outs = []
     for _ in range(2):
-        rep = sweep_riesz(
-            SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=grid)
-        )
+        rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, grid)
         buf = io.StringIO()
         rep.to_csv(buf)
         outs.append(buf.getvalue())
@@ -221,9 +199,7 @@ def test_csv_identical_across_runs(tmp_path):
 
 
 def test_csv_format():
-    rep = sweep_riesz(
-        SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.0, lambda_grid=(50.0,))
-    )
+    rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.0, (50.0,))
     buf = io.StringIO()
     rep.to_csv(buf)
     text = buf.getvalue()
@@ -245,9 +221,7 @@ def test_csv_format():
 
 
 def test_sums_rows_interval():
-    rep = sweep_sums(
-        SweepConfig(domain=AxisBox((math.pi,)), sigma=1.0, n_grid=(1, 2, 5))
-    )
+    rep = sweep_sums(AxisBox((math.pi,)), 1.0, (1, 2, 5))
     assert rep.kind == "sums"
     assert rep.all_passed
     assert rep.metadata["melas_m"] == "none"
@@ -262,9 +236,7 @@ def test_sums_rows_interval():
 
 
 def test_sums_square_partial_sums_are_one_based():
-    rep = sweep_sums(
-        SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=2.0, n_grid=(1, 2, 3))
-    )
+    rep = sweep_sums(AxisBox((1.0, 1.0)), 2.0, (1, 2, 3))
     pi2 = math.pi**2
     lam_n, s1, s_sigma = (rep.columns[k] for k in ("lambda_n", "s1", "s_sigma"))
     assert lam_n[0] == pytest.approx(2.0 * pi2, rel=1e-14)
@@ -275,14 +247,7 @@ def test_sums_square_partial_sums_are_one_based():
 
 
 def test_sums_with_melas_and_holder():
-    rep = sweep_sums(
-        SweepConfig(
-            domain=AxisBox((1.0, 1.0)),
-            sigma=2.0,
-            n_grid=(1, 10, 100),
-            melas_m=0.5,
-        )
-    )
+    rep = sweep_sums(AxisBox((1.0, 1.0)), 2.0, (1, 10, 100), melas_m=0.5)
     assert rep.all_passed
     assert rep.metadata["melas_m"] == "0.5 (external constant)"
     sq_moment = 1.0 / 6.0
@@ -299,7 +264,7 @@ def test_sums_with_melas_and_holder():
 
 
 def test_sums_sigma_zero_rows():
-    rep = sweep_sums(SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=0.0, n_grid=(3,)))
+    rep = sweep_sums(AxisBox((1.0, 1.0)), 0.0, (3,))
     row = rep.rows[0]
     assert math.isnan(row["s_sigma"])
     assert math.isnan(row["s_classical_sigma"])
@@ -307,22 +272,36 @@ def test_sums_sigma_zero_rows():
     assert row["lambda_lower"] == "pass"
 
 
-def test_sweep_config_validation():
+def test_sweep_config_validation(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the inputs were checked")
+
+    monkeypatch.setattr(harness, "enumerate_spectrum", no_enumeration)
     sq = AxisBox((1.0, 1.0))
-    with pytest.raises(ValueError):
-        SweepConfig(domain=sq, sigma=-1.0, lambda_grid=(1.0,))
-    with pytest.raises(ValueError):
-        SweepConfig(domain=sq, sigma=1.0, lambda_grid=())
-    with pytest.raises(ValueError):
-        SweepConfig(domain=sq, sigma=1.0, lambda_grid=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        SweepConfig(domain=sq, sigma=1.0, lambda_grid=(1.0,), slack=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(domain=sq, sigma=1.0, n_grid=(5, 5))
-    with pytest.raises(ValueError):
-        sweep_riesz(SweepConfig(domain=sq, sigma=1.0, n_grid=(5,)))
-    with pytest.raises(ValueError):
-        sweep_sums(SweepConfig(domain=sq, sigma=1.0, lambda_grid=(5.0,)))
+    cases = [
+        (sweep_riesz, -1.0, (1.0,), 1e-9, "sigma must be finite and >= 0, got -1.0"),
+        (sweep_riesz, 1.0, (), 1e-9, "lambda_grid must be a non-empty 1-d grid"),
+        (sweep_riesz, 1.0, (2.0, 1.0), 1e-9, "lambda_grid must be strictly increasing"),
+        (sweep_riesz, 1.0, (1.0, math.inf), 1e-9, "lambda_grid must hold finite values"),
+        (sweep_riesz, 1.0, (1.0,), 0.0, "slack must be positive and finite, got 0.0"),
+        (sweep_sums, 1.0, (5, 5), 1e-9, "n_grid must be strictly increasing"),
+        (sweep_sums, 1.0, (1.5, 3.0), 1e-9, "n_grid must hold integers >= 1"),
+        (sweep_sums, 1.0, (0, 3), 1e-9, "n_grid must hold integers >= 1"),
+        (sweep_sums, 1.0, [[1, 2]], 1e-9, "n_grid must be a non-empty 1-d grid"),
+    ]
+    for sweep, sigma, grid, slack, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(sq, sigma, grid, slack=slack)
+
+
+def test_sweep_grid_is_a_read_only_copy():
+    grid = np.geomspace(1.0, 1e3, 5)
+    rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, grid)
+    assert grid.flags.writeable
+    assert not rep.columns["lambda"].flags.writeable
+    assert rep.columns["lambda"].tolist() == grid.tolist()
+    with pytest.raises(TypeError):
+        sweep_riesz(AxisBox((1.0, 1.0)), 1.5, grid, 0.5)  # nu is keyword-only
 
 
 def test_asymptotics_report():
@@ -337,6 +316,22 @@ def test_asymptotics_report():
         rep.metadata["ratio_second_first"] - 1.0
     )
     assert rep.metadata["domain"] == repr(AxisBox((1.0, 1.0)))
+    assert "\n  slack: 1e-09\n" in rep.summary()
+
+
+def test_every_report_kind_shares_the_base_metadata():
+    sq = AxisBox((1.0, 1.0))
+    reports = (
+        sweep_riesz(sq, 1.5, (50.0,), slack=1e-7),
+        sweep_sums(sq, 1.5, (1, 2), slack=1e-7),
+        asymptotic_diagnostics(sq, 1.5, (50.0, 100.0), slack=1e-7),
+    )
+    for rep in reports:
+        base = {k: rep.metadata[k] for k in ("tool_version", "domain", "sigma", "slack")}
+        assert base == {
+            "tool_version": TOOL_VERSION, "domain": repr(sq), "sigma": 1.5, "slack": 1e-7
+        }
+        assert rep.metadata["kind"] == rep.kind
 
 
 def test_asymptotics_validation():
@@ -345,6 +340,8 @@ def test_asymptotics_validation():
         asymptotic_diagnostics(sq, 1.5, (100.0,))
     with pytest.raises(ValueError):
         asymptotic_diagnostics(sq, 1.5, (100.0, 50.0))
+    with pytest.raises(ValueError, match="lambda_grid must hold finite values"):
+        asymptotic_diagnostics(sq, 1.5, (100.0, math.nan))
     with pytest.raises(ValueError):
         asymptotic_diagnostics(sq, 0.0, (50.0, 100.0))
     with pytest.raises(UnsupportedDomainError):
@@ -364,9 +361,7 @@ def test_spectrum_for_count_gives_up(monkeypatch):
 
 
 def test_report_summary_content():
-    rep = sweep_riesz(
-        SweepConfig(domain=AxisBox((1.0, 1.0)), sigma=1.5, lambda_grid=(50.0, 100.0))
-    )
+    rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, (50.0, 100.0))
     text = rep.summary()
     assert text.startswith(f"berezin-lab v{TOOL_VERSION} riesz report")
     assert "VERDICT: PASS" in text
@@ -387,3 +382,12 @@ def test_report_failures_include_metadata_verdicts():
     assert fails[0][1] == "ratio_main_monotone_verdict"
     assert not rep.all_passed
     assert "failing metadata check" in rep.summary()
+
+
+def test_readme_python_api_runs():
+    # the README's example is the API's documentation; it must run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    with redirect_stdout(io.StringIO()):
+        exec(compile(block.group(1), "README.md", "exec"), {})

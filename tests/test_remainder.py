@@ -23,7 +23,7 @@ from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams, lt_value
 from berezin_lab.errors import ConvergenceError, EnumerationLimitError
 from berezin_lab.geometry import AxisBox, critical_length, slicing_stats, volume
-from berezin_lab.harness import SweepConfig, sweep_riesz
+from berezin_lab.harness import sweep_riesz
 from berezin_lab.remainder import (
     epsilon_mu,
     f_mu,
@@ -336,7 +336,7 @@ def test_nu_caps_pinned(sigma, dim):
         lt_value(sigma, dim - 1) * cap / 4.0, rel=1e-13
     )
     box = AxisBox((3.0,) + (1.0,) * (dim - 1))
-    rep = sweep_riesz(SweepConfig(domain=box, sigma=sigma, lambda_grid=(50.0,)))
+    rep = sweep_riesz(box, sigma, (50.0,))
     assert rep.metadata["nu_nonneg_cap"] == cap
 
 

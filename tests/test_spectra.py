@@ -25,7 +25,7 @@ from berezin_lab.errors import (
     UnsupportedDomainError,
 )
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
-from berezin_lab.harness import SweepConfig, sweep_riesz, sweep_sums
+from berezin_lab.harness import sweep_riesz, sweep_sums
 from berezin_lab.specfun import bessel_zeros_below
 from berezin_lab.spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
 from oracles import riesz_integral_check
@@ -404,10 +404,10 @@ def test_merge_record():
     assert spec.merge_joins > 1000 and 1e-10 < spec.merge_max_gap <= 1e-9
     # the sweeps report the record of the spectrum they read
     dom = AxisBox(sides)
-    rep = sweep_riesz(SweepConfig(domain=dom, sigma=1.5, lambda_grid=(1e3, cutoff)))
+    rep = sweep_riesz(dom, 1.5, (1e3, cutoff))
     assert rep.metadata["merge_joins"] == spec.merge_joins
     assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
-    rep = sweep_sums(SweepConfig(domain=dom, sigma=2.0, n_grid=(1, 20000)))
+    rep = sweep_sums(dom, 2.0, (1, 20000))
     spec = enumerate_spectrum(dom, rep.metadata["cutoff_used"])
     assert rep.metadata["merge_joins"] == spec.merge_joins > 0
     assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
