@@ -130,9 +130,7 @@ def improved_rhs(
     return main - boundary_term(0.25 * nu, params.sigma, params.dim, d_lambda, lam)
 
 
-def sliced_bound(
-    dom: Domain, p: SemiclassicalParams, lam: ArrayLike, quad_points: int | None = None
-) -> ArrayLike:
+def sliced_bound(dom: Domain, p: SemiclassicalParams, lam: ArrayLike) -> ArrayLike:
     """Per-section Riesz-mean upper bound, integrated over the cross variables.
 
     With e = sigma + (d - 1)/2 and l_crit = pi/sqrt(lam), a section of
@@ -154,7 +152,7 @@ def sliced_bound(
     if isinstance(dom, Disk):
         total = np.array([_disk_sections(dom.radius, e, lc) for lc in l_crit.flat])
         return (pref * 2.0 * total.reshape(l_crit.shape))[()]
-    lengths, weights = section_family(dom, quad_points)
+    lengths, weights = section_family(dom)
     total = (weights * lattice_sum(e, lengths / l_crit[..., None])).sum(axis=-1)
     return (pref * total)[()]
 

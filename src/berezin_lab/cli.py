@@ -15,7 +15,8 @@ by ";axis=<i>" to slice along coordinate i instead of the last one; a disk
 takes no axis, since its sliced quantities do not depend on the direction.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-usage or malformed input, 3 a numeric procedure failed to converge.
+usage or malformed input, 3 a numeric procedure failed to converge or a
+value overflowed.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .harness import (
     sweep_sums,
 )
 from .remainder import epsilon_mu, nu_bounds, nu_ceiling
-from .spectra import DEFAULT_ENUMERATION_LIMIT, enumerate_spectrum
+from .spectra import ENUMERATION_LIMIT, enumerate_spectrum
 from .version import TOOL_VERSION
 
 __all__ = [
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 _UNION_BOX = re.compile(r"box\(([^()]*)\)@\(([^()]*)\)")
-_AT_MOST = f"at most {DEFAULT_ENUMERATION_LIMIT:,}"  # bound of --points and --n-max
+_AT_MOST = f"at most {ENUMERATION_LIMIT:,}"  # bound of --points and --n-max
 
 
 def _parse_number(token: str, what: str, pos: int, positive: bool = True) -> float:
@@ -198,13 +199,19 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _at_least(flag: str, size: int, least: int = 1) -> None:
+    """A grid size too small for its command: exit 2, naming the flag."""
+    if size < least:
+        raise ValueError(f"{flag} must be >= {least}, got {size}")
+
+
 def _bound_grid(flag: str, size: int, per_entry: int = 1) -> None:
     """Exit 3 before building a grid larger than any enumeration could serve."""
-    cap = per_entry * DEFAULT_ENUMERATION_LIMIT
+    cap = per_entry * ENUMERATION_LIMIT
     if size > cap:
         raise EnumerationLimitError(
             f"{flag} {size} exceeds {cap}, the most that the enumeration limit of "
-            f"{DEFAULT_ENUMERATION_LIMIT} entries allows"
+            f"{ENUMERATION_LIMIT} entries allows"
         )
 
 
@@ -213,12 +220,6 @@ def _add_domain_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_report_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--slack",
-        type=float,
-        default=1e-9,
-        help="relative tolerance granted to every inequality (default 1e-9)",
-    )
     p.add_argument(
         "--csv", default=None, help="write the row table to this path ('-' = stdout)"
     )
@@ -300,22 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     p = SemiclassicalParams(args.sigma, args.dim)
+    # Every value is computed before the first line is printed.
+    values = {
+        "lt_classical": lt_value(p.sigma, p.dim),
+        "lt_lower_dim": lt_value(p.sigma, p.dim - 1),
+        "counting_constant": lt_value(0.0, p.dim),
+        "unit_ball_volume": unit_ball_volume(p.dim),
+        "polya_counting_factor": polya_counting_factor(p.dim),
+    }
+    if p.sigma > 0.0:
+        values["c_const"] = c_const(p)
+    if p.sigma >= 1.0:
+        values["rho_lower"] = rho_lower(p)
+    if p.dim >= 2:
+        values["dimension_reduction_residual"] = dimension_reduction_identity_residual(p)
     print(f"sigma = {_show(p.sigma)}")
     print(f"dim = {p.dim}")
-    print(f"lt_classical = {_show(lt_value(p.sigma, p.dim))}")
-    print(f"lt_lower_dim = {_show(lt_value(p.sigma, p.dim - 1))}")
-    print(f"counting_constant = {_show(lt_value(0.0, p.dim))}")
-    print(f"unit_ball_volume = {_show(unit_ball_volume(p.dim))}")
-    print(f"polya_counting_factor = {_show(polya_counting_factor(p.dim))}")
-    if p.sigma > 0.0:
-        print(f"c_const = {_show(c_const(p))}")
-    if p.sigma >= 1.0:
-        print(f"rho_lower = {_show(rho_lower(p))}")
-    if p.dim >= 2:
-        print(
-            "dimension_reduction_residual = "
-            f"{_show(dimension_reduction_identity_residual(p))}"
-        )
+    for name, value in values.items():
+        print(f"{name} = {_show(value)}")
     return 0
 
 
@@ -381,7 +384,7 @@ def _report_exit(report: BoundReport, csv: str | None) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
     grid = [_positive("--lambda", args.lam)]
-    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu, slack=args.slack)
+    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
     if args.csv is not None:
         _emit_csv(report, args.csv)
     row = {name: column.tolist()[0] for name, column in report.columns.items()}
@@ -402,17 +405,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
+    _at_least("--points", args.points)
     lambda_max = _positive("--lambda-max", args.lambda_max)
     _bound_grid("--points", args.points)
     grid = np.geomspace(1.0, lambda_max, args.points)
-    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu, slack=args.slack)
+    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
     return _report_exit(report, args.csv)
 
 
 def _cmd_sums(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.points is not None:
+        _at_least("--points", args.points)
+    _at_least("--n-max", args.n_max)
     # An entry holds one box eigenvalue, or up to two disk eigenvalues.
     _bound_grid("--n-max", args.n_max, 2 if isinstance(dom, Disk) else 1)
     if args.points is None:
@@ -421,17 +426,18 @@ def _cmd_sums(args: argparse.Namespace) -> int:
         _bound_grid("--points", args.points)
         raw = np.geomspace(1.0, float(args.n_max), args.points)
         grid = np.unique(np.rint(raw).astype(np.int64))
-    report = sweep_sums(dom, args.sigma, grid, melas_m=args.melas_m, slack=args.slack)
+    report = sweep_sums(dom, args.sigma, grid, melas_m=args.melas_m)
     return _report_exit(report, args.csv)
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
+    _at_least("--points", args.points, 2)
     lam = _positive("--lambda", args.lam)
     lambda_max = _positive("--lambda-max", args.lambda_max)
     _bound_grid("--points", args.points)
     grid = np.geomspace(lam, lambda_max, args.points)
-    report = asymptotic_diagnostics(dom, args.sigma, grid, slack=args.slack)
+    report = asymptotic_diagnostics(dom, args.sigma, grid)
     return _report_exit(report, args.csv)
 
 
@@ -457,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except NumericFailure as exc:
+    # ArithmeticError: a closed form overflowed, or divided by an underflowed 0
+    except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (DomainParseError, UnsupportedDomainError, ValueError) as exc:

@@ -51,7 +51,7 @@ __all__ = [
 Interval = tuple[float, float]
 
 # Midpoint nodes per cross dimension, keyed by the number of cross dimensions.
-_MIDPOINT_DEFAULTS = {0: 1, 1: 4096, 2: 256, 3: 64}
+_MIDPOINT_NODES = {0: 1, 1: 4096, 2: 256, 3: 64}
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,7 @@ def _box_sections(box: AxisBox, axis: int, xp: tuple[float, ...]) -> list[Interv
     return [(box.origin[ax], box.origin[ax] + box.sides[ax])]
 
 
-def section_family(
-    dom: Domain, quad_points: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def section_family(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
     """Section lengths along the slicing axis and the cross weight of each.
 
     A box or union gives one section per box, weighted by its cross area.
@@ -241,7 +239,7 @@ def section_family(
         ]
     elif isinstance(dom, GenericSliced):
         lengths, weights = [], []
-        for xp, w in _midpoint_grid(dom, quad_points):
+        for xp, w in _midpoint_grid(dom):
             for t0, t1 in dom.section_fn(xp):
                 if t1 > t0:
                     lengths.append(t1 - t0)
@@ -253,9 +251,7 @@ def section_family(
     return np.array(lengths, dtype=float), np.array(weights, dtype=float)
 
 
-def slicing_stats(
-    dom: Domain, lam: ArrayLike, quad_points: int | None = None
-) -> SlicingStats:
+def slicing_stats(dom: Domain, lam: ArrayLike) -> SlicingStats:
     """Volume of the long-section subset and cross measure of its base.
 
     Sections count as long only when strictly above the critical length, so
@@ -271,27 +267,19 @@ def slicing_stats(
         vol = np.where(long, u_star * l_crit + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
         dl = np.where(long, 2.0 * u_star, 0.0)
     else:
-        lengths, weights = section_family(dom, quad_points)
+        lengths, weights = section_family(dom)
         long = lengths > l_crit[..., None]
         vol = (weights * np.where(long, lengths, 0.0)).sum(axis=-1)
         dl = (weights * long).sum(axis=-1)
     return SlicingStats(vol[()], dl[()])
 
 
-def _midpoint_grid(dom: GenericSliced, quad_points: int | None):
+def _midpoint_grid(dom: GenericSliced):
     """Midpoint nodes and weights over the bounding-box cross variables."""
     n_cross = dom.dim - 1
-    if quad_points is None:
-        try:
-            n = _MIDPOINT_DEFAULTS[n_cross]
-        except KeyError:
-            raise UnsupportedDomainError(
-                f"no default quadrature for {n_cross} cross dimensions; pass quad_points"
-            ) from None
-    else:
-        n = int(quad_points)
-        if n < 1:
-            raise ValueError(f"quad_points must be >= 1, got {quad_points!r}")
+    if n_cross not in _MIDPOINT_NODES:
+        raise UnsupportedDomainError(f"no quadrature for {n_cross} cross dimensions")
+    n = _MIDPOINT_NODES[n_cross]
     if n_cross == 0:
         yield (), 1.0
         return
@@ -375,7 +363,7 @@ def moment_J(dom: Domain) -> float:
         m0 = 0.0
         m1 = [0.0] * dom.dim
         m2 = 0.0
-        for xp, w in _midpoint_grid(dom, None):
+        for xp, w in _midpoint_grid(dom):
             for t0, t1 in dom.section_fn(xp):
                 length = t1 - t0
                 m0 += length * w

@@ -4,9 +4,11 @@ Each sweep enumerates the spectrum once at the grid maximum, evaluates every
 column over the whole grid at once as an array, and keeps those arrays as the
 report's table; row dicts are built only on request.
 
-Inequality verdicts use a scale-aware slack: lhs <= rhs + slack * max(1, |rhs|).
-A fail verdict always sits next to the raw values and the signed margin
-rhs - lhs, so violations are quantified, not just flagged.
+Inequality verdicts use a fixed scale-aware slack of 1e-9:
+lhs <= rhs + 1e-9 * max(1, |rhs|). A fail verdict always sits next to the raw
+values and the signed margin rhs - lhs, which does not depend on the slack,
+so violations are quantified, not just flagged, and any other tolerance can
+be applied to the margins afterwards.
 """
 
 from __future__ import annotations
@@ -215,12 +217,14 @@ _SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 # One str object per verdict, shared by every row.
 _VERDICTS = np.array(("pass", "fail", "n/a"), dtype=object)
+# Relative tolerance granted to every inequality verdict.
+_SLACK = 1e-9
 
 
-def _check_slack(slack: float) -> None:
-    """Verdicts need a positive finite slack: inf passes and NaN fails every check."""
-    if not (math.isfinite(slack) and slack > 0.0):
-        raise ValueError(f"slack must be positive and finite, got {slack!r}")
+def _check_finite(name: str, value: float | None) -> None:
+    """An explicit constant: a non-finite one would turn its checks into n/a."""
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {float(value)!r}")
 
 
 def _grid(values: ArrayLike, name: str, *, integer: bool) -> np.ndarray:
@@ -239,15 +243,13 @@ def _grid(values: ArrayLike, name: str, *, integer: bool) -> np.ndarray:
     return grid
 
 
-def _check_le(
-    lhs: ArrayLike, rhs: ArrayLike, slack: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise verdicts of lhs <= rhs with slack, and margins rhs - lhs."""
+def _check_le(lhs: ArrayLike, rhs: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise verdicts of lhs <= rhs with _SLACK, and margins rhs - lhs."""
     lhs, rhs = np.broadcast_arrays(
         np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     )
     na = np.isnan(lhs) | np.isnan(rhs)
-    ok = lhs <= rhs + slack * np.maximum(1.0, np.abs(rhs))
+    ok = lhs <= rhs + _SLACK * np.maximum(1.0, np.abs(rhs))
     verdict = _VERDICTS[np.where(na, 2, np.where(ok, 0, 1))]
     return verdict, np.where(na, math.nan, rhs - lhs)
 
@@ -268,13 +270,13 @@ def _try_surface(dom: Domain) -> float | None:
         return None
 
 
-def _base_metadata(kind: str, domain: Domain, sigma: float, slack: float) -> dict:
+def _base_metadata(kind: str, domain: Domain, sigma: float) -> dict:
     return {
         "tool_version": TOOL_VERSION,
         "kind": kind,
         "domain": repr(domain),
         "sigma": sigma,
-        "slack": slack,
+        "slack": _SLACK,
     }
 
 
@@ -284,15 +286,15 @@ def sweep_riesz(
     lambda_grid: ArrayLike,
     *,
     nu: float | None = None,
-    slack: float = 1e-9,
 ) -> BoundReport:
     """Riesz-mean chain over a lambda grid: counting, means, and all bounds.
 
-    nu=None selects the guaranteed default weight, 4 eps_mu.
+    nu=None selects the guaranteed default weight, 4 eps_mu; an explicit nu
+    must be finite.
     """
     d = domain.dim
     p = SemiclassicalParams(sigma, d)
-    _check_slack(slack)
+    _check_finite("nu", nu)
     lam = _grid(lambda_grid, "lambda_grid", integer=False)
     lambda_max = lam[-1].item()
     spec = enumerate_spectrum(domain, lambda_max)
@@ -355,18 +357,18 @@ def sweep_riesz(
         "d_lambda": st.d_lambda,
     }
     checks = {
-        "s_le_sliced": _check_le(s_val, sliced, slack),
-        "sliced_le_improved": _check_le(sliced, improved, slack),
-        "improved_le_classical": _check_le(improved, scl, slack),
+        "s_le_sliced": _check_le(s_val, sliced),
+        "sliced_le_improved": _check_le(sliced, improved),
+        "improved_le_classical": _check_le(improved, scl),
         # A NaN side turns a check that does not apply into n/a.
-        "berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan, slack),
-        "polya": _check_le(n, eta if tiling else math.nan, slack),
+        "berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan),
+        "polya": _check_le(n, eta if tiling else math.nan),
         "improved_nonneg": _check_le(
-            0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan, slack
+            0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan
         ),
     }
     columns = _table(len(lam), values, checks)
-    metadata = _base_metadata("riesz", domain, sigma, slack)
+    metadata = _base_metadata("riesz", domain, sigma)
     metadata.update(
         {
             "nu": nu,
@@ -405,12 +407,12 @@ def sweep_sums(
     n_grid: ArrayLike,
     *,
     melas_m: float | None = None,
-    slack: float = 1e-9,
 ) -> BoundReport:
-    """Partial-sum side over an index grid: Li-Yau family and asymptotics."""
+    """Partial-sum side over an index grid: Li-Yau family and asymptotics.
+    An explicit melas_m, the constant of Melas' bound, must be finite."""
     d = domain.dim
     p = SemiclassicalParams(sigma, d)
-    _check_slack(slack)
+    _check_finite("melas_m", melas_m)
     n = _grid(n_grid, "n_grid", integer=True)
     n_max = n[-1].item()
     spec = _spectrum_for_count(domain, n_max)
@@ -421,8 +423,9 @@ def sweep_sums(
     eigs = spec.expanded
     lam_n = eigs[n - 1]
     s1 = np.cumsum(eigs)[n - 1]
-    s_sig = np.cumsum(eigs**sigma)[n - 1] if sigma > 0.0 else math.nan
+    # Before eigs**sigma: for a huge sigma c_const raises before numpy can warn.
     scl_sig = sum_classical(p, vol, n) if sigma > 0.0 else math.nan
+    s_sig = np.cumsum(eigs**sigma)[n - 1] if sigma > 0.0 else math.nan
     ly = li_yau_rhs(d, vol, n)
     mel = melas_rhs(d, vol, moment, n, melas_m) if melas_m is not None else math.nan
     lam_low = eigenvalue_lower(d, vol, n)
@@ -449,13 +452,13 @@ def sweep_sums(
     }
     # NaN without melas_m, or for sigma <= 1, makes those checks n/a.
     checks = {
-        "li_yau": _check_le(ly, s1, slack),
-        "lambda_lower": _check_le(lam_low, lam_n, slack),
-        "melas": _check_le(mel, s1, slack),
-        "holder_upper": _check_le(s1, holder_rhs, slack),
+        "li_yau": _check_le(ly, s1),
+        "lambda_lower": _check_le(lam_low, lam_n),
+        "melas": _check_le(mel, s1),
+        "holder_upper": _check_le(s1, holder_rhs),
     }
     columns = _table(len(n), values, checks)
-    metadata = _base_metadata("sums", domain, sigma, slack)
+    metadata = _base_metadata("sums", domain, sigma)
     metadata.update(
         {
             "n_max": n_max,
@@ -472,21 +475,18 @@ def asymptotic_diagnostics(
     domain: Domain,
     sigma: float,
     lambda_grid: ArrayLike,
-    *,
-    slack: float = 1e-9,
 ) -> BoundReport:
     """High-energy convergence of the Riesz mean toward its two-term form.
 
-    ratio_main = S / S_classical should climb toward one along the grid;
-    ratio_second compares the observed deficit with the boundary term and
-    should drift toward one. Surface measure is required, so callback-backed
-    domains are rejected.
+    ratio_main = S / S_classical should climb toward one along the grid rows
+    whose Riesz mean is positive; ratio_second compares the observed deficit
+    with the boundary term and should drift toward one. Surface measure is
+    required, so callback-backed domains are rejected.
     """
     if not sigma > 0.0:
         raise ValueError("asymptotic diagnostics require sigma > 0")
     d = domain.dim
     p = SemiclassicalParams(sigma, d)
-    _check_slack(slack)
     lam = _grid(lambda_grid, "lambda_grid", integer=False)
     if lam.size < 2:
         raise ValueError("lambda_grid must hold at least two values")
@@ -507,11 +507,13 @@ def asymptotic_diagnostics(
         "ratio_main": ratio_main,
         "ratio_second": ratio_second,
     }
-    checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan, slack)}
+    checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan)}
     columns = _table(len(lam), values, checks)
 
-    monotone = bool((ratio_main[1:] > ratio_main[:-1]).all())
-    metadata = _base_metadata("asymptotics", domain, sigma, slack)
+    # ratio_main is 0 below the first eigenvalue, so only rows above it rise.
+    rising = ratio_main[s_val > 0.0]
+    monotone = bool((rising[1:] > rising[:-1]).all())
+    metadata = _base_metadata("asymptotics", domain, sigma)
     metadata.update(
         {
             "ratio_main_monotone_verdict": "pass" if monotone else "fail",

@@ -31,7 +31,7 @@ from numpy.typing import ArrayLike
 
 from .errors import ConvergenceError, EnumerationLimitError
 from .specfun import beta
-from .spectra import DEFAULT_ENUMERATION_LIMIT
+from .spectra import ENUMERATION_LIMIT
 
 __all__ = [
     "RemainderResult", "f_mu", "lattice_sum", "epsilon_mu",
@@ -82,10 +82,10 @@ def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
     r = np.asarray(r, dtype=float)
     flat = r.ravel()
     top = flat.max(initial=0.0)
-    if not top < DEFAULT_ENUMERATION_LIMIT + 1:
+    if not top < ENUMERATION_LIMIT + 1:
         raise EnumerationLimitError(
             f"lattice sum at scaled section length {top:.6g} would exceed the"
-            f" limit of {DEFAULT_ENUMERATION_LIMIT} lattice indices"
+            f" limit of {ENUMERATION_LIMIT} lattice indices"
         )
     out = np.empty(flat.size)
     step = max(1, _BLOCK // max(int(top), 1))

@@ -7,8 +7,10 @@ one for m = 0 and two for m >= 1. Enumeration is strict below the cutoff.
 A box is walked one coordinate at a time, in numpy over all prefixes at once:
 a prefix keeps the indices whose all-ones completion is below the cutoff, so
 each kept prefix leads to entries, which come in the order of nested loops.
-EnumerationLimitError is raised once a level keeps more than `limit` prefixes,
-exactly when the box has more than `limit` entries, before that array exists.
+EnumerationLimitError is raised once a level keeps more than ENUMERATION_LIMIT
+prefixes, exactly when the box has more than that many entries, before that
+array exists. The same constant bounds remainder's lattice sums and the
+command-line grids.
 Sorted values merge by the anchor rule: v joins the current entry when
 v - first <= 1e-9 * v for the entry's first value, else starts one, so a run
 of neighbours each within 1e-9 of the next can still split. A Spectrum
@@ -32,14 +34,14 @@ from .specfun import bessel_zeros_below
 
 __all__ = [
     "Spectrum",
-    "DEFAULT_ENUMERATION_LIMIT",
+    "ENUMERATION_LIMIT",
     "enumerate_spectrum",
     "counting",
     "riesz_mean",
 ]
 
 _MERGE_REL_TOL = 1e-9
-DEFAULT_ENUMERATION_LIMIT = 2_000_000
+ENUMERATION_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,23 +84,19 @@ def _readonly(a: ArrayLike, dtype: type | None = None) -> np.ndarray:
     return view
 
 
-def enumerate_spectrum(
-    dom: Domain,
-    cutoff: float,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Spectrum:
+def enumerate_spectrum(dom: Domain, cutoff: float) -> Spectrum:
     """All eigenvalues strictly below cutoff, merged and sorted."""
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     if isinstance(dom, (AxisBox, BoxUnion)):
         parts: list[np.ndarray] = []
         for box in dom.boxes if isinstance(dom, BoxUnion) else (dom,):
-            parts.append(_box_eigenvalues(box.sides, cutoff, limit))
-            _check_limit(sum(p.size for p in parts), limit)
+            parts.append(_box_eigenvalues(box.sides, cutoff))
+            _check_limit(sum(p.size for p in parts))
         vals = np.concatenate(parts)
         mult = np.ones(vals.size, dtype=np.int64)
     elif isinstance(dom, Disk):
-        vals, mult = _disk_eigenvalues(dom.radius, cutoff, limit)
+        vals, mult = _disk_eigenvalues(dom.radius, cutoff)
     else:
         raise UnsupportedDomainError(
             "spectra are available for boxes, box unions, and disks only"
@@ -106,13 +104,16 @@ def enumerate_spectrum(
     return Spectrum(float(cutoff), *_merge(vals, mult))
 
 
-def _check_limit(entries: int, limit: int) -> None:
-    if entries > limit:
-        raise EnumerationLimitError(f"enumeration exceeded the limit of {limit} entries")
+def _check_limit(entries: int) -> None:
+    if entries > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"enumeration exceeded the limit of {ENUMERATION_LIMIT} entries"
+        )
 
 
-def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> np.ndarray:
+def _box_eigenvalues(sides: tuple[float, ...], cutoff: float) -> np.ndarray:
     d, pi2, budget = len(sides), math.pi**2, cutoff / math.pi**2 * (1.0 + 1e-12)
+    limit = ENUMERATION_LIMIT
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = (1.0 / np.square(np.asarray(sides, dtype=float))).tolist()  # inf if a*a underflows
         tail = [sum(w[j + 1 :]) for j in range(d)]  # least the unset indices add
@@ -137,22 +138,20 @@ def _box_eigenvalues(sides: tuple[float, ...], cutoff: float, limit: int) -> np.
                 t = kept(i, acc, k)
                 lo, hi = np.where(t, np.maximum(lo, k), lo), np.where(t, hi, np.minimum(hi, k))
                 k, first = (np.where(t, k + 1, k - 1) if first else (lo + hi) // 2), False
-            _check_limit(int(lo.sum()), limit)
+            _check_limit(int(lo.sum()))
             n = np.arange(1, lo.sum() + 1) - np.repeat(np.cumsum(lo) - lo, lo)
             acc = np.repeat(acc, lo) + (n * n) * w[i]
     return pi2 * acc
 
 
-def _disk_eigenvalues(
-    radius: float, cutoff: float, limit: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _disk_eigenvalues(radius: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     # Lower bound on the entries, from the inscribed square (Dirichlet
     # monotonicity): its lattice count below the cutoff is at least the area
     # pi*(r - sqrt(2))^2/4, r = R*sqrt(2*cutoff)/pi; an entry holds <= 2 values.
     r = radius * math.sqrt(2.0 * cutoff) / math.pi
-    if r > math.sqrt(2.0) and math.pi * (r - math.sqrt(2.0)) ** 2 / 8.0 > limit:
+    if r > math.sqrt(2.0) and math.pi * (r - math.sqrt(2.0)) ** 2 / 8.0 > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"enumeration would exceed the limit of {limit} entries"
+            f"enumeration would exceed the limit of {ENUMERATION_LIMIT} entries"
         )
     z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
     orders = np.arange(math.floor(z_max) + 1)
@@ -160,7 +159,7 @@ def _disk_eigenvalues(
     lams = np.square(np.concatenate(zeros, dtype=float) / radius)
     mult = np.repeat(np.where(orders == 0, 1, 2), [len(zs) for zs in zeros])
     below = lams < cutoff
-    _check_limit(int(np.count_nonzero(below)), limit)
+    _check_limit(int(np.count_nonzero(below)))
     return lams[below], mult[below]
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import berezin_lab.geometry as geometry
 import berezin_lab.remainder as remainder
 from berezin_lab.bounds import (
     boundary_term,
@@ -263,13 +264,14 @@ def test_sliced_bound_monotone_in_lambda():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_sliced_bound_disk_matches_midpoint_fallback():
+def test_sliced_bound_disk_matches_midpoint_fallback(monkeypatch):
     p = SemiclassicalParams(1.5, 2)
     disk = Disk(1.0)
     wrapped = generic_wrapper(disk)
+    monkeypatch.setitem(geometry._MIDPOINT_NODES, 1, 8192)
     for lam in (40.0, 400.0, 4000.0):
         exact = sliced_bound(disk, p, lam)
-        approx = sliced_bound(wrapped, p, lam, quad_points=8192)
+        approx = sliced_bound(wrapped, p, lam)
         assert approx == pytest.approx(exact, rel=1e-6)
 
 

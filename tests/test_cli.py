@@ -356,15 +356,33 @@ _REPORT_ARGV = {
 }
 
 
-@pytest.mark.parametrize("slack", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("slack", ["inf", "nan", "0", "-1", "1e-9"])
 @pytest.mark.parametrize("command", sorted(_REPORT_ARGV))
 def test_unusable_slack_is_a_usage_error(command, slack, capsys):
-    # inf would pass every check (even the overweight-nu failure), NaN would
-    # fail every one, and a slack <= 0 grants no tolerance at all
+    # the verdict slack is fixed at 1e-9: no value of the flag is accepted,
+    # not even the fixed one
     assert main(_REPORT_ARGV[command] + ["--slack", slack]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error: slack must be positive and finite")
+    assert f"unrecognized arguments: --slack {slack}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epsilon", "--mu", "1e308"],
+        ["constants", "--sigma", "1e300", "--dim", "2"],
+        ["sums", "--domain", "box:1x1", "--sigma", "1e300", "--n-max", "10"],
+        # lt_value(0, 1000) underflows to 0, which c_const then divides by
+        ["constants", "--sigma", "200", "--dim", "1000"],
+    ],
+)
+def test_overflow_is_a_numeric_failure(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -436,6 +454,11 @@ _ENDPOINT = st.one_of(
     st.floats(min_value=0.5, max_value=500.0).map(repr),
 )
 _SIZE = st.one_of(st.integers(-2, 40), st.just(2_000_001))
+# an explicit --nu or --melas-m
+_CONSTANT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.floats(min_value=-1.0, max_value=3.0).map(repr),
+)
 
 
 @st.composite
@@ -457,7 +480,15 @@ def _grid_argv(draw):
         if command == "asymptotics" and draw(st.booleans()):
             argv.append(f"--lambda={draw(_ENDPOINT)}")
         argv += [f"--lambda-max={draw(_ENDPOINT)}", f"--points={draw(_SIZE)}"]
+    flag = {"check": "--nu", "sweep": "--nu", "sums": "--melas-m"}.get(command)
+    if flag is not None and draw(st.booleans()):
+        argv.append(f"{flag}={draw(_CONSTANT)}")
     return argv
+
+
+def _flag_value(argv, flag):
+    """The value of `flag=value` in argv, or None."""
+    return next((a.split("=", 1)[1] for a in argv if a.startswith(f"{flag}=")), None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,6 +498,11 @@ def _grid_argv(draw):
 @example(argv=["check", *_BOX, "--lambda=1e-320"])
 @example(argv=["sums", "--domain", "disk:0.5", "--sigma", "1.5", "--n-max=4000001"])
 @example(argv=["asymptotics", *_BOX, "--lambda=1e-320", "--lambda-max=150", "--points=5"])
+@example(argv=["check", *_BOX, "--lambda=100", "--nu=inf"])
+@example(argv=["sweep", *_BOX, "--lambda-max=100", "--points=5", "--nu=nan"])
+@example(argv=["sums", *_BOX, "--n-max=10", "--melas-m=nan"])
+@example(argv=["sweep", *_BOX, "--lambda-max=100", "--points=-1"])
+@example(argv=["asymptotics", *_BOX, "--lambda-max=1e3", "--points=1"])
 def test_grid_flags_end_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -483,6 +519,22 @@ def test_grid_flags_end_in_an_exit_code(argv):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+    # a grid size below the least the command takes is named before any other flag
+    points, least = _flag_value(argv, "--points"), 2 if argv[0] == "asymptotics" else 1
+    if points is not None and int(points) < least:
+        assert rc == 2
+        assert err.getvalue() == f"usage error: --points must be >= {least}, got {points}\n"
+    # a non-finite --nu or --melas-m never reaches a verdict; when no grid flag
+    # is rejected first, the message names the constant and its value
+    for flag in ("--nu", "--melas-m"):
+        value = _flag_value(argv, flag)
+        if value is not None and not math.isfinite(float(value)):
+            assert rc in (2, 3)
+            if rc == 2 and not err.getvalue().startswith("usage error: --"):
+                name = flag[2:].replace("-", "_")
+                assert err.getvalue() == (
+                    f"usage error: {name} must be finite, got {float(value)!r}\n"
+                )
 
 
 def test_check_rejects_bad_nu_text(capsys):

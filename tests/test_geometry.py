@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from berezin_lab import geometry
 from berezin_lab.errors import UnsupportedDomainError
 from berezin_lab.geometry import (
     AxisBox,
@@ -275,22 +276,26 @@ def test_axis_choice_is_geometric_not_positional():
     assert a.d_lambda == b.d_lambda
 
 
-def test_generic_quadrature_controls():
+def test_generic_quadrature_controls(monkeypatch):
     wrapped = generic_wrapper(Disk(1.0))
-    coarse = slicing_stats(wrapped, 100.0, quad_points=64)
-    fine = slicing_stats(wrapped, 100.0, quad_points=8192)
+    monkeypatch.setitem(geometry._MIDPOINT_NODES, 1, 64)
+    coarse = slicing_stats(wrapped, 100.0)
+    monkeypatch.setitem(geometry._MIDPOINT_NODES, 1, 8192)
+    fine = slicing_stats(wrapped, 100.0)
     exact = slicing_stats(Disk(1.0), 100.0)
     assert abs(fine.d_lambda - exact.d_lambda) < abs(coarse.d_lambda - exact.d_lambda)
-    with pytest.raises(ValueError):
-        slicing_stats(wrapped, 100.0, quad_points=0)
+    # the node count is a module table, not an argument
+    with pytest.raises(TypeError):
+        slicing_stats(wrapped, 100.0, quad_points=64)
 
 
-def test_generic_without_default_quadrature():
+def test_generic_without_default_quadrature(monkeypatch):
     bb = AxisBox((1.0,) * 5)
     dom = GenericSliced(dim=5, section_fn=lambda xp: [(0.0, 1.0)], bounding_box=bb)
-    with pytest.raises(UnsupportedDomainError):
+    with pytest.raises(UnsupportedDomainError, match="no quadrature for 4 cross"):
         slicing_stats(dom, 100.0)
-    st = slicing_stats(dom, 100.0, quad_points=2)
+    monkeypatch.setitem(geometry._MIDPOINT_NODES, 4, 2)
+    st = slicing_stats(dom, 100.0)
     assert st.vol_omega_lambda == pytest.approx(1.0, rel=1e-12)
 
 

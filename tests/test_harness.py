@@ -279,19 +279,29 @@ def test_sweep_config_validation(monkeypatch):
     monkeypatch.setattr(harness, "enumerate_spectrum", no_enumeration)
     sq = AxisBox((1.0, 1.0))
     cases = [
-        (sweep_riesz, -1.0, (1.0,), 1e-9, "sigma must be finite and >= 0, got -1.0"),
-        (sweep_riesz, 1.0, (), 1e-9, "lambda_grid must be a non-empty 1-d grid"),
-        (sweep_riesz, 1.0, (2.0, 1.0), 1e-9, "lambda_grid must be strictly increasing"),
-        (sweep_riesz, 1.0, (1.0, math.inf), 1e-9, "lambda_grid must hold finite values"),
-        (sweep_riesz, 1.0, (1.0,), 0.0, "slack must be positive and finite, got 0.0"),
-        (sweep_sums, 1.0, (5, 5), 1e-9, "n_grid must be strictly increasing"),
-        (sweep_sums, 1.0, (1.5, 3.0), 1e-9, "n_grid must hold integers >= 1"),
-        (sweep_sums, 1.0, (0, 3), 1e-9, "n_grid must hold integers >= 1"),
-        (sweep_sums, 1.0, [[1, 2]], 1e-9, "n_grid must be a non-empty 1-d grid"),
+        (sweep_riesz, -1.0, (1.0,), {}, "sigma must be finite and >= 0, got -1.0"),
+        (sweep_riesz, 1.0, (), {}, "lambda_grid must be a non-empty 1-d grid"),
+        (sweep_riesz, 1.0, (2.0, 1.0), {}, "lambda_grid must be strictly increasing"),
+        (sweep_riesz, 1.0, (1.0, math.inf), {}, "lambda_grid must hold finite values"),
+        (sweep_riesz, 1.5, (1.0,), {"nu": math.inf}, "nu must be finite, got inf"),
+        (sweep_riesz, 1.5, (1.0,), {"nu": -math.inf}, "nu must be finite, got -inf"),
+        (sweep_riesz, 1.5, (1.0,), {"nu": math.nan}, "nu must be finite, got nan"),
+        (sweep_sums, 1.0, (5, 5), {}, "n_grid must be strictly increasing"),
+        (sweep_sums, 1.0, (1.5, 3.0), {}, "n_grid must hold integers >= 1"),
+        (sweep_sums, 1.0, (0, 3), {}, "n_grid must hold integers >= 1"),
+        (sweep_sums, 1.0, [[1, 2]], {}, "n_grid must be a non-empty 1-d grid"),
+        (sweep_sums, 2.0, (1,), {"melas_m": math.nan}, "melas_m must be finite, got nan"),
+        (sweep_sums, 2.0, (1,), {"melas_m": math.inf}, "melas_m must be finite, got inf"),
     ]
-    for sweep, sigma, grid, slack, message in cases:
+    for sweep, sigma, grid, kwargs, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            sweep(sq, sigma, grid, slack=slack)
+            sweep(sq, sigma, grid, **kwargs)
+    # the verdict slack is a module constant, not an argument
+    for sweep, grid in ((sweep_riesz, (1.0,)), (sweep_sums, (1,))):
+        with pytest.raises(TypeError):
+            sweep(sq, 1.5, grid, slack=1e-9)
+    with pytest.raises(TypeError):
+        asymptotic_diagnostics(sq, 1.5, (1.0, 2.0), slack=1e-9)
 
 
 def test_sweep_grid_is_a_read_only_copy():
@@ -319,12 +329,38 @@ def test_asymptotics_report():
     assert "\n  slack: 1e-09\n" in rep.summary()
 
 
-def test_every_report_kind_shares_the_base_metadata():
+@pytest.mark.parametrize(
+    "domain",
+    [AxisBox((1.0, 1.0)), Disk(1.0), AxisBox((2.0, 1.0))],
+    ids=["box-1x1", "disk-1", "box-2x1"],
+)
+def test_asymptotics_monotone_check_skips_rows_below_the_ground_state(domain):
+    # a grid from 1 starts below the first eigenvalue, where ratio_main is 0
+    rep = asymptotic_diagnostics(domain, 1.5, np.geomspace(1.0, 1e4, 8))
+    s, ratio = rep.columns["riesz_mean"], rep.columns["ratio_main"]
+    assert s[0] == s[1] == ratio[0] == ratio[1] == 0.0
+    rising = ratio[s > 0.0]
+    assert rising.size >= 5 and (np.diff(rising) > 0.0).all()
+    assert rep.metadata["ratio_main_monotone_verdict"] == "pass"
+    assert rep.all_passed
+
+
+def test_asymptotics_monotone_check_fails_on_a_falling_ratio():
+    # just below the disk's second eigenvalue, (lam - lam_1)^1.5 / lam^2.5
+    # falls, because lam_2 / lam_1 = 2.54 exceeds 2.5
+    rep = asymptotic_diagnostics(Disk(1.0), 1.5, (14.5, 14.65))
+    assert 0.0 < rep.columns["ratio_main"][1] < rep.columns["ratio_main"][0]
+    assert rep.metadata["ratio_main_monotone_verdict"] == "fail"
+    assert not rep.all_passed
+
+
+def test_every_report_kind_shares_the_base_metadata(monkeypatch):
     sq = AxisBox((1.0, 1.0))
+    monkeypatch.setattr(harness, "_SLACK", 1e-7)
     reports = (
-        sweep_riesz(sq, 1.5, (50.0,), slack=1e-7),
-        sweep_sums(sq, 1.5, (1, 2), slack=1e-7),
-        asymptotic_diagnostics(sq, 1.5, (50.0, 100.0), slack=1e-7),
+        sweep_riesz(sq, 1.5, (50.0,)),
+        sweep_sums(sq, 1.5, (1, 2)),
+        asymptotic_diagnostics(sq, 1.5, (50.0, 100.0)),
     )
     for rep in reports:
         base = {k: rep.metadata[k] for k in ("tool_version", "domain", "sigma", "slack")}

@@ -32,7 +32,7 @@ from berezin_lab.remainder import (
     nu_nonneg_cap,
 )
 from berezin_lab.specfun import beta
-from berezin_lab.spectra import DEFAULT_ENUMERATION_LIMIT
+from berezin_lab.spectra import ENUMERATION_LIMIT
 
 TOL = remainder._TOL
 # epsilon_mu raises below this mu: its tail bound reaches past A = 60.
@@ -81,7 +81,7 @@ def test_lattice_sum_is_elementwise(monkeypatch):
 
 
 def test_lattice_sum_index_limit():
-    limit = DEFAULT_ENUMERATION_LIMIT
+    limit = ENUMERATION_LIMIT
     # limit + 0.5 sums exactly `limit` indices; one index more raises
     top = remainder.lattice_sum(1.5, [3.5, limit + 0.5])
     assert top[1] == pytest.approx(lattice_sum_oracle(1.5, limit + 0.5), rel=1e-12)

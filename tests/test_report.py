@@ -155,7 +155,7 @@ def test_column_writer_crosses_block_boundaries():
     columns = harness._table(
         n,
         {"i": np.arange(n), "x": x, "y": x * 3.0, "c": math.nan, "k": 5},
-        {"v": harness._check_le(x, 0.0, 1e-9)},
+        {"v": harness._check_le(x, 0.0)},
     )
     rep = BoundReport("test", columns, ("v",))
     assert _csv(rep) == reference_csv(rep)

@@ -45,7 +45,8 @@ def box_eigenvalues_oracle(sides, cutoff):
 
 
 def box_walk_reference(sides, cutoff, limit):
-    """The recursive walk that spectra._box_eigenvalues replaced, verbatim."""
+    """The recursive walk that spectra._box_eigenvalues replaced, verbatim but
+    for its limit, which it takes as an argument and checks itself."""
     d = len(sides)
     inv2 = [1.0 / (a * a) for a in sides]
     # Minimal contribution of the not-yet-assigned indices, for pruning.
@@ -61,7 +62,8 @@ def box_walk_reference(sides, cutoff, limit):
             # val grows with n, so nothing past the first val >= cutoff is kept.
             while (val := pi2 * (acc + n * n * w)) < cutoff:
                 out.append(val)
-                spectra._check_limit(len(out), limit)
+                if len(out) > limit:
+                    raise EnumerationLimitError(f"more than {limit} entries")
                 n += 1
         else:
             while acc + n * n * w + tail[i] <= budget:
@@ -174,18 +176,21 @@ def test_disk_spectrum_matches_scipy_at_high_cutoff():
     np.testing.assert_allclose(spec.expanded, np.sort(oracle), rtol=5e-15, atol=0.0)
 
 
-def test_disk_enumeration_limit_is_bounded_work():
+def test_disk_enumeration_limit_is_bounded_work(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError, match="would exceed"):
         enumerate_spectrum(Disk(1.0), 1e9)
     assert time.perf_counter() - start < 2.0
     # raised before the scan from the inscribed square's lattice count ...
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", 100)
     with pytest.raises(EnumerationLimitError, match="would exceed"):
-        enumerate_spectrum(Disk(1.0), 1e4, limit=100)
+        enumerate_spectrum(Disk(1.0), 1e4)
     # ... or after it, when that lower bound is below the limit but the count is not
+    monkeypatch.undo()
     assert len(enumerate_spectrum(Disk(1.0), 2000.0).values) == 246
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", 245)
     with pytest.raises(EnumerationLimitError, match="exceeded"):
-        enumerate_spectrum(Disk(1.0), 2000.0, limit=245)
+        enumerate_spectrum(Disk(1.0), 2000.0)
 
 
 def test_spectrum_structural_invariants():
@@ -291,26 +296,31 @@ def test_query_beyond_cutoff_rejected():
     assert counting(spec, 100.0) == spec.total_count  # the cutoff itself is fine
 
 
-def test_enumeration_guards():
-    with pytest.raises(EnumerationLimitError):
-        enumerate_spectrum(AxisBox((1.0, 1.0)), 1e4, limit=10)
+def test_enumeration_guards(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "ENUMERATION_LIMIT", 10)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_spectrum(AxisBox((1.0, 1.0)), 1e4)
     with pytest.raises(UnsupportedDomainError):
         enumerate_spectrum(generic_wrapper(Disk(1.0)), 100.0)
     with pytest.raises(ValueError):
         enumerate_spectrum(AxisBox((1.0, 1.0)), -5.0)
 
 
-def test_enumeration_limit_counts_the_whole_union():
+def test_enumeration_limit_counts_the_whole_union(monkeypatch):
     a = AxisBox((1.0, 1.0))
     b = AxisBox((1.0, 1.0), origin=(2.0, 0.0))
     n = enumerate_spectrum(a, 2000.0).total_count  # entries, one per lattice point
-    enumerate_spectrum(a, 2000.0, limit=n)
-    with pytest.raises(EnumerationLimitError, match="exceeded"):
-        enumerate_spectrum(a, 2000.0, limit=n - 1)
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", n)
+    enumerate_spectrum(a, 2000.0)
     # each member is within the limit, the union is not
     with pytest.raises(EnumerationLimitError, match="exceeded"):
-        enumerate_spectrum(BoxUnion((a, b)), 2000.0, limit=n)
-    union = enumerate_spectrum(BoxUnion((a, b)), 2000.0, limit=2 * n)
+        enumerate_spectrum(BoxUnion((a, b)), 2000.0)
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", n - 1)
+    with pytest.raises(EnumerationLimitError, match="exceeded"):
+        enumerate_spectrum(a, 2000.0)
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", 2 * n)
+    union = enumerate_spectrum(BoxUnion((a, b)), 2000.0)
     assert union.total_count == 2 * n
 
 
@@ -397,7 +407,7 @@ def test_merge_record():
     # near sqrt(2): distinct eigenvalues within 1e-9, in runs wider than 1e-9
     sides, cutoff = (1.41421356, 1.0), 2e5
     spec = enumerate_spectrum(AxisBox(sides), cutoff)
-    raw = spectra._box_eigenvalues(sides, cutoff, spectra.DEFAULT_ENUMERATION_LIMIT)
+    raw = spectra._box_eigenvalues(sides, cutoff)
     pairs = [(v, 1) for v in raw.tolist()]
     assert spec.values == merge_reference(pairs)
     assert (spec.merge_joins, spec.merge_max_gap) == merge_record_reference(pairs)
@@ -434,8 +444,8 @@ def _boxes(draw, min_d=1, max_d=4):
 @example(box=((1e-150, 1.0), 1e4))  # empty: one side's weight is 1e300
 def test_box_walk_matches_recursive_reference(box):
     sides, cutoff = box
-    limit = spectra.DEFAULT_ENUMERATION_LIMIT
-    walk = spectra._box_eigenvalues(sides, cutoff, limit)
+    limit = spectra.ENUMERATION_LIMIT
+    walk = spectra._box_eigenvalues(sides, cutoff)
     assert walk.dtype == np.float64
     assert walk.tobytes() == box_walk_reference(sides, cutoff, limit).tobytes()
 
@@ -460,13 +470,15 @@ def _tight_cutoff(sides, indices):
         ((1.3, 0.7, 1.1, 0.9), 900.0),
     ],
 )
-def test_box_walk_limit_is_exact(sides, cutoff):
-    ref = box_walk_reference(sides, cutoff, spectra.DEFAULT_ENUMERATION_LIMIT)
+def test_box_walk_limit_is_exact(sides, cutoff, monkeypatch):
+    ref = box_walk_reference(sides, cutoff, spectra.ENUMERATION_LIMIT)
     count = ref.size
     assert count > 0
-    assert spectra._box_eigenvalues(sides, cutoff, count).tobytes() == ref.tobytes()
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", count)
+    assert spectra._box_eigenvalues(sides, cutoff).tobytes() == ref.tobytes()
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", count - 1)
     with pytest.raises(EnumerationLimitError, match=f"the limit of {count - 1} entries"):
-        spectra._box_eigenvalues(sides, cutoff, count - 1)
+        spectra._box_eigenvalues(sides, cutoff)
     with pytest.raises(EnumerationLimitError):
         box_walk_reference(sides, cutoff, count - 1)
 
