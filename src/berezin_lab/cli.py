@@ -425,7 +425,8 @@ def _cmd_sums(args: argparse.Namespace) -> int:
     else:
         _bound_grid("--points", args.points)
         raw = np.geomspace(1.0, float(args.n_max), args.points)
-        grid = np.unique(np.rint(raw).astype(np.int64))
+        raw = np.rint(raw).astype(np.int64)
+        grid = raw[np.diff(raw, prepend=0) != 0]  # raw is non-decreasing
     report = sweep_sums(dom, args.sigma, grid, melas_m=args.melas_m)
     return _report_exit(report, args.csv)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -35,7 +35,7 @@ from .bounds import (
     two_term_sum,
 )
 from .constants import SemiclassicalParams, lt_value
-from .errors import InsufficientCutoffError, UnsupportedDomainError
+from .errors import InsufficientCutoffError, NumericFailure, UnsupportedDomainError
 from .geometry import (
     AxisBox,
     BoxUnion,
@@ -225,6 +225,21 @@ def _check_finite(name: str, value: float | None) -> None:
     """An explicit constant: a non-finite one would turn its checks into n/a."""
     if value is not None and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {float(value)!r}")
+
+
+def _no_overflow(
+    name: str, sigma: float, compute: Callable[[], ArrayLike]
+) -> ArrayLike:
+    """compute(), or NumericFailure naming the column if it overflows a float."""
+    message = f"{name} overflows a float at sigma = {sigma:g}"
+    try:
+        with np.errstate(over="ignore"):
+            value = compute()
+    except OverflowError as exc:
+        raise NumericFailure(message) from exc
+    if np.isinf(value).any():
+        raise NumericFailure(message)
+    return value
 
 
 def _grid(values: ArrayLike, name: str, *, integer: bool) -> np.ndarray:
@@ -423,14 +438,18 @@ def sweep_sums(
     eigs = spec.expanded
     lam_n = eigs[n - 1]
     s1 = np.cumsum(eigs)[n - 1]
-    # Before eigs**sigma: for a huge sigma c_const raises before numpy can warn.
-    scl_sig = sum_classical(p, vol, n) if sigma > 0.0 else math.nan
-    s_sig = np.cumsum(eigs**sigma)[n - 1] if sigma > 0.0 else math.nan
+    if sigma > 0.0:
+        scl_sig = _no_overflow(
+            "s_classical_sigma", sigma, lambda: sum_classical(p, vol, n)
+        )
+        s_sig = _no_overflow("s_sigma", sigma, lambda: np.cumsum(eigs**sigma)[n - 1])
+    else:
+        scl_sig = s_sig = math.nan
     ly = li_yau_rhs(d, vol, n)
     mel = melas_rhs(d, vol, moment, n, melas_m) if melas_m is not None else math.nan
     lam_low = eigenvalue_lower(d, vol, n)
     ms2 = (
-        two_term_sum(p, vol, surf, n)
+        _no_overflow("two_term_sum", sigma, lambda: two_term_sum(p, vol, surf, n))
         if surf is not None and sigma > 0.0
         else math.nan
     )

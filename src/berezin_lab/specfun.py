@@ -17,11 +17,17 @@ One batched engine serves every Bessel routine: its kernel evaluates (m, x)
 points in groups of equal node count, each with exactly the arithmetic of a
 lone evaluation. A unit-step sign scan brackets the zeros of all requested
 orders at once (consecutive zeros of J_m are more than one apart). It reads
-J_m(x) at each integer x for every order m <= x from one FFT of
-exp(i x sin t) (Jacobi-Anger, DLMF 10.12.1), on a power-of-two node count no
-smaller than the kernel's 2n at m = x, so its aliasing is as negligible as
-the kernel's; only the signs of these values are used. Newton steps with
-J_m' = (m/x) J_m - J_{m+1} (DLMF 10.6.2) refine all brackets in lockstep.
+J_j(x) at each integer x for every order j <= x + P, P = 15, negative ones
+too, from one FFT of exp(i x sin t) (Jacobi-Anger, DLMF 10.12.1), on a
+power-of-two node count no smaller than the kernel's 2n at m = x + P + 1, so
+its aliasing is as negligible as the kernel's. The scan uses the signs of
+J_m. Each zero's Newton refinement starts at the root of the degree-P Taylor
+polynomial of J_m about the bracket end where |J_m| is smaller; its
+coefficients come from the neighbouring orders at that end (DLMF 10.6.7),
+at no kernel cost, and the start lies within 2e-15 (1 + x) of the zero (the
+largest gap for x < 1000). From these starts, Newton steps with
+J_m' = (m/x) J_m - J_{m+1} (DLMF 10.6.2) refine all brackets in lockstep;
+every zero below x = 1000 takes one step.
 A step that lands in the closed bracket is taken and any other step bisects;
 a step within tolerance ends the refinement, also when it rounds onto a
 bracket end, so each zero is a converged Newton iterate, within a few ulps
@@ -101,8 +107,14 @@ def _j_series(m: int, x: float) -> float:
     return total
 
 
-# Largest (points x nodes) array the quadrature, or the scan's FFT, forms at once.
+# Largest (points x nodes) array the quadrature, or the scan's FFT, forms at
+# once, and the most Taylor coefficients the Newton starts hold at once.
 _BLOCK = 1 << 18
+
+# Degree of the Taylor polynomial that starts each zero's Newton refinement,
+# and the Newton passes taken on it (see _taylor_starts).
+_DEGREE = 15
+_PASSES = 8
 
 
 def _node_count(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -143,39 +155,31 @@ def _j(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mcmahon(m: int, k: int) -> float:
-    """Asymptotic guess for the k-th positive zero of J_m."""
-    b = (k + 0.5 * m - 0.25) * math.pi
-    mu = 4.0 * m * m
-    e = 8.0 * b
-    return (
-        b
-        - (mu - 1.0) / e
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e**3)
-        - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e**5)
-    )
-
-
 def _brackets(
     orders: np.ndarray, x_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brackets (m, lo, hi) with lo < x_max around the zeros of each J_m, in order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (m, lo, hi) with lo < x_max around the zeros of each J_m, in
+    order, and a Newton start for each zero (see _taylor_starts).
 
     J_m is positive on (0, j_{m,1}) and zeros are separated by more than one,
     so scanning x = m, m + 1, ... cannot skip a sign change; a grid value of
     exactly zero gets the bracket of width one centred on it.
 
-    One FFT per integer x gives J_m(x) for every m <= x: by DLMF 10.12.1,
-    exp(i x sin t) = sum_m J_m(x) exp(i m t), so the FFT of its values at N
-    equispaced t on [0, 2 pi), over N, is J_m(x) + sum_{k != 0} J_{m+kN}(x).
-    N is the kernel's node count on the whole period at m = x, 2 n(x, x),
-    rounded up to a power of two, so each alias has order at least
-    N - x >= x + 14 (x/2)^(1/3) + 20, as negligible as the kernel's. Only the
-    signs of these values are used.
+    One FFT per integer x gives J_j(x) for every order j, negative ones too:
+    by DLMF 10.12.1, exp(i x sin t) = sum_j J_j(x) exp(i j t), so the FFT of
+    its values at N equispaced t on [0, 2 pi), over N, is J_j(x) +
+    sum_{k != 0} J_{j+kN}(x). The table keeps the orders m - P .. m + P of
+    every requested m <= x, P = _DEGREE. N is the kernel's node count on the
+    whole period at order x + P + 1, 2 n(x + P + 1, x), rounded up to a power
+    of two, so each alias has order at least N - x - P > x + 14 (x/2)^(1/3) +
+    20, as negligible as the kernel's. N depends on x alone, so each value,
+    and each start, is the same in any batch.
     """
     points = np.arange(orders[0], math.floor(x_max) + 2)
-    sizes = 2 ** np.ceil(np.log2(2.0 * _node_count(points, points))).astype(np.int64)
-    table = np.empty((orders.size, points.size))  # J_m(x), read only where m <= x
+    nodes = _node_count(points + _DEGREE + 1, points)
+    sizes = 2 ** np.ceil(np.log2(2.0 * nodes)).astype(np.int64)
+    base = orders[0] - _DEGREE  # table row r holds order base + r
+    table = np.empty((orders[-1] + _DEGREE + 1 - base, points.size))
     groups = np.flatnonzero(np.diff(sizes, prepend=-1))
     for g, g_end in zip(groups, np.append(groups[1:], points.size)):
         n = int(sizes[g])
@@ -184,33 +188,78 @@ def _brackets(
         for s in range(g, g_end, rows):
             xs = points[s : min(s + rows, g_end)]
             coef = np.fft.fft(np.exp(1j * np.multiply.outer(xs, sin))).real
-            k = np.searchsorted(orders, xs[-1], side="right")
-            table[:k, s : s + xs.size] = coef[:, orders[:k]].T / n
+            j = np.arange(base, min(xs[-1], orders[-1]) + _DEGREE + 1)
+            table[: j.size, s : s + xs.size] = coef[:, j % n].T / n
     scanned = orders[:, None] <= points  # x = m, m + 1, ... for each order
     m = np.broadcast_to(orders[:, None], scanned.shape)[scanned]
-    x = np.broadcast_to(points.astype(float), scanned.shape)[scanned]
-    f = table[scanned]
+    col = np.broadcast_to(np.arange(points.size), scanned.shape)[scanned]
+    x = points[col].astype(float)
+    f = table[m - base, col]
     x1, x2, f1, f2 = x[:-1], x[1:], f[:-1], f[1:]
     zero = f2 == 0.0
     lo = np.where(zero, x2 - 0.5, x1)
     found = (m[:-1] == m[1:]) & (zero | (f1 * f2 < 0.0)) & (lo < x_max)
-    return m[1:][found], lo[found], np.where(zero, x2 + 0.5, x2)[found]
+    lo, hi = lo[found], np.where(zero, x2 + 0.5, x2)[found]
+    near = np.where(abs(f2) <= abs(f1), col[1:], col[:-1])[found]  # smaller |J_m|
+    m = m[1:][found]
+    x0 = points[near].astype(float)
+    return m, lo, hi, _taylor_starts(table, m - orders[0], near, x0, lo, hi)
+
+
+def _taylor_starts(
+    table: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    x0: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Newton starts in [lo, hi]: the root of the degree-P Taylor polynomial of
+    J_m about x0, where table[row + i, col] holds J_{m-P+i}(x0), i <= 2P.
+
+    Its coefficients are J_m^(k)(x0) / k! with J_m^(k) = 2^-k sum_j (-1)^j
+    C(k, j) J_{m-k+2j} (DLMF 10.6.7), so they cost no kernel points. As
+    |J_m^(k)| <= 1, the polynomial is off by at most |t|^(P+1) / (P+1)! at
+    t = x - x0. A fixed number of Newton passes on it, each clipped to the
+    bracket, and sums taken in a fixed order make every start independent of
+    the batch. Brackets go in blocks of at most _BLOCK coefficients.
+    """
+    out = np.empty(x0.size)
+    per = max(1, _BLOCK // (_DEGREE + 1))
+    for s in range(0, x0.size, per):
+        b = slice(s, s + per)
+        coef = np.zeros((_DEGREE + 1, x0[b].size))
+        for i in range(2 * _DEGREE + 1):
+            values = table[rows[b] + i, cols[b]]  # J_{m-P+i}(x0) = J_{m-k+2j}(x0)
+            for k in range(abs(i - _DEGREE), _DEGREE + 1, 2):
+                j = (i - _DEGREE + k) // 2
+                w = (-1) ** j * math.comb(k, j) / (2.0**k * math.factorial(k))
+                coef[k] += w * values
+        t, t_lo, t_hi = np.zeros(coef.shape[1]), lo[b] - x0[b], hi[b] - x0[b]
+        for _ in range(_PASSES):
+            p, dp = coef[_DEGREE], 0.0
+            for c in coef[-2::-1]:
+                p, dp = p * t + c, dp * t + p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.clip(t - p / dp, t_lo, t_hi)
+        out[b] = x0[b] + t
+    return out
 
 
 def _newton(
-    m: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    m: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray, start: np.ndarray
 ) -> np.ndarray:
-    """Refine the brackets of the k-th zeros of J_m in lockstep; each takes
-    exactly the steps it takes alone.
+    """Refine the brackets of the k-th zeros of J_m in lockstep from start (the
+    bracket midpoint where start is not inside); each takes exactly the steps
+    it takes alone.
 
     J_m > 0 below j_{m,1}, so J_m(lo) has the sign (-1)^(k-1). A Newton step
     that lands in the closed bracket is taken, any other step bisects, and a
     step within tolerance ends the refinement: one that rounds onto a bracket
     end, or a zero step from an exact root, is converged.
     """
-    guess = np.array([_mcmahon(a, b) for a, b in zip(m.tolist(), k.tolist())])
     lo_positive = k % 2 == 1
-    x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    x = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
     z = np.empty_like(x)
     idx = np.arange(x.size)
     for _ in range(_MAX_ITER):
@@ -291,9 +340,9 @@ def bessel_zeros_below(
         raise ValueError(f"orders must be a strictly increasing sequence, got {m!r}")
     if not (x_max > 0.0 and math.isfinite(x_max)):
         raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
-    bm, lo, hi = _brackets(orders, x_max)
+    bm, lo, hi, start = _brackets(orders, x_max)
     k = np.arange(bm.size) - np.searchsorted(bm, bm) + 1
-    z = _newton(bm, k, lo, hi)
+    z = _newton(bm, k, lo, hi, start)
     below = z < x_max
     zeros = np.split(z[below], np.searchsorted(bm[below], orders[1:]))
     _certify(orders, zeros, x_max, strays=bm[(z < lo) | (z > hi)])

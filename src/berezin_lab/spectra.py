@@ -175,7 +175,8 @@ def _merge(
     start[1:] = v[1:] - v[:-1] > tol[1:]
     idx = np.arange(v.size)
     first = np.maximum.accumulate(np.where(start, idx, 0))
-    wide = np.unique(first[v - v[first] > tol])
+    wide = first[v - v[first] > tol]
+    wide = wide[np.diff(wide, prepend=-1) != 0]  # first is non-decreasing
     if wide.size:
         runs = np.flatnonzero(start)
         ends = np.append(runs[1:], v.size)[np.searchsorted(runs, wide)]

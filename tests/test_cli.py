@@ -161,20 +161,42 @@ def test_version_and_usage_exits(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_runs_without_warnings():
+def _run_python(*args):
     src = str(Path(berezin_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "berezin_lab", "--version"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
     )
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = _run_python("-W", "error", "-m", "berezin_lab", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"berezin-lab {TOOL_VERSION}"
     assert proc.stderr == ""
+
+
+def test_reports_do_not_import_numpy_ma():
+    # numpy.ma, which np.unique imports on first use, costs about 12 ms of
+    # every command's run time; a fresh process shows whether it was loaded.
+    script = """
+import contextlib, io, sys
+from berezin_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["sweep", "--domain", "disk:1", "--sigma", "1.5",
+              "--lambda-max", "2e3", "--points", "20"]),
+        main(["sweep", "--domain", "box:2x1", "--sigma", "1.5",
+              "--lambda-max", "1e4", "--points", "20"]),
+        main(["sums", "--domain", "box:2x1", "--sigma", "2",
+              "--n-max", "500", "--points", "30"]),
+    ]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    proc = _run_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0, 0, 0] False\n"
 
 
 def test_constants_output(capsys):
@@ -383,6 +405,19 @@ def test_overflow_is_a_numeric_failure(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("sigma", ["150", "200"])
+def test_sums_overflow_names_the_column_without_a_warning(sigma, capsys):
+    argv = ["sums", "--domain", "box:1x1", "--sigma", sigma, "--n-max", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"numeric failure: s_classical_sigma overflows a float at sigma = {sigma}\n"
+    )
 
 
 @pytest.mark.parametrize(

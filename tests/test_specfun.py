@@ -2,7 +2,7 @@
 
 The Bessel zero values used across the suite are frozen here. They come
 from the bisection oracle below (sign changes of the plain power series),
-so the production McMahon/Newton path is always compared against an
+so the production Taylor-start/Newton path is always compared against an
 independent construction.
 """
 
@@ -11,6 +11,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings, strategies as st
 
 from berezin_lab import specfun
 from berezin_lab.specfun import (
@@ -194,8 +196,12 @@ def test_batched_j_blocks_match(monkeypatch):
     rng = np.random.default_rng(7)
     m, x = rng.integers(0, 50, 400), 6.0 + 100.0 * rng.random(400)
     want = specfun._j(m, x)
+    zeros = bessel_zeros_below(list(range(62)), 61.5)
     monkeypatch.setattr(specfun, "_BLOCK", 64)
     assert np.array_equal(specfun._j(m, x), want)
+    # the scan's FFTs and the Newton starts go in blocks too: one FFT and
+    # four starts per block
+    assert bessel_zeros_below(list(range(62)), 61.5) == zeros
 
 
 def test_zeros_match_mpmath_to_a_few_ulps():
@@ -225,10 +231,32 @@ def _kernel_points_per_zero(monkeypatch, orders, x_max):
 def test_converged_newton_steps_end_the_refinement(monkeypatch):
     # A Newton step that rounds onto a bracket end is converged, not a cue to
     # bisect the bracket down to the tolerance, which costs about 36 and 21
-    # kernel points per zero here.
+    # kernel points per zero here. From the Taylor start each of the first
+    # call's 2,510 brackets converges in one step (J_m and J_{m+1} at one
+    # point); with the sign certificate's 142 points, over the 2,485 zeros
+    # below x_max, that is 2.08.
     x_max = math.sqrt(2e4) * (1.0 + 1e-12)
-    assert _kernel_points_per_zero(monkeypatch, list(range(142)), x_max) <= 14.0
+    assert _kernel_points_per_zero(monkeypatch, list(range(142)), x_max) <= 2.1
     assert _kernel_points_per_zero(monkeypatch, 0, 120.0) <= 9.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 300), k=st.integers(1, 60))
+@example(m=0, k=1)
+@example(m=300, k=1)  # the first zero sits in the turning region, x ~ m
+@example(m=300, k=60)
+def test_taylor_start_is_within_tolerance_of_the_zero(m, k):
+    # Close enough that the first Newton step is within tolerance and ends
+    # the refinement. The reference is mpmath's 20-digit root of J_m next to
+    # the k-th zero from scipy.special.jn_zeros (Zhang and Jin's Fortran):
+    # mpmath.besseljzero finds the same root but first isolates every lower
+    # zero, which takes seconds per order near m = 300.
+    with mpmath.workdps(20):
+        guess = float(scipy.special.jn_zeros(m, k)[-1])
+        ref = float(mpmath.findroot(lambda x: mpmath.besselj(m, x), guess))
+    assert abs(ref - guess) <= 1e-12 * ref  # the same zero
+    _, _, _, start = specfun._brackets(np.array([m]), ref + 1.0)
+    assert abs(start[k - 1] - ref) <= 1e-13 * (1.0 + ref), (m, k)
 
 
 def test_bessel_zero_is_entry_of_zeros_below():
@@ -262,9 +290,9 @@ def test_certificate_catches_a_dropped_bracket(monkeypatch, drop):
     scan = specfun._brackets
 
     def lossy(orders, x_max):
-        m, lo, hi = scan(orders, x_max)
-        i = np.flatnonzero(m == 3)[drop]  # a zero of J_3 goes missing
-        return np.delete(m, i), np.delete(lo, i), np.delete(hi, i)
+        found = scan(orders, x_max)  # (m, lo, hi, start)
+        i = np.flatnonzero(found[0] == 3)[drop]  # a zero of J_3 goes missing
+        return tuple(np.delete(a, i) for a in found)
 
     orders = np.arange(41)
     assert bessel_zeros_below(orders, 40.0)  # passes untouched
@@ -277,9 +305,9 @@ def test_certificate_catches_a_doubled_zero(monkeypatch):
     scan = specfun._brackets
 
     def doubled(orders, x_max):
-        m, lo, hi = scan(orders, x_max)
-        i = np.flatnonzero(m == 7)[2]
-        return np.insert(m, i, m[i]), np.insert(lo, i, lo[i]), np.insert(hi, i, hi[i])
+        found = scan(orders, x_max)  # (m, lo, hi, start)
+        i = np.flatnonzero(found[0] == 7)[2]
+        return tuple(np.insert(a, i, a[i]) for a in found)
 
     monkeypatch.setattr(specfun, "_brackets", doubled)
     with pytest.raises(ConvergenceError, match="interlacing"):
@@ -290,8 +318,8 @@ def test_certificate_catches_a_lost_last_zero_of_a_single_order(monkeypatch):
     scan = specfun._brackets
 
     def lossy(orders, x_max):
-        m, lo, hi = scan(orders, x_max)
-        return m[:-1], lo[:-1], hi[:-1]  # the last zero below x_max goes missing
+        # the last zero below x_max goes missing
+        return tuple(a[:-1] for a in scan(orders, x_max))
 
     assert len(bessel_zeros_below(3, 40.0)) == 11  # passes untouched
     monkeypatch.setattr(specfun, "_brackets", lossy)
