@@ -165,8 +165,9 @@ def render_domain(dom: Domain) -> str:
     if isinstance(dom, AxisBox) and not any(dom.origin):
         text = f"box:{_join(dom.sides, 'x')}"
     else:
-        boxes = dom.boxes if isinstance(dom, BoxUnion) else (dom,)
-        parts = (f"box({_join(b.sides, 'x')})@({_join(b.origin, ',')})" for b in boxes)
+        parts = (
+            f"box({_join(b.sides, 'x')})@({_join(b.origin, ',')})" for b in dom.boxes
+        )
         text = "union:" + "+".join(parts)
     if dom.slicing_axis != dom.dim:
         text += f";axis={dom.slicing_axis}"

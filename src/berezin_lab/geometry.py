@@ -2,11 +2,13 @@
 
 Supported domains are axis-aligned boxes, finite unions of boxes with
 pairwise disjoint interiors, planar disks, and a generic callback-backed
-class described by its one-dimensional open sections. Boxes and unions carry
-their slicing axis, because their sliced bounds depend on the orientation; it
-is 1-based and defaults to the last coordinate. A disk has no slicing axis:
-its sections are the same in every direction. The generic class is sliced
-along its last coordinate.
+class described by its one-dimensional open sections. A box is a one-box
+union: its `boxes` is (self,), so every box quantity (sections, volume,
+surface, moment, enumeration) has the one kernel of a union, a sum over its
+boxes. Boxes and unions carry their slicing axis, because their sliced
+bounds depend on the orientation; it is 1-based and defaults to the last
+coordinate. A disk has no slicing axis: its sections are the same in every
+direction. The generic class is sliced along its last coordinate.
 
 slicing_stats collects the two quantities the corrected bounds consume: the
 volume of the subset of the domain whose section through a cross point is
@@ -84,6 +86,11 @@ class AxisBox:
     @property
     def dim(self) -> int:
         return len(self.sides)
+
+    @property
+    def boxes(self) -> tuple[AxisBox]:
+        """The box as a one-box union."""
+        return (self,)
 
 
 @dataclass(frozen=True)
@@ -194,13 +201,15 @@ def sections(dom: Domain, x_prime: Sequence[float]) -> list[Interval]:
     xp = tuple(float(v) for v in x_prime)
     if len(xp) != dom.dim - 1:
         raise ValueError(f"expected {dom.dim - 1} cross coordinates, got {len(xp)}")
-    if isinstance(dom, AxisBox):
-        return _box_sections(dom, dom.slicing_axis, xp)
-    if isinstance(dom, BoxUnion):
-        out: list[Interval] = []
-        for b in dom.boxes:
-            out.extend(_box_sections(b, dom.slicing_axis, xp))
-        return sorted(out)
+    if isinstance(dom, (AxisBox, BoxUnion)):
+        ax, cross = dom.slicing_axis - 1, _cross_indices(dom.dim, dom.slicing_axis)
+        return sorted(
+            (b.origin[ax], b.origin[ax] + b.sides[ax])
+            for b in dom.boxes
+            if all(
+                b.origin[j] < v < b.origin[j] + b.sides[j] for j, v in zip(cross, xp)
+            )
+        )
     if isinstance(dom, Disk):
         u = xp[0]
         if abs(u) < dom.radius:
@@ -210,14 +219,6 @@ def sections(dom: Domain, x_prime: Sequence[float]) -> list[Interval]:
     if isinstance(dom, GenericSliced):
         return [(float(t0), float(t1)) for t0, t1 in dom.section_fn(xp)]
     raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
-
-
-def _box_sections(box: AxisBox, axis: int, xp: tuple[float, ...]) -> list[Interval]:
-    ax = axis - 1
-    for i, j in enumerate(_cross_indices(box.dim, axis)):
-        if not box.origin[j] < xp[i] < box.origin[j] + box.sides[j]:
-            return []
-    return [(box.origin[ax], box.origin[ax] + box.sides[ax])]
 
 
 def section_family(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
@@ -231,12 +232,9 @@ def section_family(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
     arrays, so an energy alone gives the same bits as inside a grid.
     """
     if isinstance(dom, (AxisBox, BoxUnion)):
-        boxes = dom.boxes if isinstance(dom, BoxUnion) else (dom,)
-        axis = dom.slicing_axis
-        lengths = [b.sides[axis - 1] for b in boxes]
-        weights = [
-            math.prod(b.sides[i] for i in _cross_indices(b.dim, axis)) for b in boxes
-        ]
+        ax, cross = dom.slicing_axis - 1, _cross_indices(dom.dim, dom.slicing_axis)
+        lengths = [b.sides[ax] for b in dom.boxes]
+        weights = [math.prod(b.sides[i] for i in cross) for b in dom.boxes]
     elif isinstance(dom, GenericSliced):
         lengths, weights = [], []
         for xp, w in _midpoint_grid(dom):
@@ -296,9 +294,7 @@ def _midpoint_grid(dom: GenericSliced):
 
 
 def volume(dom: Domain) -> float:
-    if isinstance(dom, AxisBox):
-        return math.prod(dom.sides)
-    if isinstance(dom, BoxUnion):
+    if isinstance(dom, (AxisBox, BoxUnion)):
         return sum(math.prod(b.sides) for b in dom.boxes)
     if isinstance(dom, Disk):
         return math.pi * dom.radius**2
@@ -308,17 +304,11 @@ def volume(dom: Domain) -> float:
 
 def surface(dom: Domain) -> float:
     """Boundary measure; unions must be separated for the per-box sum to hold."""
-    if isinstance(dom, AxisBox):
-        return _box_surface(dom)
-    if isinstance(dom, BoxUnion):
-        boxes = dom.boxes
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if not _separated(boxes[i], boxes[j]):
-                    raise UnsupportedDomainError(
-                        "surface of a union needs pairwise separated boxes"
-                    )
-        return sum(_box_surface(b) for b in boxes)
+    if isinstance(dom, (AxisBox, BoxUnion)):
+        if not all(_separated(*pair) for pair in itertools.combinations(dom.boxes, 2)):
+            msg = "surface of a union needs pairwise separated boxes"
+            raise UnsupportedDomainError(msg)
+        return sum(_box_surface(b) for b in dom.boxes)
     if isinstance(dom, Disk):
         return 2.0 * math.pi * dom.radius
     raise UnsupportedDomainError("surface is not available for GenericSliced domains")
@@ -336,29 +326,30 @@ def _box_surface(box: AxisBox) -> float:
 
 
 def moment_J(dom: Domain) -> float:
-    """Second moment of the domain about its centroid."""
-    if isinstance(dom, AxisBox):
-        return math.prod(dom.sides) * sum(s * s for s in dom.sides) / 12.0
+    """Second moment of the domain about its centroid.
+
+    A box is a one-box union. The union moment is the parallel-axis theorem
+    in pairwise form, sum_i v_i |s_i|^2/12 + sum_{i<j} v_i v_j |c_i - c_j|^2 / V
+    for box volumes v_i, sides s_i and centres c_i: there is no centroid to
+    round, and each centre gap is a difference of origins plus half a
+    difference of sides, so the moment is translation-invariant, and a box's
+    is exactly prod(sides) * sum(sides^2) / 12.
+    """
     if isinstance(dom, Disk):
         return 0.5 * math.pi * dom.radius**4
-    if isinstance(dom, BoxUnion):
-        # Parallel-axis transfer of each box moment to the union centroid.
+    if isinstance(dom, (AxisBox, BoxUnion)):
         vols = [math.prod(b.sides) for b in dom.boxes]
-        total = sum(vols)
-        centroid = [
-            sum(v * (b.origin[i] + 0.5 * b.sides[i]) for v, b in zip(vols, dom.boxes))
-            / total
-            for i in range(dom.dim)
-        ]
-        out = 0.0
-        for v, b in zip(vols, dom.boxes):
-            own = v * sum(s * s for s in b.sides) / 12.0
-            shift = sum(
-                (b.origin[i] + 0.5 * b.sides[i] - centroid[i]) ** 2
-                for i in range(dom.dim)
+        own = sum(
+            v * sum(s * s for s in b.sides) / 12.0 for v, b in zip(vols, dom.boxes)
+        )
+        gaps = sum(
+            vols[i] * vols[j] * sum(
+                ((ao - bo) + 0.5 * (as_ - bs)) ** 2
+                for ao, as_, bo, bs in zip(a.origin, a.sides, b.origin, b.sides)
             )
-            out += own + v * shift
-        return out
+            for (i, a), (j, b) in itertools.combinations(enumerate(dom.boxes), 2)
+        )
+        return own + gaps / sum(vols)
     if isinstance(dom, GenericSliced):
         m0 = 0.0
         m1 = [0.0] * dom.dim
@@ -385,10 +376,9 @@ def _bounding_box_cross_first(dom: Domain) -> AxisBox:
         return AxisBox(sides=(2.0 * r, 2.0 * r), origin=(-r, -r))
     if not isinstance(dom, (AxisBox, BoxUnion)):
         raise UnsupportedDomainError("cannot wrap this domain class")
-    boxes = dom.boxes if isinstance(dom, BoxUnion) else (dom,)
     axis, d = dom.slicing_axis, dom.dim
-    lo = [min(b.origin[i] for b in boxes) for i in range(d)]
-    hi = [max(b.origin[i] + b.sides[i] for b in boxes) for i in range(d)]
+    lo = [min(b.origin[i] for b in dom.boxes) for i in range(d)]
+    hi = [max(b.origin[i] + b.sides[i] for b in dom.boxes) for i in range(d)]
     order = _cross_indices(d, axis) + [axis - 1]
     sides = tuple(hi[i] - lo[i] for i in order)
     origin = tuple(lo[i] for i in order)

@@ -336,10 +336,10 @@ def sweep_riesz(
     # this cap, so improved_nonneg is n/a above it.
     nu_cap = nu_nonneg_cap(mu) if d >= 2 else math.nan
 
+    scl = _no_overflow("s_classical", sigma, lambda: s_classical(p, vol, lam))
     n = counting(spec, lam)
     s_val = riesz_mean(spec, sigma, lam)
     eta = phase_space_eta(d, vol, lam)
-    scl = s_classical(p, vol, lam)
     st = slicing_stats(domain, lam)
     sliced = sliced_bound(domain, p, lam) if sliced_ok else math.nan
     improved = (
@@ -513,8 +513,8 @@ def asymptotic_diagnostics(
     vol = volume(domain)
     spec = enumerate_spectrum(domain, lam[-1].item())
 
+    scl = _no_overflow("s_classical", sigma, lambda: s_classical(p, vol, lam))
     s_val = riesz_mean(spec, sigma, lam)
-    scl = s_classical(p, vol, lam)
     boundary = boundary_term(0.25, sigma, d, surf, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_main = np.where(scl > 0.0, s_val / scl, math.nan)

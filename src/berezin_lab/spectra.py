@@ -90,7 +90,7 @@ def enumerate_spectrum(dom: Domain, cutoff: float) -> Spectrum:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
     if isinstance(dom, (AxisBox, BoxUnion)):
         parts: list[np.ndarray] = []
-        for box in dom.boxes if isinstance(dom, BoxUnion) else (dom,):
+        for box in dom.boxes:
             parts.append(_box_eigenvalues(box.sides, cutoff))
             _check_limit(sum(p.size for p in parts))
         vals = np.concatenate(parts)

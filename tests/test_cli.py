@@ -3,6 +3,8 @@
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -421,6 +423,27 @@ def test_sums_overflow_names_the_column_without_a_warning(sigma, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--domain", "box:1x1", "--sigma", "400", "--lambda", "100"],
+        ["sweep", "--domain", "box:1x1", "--sigma", "400", "--lambda-max", "100",
+         "--points", "5"],
+        ["asymptotics", "--domain", "box:1x1", "--sigma", "400", "--lambda-max", "1e4"],
+    ],
+    ids=["check", "sweep", "asymptotics"],
+)
+def test_riesz_overflow_names_the_column_without_a_warning(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: s_classical overflows a float at sigma = 400\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv, flag, cap",
     [
         (["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "1000000000"],
@@ -740,3 +763,16 @@ def test_long_box_lattice_sum_is_bounded_work(capsys):
         "numeric failure: lattice sum at scaled section length 3e+12 would exceed"
         " the limit of 2000000 lattice indices\n"
     )
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # the README's command lines are the CLI's documentation; each must run as
+    # written, so an example cannot outlive a flag it uses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S)
+    assert block is not None
+    lines = block.group(1).splitlines()
+    assert len(lines) == 7 and all(line.startswith("berezin-lab ") for line in lines)
+    monkeypatch.chdir(tmp_path)  # one line writes out.csv
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berezin_lab import geometry
+from berezin_lab.bounds import sliced_bound
+from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import UnsupportedDomainError
 from berezin_lab.geometry import (
     AxisBox,
@@ -20,11 +24,13 @@ from berezin_lab.geometry import (
     critical_length,
     generic_wrapper,
     moment_J,
+    section_family,
     sections,
     slicing_stats,
     surface,
     volume,
 )
+from berezin_lab.spectra import enumerate_spectrum
 
 
 def disk_long_stats_oracle(radius, lam, n=2_000_001):
@@ -238,6 +244,84 @@ def test_moment_union_parallel_axis():
     assert moment_J(lopsided) == pytest.approx(
         moment_oracle_box_grid(lopsided.boxes), rel=1e-3
     )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def _boxes(draw):
+    d = draw(st.integers(1, 4))
+    sides = draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d))
+    origin = draw(st.lists(st.floats(-1e10, 1e10), min_size=d, max_size=d))
+    return tuple(sides), tuple(origin), draw(st.integers(1, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_boxes())
+@example(case=((1e-3, 1e-3), (1e6, 1e6), 2))
+def test_a_box_is_its_one_box_union(case):
+    sides, origin, axis = case
+    box = AxisBox(sides, origin, slicing_axis=axis)
+    union = BoxUnion((AxisBox(sides, origin),), slicing_axis=axis)
+    d = box.dim
+    assert moment_J(box) == math.prod(sides) * sum(s * s for s in sides) / 12.0
+    for quantity in (volume, surface, moment_J):
+        assert _bits(quantity(box)) == _bits(quantity(union))
+    for a, b in zip(section_family(box), section_family(union)):
+        assert _bits(a) == _bits(b)
+    cross = [j for j in range(d) if j != axis - 1]
+    for t in (-0.5, 0.25, 0.5, 1.5):
+        xp = [origin[j] + t * sides[j] for j in cross]
+        assert sections(box, xp) == sections(union, xp)
+    lam = np.geomspace(0.1, 1e3, 7)
+    a, b = slicing_stats(box, lam), slicing_stats(union, lam)
+    assert _bits(a.vol_omega_lambda) == _bits(b.vol_omega_lambda)
+    assert _bits(a.d_lambda) == _bits(b.d_lambda)
+    if d >= 2:
+        p = SemiclassicalParams(1.5, d)
+        assert _bits(sliced_bound(box, p, lam)) == _bits(sliced_bound(union, p, lam))
+    # every index n_i is at most sqrt(1 + 1e6^(1/d)): about 1,000 entries at most
+    w = [1.0 / (s * s) for s in sides]
+    cutoff = math.pi**2 * (sum(w) + 1e6 ** (1.0 / d) * min(w))
+    a, b = enumerate_spectrum(box, cutoff), enumerate_spectrum(union, cutoff)
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert a.multiplicities.tobytes() == b.multiplicities.tobytes()
+    assert box.boxes == (box,)
+
+
+@st.composite
+def _dyadic_unions(draw):
+    # 2-3 boxes, each in its own unit slot of one axis, so they are disjoint;
+    # sides and offsets are multiples of 2^-10 below 4, and the shift is a
+    # multiple of 2^20 up to 2^40, so every shifted origin is exact
+    d = draw(st.integers(2, 3))
+    split = draw(st.integers(0, d - 1))
+    grid = st.integers(0, 4 * 1024 - 1)
+    boxes = []
+    for k in range(draw(st.integers(2, 3))):
+        lo = [draw(grid) for _ in range(d)]
+        hi = [draw(st.integers(a + 1, 4 * 1024)) for a in lo]
+        lo[split] = k * 1024 + draw(st.integers(0, 1023))
+        hi[split] = draw(st.integers(lo[split] + 1, (k + 1) * 1024))
+        boxes.append(
+            (tuple((b - a) / 1024 for a, b in zip(lo, hi)), tuple(a / 1024 for a in lo))
+        )
+    shift = tuple(draw(st.integers(-(2**20), 2**20)) * 2.0**20 for _ in range(d))
+    return tuple(boxes), shift
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_dyadic_unions())
+@example(case=((((1.0, 1.0), (0.0, 0.0)), ((2.0, 1.0), (3.0, 0.0))), (2.0**40, 0.0)))
+def test_moment_union_is_translation_invariant(case):
+    boxes, shift = case
+    here = BoxUnion(tuple(AxisBox(s, o) for s, o in boxes))
+    there = BoxUnion(
+        tuple(AxisBox(s, tuple(x + t for x, t in zip(o, shift))) for s, o in boxes)
+    )
+    assert moment_J(there) == pytest.approx(moment_J(here), rel=1e-14, abs=0.0)
 
 
 def test_generic_wrapper_matches_exact_stats():
