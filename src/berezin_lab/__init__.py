@@ -30,12 +30,9 @@ from .geometry import (
     BoxUnion,
     Disk,
     Domain,
-    GenericSliced,
     SlicingStats,
     critical_length,
-    generic_wrapper,
     moment_J,
-    sections,
     slicing_stats,
     surface,
     volume,
@@ -86,7 +83,6 @@ __all__ = [
     "Domain",
     "DomainParseError",
     "EnumerationLimitError",
-    "GenericSliced",
     "InsufficientCutoffError",
     "NumericFailure",
     "RemainderResult",
@@ -108,7 +104,6 @@ __all__ = [
     "enumerate_spectrum",
     "epsilon_mu",
     "f_mu",
-    "generic_wrapper",
     "improved_rhs",
     "li_yau_rhs",
     "lt_value",
@@ -122,7 +117,6 @@ __all__ = [
     "rho_lower",
     "riesz_mean",
     "s_classical",
-    "sections",
     "sliced_bound",
     "slicing_stats",
     "sum_classical",

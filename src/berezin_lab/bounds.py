@@ -135,11 +135,10 @@ def sliced_bound(dom: Domain, p: SemiclassicalParams, lam: ArrayLike) -> ArrayLi
 
     With e = sigma + (d - 1)/2 and l_crit = pi/sqrt(lam), a section of
     length t contributes lam^e L_{sigma,d-1} lattice_sum(e, t / l_crit) per
-    unit cross measure; summed over the section family this is exact for
-    boxes and unions and the midpoint rule for GenericSliced. Bounding each
-    lattice sum by t/(2 l_crit) B(1 + e, 1/2) - epsilon_e gives the corrected
-    bound. The disk uses per-term Gauss-Legendre in a trigonometric
-    substitution that makes each piece smooth.
+    unit cross measure; summed over the section family of a box or union this
+    is exact. Bounding each lattice sum by t/(2 l_crit) B(1 + e, 1/2) -
+    epsilon_e gives the corrected bound. The disk uses per-term Gauss-Legendre
+    in a trigonometric substitution that makes each piece smooth.
     """
     if p.sigma < 1.5:
         raise ValueError("sliced_bound requires sigma >= 3/2")

@@ -25,7 +25,6 @@ import argparse
 import math
 import re
 import sys
-from typing import IO
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import (
     NumericFailure,
     UnsupportedDomainError,
 )
-from .geometry import AxisBox, BoxUnion, Disk, Domain, GenericSliced
+from .geometry import AxisBox, BoxUnion, Disk, Domain
 from .harness import (
     BoundReport,
     RIESZ_CHECKS,
@@ -158,8 +157,6 @@ def render_domain(dom: Domain) -> str:
     A box with a nonzero origin only exists in the union branch of the
     grammar, so it renders as a one-box union.
     """
-    if isinstance(dom, GenericSliced):
-        raise UnsupportedDomainError("callback-backed domains have no text form")
     if isinstance(dom, Disk):
         return f"disk:{dom.radius!r}"
     if isinstance(dom, AxisBox) and not any(dom.origin):

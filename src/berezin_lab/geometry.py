@@ -1,23 +1,21 @@
-"""Domain model and axis slicing: sections, long-section statistics, moments.
+"""Domain model and axis slicing: long-section statistics, volumes, moments.
 
 Supported domains are axis-aligned boxes, finite unions of boxes with
-pairwise disjoint interiors, planar disks, and a generic callback-backed
-class described by its one-dimensional open sections. A box is a one-box
-union: its `boxes` is (self,), so every box quantity (sections, volume,
-surface, moment, enumeration) has the one kernel of a union, a sum over its
-boxes. Boxes and unions carry their slicing axis, because their sliced
-bounds depend on the orientation; it is 1-based and defaults to the last
-coordinate. A disk has no slicing axis: its sections are the same in every
-direction. The generic class is sliced along its last coordinate.
+pairwise disjoint interiors, and planar disks: the domains whose spectra are
+enumerated exactly, so each one can reach a verdict. A box is a one-box
+union: its `boxes` is (self,), so every box quantity (section family,
+volume, surface, moment, enumeration) has the one kernel of a union, a sum
+over its boxes. Boxes and unions carry their slicing axis, because their
+sliced bounds depend on the orientation; it is 1-based and defaults to the
+last coordinate. A disk has no slicing axis: its sections are the same in
+every direction.
 
 slicing_stats collects the two quantities the corrected bounds consume: the
 volume of the subset of the domain whose section through a cross point is
 longer than the critical length pi/sqrt(lambda), and the cross-sectional
 measure of those long-section points. Both are closed-form for disks; for
-boxes, unions, and the generic class they are sums over one family of
-(section length, cross weight) pairs, exact for boxes and unions and a
-midpoint rule over the bounding-box cross variables for the generic class.
-The sliced bound sums over the same family.
+boxes and unions they are exact sums over one family of (section length,
+cross weight) pairs, one per box. The sliced bound sums over the same family.
 """
 
 from __future__ import annotations
@@ -25,35 +23,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import UnsupportedDomainError
+from .errors import NumericFailure, UnsupportedDomainError
 
 __all__ = [
-    "Interval",
     "AxisBox",
     "BoxUnion",
     "Disk",
-    "GenericSliced",
     "Domain",
     "SlicingStats",
     "critical_length",
     "section_family",
-    "sections",
     "slicing_stats",
     "volume",
     "surface",
     "moment_J",
-    "generic_wrapper",
 ]
-
-Interval = tuple[float, float]
-
-# Midpoint nodes per cross dimension, keyed by the number of cross dimensions.
-_MIDPOINT_NODES = {0: 1, 1: 4096, 2: 256, 3: 64}
 
 
 @dataclass(frozen=True)
@@ -153,27 +142,7 @@ class BoxUnion:
         return self.boxes[0].dim
 
 
-@dataclass(frozen=True)
-class GenericSliced:
-    """Domain given only through its open sections along the last coordinate.
-
-    section_fn maps a cross point (dim - 1 floats) to disjoint open
-    intervals; they must stay inside the bounding box (contract, unchecked).
-    The slicing axis is baked into the parametrization and equals dim.
-    """
-
-    dim: int
-    section_fn: Callable[[tuple[float, ...]], Sequence[Interval]]
-    bounding_box: AxisBox
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.bounding_box.dim != self.dim:
-            raise ValueError("bounding_box dimension must match dim")
-
-
-Domain = Union[AxisBox, BoxUnion, Disk, GenericSliced]
+Domain = Union[AxisBox, BoxUnion, Disk]
 
 
 @dataclass(frozen=True)
@@ -192,60 +161,23 @@ def critical_length(lam: ArrayLike) -> ArrayLike:
     return math.pi / np.sqrt(lam)
 
 
-def _cross_indices(dim: int, axis: int) -> list[int]:
-    return [i for i in range(dim) if i != axis - 1]
-
-
-def sections(dom: Domain, x_prime: Sequence[float]) -> list[Interval]:
-    """Open intervals of the section through the cross point x_prime."""
-    xp = tuple(float(v) for v in x_prime)
-    if len(xp) != dom.dim - 1:
-        raise ValueError(f"expected {dom.dim - 1} cross coordinates, got {len(xp)}")
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        ax, cross = dom.slicing_axis - 1, _cross_indices(dom.dim, dom.slicing_axis)
-        return sorted(
-            (b.origin[ax], b.origin[ax] + b.sides[ax])
-            for b in dom.boxes
-            if all(
-                b.origin[j] < v < b.origin[j] + b.sides[j] for j, v in zip(cross, xp)
-            )
-        )
-    if isinstance(dom, Disk):
-        u = xp[0]
-        if abs(u) < dom.radius:
-            c = math.sqrt(dom.radius**2 - u * u)
-            return [(-c, c)]
-        return []
-    if isinstance(dom, GenericSliced):
-        return [(float(t0), float(t1)) for t0, t1 in dom.section_fn(xp)]
-    raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
-
-
 def section_family(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
     """Section lengths along the slicing axis and the cross weight of each.
 
-    A box or union gives one section per box, weighted by its cross area.
-    GenericSliced gives every nonempty section through the midpoint nodes of
-    its bounding box, weighted by the node's cell measure. A disk's sections
-    form a continuous family, which its callers treat in closed form.
-    Callers sum over the family along the last axis of (energies, sections)
-    arrays, so an energy alone gives the same bits as inside a grid.
+    A box or union gives one section per box, weighted by its cross area. A
+    disk's sections form a continuous family, which its callers treat in
+    closed form. Callers sum over the family along the last axis of
+    (energies, sections) arrays, so an energy alone gives the same bits as
+    inside a grid.
     """
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        ax, cross = dom.slicing_axis - 1, _cross_indices(dom.dim, dom.slicing_axis)
-        lengths = [b.sides[ax] for b in dom.boxes]
-        weights = [math.prod(b.sides[i] for i in cross) for b in dom.boxes]
-    elif isinstance(dom, GenericSliced):
-        lengths, weights = [], []
-        for xp, w in _midpoint_grid(dom):
-            for t0, t1 in dom.section_fn(xp):
-                if t1 > t0:
-                    lengths.append(t1 - t0)
-                    weights.append(w)
-    else:
+    if not isinstance(dom, (AxisBox, BoxUnion)):
         raise UnsupportedDomainError(
             f"no discrete section family for {type(dom).__name__}"
         )
+    ax = dom.slicing_axis - 1
+    cross = [i for i in range(dom.dim) if i != ax]
+    lengths = [b.sides[ax] for b in dom.boxes]
+    weights = [math.prod(b.sides[i] for i in cross) for b in dom.boxes]
     return np.array(lengths, dtype=float), np.array(weights, dtype=float)
 
 
@@ -272,34 +204,20 @@ def slicing_stats(dom: Domain, lam: ArrayLike) -> SlicingStats:
     return SlicingStats(vol[()], dl[()])
 
 
-def _midpoint_grid(dom: GenericSliced):
-    """Midpoint nodes and weights over the bounding-box cross variables."""
-    n_cross = dom.dim - 1
-    if n_cross not in _MIDPOINT_NODES:
-        raise UnsupportedDomainError(f"no quadrature for {n_cross} cross dimensions")
-    n = _MIDPOINT_NODES[n_cross]
-    if n_cross == 0:
-        yield (), 1.0
-        return
-    bb = dom.bounding_box
-    axes = []
-    weight = 1.0
-    for i in range(n_cross):
-        h = bb.sides[i] / n
-        start = bb.origin[i] + 0.5 * h
-        axes.append([start + j * h for j in range(n)])
-        weight *= h
-    for xp in itertools.product(*axes):
-        yield xp, weight
-
-
 def volume(dom: Domain) -> float:
+    """Lebesgue measure; NumericFailure if it underflows to 0 or overflows."""
     if isinstance(dom, (AxisBox, BoxUnion)):
-        return sum(math.prod(b.sides) for b in dom.boxes)
-    if isinstance(dom, Disk):
-        return math.pi * dom.radius**2
-    lengths, weights = section_family(dom)
-    return float(np.sum(lengths * weights))
+        vol = sum(math.prod(b.sides) for b in dom.boxes)
+    elif isinstance(dom, Disk):
+        try:
+            vol = math.pi * dom.radius**2
+        except OverflowError:
+            vol = math.inf
+    else:
+        raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
+    if not (math.isfinite(vol) and vol > 0.0):
+        raise NumericFailure(f"volume of {dom!r} is {vol!r}, not a positive finite float")
+    return vol
 
 
 def surface(dom: Domain) -> float:
@@ -311,7 +229,7 @@ def surface(dom: Domain) -> float:
         return sum(_box_surface(b) for b in dom.boxes)
     if isinstance(dom, Disk):
         return 2.0 * math.pi * dom.radius
-    raise UnsupportedDomainError("surface is not available for GenericSliced domains")
+    raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
 
 
 def _box_surface(box: AxisBox) -> float:
@@ -350,48 +268,5 @@ def moment_J(dom: Domain) -> float:
             for (i, a), (j, b) in itertools.combinations(enumerate(dom.boxes), 2)
         )
         return own + gaps / sum(vols)
-    if isinstance(dom, GenericSliced):
-        m0 = 0.0
-        m1 = [0.0] * dom.dim
-        m2 = 0.0
-        for xp, w in _midpoint_grid(dom):
-            for t0, t1 in dom.section_fn(xp):
-                length = t1 - t0
-                m0 += length * w
-                for i, v in enumerate(xp):
-                    m1[i] += v * length * w
-                m1[-1] += 0.5 * (t1 * t1 - t0 * t0) * w
-                cross2 = sum(v * v for v in xp)
-                m2 += (cross2 * length + (t1**3 - t0**3) / 3.0) * w
-        if m0 <= 0.0:
-            raise ValueError("domain has zero measure under quadrature")
-        return m2 - sum(c * c for c in m1) / m0
     raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
 
-
-def _bounding_box_cross_first(dom: Domain) -> AxisBox:
-    """Bounding box with the slicing coordinate moved last."""
-    if isinstance(dom, Disk):
-        r = dom.radius
-        return AxisBox(sides=(2.0 * r, 2.0 * r), origin=(-r, -r))
-    if not isinstance(dom, (AxisBox, BoxUnion)):
-        raise UnsupportedDomainError("cannot wrap this domain class")
-    axis, d = dom.slicing_axis, dom.dim
-    lo = [min(b.origin[i] for b in dom.boxes) for i in range(d)]
-    hi = [max(b.origin[i] + b.sides[i] for b in dom.boxes) for i in range(d)]
-    order = _cross_indices(d, axis) + [axis - 1]
-    sides = tuple(hi[i] - lo[i] for i in order)
-    origin = tuple(lo[i] for i in order)
-    return AxisBox(sides=sides, origin=origin)
-
-
-def generic_wrapper(dom: Domain) -> GenericSliced:
-    """Wrap an exactly handled domain as a GenericSliced (for cross-checks)."""
-    if isinstance(dom, GenericSliced):
-        return dom
-    bb = _bounding_box_cross_first(dom)
-    return GenericSliced(
-        dim=dom.dim,
-        section_fn=lambda xp: sections(dom, xp),
-        bounding_box=bb,
-    )

@@ -312,8 +312,8 @@ def sweep_riesz(
     _check_finite("nu", nu)
     lam = _grid(lambda_grid, "lambda_grid", integer=False)
     lambda_max = lam[-1].item()
-    spec = enumerate_spectrum(domain, lambda_max)
     vol = volume(domain)
+    spec = enumerate_spectrum(domain, lambda_max)
     surf = _try_surface(domain)
     tiling = isinstance(domain, (AxisBox, BoxUnion))
     sliced_ok = sigma >= 1.5 and d >= 2
@@ -500,7 +500,7 @@ def asymptotic_diagnostics(
     ratio_main = S / S_classical should climb toward one along the grid rows
     whose Riesz mean is positive; ratio_second compares the observed deficit
     with the boundary term and should drift toward one. Surface measure is
-    required, so callback-backed domains are rejected.
+    required, so a union whose boxes touch is rejected.
     """
     if not sigma > 0.0:
         raise ValueError("asymptotic diagnostics require sigma > 0")

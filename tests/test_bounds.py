@@ -2,7 +2,7 @@
 
 Closed forms are spot-checked against hand-expanded constants; the sliced
 bound against its single-term closed form on a square and against the
-midpoint fallback on a disk; the corrected bound against a thin-rectangle
+midpoint oracle of oracles.py on a disk; the corrected bound against a thin-rectangle
 closed form that isolates the boundary term.
 """
 
@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-import berezin_lab.geometry as geometry
 import berezin_lab.remainder as remainder
 from berezin_lab.bounds import (
     boundary_term,
@@ -27,13 +26,11 @@ from berezin_lab.bounds import (
     two_term_sum,
 )
 from berezin_lab.constants import SemiclassicalParams, lt_value
-from berezin_lab.errors import UnsupportedDomainError
 from berezin_lab.geometry import (
     AxisBox,
     BoxUnion,
     Disk,
     critical_length,
-    generic_wrapper,
     moment_J,
     slicing_stats,
     volume,
@@ -41,6 +38,7 @@ from berezin_lab.geometry import (
 from berezin_lab.remainder import epsilon_mu
 from berezin_lab.spectra import enumerate_spectrum, riesz_mean
 from berezin_lab.specfun import beta
+from oracles import midpoint_oracle
 
 
 def test_phase_space_eta_values():
@@ -264,14 +262,12 @@ def test_sliced_bound_monotone_in_lambda():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_sliced_bound_disk_matches_midpoint_fallback(monkeypatch):
+def test_sliced_bound_disk_matches_midpoint_fallback():
     p = SemiclassicalParams(1.5, 2)
     disk = Disk(1.0)
-    wrapped = generic_wrapper(disk)
-    monkeypatch.setitem(geometry._MIDPOINT_NODES, 1, 8192)
     for lam in (40.0, 400.0, 4000.0):
         exact = sliced_bound(disk, p, lam)
-        approx = sliced_bound(wrapped, p, lam)
+        approx = midpoint_oracle(disk, 1.5, lam, nodes=8192).sliced_bound
         assert approx == pytest.approx(exact, rel=1e-6)
 
 

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import berezin_lab
 from berezin_lab.cli import main, parse_domain, render_domain
 from berezin_lab.constants import lt_value
-from berezin_lab.errors import DomainParseError, UnsupportedDomainError
-from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
+from berezin_lab.errors import DomainParseError
+from berezin_lab.geometry import AxisBox, BoxUnion, Disk
 from berezin_lab.version import TOOL_VERSION
 
 
@@ -146,11 +146,6 @@ def test_round_trip_on_representable_domains(dom):
     if isinstance(dom, Disk):
         with pytest.raises(DomainParseError, match="a disk takes no axis"):
             parse_domain(f"{text};axis={1 + len(text) % 2}")
-
-
-def test_render_rejects_callback_domains():
-    with pytest.raises(UnsupportedDomainError):
-        render_domain(generic_wrapper(Disk(1.0)))
 
 
 def test_version_and_usage_exits(capsys):
@@ -440,6 +435,35 @@ def test_riesz_overflow_names_the_column_without_a_warning(argv, capsys):
     assert captured.out == ""
     assert captured.err == (
         "numeric failure: s_classical overflows a float at sigma = 400\n"
+    )
+
+
+_TINY_UNION = "union:box(1e-300x1e-300)@(0,0)+box(1e-300x1e-300)@(1,0)"
+
+
+@pytest.mark.parametrize(
+    "domain, vol",
+    [("box:1e-300x1e-300", "0.0"), (_TINY_UNION, "0.0"), ("box:1e200x1e200", "inf")],
+    ids=["tiny-box", "tiny-union", "huge-box"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--sigma", "1.5", "--lambda", "100"],
+        ["sweep", "--sigma", "1.5", "--lambda-max", "100", "--points", "5"],
+        ["sums", "--sigma", "1", "--n-max", "3", "--melas-m", "0.5"],
+        ["asymptotics", "--sigma", "1.5", "--lambda-max", "1e3"],
+    ],
+    ids=["check", "sweep", "sums", "asymptotics"],
+)
+def test_volume_outside_the_floats_names_the_volume(command, domain, vol, capsys):
+    # a valid domain whose volume underflows to 0 or overflows: exit 3, one line
+    assert main([command[0], "--domain", domain, *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        rf"numeric failure: volume of .* is {vol}, not a positive finite float\n",
+        captured.err,
     )
 
 

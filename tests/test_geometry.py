@@ -1,36 +1,38 @@
 """Domain slicing, measures, and moments.
 
 Closed-form slicing statistics are checked against direct numerical
-integrals over the cross variable, and the second moments against a
-midpoint-rule indicator quadrature written out here.
+integrals over the cross variable, the second moments against a
+midpoint-rule indicator quadrature written out here, and both against the
+midpoint oracle of oracles.py, which shares no code with geometry.
 """
 
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from berezin_lab import geometry
 from berezin_lab.bounds import sliced_bound
 from berezin_lab.constants import SemiclassicalParams
-from berezin_lab.errors import UnsupportedDomainError
+from berezin_lab.errors import NumericFailure, UnsupportedDomainError
 from berezin_lab.geometry import (
     AxisBox,
     BoxUnion,
     Disk,
-    GenericSliced,
     critical_length,
-    generic_wrapper,
     moment_J,
     section_family,
-    sections,
     slicing_stats,
     surface,
     volume,
 )
+from berezin_lab.harness import asymptotic_diagnostics
 from berezin_lab.spectra import enumerate_spectrum
+from oracles import midpoint_oracle, oracle_sections
 
 
 def disk_long_stats_oracle(radius, lam, n=2_000_001):
@@ -80,40 +82,64 @@ def test_critical_length_values():
         critical_length(math.inf)
 
 
+# The test_sections_* cases check the midpoint oracle's section function.
 def test_sections_box():
     box = AxisBox((1.0, 2.0))
-    assert sections(box, (0.5,)) == [(0.0, 2.0)]
-    assert sections(box, (0.0,)) == []  # boundary cross points excluded
-    assert sections(box, (1.0,)) == []
-    assert sections(box, (-0.3,)) == []
+    assert oracle_sections(box, (0.5,)) == [(0.0, 2.0)]
+    assert oracle_sections(box, (0.0,)) == []  # boundary cross points excluded
+    assert oracle_sections(box, (1.0,)) == []
+    assert oracle_sections(box, (-0.3,)) == []
 
 
 def test_sections_box_other_axis():
     box = AxisBox((1.0, 2.0), slicing_axis=1)
-    assert sections(box, (1.3,)) == [(0.0, 1.0)]
-    assert sections(box, (2.0,)) == []
+    assert oracle_sections(box, (1.3,)) == [(0.0, 1.0)]
+    assert oracle_sections(box, (2.0,)) == []
 
 
 def test_sections_disk():
     disk = Disk(1.0)
-    (lo, hi) = sections(disk, (0.0,))[0]
+    (lo, hi) = oracle_sections(disk, (0.0,))[0]
     assert (lo, hi) == pytest.approx((-1.0, 1.0), abs=1e-15)
-    (lo, hi) = sections(disk, (0.6,))[0]
+    (lo, hi) = oracle_sections(disk, (0.6,))[0]
     assert hi == pytest.approx(0.8, rel=1e-15)
-    assert sections(disk, (1.0,)) == []
-    assert sections(disk, (2.0,)) == []
+    assert oracle_sections(disk, (1.0,)) == []
+    assert oracle_sections(disk, (2.0,)) == []
 
 
 def test_sections_union_sorted():
     union = BoxUnion(
         (AxisBox((1.0, 1.0), origin=(0.0, 2.0)), AxisBox((1.0, 1.0))),
     )
-    assert sections(union, (0.5,)) == [(0.0, 1.0), (2.0, 3.0)]
+    assert oracle_sections(union, (0.5,)) == [(0.0, 1.0), (2.0, 3.0)]
 
 
 def test_sections_cross_arity():
     with pytest.raises(ValueError):
-        sections(AxisBox((1.0, 1.0)), (0.5, 0.5))
+        oracle_sections(AxisBox((1.0, 1.0)), (0.5, 0.5))
+
+
+def test_oracles_import_nothing_from_the_checked_modules():
+    # The midpoint oracle checks geometry, bounds and remainder, so it may
+    # not import any name that one of them defines, directly or re-exported.
+    checked = ("berezin_lab.geometry", "berezin_lab.bounds", "berezin_lab.remainder")
+    path = Path(__file__).resolve().parent / "oracles.py"
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imports += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports += [(node.module, a.name) for a in node.names]
+    assert ("berezin_lab.spectra", "riesz_mean") in imports
+    for module, name in imports:
+        if module.split(".")[0] != "berezin_lab":
+            continue
+        obj = importlib.import_module(module)
+        if name is not None:
+            obj = getattr(obj, name)
+        home = getattr(obj, "__module__", None) or obj.__name__
+        assert home != "berezin_lab", f"{module} {name} opens the whole package"
+        assert not home.startswith(checked), f"{module} {name} comes from {home}"
 
 
 def test_slicing_stats_square():
@@ -125,6 +151,9 @@ def test_slicing_stats_square():
     # equality with the critical length does not count as long
     st = slicing_stats(sq, math.pi**2)
     assert (st.vol_omega_lambda, st.d_lambda) == (0.0, 0.0)
+    # exact for every domain: there is no quadrature to choose
+    with pytest.raises(TypeError):
+        slicing_stats(sq, 100.0, quad_points=64)
 
 
 def test_slicing_stats_interval():
@@ -216,8 +245,48 @@ def test_surface_unavailable_cases():
     assert volume(touching) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(UnsupportedDomainError):
         surface(touching)
+
+
+class _NotADomain:
+    """A dimension, as every domain has, and nothing else."""
+
+    dim = 2
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda dom: enumerate_spectrum(dom, 100.0),
+        lambda dom: slicing_stats(dom, 100.0),
+        lambda dom: sliced_bound(dom, SemiclassicalParams(1.5, 2), 100.0),
+        volume,
+        surface,
+        moment_J,
+        lambda dom: asymptotic_diagnostics(dom, 1.5, (50.0, 100.0)),
+    ],
+    ids=[
+        "enumerate_spectrum", "slicing_stats", "sliced_bound", "volume",
+        "surface", "moment_J", "asymptotic_diagnostics",
+    ],
+)
+def test_unknown_domain_class_is_rejected(quantity):
     with pytest.raises(UnsupportedDomainError):
-        surface(generic_wrapper(AxisBox((1.0, 1.0))))
+        quantity(_NotADomain())
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        AxisBox((1e-300, 1e-300)),
+        BoxUnion((AxisBox((1e-300, 1e-300)), AxisBox((1e-300, 1e-300), (1.0, 0.0)))),
+        AxisBox((1e200, 1e200)),
+        Disk(1e-200),
+        Disk(1e200),
+    ],
+)
+def test_volume_outside_the_floats_is_a_numeric_failure(dom):
+    with pytest.raises(NumericFailure, match=r"volume of .* is (0\.0|inf), not a"):
+        volume(dom)
 
 
 def test_moment_box_and_disk():
@@ -271,10 +340,6 @@ def test_a_box_is_its_one_box_union(case):
         assert _bits(quantity(box)) == _bits(quantity(union))
     for a, b in zip(section_family(box), section_family(union)):
         assert _bits(a) == _bits(b)
-    cross = [j for j in range(d) if j != axis - 1]
-    for t in (-0.5, 0.25, 0.5, 1.5):
-        xp = [origin[j] + t * sides[j] for j in cross]
-        assert sections(box, xp) == sections(union, xp)
     lam = np.geomspace(0.1, 1e3, 7)
     a, b = slicing_stats(box, lam), slicing_stats(union, lam)
     assert _bits(a.vol_omega_lambda) == _bits(b.vol_omega_lambda)
@@ -325,18 +390,18 @@ def test_moment_union_is_translation_invariant(case):
 
 
 def test_generic_wrapper_matches_exact_stats():
+    # the midpoint oracle against the exact statistics, volume and moment
     domains = [
         AxisBox((2.0, 1.0)),
         BoxUnion((AxisBox((1.0, 1.0)), AxisBox((1.0, 0.7), origin=(2.0, 0.1)))),
         Disk(1.0),
     ]
     for dom in domains:
-        wrapped = generic_wrapper(dom)
-        assert volume(wrapped) == pytest.approx(volume(dom), rel=1e-3)
-        assert moment_J(wrapped) == pytest.approx(moment_J(dom), rel=1e-3)
         for lam in (40.0, 400.0):
             exact = slicing_stats(dom, lam)
-            approx = slicing_stats(wrapped, lam)
+            approx = midpoint_oracle(dom, 1.5, lam)
+            assert approx.volume == pytest.approx(volume(dom), rel=1e-3)
+            assert approx.moment == pytest.approx(moment_J(dom), rel=1e-3)
             assert approx.vol_omega_lambda == pytest.approx(
                 exact.vol_omega_lambda, rel=1e-3, abs=1e-12
             )
@@ -344,12 +409,12 @@ def test_generic_wrapper_matches_exact_stats():
 
 
 def test_wrapper_respects_slicing_axis():
+    # the midpoint oracle slices along the domain's own axis
     tall = AxisBox((1.0, 2.0), slicing_axis=1)
-    wrapped = generic_wrapper(tall)
     st = slicing_stats(tall, 40.0)
-    wst = slicing_stats(wrapped, 40.0)
-    assert wst.vol_omega_lambda == pytest.approx(st.vol_omega_lambda, rel=1e-6)
-    assert wst.d_lambda == pytest.approx(st.d_lambda, rel=1e-6)
+    approx = midpoint_oracle(tall, 1.5, 40.0)
+    assert approx.vol_omega_lambda == pytest.approx(st.vol_omega_lambda, rel=1e-6)
+    assert approx.d_lambda == pytest.approx(st.d_lambda, rel=1e-6)
 
 
 def test_axis_choice_is_geometric_not_positional():
@@ -358,29 +423,6 @@ def test_axis_choice_is_geometric_not_positional():
     b = slicing_stats(AxisBox((1.0, 2.0), slicing_axis=2), 50.0)
     assert a.vol_omega_lambda == b.vol_omega_lambda
     assert a.d_lambda == b.d_lambda
-
-
-def test_generic_quadrature_controls(monkeypatch):
-    wrapped = generic_wrapper(Disk(1.0))
-    monkeypatch.setitem(geometry._MIDPOINT_NODES, 1, 64)
-    coarse = slicing_stats(wrapped, 100.0)
-    monkeypatch.setitem(geometry._MIDPOINT_NODES, 1, 8192)
-    fine = slicing_stats(wrapped, 100.0)
-    exact = slicing_stats(Disk(1.0), 100.0)
-    assert abs(fine.d_lambda - exact.d_lambda) < abs(coarse.d_lambda - exact.d_lambda)
-    # the node count is a module table, not an argument
-    with pytest.raises(TypeError):
-        slicing_stats(wrapped, 100.0, quad_points=64)
-
-
-def test_generic_without_default_quadrature(monkeypatch):
-    bb = AxisBox((1.0,) * 5)
-    dom = GenericSliced(dim=5, section_fn=lambda xp: [(0.0, 1.0)], bounding_box=bb)
-    with pytest.raises(UnsupportedDomainError, match="no quadrature for 4 cross"):
-        slicing_stats(dom, 100.0)
-    monkeypatch.setitem(geometry._MIDPOINT_NODES, 4, 2)
-    st = slicing_stats(dom, 100.0)
-    assert st.vol_omega_lambda == pytest.approx(1.0, rel=1e-12)
 
 
 def test_constructor_validation():
@@ -402,5 +444,3 @@ def test_constructor_validation():
         BoxUnion((AxisBox((1.0, 1.0)), AxisBox((1.0, 1.0), origin=(0.5, 0.5))))
     with pytest.raises(ValueError):
         BoxUnion((AxisBox((1.0, 1.0)), AxisBox((1.0,), origin=(5.0,))))
-    with pytest.raises(ValueError):
-        GenericSliced(dim=3, section_fn=lambda xp: [], bounding_box=AxisBox((1.0, 1.0)))

@@ -25,8 +25,8 @@ from berezin_lab.bounds import (
 )
 from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams
-from berezin_lab.errors import InsufficientCutoffError, UnsupportedDomainError
-from berezin_lab.geometry import AxisBox, Disk, generic_wrapper, slicing_stats
+from berezin_lab.errors import InsufficientCutoffError
+from berezin_lab.geometry import AxisBox, Disk, slicing_stats
 from berezin_lab.harness import (
     ASYMP_CHECKS,
     ASYMP_COLUMNS,
@@ -380,8 +380,6 @@ def test_asymptotics_validation():
         asymptotic_diagnostics(sq, 1.5, (100.0, math.nan))
     with pytest.raises(ValueError):
         asymptotic_diagnostics(sq, 0.0, (50.0, 100.0))
-    with pytest.raises(UnsupportedDomainError):
-        asymptotic_diagnostics(generic_wrapper(sq), 1.5, (50.0, 100.0))
 
 
 def test_spectrum_for_count_retries_until_enough():

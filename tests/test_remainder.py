@@ -33,15 +33,11 @@ from berezin_lab.remainder import (
 )
 from berezin_lab.specfun import beta
 from berezin_lab.spectra import ENUMERATION_LIMIT
+from oracles import lattice_sum_oracle
 
 TOL = remainder._TOL
 # epsilon_mu raises below this mu: its tail bound reaches past A = 60.
 FLOOR = 1.162
-
-
-def lattice_sum_oracle(mu, a):
-    k = np.arange(1.0, math.floor(a) + 1.0)
-    return float(np.sum(np.clip(1.0 - (k / a) ** 2, 0.0, None) ** mu))
 
 
 def test_value_at_one_is_half_beta():

@@ -19,12 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from berezin_lab import spectra
-from berezin_lab.errors import (
-    CutoffExceededError,
-    EnumerationLimitError,
-    UnsupportedDomainError,
-)
-from berezin_lab.geometry import AxisBox, BoxUnion, Disk, generic_wrapper
+from berezin_lab.errors import CutoffExceededError, EnumerationLimitError
+from berezin_lab.geometry import AxisBox, BoxUnion, Disk
 from berezin_lab.harness import sweep_riesz, sweep_sums
 from berezin_lab.specfun import bessel_zeros_below
 from berezin_lab.spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
@@ -301,8 +297,6 @@ def test_enumeration_guards(monkeypatch):
         m.setattr(spectra, "ENUMERATION_LIMIT", 10)
         with pytest.raises(EnumerationLimitError):
             enumerate_spectrum(AxisBox((1.0, 1.0)), 1e4)
-    with pytest.raises(UnsupportedDomainError):
-        enumerate_spectrum(generic_wrapper(Disk(1.0)), 100.0)
     with pytest.raises(ValueError):
         enumerate_spectrum(AxisBox((1.0, 1.0)), -5.0)
 
