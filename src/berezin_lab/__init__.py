@@ -40,7 +40,6 @@ from .geometry import (
 from .remainder import RemainderResult, epsilon_mu, f_mu, nu_bounds
 from .specfun import (
     bessel_j,
-    bessel_zero,
     bessel_zeros_below,
     beta,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "UnsupportedDomainError",
     "asymptotic_diagnostics",
     "bessel_j",
-    "bessel_zero",
     "bessel_zeros_below",
     "beta",
     "c_const",

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .constants import SemiclassicalParams, c_const, lt_value
-from .geometry import Disk, Domain, critical_length, section_family
+from .geometry import Domain, SectionAtoms, critical_length, section_measure
 from .remainder import lattice_sum
 
 __all__ = [
@@ -32,16 +32,6 @@ __all__ = [
     "two_term_riesz",
     "two_term_sum",
 ]
-
-_GL_NODES = 48
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
-# Nodes mapped to [0, pi/2] once; reused by every disk evaluation.
-_gl_phi = 0.25 * math.pi * (_gl_x + 1.0)
-_gl_wphi = 0.25 * math.pi * _gl_w
-_gl_cos = np.cos(_gl_phi)
-_gl_cos2 = _gl_cos**2
-_gl_sin2 = np.sin(_gl_phi) ** 2
-
 
 def _check_lam(lam: ArrayLike) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
@@ -135,41 +125,24 @@ def sliced_bound(dom: Domain, p: SemiclassicalParams, lam: ArrayLike) -> ArrayLi
 
     With e = sigma + (d - 1)/2 and l_crit = pi/sqrt(lam), a section of
     length t contributes lam^e L_{sigma,d-1} lattice_sum(e, t / l_crit) per
-    unit cross measure; summed over the section family of a box or union this
-    is exact. Bounding each lattice sum by t/(2 l_crit) B(1 + e, 1/2) -
-    epsilon_e gives the corrected bound. The disk uses per-term Gauss-Legendre
-    in a trigonometric substitution that makes each piece smooth.
+    unit cross measure: integrated against the section measure mu, exactly
+    over atoms, and over a density as the sum of its G_e(j l_crit). Bounding
+    each lattice sum by t/(2 l_crit) B(1 + e, 1/2) - epsilon_e gives the
+    corrected bound.
     """
     if p.sigma < 1.5:
         raise ValueError("sliced_bound requires sigma >= 3/2")
     if p.dim != dom.dim:
         raise ValueError("params dimension must match the domain dimension")
+    mu = section_measure(dom)
     l_crit = critical_length(lam)
     e = p.sigma + 0.5 * (p.dim - 1)
     pref = np.asarray(lam, dtype=float) ** e * lt_value(p.sigma, p.dim - 1)
-
-    if isinstance(dom, Disk):
-        total = np.array([_disk_sections(dom.radius, e, lc) for lc in l_crit.flat])
-        return (pref * 2.0 * total.reshape(l_crit.shape))[()]
-    lengths, weights = section_family(dom)
-    total = (weights * lattice_sum(e, lengths / l_crit[..., None])).sum(axis=-1)
-    return (pref * total)[()]
-
-
-def _disk_sections(r_dom: float, e: float, l_crit: float) -> float:
-    """Cross integral of the disk's lattice sums over the half line u > 0."""
-    jmax = int(math.floor(2.0 * r_dom / l_crit))
-    if jmax < 1:
-        return 0.0
-    js = np.arange(1, jmax + 1, dtype=float)
-    uj2 = r_dom * r_dom - (0.5 * js * l_crit) ** 2
-    np.maximum(uj2, 0.0, out=uj2)
-    uj = np.sqrt(uj2)
-    num = uj2[:, None] * _gl_cos2[None, :]
-    den = r_dom * r_dom - uj2[:, None] * _gl_sin2[None, :]
-    integrand = (num / den) ** e * _gl_cos[None, :]
-    pieces = uj * (integrand @ _gl_wphi)
-    return float(np.sum(pieces))
+    if isinstance(mu, SectionAtoms):
+        terms = mu.weights * lattice_sum(e, mu.lengths / l_crit[..., None])
+        return (pref * terms.sum(axis=-1))[()]
+    total = [mu.lattice_terms(e, lc).sum() for lc in l_crit.flat]
+    return (pref * np.reshape(total, l_crit.shape))[()]
 
 
 def li_yau_rhs(d: int, vol: float, n: ArrayLike) -> ArrayLike:

@@ -3,19 +3,23 @@
 Supported domains are axis-aligned boxes, finite unions of boxes with
 pairwise disjoint interiors, and planar disks: the domains whose spectra are
 enumerated exactly, so each one can reach a verdict. A box is a one-box
-union: its `boxes` is (self,), so every box quantity (section family,
-volume, surface, moment, enumeration) has the one kernel of a union, a sum
+union: its `boxes` is (self,), so every box quantity (section measure,
+surface, moment, enumeration) has the one kernel of a union, a sum
 over its boxes. Boxes and unions carry their slicing axis, because their
 sliced bounds depend on the orientation; it is 1-based and defaults to the
 last coordinate. A disk has no slicing axis: its sections are the same in
 every direction.
 
-slicing_stats collects the two quantities the corrected bounds consume: the
-volume of the subset of the domain whose section through a cross point is
-longer than the critical length pi/sqrt(lambda), and the cross-sectional
-measure of those long-section points. Both are closed-form for disks; for
-boxes and unions they are exact sums over one family of (section length,
-cross weight) pairs, one per box. The sliced bound sums over the same family.
+Everything the corrected bounds take from a domain depends only on mu, the
+cross measure pushed forward to the length of each section along the slicing
+axis. section_measure gives it in one of two forms: atoms (one section length
+and the box's cross area per box) for boxes and unions, and the disk's
+density. Each form gives the tails M1(s) = int_{t>s} t dmu and
+M0(s) = mu((s, inf)): slicing_stats is (M1, M0) at the critical length
+pi/sqrt(lambda), the volume of the long-section subset and the cross measure
+of its base, and the volume is M1(0). The sliced bound integrates lattice
+sums against mu: exactly over atoms, and through the disk's
+G_e(s) = int_{t>s} (1 - (s/t)^2)^e dmu at s = j l_crit.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ __all__ = [
     "Domain",
     "SlicingStats",
     "critical_length",
-    "section_family",
+    "SectionAtoms",
+    "DiskSections",
+    "section_measure",
     "slicing_stats",
     "volume",
     "surface",
@@ -153,6 +159,16 @@ class SlicingStats:
     d_lambda: ArrayLike
 
 
+# 48 Gauss-Legendre nodes mapped to [0, pi/2] once; reused by every disk
+# evaluation.
+_gl_x, _gl_w = np.polynomial.legendre.leggauss(48)
+_gl_phi = 0.25 * math.pi * (_gl_x + 1.0)
+_gl_wphi = 0.25 * math.pi * _gl_w
+_gl_cos = np.cos(_gl_phi)
+_gl_cos2 = _gl_cos**2
+_gl_sin2 = np.sin(_gl_phi) ** 2
+
+
 def critical_length(lam: ArrayLike) -> ArrayLike:
     """Section-length threshold pi/sqrt(lambda), elementwise."""
     lam = np.asarray(lam, dtype=float)
@@ -161,63 +177,89 @@ def critical_length(lam: ArrayLike) -> ArrayLike:
     return math.pi / np.sqrt(lam)
 
 
-def section_family(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Section lengths along the slicing axis and the cross weight of each.
+@dataclass(frozen=True)
+class SectionAtoms:
+    """mu as atoms: per box, its side along the slicing axis and cross area."""
 
-    A box or union gives one section per box, weighted by its cross area. A
-    disk's sections form a continuous family, which its callers treat in
-    closed form. Callers sum over the family along the last axis of
-    (energies, sections) arrays, so an energy alone gives the same bits as
-    inside a grid.
-    """
-    if not isinstance(dom, (AxisBox, BoxUnion)):
-        raise UnsupportedDomainError(
-            f"no discrete section family for {type(dom).__name__}"
+    lengths: np.ndarray
+    weights: np.ndarray
+
+    def tail(self, s: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        """(M1(s), M0(s)), summed along the last axis of (energies, sections)
+        arrays, so an energy alone gives the same bits as inside a grid."""
+        long = self.lengths > np.asarray(s)[..., None]
+        m1 = (self.weights * np.where(long, self.lengths, 0.0)).sum(axis=-1)
+        return m1, (self.weights * long).sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class DiskSections:
+    """mu of the disk: density t/(2 sqrt(R^2 - t^2/4)) on (0, 2R)."""
+
+    radius: float
+
+    def tail(self, s: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        """(u* s + 2 R^2 arcsin(u*/R), 2 u*) with u* = sqrt(R^2 - s^2/4)."""
+        r = self.radius
+        long = 2.0 * r > s
+        half = np.minimum(0.5 * s, r)  # s**2 overflows for a subnormal lam
+        u_star = np.sqrt(r * r - half * half)
+        m1 = np.where(long, u_star * s + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
+        return m1, np.where(long, 2.0 * u_star, 0.0)
+
+    def lattice_terms(self, e: float, l_crit: float) -> np.ndarray:
+        """G_e(j l_crit) for each j >= 1 with j l_crit <= 2R: twice the cross
+        integral over u > 0, by Gauss-Legendre in a smoothing substitution."""
+        r_dom = self.radius
+        jmax = int(math.floor(2.0 * r_dom / l_crit))
+        js = np.arange(1, jmax + 1, dtype=float)
+        uj2 = r_dom * r_dom - (0.5 * js * l_crit) ** 2
+        np.maximum(uj2, 0.0, out=uj2)
+        uj = np.sqrt(uj2)
+        num = uj2[:, None] * _gl_cos2[None, :]
+        den = r_dom * r_dom - uj2[:, None] * _gl_sin2[None, :]
+        integrand = (num / den) ** e * _gl_cos[None, :]
+        return 2.0 * uj * (integrand @ _gl_wphi)
+
+
+def _in_floats(what: str, value: float, dom: object) -> float:
+    """value, or NumericFailure naming the quantity that left the floats."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise NumericFailure(
+            f"{what} of {dom!r} is {float(value)!r}, not a positive finite float"
         )
+    return value
+
+
+def section_measure(dom: Domain) -> SectionAtoms | DiskSections:
+    """mu, the cross measure pushed forward to section length: one atom per
+    box (NumericFailure names a box whose cross area leaves the floats), or
+    the disk's density."""
+    if isinstance(dom, Disk):
+        return DiskSections(dom.radius)
+    if not isinstance(dom, (AxisBox, BoxUnion)):
+        raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
     ax = dom.slicing_axis - 1
-    cross = [i for i in range(dom.dim) if i != ax]
-    lengths = [b.sides[ax] for b in dom.boxes]
-    weights = [math.prod(b.sides[i] for i in cross) for b in dom.boxes]
-    return np.array(lengths, dtype=float), np.array(weights, dtype=float)
+    lengths = np.array([b.sides[ax] for b in dom.boxes])
+    weights = [_in_floats("cross weight", _cross(b, ax), b) for b in dom.boxes]
+    return SectionAtoms(lengths, np.array(weights))
 
 
 def slicing_stats(dom: Domain, lam: ArrayLike) -> SlicingStats:
-    """Volume of the long-section subset and cross measure of its base.
-
-    Sections count as long only when strictly above the critical length, so
-    a box whose slicing side equals it exactly contributes nothing. lam may
-    be an array; the statistics then are arrays of the same shape.
+    """Volume of the long-section subset and cross measure of its base: the
+    tails (M1, M0) at the critical length, which a section must exceed
+    strictly to count as long. lam may be an array; so are the statistics.
     """
-    l_crit = critical_length(lam)
-    if isinstance(dom, Disk):
-        r = dom.radius
-        long = 2.0 * r > l_crit
-        half = np.minimum(0.5 * l_crit, r)  # l_crit**2 overflows for a subnormal lam
-        u_star = np.sqrt(r * r - half * half)
-        vol = np.where(long, u_star * l_crit + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
-        dl = np.where(long, 2.0 * u_star, 0.0)
-    else:
-        lengths, weights = section_family(dom)
-        long = lengths > l_crit[..., None]
-        vol = (weights * np.where(long, lengths, 0.0)).sum(axis=-1)
-        dl = (weights * long).sum(axis=-1)
+    vol, dl = section_measure(dom).tail(critical_length(lam))
     return SlicingStats(vol[()], dl[()])
 
 
 def volume(dom: Domain) -> float:
-    """Lebesgue measure; NumericFailure if it underflows to 0 or overflows."""
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        vol = sum(math.prod(b.sides) for b in dom.boxes)
-    elif isinstance(dom, Disk):
-        try:
-            vol = math.pi * dom.radius**2
-        except OverflowError:
-            vol = math.inf
-    else:
-        raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
-    if not (math.isfinite(vol) and vol > 0.0):
-        raise NumericFailure(f"volume of {dom!r} is {vol!r}, not a positive finite float")
-    return vol
+    """Lebesgue measure M1(0); NumericFailure if it underflows to 0 or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = float(section_measure(dom).tail(0.0)[0])
+    # An overflowing R^2 makes a disk's M1(0) inf * 0 = NaN: its volume is inf.
+    return _in_floats("volume", math.inf if math.isnan(vol) else vol, dom)
 
 
 def surface(dom: Domain) -> float:
@@ -226,21 +268,16 @@ def surface(dom: Domain) -> float:
         if not all(_separated(*pair) for pair in itertools.combinations(dom.boxes, 2)):
             msg = "surface of a union needs pairwise separated boxes"
             raise UnsupportedDomainError(msg)
-        return sum(_box_surface(b) for b in dom.boxes)
+        faces = (sum(2.0 * _cross(b, i) for i in range(b.dim)) for b in dom.boxes)
+        return _in_floats("surface", sum(faces), dom)
     if isinstance(dom, Disk):
-        return 2.0 * math.pi * dom.radius
+        return _in_floats("surface", 2.0 * math.pi * dom.radius, dom)
     raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
 
 
-def _box_surface(box: AxisBox) -> float:
-    total = 0.0
-    for i in range(box.dim):
-        face = 1.0
-        for j in range(box.dim):
-            if j != i:
-                face *= box.sides[j]
-        total += 2.0 * face
-    return total
+def _cross(box: AxisBox, i: int) -> float:
+    """Area of the box's face across axis i: the product of its other sides."""
+    return math.prod(box.sides[:i] + box.sides[i + 1 :])
 
 
 def moment_J(dom: Domain) -> float:

@@ -58,7 +58,6 @@ from .errors import ConvergenceError
 __all__ = [
     "beta",
     "bessel_j",
-    "bessel_zero",
     "bessel_zeros_below",
 ]
 
@@ -310,17 +309,6 @@ def _certify(
             f"zeros of order {orders[bad][0]} fail the bracket, spacing,"
             " interlacing or sign certificate"
         )
-
-
-def bessel_zero(m: int, k: int) -> float:
-    """k-th positive zero of J_m (k >= 1), guaranteed-bracket Newton."""
-    _check_order(m)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"zero index must be a positive integer, got {k!r}")
-    x_max = (int(k) + int(m) + 1) * math.pi
-    while len(zeros := bessel_zeros_below(int(m), x_max)) < k:
-        x_max *= 2.0
-    return zeros[k - 1]
 
 
 def bessel_zeros_below(

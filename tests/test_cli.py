@@ -467,6 +467,36 @@ def test_volume_outside_the_floats_names_the_volume(command, domain, vol, capsys
     )
 
 
+_CROSS_OVERFLOW = ("box:1e-250x1e200x1e200;axis=1", "box:1e200x1e200x1e-300")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        *[
+            ([command, "--domain", domain, "--sigma", "1.5", *grid], "cross weight")
+            for domain in _CROSS_OVERFLOW
+            for command, grid in [
+                ("check", ["--lambda", "100"]),
+                ("sweep", ["--lambda-max", "100", "--points", "5"]),
+            ]
+        ],
+        (["asymptotics", "--domain", "box:1e-250x1e200x1e200", "--sigma", "1.5",
+          "--lambda-max", "1e3"], "surface"),
+    ],
+    ids=["check-axis1", "sweep-axis1", "check-thin", "sweep-thin", "asymptotics-surface"],
+)
+def test_geometry_outside_the_floats_names_the_quantity(argv, what, capsys):
+    # the volume is a normal float; a cross area or the surface overflows
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        rf"numeric failure: {what} of AxisBox\(.*\) is inf, not a positive finite float\n",
+        captured.err,
+    )
+
+
 @pytest.mark.parametrize(
     "argv, flag, cap",
     [
@@ -688,7 +718,7 @@ def test_asymptotics_cli(capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "ratio_main_monotone_verdict: pass" in out
+    assert "ratio_main_monotone_verdict: n/a" in out  # sigma < 2
     rc = main(
         [
             "asymptotics",

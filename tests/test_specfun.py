@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 from berezin_lab import specfun
 from berezin_lab.specfun import (
     bessel_j,
-    bessel_zero,
     bessel_zeros_below,
     beta,
 )
@@ -51,6 +50,11 @@ def bisect_series_zero(m, lo, hi):
 # frozen outputs of bisect_series_zero; see test_bisection_oracle_fixes_zeros
 J0_ZERO_1 = 2.404825557695773
 J1_ZERO_1 = 3.831705970207512
+
+
+def kth_zero(m, k):
+    # j_{m,k} < (k + m/2) pi here, so the cutoff (k + m + 1) pi holds k zeros
+    return bessel_zeros_below(m, (k + m + 1) * math.pi)[k - 1]
 
 
 def test_bisection_oracle_fixes_zeros():
@@ -109,21 +113,20 @@ def test_bessel_j_validates_order():
 
 
 def test_bessel_zero_matches_bisection_oracle():
-    assert bessel_zero(0, 1) == pytest.approx(J0_ZERO_1, abs=1e-12)
-    assert bessel_zero(1, 1) == pytest.approx(J1_ZERO_1, abs=1e-12)
+    assert bessel_zeros_below(0, 3.0)[0] == pytest.approx(J0_ZERO_1, abs=1e-12)
+    assert bessel_zeros_below(1, 4.0)[0] == pytest.approx(J1_ZERO_1, abs=1e-12)
 
 
 def test_bessel_zero_interlacing():
-    j01 = bessel_zero(0, 1)
-    j11 = bessel_zero(1, 1)
-    j02 = bessel_zero(0, 2)
+    j01, j02 = bessel_zeros_below(0, 6.0)
+    (j11,) = bessel_zeros_below(1, 6.0)
     assert j01 < j11 < j02
 
 
 def test_zero_residual_and_sign_change():
     for m in (0, 1, 2, 5, 17):
         for k in (1, 2, 7):
-            z = bessel_zero(m, k)
+            z = kth_zero(m, k)
             assert abs(bessel_j(m, z)) <= 1e-10
             assert bessel_j(m, z - 1e-6) * bessel_j(m, z + 1e-6) < 0.0
 
@@ -136,7 +139,7 @@ def test_zeros_strictly_increasing_full_range():
         assert len(zs) >= 100
         zs = zs[:100]
         assert all(b > a for a, b in zip(zs, zs[1:]))
-        assert zs[0] == pytest.approx(bessel_zero(m, 1), abs=1e-12)
+        assert zs[0] == pytest.approx(float(mpmath.besseljzero(m, 1)), abs=1e-12)
 
 
 def test_zeros_below_cutoff_is_consistent():
@@ -152,7 +155,7 @@ def test_refinement_reports_exhaustion(monkeypatch):
     monkeypatch.setattr(specfun, "_REL_TOL", 1e-300)
     monkeypatch.setattr(specfun, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="stalled after 3 iterations"):
-        bessel_zero(0, 1)
+        bessel_zeros_below(0, 2.0 * math.pi)
 
 
 # Scalar reference for the batched kernel: one point at a time, with the
@@ -260,8 +263,9 @@ def test_taylor_start_is_within_tolerance_of_the_zero(m, k):
 
 
 def test_bessel_zero_is_entry_of_zeros_below():
+    # the k-th zero does not depend on how far above it the cutoff lies
     for m, k in ((0, 1), (0, 12), (4, 3), (25, 1), (25, 9), (120, 2)):
-        z = bessel_zero(m, k)
+        z = kth_zero(m, k)
         assert z == bessel_zeros_below(m, z + 5.0)[k - 1]
 
 
@@ -384,5 +388,5 @@ def test_sign_certificate_is_inconclusive_at_a_zero(m, k):
     # J_m at its own computed zero is a rounding residue of either sign
     # (negative for (0, 1), positive for (0, 6) and (3, 8)), which says
     # nothing about the parity of the count below it.
-    z = bessel_zero(m, k)
+    z = kth_zero(m, k)
     assert len(bessel_zeros_below(m, z)) == k - 1
