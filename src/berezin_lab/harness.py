@@ -40,6 +40,7 @@ from .geometry import (
     AxisBox,
     BoxUnion,
     Domain,
+    _in_floats,
     moment_J,
     slicing_stats,
     surface,
@@ -210,7 +211,7 @@ class BoundReport:
 
 
 # Rows formatted per string written, so a long table is never one string.
-_CSV_BLOCK = 4096
+_CSV_BLOCK = 1024
 # printf field per numpy dtype kind; other columns hold strings.
 _SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
@@ -405,7 +406,9 @@ def sweep_riesz(
 def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     d = dom.dim
     vol = volume(dom)
-    lam = 1.35 * ((count + 8) / (lt_value(0.0, d) * vol)) ** (2.0 / d) + 10.0
+    # Both terms scale like an eigenvalue: a dilation by t divides them by t^2.
+    weyl = ((count + 8) / (lt_value(0.0, d) * vol)) ** (2.0 / d)
+    lam = _in_floats("start cutoff", 1.35 * weyl + 10.0 * vol ** (-2.0 / d), dom)
     for _ in range(8):
         spec = enumerate_spectrum(dom, lam)
         if spec.total_count >= count:

@@ -11,9 +11,10 @@ EnumerationLimitError is raised once a level keeps more than ENUMERATION_LIMIT
 prefixes, exactly when the box has more than that many entries, before that
 array exists. The same constant bounds remainder's lattice sums and the
 command-line grids.
-Sorted values merge by the anchor rule: v joins the current entry when
-v - first <= 1e-9 * v for the entry's first value, else starts one, so a run
-of neighbours each within 1e-9 of the next can still split. A Spectrum
+The merge is one sort of the values, each repeated by its multiplicity (equal
+values are indistinguishable), then the anchor rule: v joins the current entry
+when v - first <= 1e-9 * v for the entry's first value, else starts one, so a
+run of neighbours each within 1e-9 of the next can still split. A Spectrum
 records merge_joins, the eigenvalues joined to a first value that differs
 from them in any bit (rounding twins, or distinct values closer than 1e-9),
 and merge_max_gap, the widest (v - first) / v among them (0.0 if none).
@@ -94,14 +95,14 @@ def enumerate_spectrum(dom: Domain, cutoff: float) -> Spectrum:
             parts.append(_box_eigenvalues(box.sides, cutoff))
             _check_limit(sum(p.size for p in parts))
         vals = np.concatenate(parts)
-        mult = np.ones(vals.size, dtype=np.int64)
+        del parts  # one copy of the values while they merge
     elif isinstance(dom, Disk):
-        vals, mult = _disk_eigenvalues(dom.radius, cutoff)
+        vals = _disk_eigenvalues(dom.radius, cutoff)
     else:
         raise UnsupportedDomainError(
             "spectra are available for boxes, box unions, and disks only"
         )
-    return Spectrum(float(cutoff), *_merge(vals, mult))
+    return Spectrum(float(cutoff), *_merge(vals))
 
 
 def _check_limit(entries: int) -> None:
@@ -144,7 +145,7 @@ def _box_eigenvalues(sides: tuple[float, ...], cutoff: float) -> np.ndarray:
     return pi2 * acc
 
 
-def _disk_eigenvalues(radius: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _disk_eigenvalues(radius: float, cutoff: float) -> np.ndarray:
     # Lower bound on the entries, from the inscribed square (Dirichlet
     # monotonicity): its lattice count below the cutoff is at least the area
     # pi*(r - sqrt(2))^2/4, r = R*sqrt(2*cutoff)/pi; an entry holds <= 2 values.
@@ -159,26 +160,22 @@ def _disk_eigenvalues(radius: float, cutoff: float) -> tuple[np.ndarray, np.ndar
     lams = np.square(np.concatenate(zeros, dtype=float) / radius)
     mult = np.repeat(np.where(orders == 0, 1, 2), [len(zs) for zs in zeros])
     below = lams < cutoff
-    _check_limit(int(np.count_nonzero(below)))
-    return lams[below], mult[below]
+    _check_limit(int(np.count_nonzero(below)))  # distinct zeros, not values
+    return np.repeat(lams[below], mult[below])
 
 
-def _merge(
-    vals: np.ndarray, mult: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Entries by the anchor rule, and the merge record. A gap above the tolerance
+def _merge(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Entries by the anchor rule, and the merge record, from the eigenvalues v
+    repeated by multiplicity, which it sorts in place. A gap above the tolerance
     always splits; only runs wider than the tolerance are walked value by value."""
-    order = np.argsort(vals, kind="stable")
-    v, m = vals[order], mult[order]
-    tol = _MERGE_REL_TOL * np.abs(v)
+    v.sort()
     start = np.ones(v.size, dtype=bool)
-    start[1:] = v[1:] - v[:-1] > tol[1:]
-    idx = np.arange(v.size)
-    first = np.maximum.accumulate(np.where(start, idx, 0))
-    wide = first[v - v[first] > tol]
+    np.greater(np.diff(v), _MERGE_REL_TOL * np.abs(v[1:]), out=start[1:])
+    runs, inner, first = _runs(start)
+    vi, vf = v[inner], v[first]
+    wide = first[vi - vf > _MERGE_REL_TOL * np.abs(vi)]
     wide = wide[np.diff(wide, prepend=-1) != 0]  # first is non-decreasing
     if wide.size:
-        runs = np.flatnonzero(start)
         ends = np.append(runs[1:], v.size)[np.searchsorted(runs, wide)]
         for s, e in zip(wide.tolist(), ends.tolist()):
             anchor = float(v[s])
@@ -186,11 +183,18 @@ def _merge(
                 if x - anchor > _MERGE_REL_TOL * abs(x):
                     start[k] = True
                     anchor = x
-        first = np.maximum.accumulate(np.where(start, idx, 0))
-    joined = v != v[first]
-    gap = float(np.max((v - v[first])[joined] / v[joined], initial=0.0))
-    starts = np.flatnonzero(start)
-    return v[starts], np.add.reduceat(m, starts), int(np.sum(m[joined])), gap
+        runs, inner, first = _runs(start)
+        vi, vf = v[inner], v[first]
+    joined = vi != vf
+    gap = float(np.max((vi[joined] - vf[joined]) / vi[joined], initial=0.0))
+    return v[runs], np.diff(runs, append=v.size), int(np.count_nonzero(joined)), gap
+
+
+def _runs(start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where entries start, where values join the entry before them, and where
+    the entry of each joining value starts."""
+    runs, inner = np.flatnonzero(start), np.flatnonzero(~start)
+    return runs, inner, runs[np.cumsum(start)[inner] - 1]
 
 
 def _check_query(spec: Spectrum, lam: ArrayLike) -> np.ndarray:
@@ -216,16 +220,20 @@ def riesz_mean(spec: Spectrum, sigma: float, lam: ArrayLike) -> ArrayLike:
     """Sum of (lam - eigenvalue)_+^sigma, elementwise; sigma = 0 gives counting.
 
     One search finds each lam's eigenvalues below it, and each sum runs over
-    that prefix only, so no (grid x spectrum) array is formed.
+    that prefix only, in one buffer reused for every lam, so no (grid x
+    spectrum) array and no fresh temporary per lam is formed.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     lam = _check_query(spec, lam)
     if sigma == 0.0:
         return np.asarray(counting(spec, lam), dtype=float)[()]
-    ev, mult = spec.eigenvalues, spec.multiplicities
+    ev, weight = spec.eigenvalues, spec.multiplicities.astype(float)
     ends = np.searchsorted(ev, lam, side="left")
-    out = [
-        np.sum(mult[:i] * (x - ev[:i]) ** sigma) for x, i in zip(lam.flat, ends.flat)
-    ]
+    buf, out = np.empty(ev.size), []
+    for x, i in zip(lam.flat, ends.flat):
+        t = np.subtract(x, ev[:i], out=buf[:i])
+        t **= sigma
+        t *= weight[:i]
+        out.append(t.sum())
     return np.reshape(out, lam.shape)[()]

@@ -769,6 +769,30 @@ def test_thin_box_sums_cannot_enumerate(capsys):
     assert captured.err.startswith("numeric failure: could not enumerate 5 eigenvalues")
 
 
+def test_long_interval_sums_start_cutoff_underflows(capsys):
+    # the eigenvalues of a 1e200-long interval underflow: a numeric failure,
+    # not a bad request
+    assert main(["sums", "--domain", "box:1e200", "--sigma", "2", "--n-max", "3"]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: start cutoff of AxisBox")
+
+
+@pytest.mark.parametrize("unit, dilated", [("disk:1", "disk:1e6"), ("box:1x1", "box:1e6x1e6")])
+def test_sums_start_cutoff_scales_with_the_domain(unit, dilated, tmp_path, capsys):
+    # the start cutoff scales like an eigenvalue, so a dilation by 1e6 asks
+    # for the same few eigenvalues, divided by 1e12
+    lambdas = []
+    for domain in (unit, dilated):
+        csv = tmp_path / "sums.csv"
+        argv = ["sums", "--domain", domain, "--sigma", "1", "--n-max", "3", "--csv", str(csv)]
+        assert main(argv) == 0
+        header, *rows = csv.read_text().splitlines()[1:]
+        col = header.split(",").index("lambda_n")
+        lambdas.append([float(r.split(",")[col]) for r in rows])
+    capsys.readouterr()
+    assert len(lambdas[1]) == 3
+    assert lambdas[1] == pytest.approx([v / 1e12 for v in lambdas[0]], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "domain, lambda_max",
     [

@@ -3,9 +3,9 @@
 The box oracle below enumerates lattice tuples directly with nested loops
 and no merging, so it exercises none of the production code paths. Disk
 values are cross-checked against an (m, k) scan in mpmath arithmetic. The
-array merge and the array box walk are checked, bit for bit, against the
-tuple merge and the recursive walk they replaced, kept below verbatim as
-references.
+array merge, the array box walk and the buffered Riesz mean are checked, bit
+for bit, against the tuple merge, the recursive walk and the per-energy
+expression they replaced, kept below verbatim as references.
 """
 
 import functools
@@ -79,6 +79,16 @@ def merge_reference(pairs):
         else:
             out.append([v, m])
     return tuple((float(v), int(m)) for v, m in out)
+
+
+def riesz_mean_reference(spec, sigma, lam):
+    """The per-energy expression that spectra.riesz_mean replaced, verbatim,
+    on a 1-D float grid."""
+    ev, mult = spec.eigenvalues, spec.multiplicities
+    ends = np.searchsorted(ev, lam, side="left")
+    return np.array(
+        [np.sum(mult[:i] * (x - ev[:i]) ** sigma) for x, i in zip(lam.flat, ends.flat)]
+    )
 
 
 def merge_record_reference(pairs):
@@ -184,6 +194,9 @@ def test_disk_enumeration_limit_is_bounded_work(monkeypatch):
     # ... or after it, when that lower bound is below the limit but the count is not
     monkeypatch.undo()
     assert len(enumerate_spectrum(Disk(1.0), 2000.0).values) == 246
+    # the limit counts distinct zeros, not values repeated by multiplicity
+    monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", 246)
+    assert enumerate_spectrum(Disk(1.0), 2000.0).total_count > 246
     monkeypatch.setattr(spectra, "ENUMERATION_LIMIT", 245)
     with pytest.raises(EnumerationLimitError, match="exceeded"):
         enumerate_spectrum(Disk(1.0), 2000.0)
@@ -386,11 +399,39 @@ def test_merge_matches_tuple_reference(clusters, data):
         pairs = data.draw(st.permutations(pairs))
     vals = np.array([v for v, _ in pairs], dtype=float)
     mult = np.array([m for _, m in pairs], dtype=np.int64)
-    ev, mu, joins, max_gap = spectra._merge(vals, mult)
+    ev, mu, joins, max_gap = spectra._merge(np.repeat(vals, mult))
     ref = merge_reference(pairs)
     assert ev.tobytes() == np.array([v for v, _ in ref], dtype=float).tobytes()
     assert mu.tolist() == [m for _, m in ref]
     assert (joins, max_gap) == merge_record_reference(pairs)
+
+
+def test_union_of_equal_boxes_doubles_every_value():
+    box = AxisBox((1.3, 0.7))
+    union = BoxUnion((box, AxisBox((1.3, 0.7), origin=(5.0, -3.0))))
+    one, two = enumerate_spectrum(box, 4e3), enumerate_spectrum(union, 4e3)
+    assert two.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+    assert two.multiplicities.tolist() == (2 * one.multiplicities).tolist()
+    assert (two.merge_joins, two.merge_max_gap) == (0, 0.0)
+
+
+def test_disk_orders_above_zero_count_twice():
+    # no two orders share a zero (Bourget), so each entry is one (m, k)
+    radius, cutoff = 1.0, 900.0
+    z_max = radius * math.sqrt(cutoff) * (1.0 + 1e-12)
+    zeros = bessel_zeros_below(list(range(math.floor(z_max) + 1)), z_max)
+    pairs = sorted(
+        (lam, 1 if m == 0 else 2)
+        for m, zs in enumerate(zeros)
+        for lam in np.square(np.asarray(zs) / radius).tolist()
+        if lam < cutoff
+    )
+    assert any(m > 0 and len(zs) for m, zs in enumerate(zeros))
+    spec = enumerate_spectrum(Disk(radius), cutoff)
+    assert spec.values == tuple(pairs)
+    assert (spec.merge_joins, spec.merge_max_gap) == (0, 0.0)
+    raw = spectra._disk_eigenvalues(radius, cutoff)
+    assert np.sort(raw).tobytes() == spec.expanded.tobytes()
 
 
 def test_merge_record():
@@ -442,6 +483,52 @@ def test_box_walk_matches_recursive_reference(box):
     walk = spectra._box_eigenvalues(sides, cutoff)
     assert walk.dtype == np.float64
     assert walk.tobytes() == box_walk_reference(sides, cutoff, limit).tobytes()
+
+
+@st.composite
+def _small_spectra(draw):
+    """A box, a union of two or three boxes with equal sides (so their values
+    coincide), or a small disk, each with at most about 30,000 entries."""
+    kind = draw(st.sampled_from(["box", "union", "disk"]))
+    if kind == "disk":
+        return enumerate_spectrum(Disk(draw(st.floats(0.3, 2.0))), draw(st.floats(10.0, 3e3)))
+    sides, cutoff = draw(_boxes(max_d=3))
+    if kind == "box":
+        return enumerate_spectrum(AxisBox(sides), cutoff)
+    copies = draw(st.integers(2, 3))
+    gap = 2.0 * max(sides)
+    boxes = [AxisBox(sides, origin=(k * gap,) + (0.0,) * (len(sides) - 1)) for k in range(copies)]
+    return enumerate_spectrum(BoxUnion(tuple(boxes)), cutoff / copies)
+
+
+@st.composite
+def _riesz_grids(draw, spec):
+    """Unsorted energies: one below the first eigenvalue, some eigenvalues
+    themselves, some in between, and the cutoff."""
+    ev, cutoff = spec.eigenvalues.tolist(), spec.cutoff
+    first = ev[0] if ev else cutoff
+    grid = [first * draw(st.floats(0.0, 1.0, exclude_max=True)), cutoff]
+    if ev:
+        grid += draw(st.lists(st.sampled_from(ev), max_size=8))
+    grid += draw(st.lists(st.floats(first, cutoff), max_size=24))
+    return np.array(draw(st.permutations(grid)), dtype=float)
+
+
+# numpy's ** takes its own path for some exponents (an int 2 squares, 0.5 is a
+# square root), so each value of sigma comes both as an int and as a float.
+_RIESZ_SIGMAS = (0.5, 1, 1.0, 1.5, 2, 2.0, 2.5, 3, 3.0, 4, 4.0, 7.3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_small_spectra(), data=st.data())
+def test_riesz_mean_matches_per_energy_reference_bitwise(spec, data):
+    grid = data.draw(_riesz_grids(spec))
+    for sigma in _RIESZ_SIGMAS:
+        means = np.asarray(riesz_mean(spec, sigma, grid))
+        assert means.tobytes() == riesz_mean_reference(spec, sigma, grid).tobytes()
+        # the buffer is shared between energies: a lone energy has it fresh
+        for x, s in zip(grid.tolist(), means.tolist()):
+            assert np.asarray(riesz_mean(spec, sigma, x)).tobytes() == np.float64(s).tobytes()
 
 
 def _tight_cutoff(sides, indices):
