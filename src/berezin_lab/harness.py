@@ -35,7 +35,12 @@ from .bounds import (
     two_term_sum,
 )
 from .constants import SemiclassicalParams, lt_value
-from .errors import InsufficientCutoffError, NumericFailure, UnsupportedDomainError
+from .errors import (
+    EnumerationLimitError,
+    InsufficientCutoffError,
+    NumericFailure,
+    UnsupportedDomainError,
+)
 from .geometry import (
     AxisBox,
     BoxUnion,
@@ -405,17 +410,27 @@ def sweep_riesz(
 
 def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     d = dom.dim
-    vol = volume(dom)
-    # Both terms scale like an eigenvalue: a dilation by t divides them by t^2.
-    weyl = ((count + 8) / (lt_value(0.0, d) * vol)) ** (2.0 / d)
-    lam = _in_floats("start cutoff", 1.35 * weyl + 10.0 * vol ** (-2.0 / d), dom)
-    for _ in range(8):
-        spec = enumerate_spectrum(dom, lam)
-        if spec.total_count >= count:
-            return spec
-        lam *= 1.4
+    # The start scales like an eigenvalue (a dilation by t divides it by t^2).
+    # The cutoff grows by 1.4 until it holds count eigenvalues. Once a cutoff
+    # exceeds the enumeration limit, the next ones bisect between it and the
+    # last cutoff with too few: counts and entries both grow with the cutoff.
+    weyl = ((count + 8) / (lt_value(0.0, d) * volume(dom))) ** (2.0 / d)
+    lam = _in_floats("start cutoff", 1.35 * weyl, dom)
+    below, above, too_many = 0.0, math.inf, None
+    while below < lam < above:
+        try:
+            spec = enumerate_spectrum(dom, lam)
+        except EnumerationLimitError as err:
+            above, too_many = lam, err
+        else:
+            if spec.total_count >= count:
+                return spec
+            below = lam
+        lam = below * 1.4 if too_many is None else math.sqrt(below) * math.sqrt(above)
+    if too_many is not None:
+        raise too_many
     raise InsufficientCutoffError(
-        f"could not enumerate {count} eigenvalues below cutoff {lam}"
+        f"could not enumerate {count} eigenvalues below cutoff {below}"
     )
 
 

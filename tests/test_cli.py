@@ -776,6 +776,30 @@ def test_long_interval_sums_start_cutoff_underflows(capsys):
     assert capsys.readouterr().err.startswith("numeric failure: start cutoff of AxisBox")
 
 
+_SQUARES = "union:" + "+".join(f"box(1x1)@({2 * i},0)" for i in range(200))
+
+
+@pytest.mark.parametrize(
+    "domain, expected",
+    [
+        # lambda_1 is far above the small-area Weyl start: the cutoff grows to it
+        ("box:1000x1", [math.pi**2 * (j * j / 1e6 + 1.0) for j in (1, 2, 3)]),
+        (_SQUARES, [2.0 * math.pi**2] * 3),
+        # only cutoffs within 4% of lambda_1 stay below the enumeration limit
+        ("box:1e7x1", [math.pi**2 * (j * j / 1e14 + 1.0) for j in (1, 2, 3)]),
+    ],
+    ids=["box-1000x1", "200-unit-squares", "box-1e7x1"],
+)
+def test_sums_start_cutoff_grows_to_the_first_eigenvalues(domain, expected, tmp_path, capsys):
+    csv = tmp_path / "sums.csv"
+    argv = ["sums", "--domain", domain, "--sigma", "1", "--n-max", "3", "--csv", str(csv)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    header, *rows = csv.read_text().splitlines()[1:]
+    col = header.split(",").index("lambda_n")
+    assert [float(r.split(",")[col]) for r in rows] == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("unit, dilated", [("disk:1", "disk:1e6"), ("box:1x1", "box:1e6x1e6")])
 def test_sums_start_cutoff_scales_with_the_domain(unit, dilated, tmp_path, capsys):
     # the start cutoff scales like an eigenvalue, so a dilation by 1e6 asks

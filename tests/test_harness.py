@@ -25,7 +25,7 @@ from berezin_lab.bounds import (
 )
 from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams
-from berezin_lab.errors import InsufficientCutoffError
+from berezin_lab.errors import EnumerationLimitError, InsufficientCutoffError
 from berezin_lab.geometry import AxisBox, Disk, slicing_stats
 from berezin_lab.harness import (
     ASYMP_CHECKS,
@@ -393,6 +393,45 @@ def test_spectrum_for_count_gives_up(monkeypatch):
     monkeypatch.setattr(harness, "enumerate_spectrum", lambda dom, lam: small)
     with pytest.raises(InsufficientCutoffError):
         harness._spectrum_for_count(AxisBox((1.0, 1.0)), 10_000)
+
+
+def _windowed_enumerator(monkeypatch, enough, too_many):
+    """enumerate_spectrum stand-in: enough eigenvalues from cutoff `enough` on,
+    EnumerationLimitError from `too_many` on; records the cutoffs tried."""
+    none = enumerate_spectrum(AxisBox((1.0, 1.0)), 1.0)
+    full = enumerate_spectrum(AxisBox((1.0, 1.0)), 100.0)
+    tried = []
+
+    def fake(dom, lam):
+        tried.append(lam)
+        if lam >= too_many:
+            raise EnumerationLimitError("too many entries")
+        return full if lam >= enough else none
+
+    monkeypatch.setattr(harness, "enumerate_spectrum", fake)
+    return full, tried
+
+
+def test_spectrum_for_count_bisects_below_the_enumeration_limit(monkeypatch):
+    # a window far narrower than one x1.4 step, as a long thin box has just
+    # above its first eigenvalue: the cutoffs after an overshoot bisect into it
+    full, tried = _windowed_enumerator(monkeypatch, 10.0, 10.001)
+    assert harness._spectrum_for_count(AxisBox((1e9, 1.0)), 3) is full
+    assert 10.0 <= tried[-1] < 10.001 and len(tried) < 200
+
+
+def test_spectrum_for_count_raises_the_limit_when_no_window(monkeypatch):
+    _, tried = _windowed_enumerator(monkeypatch, 10.0, 10.0)
+    with pytest.raises(EnumerationLimitError):
+        harness._spectrum_for_count(AxisBox((1e9, 1.0)), 3)
+    # about 50 x1.4 steps up from the tiny start, then about 50 halvings of
+    # the last step's logarithm down to adjacent floats
+    assert len(tried) < 200
+    # a start that already exceeds the limit is not retried
+    _, tried = _windowed_enumerator(monkeypatch, 10.0, 1e-12)
+    with pytest.raises(EnumerationLimitError):
+        harness._spectrum_for_count(AxisBox((1e9, 1.0)), 3)
+    assert len(tried) == 1
 
 
 def test_report_summary_content():
