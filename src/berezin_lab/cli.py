@@ -197,6 +197,13 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _grid_end(flag: str, end: float, start: float, size: int) -> None:
+    """Exit 2, naming the flag, for a grid that would reach above its end."""
+    if end < start or (end == start and size > 1):
+        op = ">" if size > 1 else ">="
+        raise ValueError(f"{flag} must be {op} the grid start {start!r}, got {end!r}")
+
+
 def _at_least(flag: str, size: int, least: int = 1) -> None:
     """A grid size too small for its command: exit 2, naming the flag."""
     if size < least:
@@ -405,6 +412,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
     _at_least("--points", args.points)
     lambda_max = _positive("--lambda-max", args.lambda_max)
+    _grid_end("--lambda-max", lambda_max, 1.0, args.points)
     _bound_grid("--points", args.points)
     grid = np.geomspace(1.0, lambda_max, args.points)
     report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
@@ -434,6 +442,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     _at_least("--points", args.points, 2)
     lam = _positive("--lambda", args.lam)
     lambda_max = _positive("--lambda-max", args.lambda_max)
+    _grid_end("--lambda-max", lambda_max, lam, args.points)
     _bound_grid("--points", args.points)
     grid = np.geomspace(lam, lambda_max, args.points)
     report = asymptotic_diagnostics(dom, args.sigma, grid)

@@ -9,6 +9,10 @@ lhs <= rhs + 1e-9 * max(1, |rhs|). A fail verdict always sits next to the raw
 values and the signed margin rhs - lhs, which does not depend on the slack,
 so violations are quantified, not just flagged, and any other tolerance can
 be applied to the margins afterwards.
+
+CSV bytes are those of printing every float with `%.17g` (NaN as an empty
+field); floats with 1 <= |v| < 1e17 are converted to those digits in numpy,
+a block of rows at a time, and the rest by Python.
 """
 
 from __future__ import annotations
@@ -166,19 +170,23 @@ class BoundReport:
     def _csv_blocks(self, which: slice) -> Iterator[str]:
         """CSV lines of the rows selected, _CSV_BLOCK rows per string.
 
-        One printf template serves them all: %d for integer columns, %s for
-        strings and %.17g for floats. A NaN cell is an empty field, so a float
-        column holding one is formatted cell by cell.
+        A float prints as `"%.17g" % v`, NaN as the empty field; a block's
+        float columns are converted together by `_float_cells`, in numpy for
+        1 <= |v| < 1e17. A printf template joins each row: %d for integer
+        columns, %s for strings and float cells.
         """
         cols = [c[which] for c in self.columns.values()]
-        nan = [c.dtype.kind == "f" and np.isnan(c).any() for c in cols]
-        specs = (_SPECS.get(c.dtype.kind, "%s") for c in cols)
-        template = ",".join("%s" if n else f for f, n in zip(specs, nan)) + "\n"
+        floats = [c.dtype.kind == "f" for c in cols]
+        template = ",".join(_SPECS.get(c.dtype.kind, "%s") for c in cols) + "\n"
         for lo in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK):
-            block = [c[lo : lo + _CSV_BLOCK].tolist() for c in cols]
-            for j in np.flatnonzero(nan):
-                block[j] = ["" if v != v else "%.17g" % v for v in block[j]]
-            yield "".join([template % row for row in zip(*block)])
+            block = [c[lo : lo + _CSV_BLOCK] for c in cols]
+            size = len(block[0])
+            x = np.concatenate([np.empty(0), *(c for c, f in zip(block, floats) if f)])
+            cells = _float_cells(x)
+            chunks = (cells[k : k + size] for k in range(0, x.size, size))
+            fields = [next(chunks) if f else c.tolist() for c, f in zip(block, floats)]
+            yield "".join([template % row for row in zip(*fields)])
+            del cells, fields  # before the next block's cells are made
 
     def summary(self) -> str:
         lines = [f"berezin-lab v{TOOL_VERSION} {self.kind} report"]
@@ -217,8 +225,84 @@ class BoundReport:
 
 # Rows formatted per string written, so a long table is never one string.
 _CSV_BLOCK = 1024
-# printf field per numpy dtype kind; other columns hold strings.
-_SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+# printf field per numpy dtype kind; other columns hold strings or float cells.
+_SPECS = {"b": "%d", "i": "%d", "u": "%d"}
+
+# 10^k, exact as a double for k <= 22, with its Veltkamp split into halves of
+# at most 26 bits whose products are exact; and the decimal exponent of 2^b.
+_POW10 = np.array([float(10**k) for k in range(19)])
+_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DECIMAL_EXP = np.array([len(str(2**b)) - 1 for b in range(57)])
+# [e, k]: digit k of 17 precedes the point; [end, j]: byte j of a cell whose
+# text ends at byte end is kept (the sign, byte 0, is set per cell).
+_BEFORE_POINT = np.tri(17, dtype=bool)
+_KEEP = np.tri(19, 20, dtype=bool) & (np.arange(20) > 0) | (np.arange(20) == 19)
+
+
+def _float_cells(x: np.ndarray) -> list[str]:
+    """`"%.17g" % v` for each v of the float64 array x, NaN as "": in numpy
+    for 1 <= |v| < 1e17, by Python for the other values."""
+    a = np.abs(x)
+    fast = (a >= 1.0) & (a < 1e17)  # false for NaN
+    a[~fast] = 1.0
+    out, end = _cell_bytes(*_decimal17(a))
+    keep = _KEEP[np.where(fast, end, 0)]
+    keep[:, 0] = fast & (x < 0)
+    cells = str(out[keep].data, "ascii").split("\n")[:-1]
+    for i in np.flatnonzero(~fast & ~np.isnan(x)).tolist():
+        cells[i] = "%.17g" % x[i]
+    return cells
+
+
+def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e and N for 1 <= a < 1e17: 10^e <= a < 10^(e+1), and N is the integer
+    nearest a * 10^(16-e), ties to even, so its digits are those of %.17g.
+
+    Dekker's two-product gives a * 10^(16-e) exactly as p + err, and p >= 2^53
+    is even, so N = p + rint(err). N stays below 10^17: the float below
+    10^(e+1) is over 11 units lower.
+    """
+    e = _DECIMAL_EXP[np.frexp(a)[1] - 1]  # that of the binade's lower end
+    e += a >= _POW10[e + 1]  # a binade holds at most one power of 10
+    k = 16 - e
+    p = a * _POW10[k]
+    c = 134217729.0 * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return e, (p.astype(np.int64) + np.rint(err).astype(np.int64)).view(np.uint64)
+
+
+def _cell_bytes(e: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """20-byte cells holding "-", the 17 digits of n with a point after e + 1
+    of them, and a newline; and the index of the last byte of each cell's
+    text, which drops trailing fraction zeros (and a bare point)."""
+    # The digits in ASCII, in three little-endian words: the first digit in
+    # the top byte of one, then two words of 8, each split into halves in
+    # 32-bit lanes, quarters in 16-bit lanes and digits in bytes (x * 10486
+    # >> 20 is x // 100 for x < 10^4, x * 103 >> 10 is x // 10 for x < 100).
+    top, rest = np.divmod(n, 10**16)
+    v = np.stack(np.divmod(rest, 10**8), axis=1)
+    v = v // 10000 | (v % 10000) << 32
+    q = (v * 10486 >> 20) & 0x0000007F0000007F
+    v = q | (v - q * 100) << 16
+    q = (v * 103 >> 10) & 0x000F000F000F000F
+    words = np.empty((n.size, 3), "<u8")
+    words[:, 0] = (top + 0x30) << 56
+    words[:, 1:] = q | (v - q * 10) << 8 | 0x3030303030303030
+    digits = words.view(np.uint8)[:, 7:]
+    out = np.empty((n.size, 20), np.uint8)
+    out[:, 0], out[:, 2:19], out[:, 19] = ord("-"), digits, ord("\n")
+    np.copyto(out[:, 1:18], digits, where=_BEFORE_POINT[e])
+    out.reshape(-1)[np.arange(2, 20 * n.size, 20) + e] = ord(".")
+    # The last nonzero digit: frexp's exponent locates the top nonzero byte
+    # of each word of digits less "0" (0 for a word of zeros).
+    z = words[:, 1:] ^ 0x3030303030303030
+    nz = (np.frexp(z)[1] - 1) >> 3
+    last = np.where(z[:, 1] != 0, 9 + nz[:, 1], 1 + nz[:, 0])
+    return out, np.where(last > e, last + 2, e + 1)
 
 
 # One str object per verdict, shared by every row.
@@ -416,6 +500,14 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     # last cutoff with too few: counts and entries both grow with the cutoff.
     weyl = ((count + 8) / (lt_value(0.0, d) * volume(dom))) ** (2.0 / d)
     lam = _in_floats("start cutoff", 1.35 * weyl, dom)
+    if isinstance(dom, (AxisBox, BoxUnion)):
+        with np.errstate(divide="ignore", over="ignore"):
+            first = math.pi**2 * (1.0 / np.square([b.sides for b in dom.boxes])).sum(1)
+        if np.isinf(first).all():
+            raise InsufficientCutoffError(
+                f"could not enumerate {count} eigenvalues: the first eigenvalue of "
+                "every box, pi^2 times the sum of its sides^-2, overflows a float"
+            )
     below, above, too_many = 0.0, math.inf, None
     while below < lam < above:
         try:

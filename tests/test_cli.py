@@ -12,12 +12,14 @@ import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import berezin_lab
+from berezin_lab import harness
 from berezin_lab.cli import main, parse_domain, render_domain
 from berezin_lab.constants import lt_value
 from berezin_lab.errors import DomainParseError
@@ -174,26 +176,29 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.stderr == ""
 
 
-def test_reports_do_not_import_numpy_ma():
+def test_reports_do_not_import_numpy_ma(tmp_path):
     # numpy.ma, which np.unique imports on first use, costs about 12 ms of
     # every command's run time; a fresh process shows whether it was loaded.
+    # Each command writes its CSV, so the writer runs under the guard too.
     script = """
 import contextlib, io, sys
 from berezin_lab.cli import main
+out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["sweep", "--domain", "disk:1", "--sigma", "1.5",
-              "--lambda-max", "2e3", "--points", "20"]),
+              "--lambda-max", "2e3", "--points", "20", "--csv", out + "/disk.csv"]),
         main(["sweep", "--domain", "box:2x1", "--sigma", "1.5",
-              "--lambda-max", "1e4", "--points", "20"]),
+              "--lambda-max", "1e4", "--points", "20", "--csv", out + "/box.csv"]),
         main(["sums", "--domain", "box:2x1", "--sigma", "2",
-              "--n-max", "500", "--points", "30"]),
+              "--n-max", "500", "--points", "30", "--csv", out + "/sums.csv"]),
     ]
 print(codes, "numpy.ma" in sys.modules)
 """
-    proc = _run_python("-c", script)
+    proc = _run_python("-c", script, str(tmp_path))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[0, 0, 0] False\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["box.csv", "disk.csv", "sums.csv"]
 
 
 def test_constants_output(capsys):
@@ -561,6 +566,34 @@ def test_grid_endpoints_are_checked_before_numpy(argv, flag, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, relation, start",
+    [
+        # one point: the grid would be [1.0], above --lambda-max
+        (["sweep", *_BOX, "--lambda-max", "0.5", "--points", "1"], ">=", 1.0),
+        (["sweep", *_BOX, "--lambda-max", "0.5", "--points", "2"], ">", 1.0),
+        (["sweep", *_BOX, "--lambda-max", "1", "--points", "2"], ">", 1.0),
+        (["asymptotics", *_BOX, "--lambda", "200", "--lambda-max", "100",
+          "--points", "2"], ">", 200.0),
+        (["asymptotics", *_BOX, "--lambda", "200", "--lambda-max", "200"], ">", 200.0),
+    ],
+)
+def test_grid_end_below_its_start_names_the_flag(argv, relation, start, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = float(argv[argv.index("--lambda-max") + 1])
+    assert captured.err == (
+        f"usage error: --lambda-max must be {relation} the grid start {start!r},"
+        f" got {value!r}\n"
+    )
+
+
+def test_one_point_grid_may_end_at_its_start(capsys):
+    assert main(["sweep", *_BOX, "--lambda-max", "1", "--points", "1"]) == 0
+    assert "lambda_max: 1.0" in capsys.readouterr().out
+
+
 _ENDPOINT = st.one_of(
     st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-320", "1e300"]),
     st.floats(min_value=0.5, max_value=500.0).map(repr),
@@ -763,10 +796,25 @@ def test_thin_box_has_an_empty_spectrum(argv, capsys):
 
 
 def test_thin_box_sums_cannot_enumerate(capsys):
-    assert main(["sums", "--domain", "box:1e-200x1", "--sigma", "2", "--n-max", "5"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numeric failure: could not enumerate 5 eigenvalues")
+    # pi^2 sum a_i^-2 overflows for every box, so no cutoff holds an
+    # eigenvalue: the error comes before the cutoff search, not at 1.8e308
+    cases = [
+        ("box:1e-200x1", "2", "5"),
+        ("box:1e-160x1", "1", "3"),
+        ("union:box(1e-200x1)@(0,0)+box(1x1e-170)@(2,0)", "1", "3"),
+    ]
+    for domain, sigma, n_max in cases:
+        with mock.patch.object(
+            harness, "enumerate_spectrum", wraps=harness.enumerate_spectrum
+        ) as enumerate_spectrum:
+            argv = ["sums", "--domain", domain, "--sigma", sigma, "--n-max", n_max]
+            assert main(argv) == 3
+        assert enumerate_spectrum.call_count <= 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"numeric failure: could not enumerate {n_max} eigenvalues"
+        )
 
 
 def test_long_interval_sums_start_cutoff_underflows(capsys):

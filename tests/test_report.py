@@ -8,10 +8,11 @@ same bytes and the same answers.
 
 import io
 import math
+import struct
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from berezin_lab import harness
@@ -159,6 +160,44 @@ def test_column_writer_crosses_block_boundaries():
     )
     rep = BoundReport("test", columns, ("v",))
     assert _csv(rep) == reference_csv(rep)
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+# Raw 64-bit patterns in and around [1, 1e17), the range the writer converts
+# in numpy, with either sign.
+near_numpy_range = st.builds(
+    lambda negative, bits: _from_bits(bits | negative << 63),
+    st.booleans(),
+    st.integers(_bits(0.25), _bits(4e17)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(near_numpy_range, max_size=64))
+@example(values=[1234567890123456.25, 1234567890123456.75])
+@example(
+    values=[
+        *(x for v in (1e16, 1e17) for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))),
+        2.0**53 - 2.0, 2.0**53 + 2.0, 9.999999999999999, -0.0, 5e-324,
+        math.inf, -math.inf, math.nan,
+    ]
+)
+def test_float_cells_match_python_formatting(values):
+    expected = ["" if math.isnan(v) else "%.17g" % v for v in values]
+    assert harness._float_cells(np.array(values, dtype=float)) == expected
+
+
+def test_float_cells_round_ties_to_even():
+    # both values are exact ties between two 17-digit decimals
+    cells = harness._float_cells(np.array([1234567890123456.25, -1234567890123456.75]))
+    assert cells == ["1234567890123456.2", "-1234567890123456.8"]
 
 
 margins = st.sampled_from([math.nan, -2.0, -1.0, -0.0, 0.0, 1.0, 1e-300])
