@@ -202,5 +202,6 @@ def two_term_sum(
         * lt_value(p.sigma, p.dim) ** (-expo)
         / (4.0 * (0.5 * (p.dim - 1) + p.sigma))
     )
-    second = coef * p.sigma * surf / vol**expo * n ** expo
+    # vol**expo alone may overflow where the term does not
+    second = coef * p.sigma * (surf / vol) * vol ** (1.0 - expo) * n**expo
     return sum_classical(p, vol, n) + second

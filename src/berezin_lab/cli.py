@@ -44,14 +44,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .geometry import AxisBox, BoxUnion, Disk, Domain
-from .harness import (
-    BoundReport,
-    RIESZ_CHECKS,
-    RIESZ_COLUMNS,
-    asymptotic_diagnostics,
-    sweep_riesz,
-    sweep_sums,
-)
+from .harness import BoundReport, asymptotic_diagnostics, sweep_riesz, sweep_sums
 from .remainder import epsilon_mu, nu_bounds, nu_ceiling
 from .spectra import ENUMERATION_LIMIT, enumerate_spectrum
 from .version import TOOL_VERSION
@@ -198,10 +191,9 @@ def _positive(flag: str, value: float) -> float:
 
 
 def _grid_end(flag: str, end: float, start: float, size: int) -> None:
-    """Exit 2, naming the flag, for a grid that would reach above its end."""
-    if end < start or (end == start and size > 1):
-        op = ">" if size > 1 else ">="
-        raise ValueError(f"{flag} must be {op} the grid start {start!r}, got {end!r}")
+    """Exit 2, naming the flag, when a grid of 2+ points ends at or below its start."""
+    if size > 1 and end <= start:
+        raise ValueError(f"{flag} must be > the grid start {start!r}, got {end!r}")
 
 
 def _at_least(flag: str, size: int, least: int = 1) -> None:
@@ -252,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues of a domain below a cutoff")
     _add_domain_options(p)
     p.add_argument("--cutoff", type=float, required=True)
-    p.add_argument("--csv", default=None, help="write the table here ('-' = stdout)")
+    _add_report_options(p)
 
     p = sub.add_parser("check", help="full bound chain at a single energy")
     _add_domain_options(p)
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument(
-        "--points", type=int, required=True, help=f"grid size from 1.0 up, {_AT_MOST}"
+        "--points", type=int, required=True, help=f"grid size, {_AT_MOST}"
     )
     p.add_argument("--nu", type=_nu_argument, default=None)
     _add_report_options(p)
@@ -392,14 +384,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
     if args.csv is not None:
         _emit_csv(report, args.csv)
-    row = {name: column.tolist()[0] for name, column in report.columns.items()}
+    row = report.rows[0]
     print(f"berezin-lab v{TOOL_VERSION} check")
     print(f"domain = {render_domain(dom)}")
     print(f"nu = {_show(report.metadata['nu'])} ({report.metadata['nu_mode']})")
-    for name in RIESZ_COLUMNS:
+    # The value columns come first, then a verdict and a margin per check.
+    for name in list(row)[: len(row) - 2 * len(report.checks)]:
         value = row[name]
         print(f"{name} = {value if isinstance(value, int) else _show(value)}")
-    for name in RIESZ_CHECKS:
+    for name in report.checks:
         margin = row[f"{name}_margin"]
         tail = "" if math.isnan(margin) else f" margin={margin:.6g}"
         print(f"check {name}: {row[name]}{tail}")
@@ -414,7 +407,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lambda_max = _positive("--lambda-max", args.lambda_max)
     _grid_end("--lambda-max", lambda_max, 1.0, args.points)
     _bound_grid("--points", args.points)
-    grid = np.geomspace(1.0, lambda_max, args.points)
+    # The grid runs from 1.0 up to --lambda-max; its one point is --lambda-max.
+    start = 1.0 if args.points > 1 else lambda_max
+    grid = np.geomspace(start, lambda_max, args.points)
     report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
     return _report_exit(report, args.csv)
 

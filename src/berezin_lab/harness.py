@@ -66,50 +66,6 @@ __all__ = [
     "asymptotic_diagnostics",
 ]
 
-RIESZ_COLUMNS = (
-    "lambda",
-    "n",
-    "riesz_mean",
-    "eta",
-    "s_classical",
-    "sliced_bound",
-    "improved_rhs",
-    "two_term_riesz",
-    "vol_omega_lambda",
-    "d_lambda",
-)
-RIESZ_CHECKS = (
-    "s_le_sliced",
-    "sliced_le_improved",
-    "improved_le_classical",
-    "berezin",
-    "polya",
-    "improved_nonneg",
-)
-
-SUMS_COLUMNS = (
-    "n_index",
-    "lambda_n",
-    "s1",
-    "s_sigma",
-    "s_classical_sigma",
-    "li_yau_rhs",
-    "melas_rhs",
-    "eigenvalue_lower",
-    "two_term_sum",
-)
-SUMS_CHECKS = ("li_yau", "lambda_lower", "melas", "holder_upper")
-
-ASYMP_COLUMNS = (
-    "lambda",
-    "riesz_mean",
-    "s_classical",
-    "ratio_main",
-    "ratio_second",
-)
-ASYMP_CHECKS = ("berezin",)
-
-
 @dataclass
 class BoundReport:
     """Sweep result: a table stored as columns, plus run metadata.
@@ -375,14 +331,22 @@ def _try_surface(dom: Domain) -> float | None:
         return None
 
 
-def _base_metadata(kind: str, domain: Domain, sigma: float) -> dict:
-    return {
+def _report(
+    kind: str, domain: Domain, sigma: float, values: dict, checks: dict, **metadata
+) -> BoundReport:
+    """A sweep's report: `values` then `checks`, in their order, are its table,
+    with one row per entry of the first value (the grid); the metadata every
+    kind shares is followed by `metadata`."""
+    columns = _table(len(next(iter(values.values()))), values, checks)
+    metadata = {
         "tool_version": TOOL_VERSION,
         "kind": kind,
         "domain": repr(domain),
         "sigma": sigma,
         "slack": _SLACK,
+        **metadata,
     }
+    return BoundReport(kind, columns, tuple(checks), metadata)
 
 
 def sweep_riesz(
@@ -409,7 +373,7 @@ def sweep_riesz(
     sliced_ok = sigma >= 1.5 and d >= 2
     mu = sigma + 0.5 * (d - 1)
 
-    eps_info = None
+    eps_metadata = {}
     if nu is not None:
         nu = float(nu)
         nu_mode = "explicit"
@@ -417,11 +381,15 @@ def sweep_riesz(
         eps_info = epsilon_mu(mu)
         nu = 4.0 * eps_info.epsilon
         nu_mode = "default-from-remainder-minimum"
+        eps_metadata = {
+            "epsilon": eps_info.epsilon,
+            "epsilon_argmin_a": eps_info.argmin_a,
+            "epsilon_mu": eps_info.mu,
+        }
     else:
         nu = math.nan
         nu_mode = "n/a"
-    exploratory = nu_mode == "explicit"
-    improved_ok = d >= 2 and math.isfinite(nu) and (sigma >= 1.5 or exploratory)
+    improved_ok = d >= 2 and math.isfinite(nu)
     # The corrected bound is nonnegative on every domain only for nu up to
     # this cap, so improved_nonneg is n/a above it.
     nu_cap = nu_nonneg_cap(mu) if d >= 2 else math.nan
@@ -439,7 +407,7 @@ def sweep_riesz(
             vol_omega_lambda=st.vol_omega_lambda,
             d_lambda=st.d_lambda,
             nu=nu,
-            exploratory=exploratory,
+            exploratory=nu_mode == "explicit",
         )
         if improved_ok
         else math.nan
@@ -472,24 +440,21 @@ def sweep_riesz(
             0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan
         ),
     }
-    columns = _table(len(lam), values, checks)
-    metadata = _base_metadata("riesz", domain, sigma)
-    metadata.update(
-        {
-            "nu": nu,
-            "nu_mode": nu_mode,
-            "nu_nonneg_cap": nu_cap,
-            "lambda_max": lambda_max,
-            "eigenvalues_enumerated": spec.total_count,
-            "merge_joins": spec.merge_joins,
-            "merge_max_gap": spec.merge_max_gap,
-        }
+    return _report(
+        "riesz",
+        domain,
+        sigma,
+        values,
+        checks,
+        nu=nu,
+        nu_mode=nu_mode,
+        nu_nonneg_cap=nu_cap,
+        lambda_max=lambda_max,
+        eigenvalues_enumerated=spec.total_count,
+        merge_joins=spec.merge_joins,
+        merge_max_gap=spec.merge_max_gap,
+        **eps_metadata,
     )
-    if eps_info is not None:
-        metadata["epsilon"] = eps_info.epsilon
-        metadata["epsilon_argmin_a"] = eps_info.argmin_a
-        metadata["epsilon_mu"] = eps_info.mu
-    return BoundReport("riesz", columns, RIESZ_CHECKS, metadata)
 
 
 def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
@@ -586,18 +551,18 @@ def sweep_sums(
         "melas": _check_le(mel, s1),
         "holder_upper": _check_le(s1, holder_rhs),
     }
-    columns = _table(len(n), values, checks)
-    metadata = _base_metadata("sums", domain, sigma)
-    metadata.update(
-        {
-            "n_max": n_max,
-            "cutoff_used": spec.cutoff,
-            "merge_joins": spec.merge_joins,
-            "merge_max_gap": spec.merge_max_gap,
-            "melas_m": "none" if melas_m is None else f"{melas_m} (external constant)",
-        }
+    return _report(
+        "sums",
+        domain,
+        sigma,
+        values,
+        checks,
+        n_max=n_max,
+        cutoff_used=spec.cutoff,
+        merge_joins=spec.merge_joins,
+        merge_max_gap=spec.merge_max_gap,
+        melas_m="none" if melas_m is None else f"{melas_m} (external constant)",
     )
-    return BoundReport("sums", columns, SUMS_CHECKS, metadata)
 
 
 def asymptotic_diagnostics(
@@ -638,20 +603,19 @@ def asymptotic_diagnostics(
         "ratio_second": ratio_second,
     }
     checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan)}
-    columns = _table(len(lam), values, checks)
-
     # ratio_main is 0 below the first eigenvalue, so only rows above it rise;
     # that it rises is a theorem only for sigma >= 2 (Harrell-Hermi).
     rising = ratio_main[s_val > 0.0]
     monotone = bool((rising[1:] > rising[:-1]).all())
-    metadata = _base_metadata("asymptotics", domain, sigma)
-    metadata.update(
-        {
-            "ratio_main_monotone_verdict": (
-                "n/a" if sigma < 2.0 else "pass" if monotone else "fail"
-            ),
-            "ratio_second_first": ratio_second[0].item(),
-            "ratio_second_last": ratio_second[-1].item(),
-        }
+    return _report(
+        "asymptotics",
+        domain,
+        sigma,
+        values,
+        checks,
+        ratio_main_monotone_verdict=(
+            "n/a" if sigma < 2.0 else "pass" if monotone else "fail"
+        ),
+        ratio_second_first=ratio_second[0].item(),
+        ratio_second_last=ratio_second[-1].item(),
     )
-    return BoundReport("asymptotics", columns, ASYMP_CHECKS, metadata)

@@ -33,6 +33,7 @@ from berezin_lab.geometry import (
     critical_length,
     moment_J,
     slicing_stats,
+    surface,
     volume,
 )
 from berezin_lab.remainder import epsilon_mu
@@ -130,6 +131,27 @@ def test_two_term_riesz_interval_form():
     for lam in (10.0, 1234.5):
         got = two_term_riesz(p, math.pi, 2.0, lam)
         assert got == pytest.approx(2.0 / 3.0 * lam**1.5 - 0.5 * lam, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "dom, log_vol, log_surf",
+    [
+        # log |Omega| and log |dOmega| of radius 1e120 and of sides 1e120
+        (Disk(1e120), math.log(math.pi * 1e240), math.log(2 * math.pi * 1e120)),
+        (AxisBox((1e120, 1e120)), math.log(1e240), math.log(4e120)),
+    ],
+    ids=["disk-1e120", "box-1e120x1e120"],
+)
+def test_two_term_sum_of_a_huge_domain_is_its_closed_form(dom, log_vol, log_surf):
+    # sigma = 1, d = 2: 2 pi n^2 / |Omega| plus (2/(3 pi)) (8 pi)^1.5 / 6
+    # |dOmega| |Omega|^-1.5 n^1.5, each near 1e-240 although |Omega|^1.5
+    # overflows a float; the closed form is evaluated in logs
+    n = np.arange(1, 4)
+    first = np.exp(math.log(2 * math.pi) + 2 * np.log(n) - log_vol)
+    log_coef = math.log(2 / (3 * math.pi)) + 1.5 * math.log(8 * math.pi) - math.log(6)
+    second = np.exp(log_coef + log_surf - 1.5 * log_vol + 1.5 * np.log(n))
+    got = two_term_sum(SemiclassicalParams(1.0, 2), volume(dom), surface(dom), n)
+    np.testing.assert_allclose(got, first + second, rtol=1e-12)
 
 
 def test_two_term_orderings():

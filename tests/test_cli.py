@@ -569,8 +569,8 @@ def test_grid_endpoints_are_checked_before_numpy(argv, flag, capsys):
 @pytest.mark.parametrize(
     "argv, relation, start",
     [
-        # one point: the grid would be [1.0], above --lambda-max
-        (["sweep", *_BOX, "--lambda-max", "0.5", "--points", "1"], ">=", 1.0),
+        # asymptotics starts at --lambda 100 by default
+        (["asymptotics", *_BOX, "--lambda-max", "50"], ">", 100.0),
         (["sweep", *_BOX, "--lambda-max", "0.5", "--points", "2"], ">", 1.0),
         (["sweep", *_BOX, "--lambda-max", "1", "--points", "2"], ">", 1.0),
         (["asymptotics", *_BOX, "--lambda", "200", "--lambda-max", "100",
@@ -590,8 +590,13 @@ def test_grid_end_below_its_start_names_the_flag(argv, relation, start, capsys):
 
 
 def test_one_point_grid_may_end_at_its_start(capsys):
-    assert main(["sweep", *_BOX, "--lambda-max", "1", "--points", "1"]) == 0
-    assert "lambda_max: 1.0" in capsys.readouterr().out
+    # the one point of a one-point sweep is --lambda-max, above 1.0 or below
+    for lambda_max in ("1", "0.5", "1e4"):
+        argv = ["sweep", *_BOX, "--lambda-max", lambda_max, "--points", "1", "--csv", "-"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[2].startswith(f"{float(lambda_max):.17g},")
+        assert f"lambda_max: {float(lambda_max)!r}" in out
 
 
 _ENDPOINT = st.one_of(

@@ -28,12 +28,6 @@ from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import EnumerationLimitError, InsufficientCutoffError
 from berezin_lab.geometry import AxisBox, Disk, slicing_stats
 from berezin_lab.harness import (
-    ASYMP_CHECKS,
-    ASYMP_COLUMNS,
-    RIESZ_CHECKS,
-    RIESZ_COLUMNS,
-    SUMS_CHECKS,
-    SUMS_COLUMNS,
     BoundReport,
     asymptotic_diagnostics,
     sweep_riesz,
@@ -44,47 +38,31 @@ from berezin_lab.spectra import counting, enumerate_spectrum, riesz_mean
 from berezin_lab.version import TOOL_VERSION
 
 
-def test_column_contracts():
-    assert RIESZ_COLUMNS == (
-        "lambda",
-        "n",
-        "riesz_mean",
-        "eta",
-        "s_classical",
-        "sliced_bound",
-        "improved_rhs",
-        "two_term_riesz",
-        "vol_omega_lambda",
-        "d_lambda",
-    )
-    assert RIESZ_CHECKS == (
-        "s_le_sliced",
-        "sliced_le_improved",
-        "improved_le_classical",
-        "berezin",
-        "polya",
-        "improved_nonneg",
-    )
-    assert SUMS_COLUMNS == (
-        "n_index",
-        "lambda_n",
-        "s1",
-        "s_sigma",
-        "s_classical_sigma",
-        "li_yau_rhs",
-        "melas_rhs",
-        "eigenvalue_lower",
-        "two_term_sum",
-    )
-    assert SUMS_CHECKS == ("li_yau", "lambda_lower", "melas", "holder_upper")
-    assert ASYMP_COLUMNS == (
-        "lambda",
-        "riesz_mean",
-        "s_classical",
-        "ratio_main",
-        "ratio_second",
-    )
-    assert ASYMP_CHECKS == ("berezin",)
+# a live report of each kind whose columns README lists
+_README_KINDS = {
+    "sweep": ["sweep", "--domain", "box:1x1", "--sigma", "1.5", "--lambda-max", "100",
+              "--points", "3"],
+    "sums": ["sums", "--domain", "box:1x1", "--sigma", "2", "--n-max", "5"],
+    "asymptotics": ["asymptotics", "--domain", "box:1x1", "--sigma", "1.5",
+                    "--lambda-max", "1e3", "--points", "2"],
+}
+
+
+def test_column_contracts(tmp_path):
+    # README documents each report's CSV header: its value columns, then a
+    # verdict and a margin column per check
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^- `(\w+)`[^:]*: `([^`]+)`; checks? `([^`]+)`\.", readme, re.M)
+    assert [kind for kind, _, _ in listed] == list(_README_KINDS)
+    for kind, columns, checks in listed:
+        dest = tmp_path / f"{kind}.csv"
+        with redirect_stdout(io.StringIO()):
+            assert main([*_README_KINDS[kind], "--csv", str(dest)]) == 0
+        header = dest.read_text().splitlines()[1].split(",")
+        verdicts = [
+            col for c in re.split(r",\s+", checks) for col in (c, f"{c}_margin")
+        ]
+        assert header == re.split(r",\s+", columns) + verdicts, kind
 
 
 def test_riesz_rows_match_direct_evaluation():
@@ -169,8 +147,9 @@ def test_riesz_exploratory_overweight_fails():
 def test_riesz_axis_choice_is_geometric():
     a = sweep_riesz(AxisBox((2.0, 1.0), slicing_axis=1), 1.5, (60.0, 180.0))
     b = sweep_riesz(AxisBox((1.0, 2.0)), 1.5, (60.0, 180.0))
+    assert list(a.columns) == list(b.columns)
     for ra, rb in zip(a.rows, b.rows):
-        for c in RIESZ_COLUMNS:
+        for c in ra:
             va, vb = ra[c], rb[c]
             if isinstance(va, float) and math.isnan(va):
                 assert math.isnan(vb)
@@ -205,7 +184,7 @@ def test_csv_format():
     text = buf.getvalue()
     lines = text.splitlines()
     assert lines[0] == f"# berezin-lab v{TOOL_VERSION}"
-    assert lines[1].split(",")[: len(RIESZ_COLUMNS)] == list(RIESZ_COLUMNS)
+    assert lines[1].split(",") == list(rep.columns)
     assert len(lines) == 2 + len(rep.rows)
     assert text.endswith("\n")
     cells = lines[2].split(",")
@@ -355,7 +334,7 @@ def test_asymptotics_monotone_check_is_na_on_a_falling_ratio_below_sigma_2():
     assert rep.all_passed
 
 
-def test_every_report_kind_shares_the_base_metadata(monkeypatch):
+def test_every_report_kind_shares_the_common_metadata(monkeypatch):
     sq = AxisBox((1.0, 1.0))
     monkeypatch.setattr(harness, "_SLACK", 1e-7)
     reports = (
