@@ -11,8 +11,10 @@ so violations are quantified, not just flagged, and any other tolerance can
 be applied to the margins afterwards.
 
 CSV bytes are those of printing every float with `%.17g` (NaN as an empty
-field); floats with 1 <= |v| < 1e17 are converted to those digits in numpy,
-a block of rows at a time, and the rest by Python.
+field) and every integer in full. A block of rows becomes one byte matrix in
+numpy, with a fixed-width slot per cell: numbers with 1 <= |v| < 1e17 (2^53
+for integers) get their digits there in numpy, and verdicts theirs from a
+table; Python formats the other cells, whose bytes are copied in.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -126,23 +128,56 @@ class BoundReport:
     def _csv_blocks(self, which: slice) -> Iterator[str]:
         """CSV lines of the rows selected, _CSV_BLOCK rows per string.
 
-        A float prints as `"%.17g" % v`, NaN as the empty field; a block's
-        float columns are converted together by `_float_cells`, in numpy for
-        1 <= |v| < 1e17. A printf template joins each row: %d for integer
-        columns, %s for strings and float cells.
+        A block is one byte matrix with a _SLOT-byte slot per cell, whose last
+        byte is the cell's separator, and a keep mask made from where the text
+        of each slot ends: the block's text is the kept bytes, in order.
+        Numbers with 1 <= |v| < 1e17 (2^53 for integers) get the digits of
+        `"%.17g" % v` from `_number_slots`, verdicts their bytes from a table,
+        NaN nothing; Python formats the other cells, and their bytes are
+        copied in (a slot widens to the longest).
         """
         cols = [c[which] for c in self.columns.values()]
-        floats = [c.dtype.kind == "f" for c in cols]
-        template = ",".join(_SPECS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+        num = [j for j, c in enumerate(cols) if c.dtype.kind in "biuf"]
+        ints = [cols[j].dtype.kind != "f" for j in num]
+        limit = np.where(ints, 2.0**53, 1e17)
         for lo in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK):
             block = [c[lo : lo + _CSV_BLOCK] for c in cols]
-            size = len(block[0])
-            x = np.concatenate([np.empty(0), *(c for c, f in zip(block, floats) if f)])
-            cells = _float_cells(x)
-            chunks = (cells[k : k + size] for k in range(0, x.size, size))
-            fields = [next(chunks) if f else c.tolist() for c, f in zip(block, floats)]
-            yield "".join([template % row for row in zip(*fields)])
-            del cells, fields  # before the next block's cells are made
+            shape = (len(block[0]), len(block))
+            # One past the last text byte of each slot, and whether its byte 0
+            # is not text (a positive number's, which holds "-").
+            stop, unsigned = np.zeros(shape, np.intp), np.zeros(shape, bool)
+            # (cells, (their bytes, byte counts)): string and object columns,
+            # then the numbers that the kernel leaves to Python.
+            text = [
+                ((slice(None), j), _column_text(c))
+                for j, c in enumerate(block)
+                if j not in num
+            ]
+            if num:
+                x = np.stack([block[j] for j in num], axis=1, dtype=float)
+                slots, unsigned[:, num], stop[:, num], left = _number_slots(x, limit)
+                r, k = np.nonzero(left)
+                cells = ["%.17g" % v for v in x[r, k].tolist()]
+                for i in np.flatnonzero(np.take(ints, k)).tolist():
+                    cells[i] = "%d" % block[num[k[i]]][r[i]].item()  # exact
+                text.append(((r, np.take(num, k)), _text_bytes(cells)))
+            width = max([_SLOT, *(t.shape[1] + 1 for _, (t, _) in text)])
+            buf = np.empty((*shape, width), np.uint8)
+            if num:
+                buf[..., :_SLOT].view(_ITEM)[:, num] = slots.view(_ITEM)
+                del slots
+            for at, (t, n) in text:
+                buf[at + (slice(t.shape[1]),)], stop[at] = t, n
+            buf[:, :, -1], buf[:, -1, -1] = ord(","), ord("\n")
+            # [t]: the bytes below t; the width only exceeds _SLOT when a
+            # text cell is longer than 24 bytes.
+            below = np.arange(width) < np.arange(width + 1)[:, None]
+            keep = np.take(below, stop, axis=0)
+            keep[..., 0] &= ~unsigned
+            keep[..., -1] = True
+            data = buf[keep]
+            del buf, keep  # before the block's text is made
+            yield str(data.data, "utf-8", "surrogatepass")
 
     def summary(self) -> str:
         lines = [f"berezin-lab v{TOOL_VERSION} {self.kind} report"]
@@ -181,8 +216,12 @@ class BoundReport:
 
 # Rows formatted per string written, so a long table is never one string.
 _CSV_BLOCK = 1024
-# printf field per numpy dtype kind; other columns hold strings or float cells.
-_SPECS = {"b": "%d", "i": "%d", "u": "%d"}
+# Bytes per cell slot: room for the widest "%.17g" text, 24 bytes, then the
+# separator; a number's slot moves as one item of this dtype.
+_SLOT = 25
+_ITEM = np.dtype(("V", _SLOT))
+# One str object per verdict, shared by every row.
+_VERDICTS = np.array(("pass", "fail", "n/a"), dtype=object)
 
 # 10^k, exact as a double for k <= 22, with its Veltkamp split into halves of
 # at most 26 bits whose products are exact; and the decimal exponent of 2^b.
@@ -190,25 +229,53 @@ _POW10 = np.array([float(10**k) for k in range(19)])
 _POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _DECIMAL_EXP = np.array([len(str(2**b)) - 1 for b in range(57)])
-# [e, k]: digit k of 17 precedes the point; [end, j]: byte j of a cell whose
-# text ends at byte end is kept (the sign, byte 0, is set per cell).
-_BEFORE_POINT = np.tri(17, dtype=bool)
-_KEEP = np.tri(19, 20, dtype=bool) & (np.arange(20) > 0) | (np.arange(20) == 19)
+# (d, m, s, lanes, bits): x * m >> s is x // d in each lane of the lanes mask
+# for every x below 10^8, 10^4 and 100 in turn; the remainder moves up bits.
+_DIGIT_SPLITS = (
+    (10**4, 109951163, 40, 0x3FFF, 32),
+    (100, 10486, 20, 0x0000007F0000007F, 16),
+    (10, 103, 10, 0x000F000F000F000F, 8),
+)
+# [:, e]: words 1-3 of a number's slot with the bytes below its point, 8 + e.
+_BELOW_POINT = tuple(
+    tuple((1 << 8 * max(0, e - 8 * w)) - 1 if e < 8 * w + 8 else -1 for e in range(17))
+    for w in range(3)
+)
 
 
-def _float_cells(x: np.ndarray) -> list[str]:
-    """`"%.17g" % v` for each v of the float64 array x, NaN as "": in numpy
-    for 1 <= |v| < 1e17, by Python for the other values."""
+def _column_text(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_text_bytes` of the cells of a column: those of a column of verdicts
+    from a table, those of any other column through str."""
+    hits = col == _VERDICTS[:, None] if col.dtype.kind in "OU" else None
+    if hits is None or not hits.any(0).all():
+        return _text_bytes(map(str, col.tolist()))
+    table, size = _text_bytes(_VERDICTS)
+    codes = hits.argmax(0)
+    return np.take(table, codes, axis=0), np.take(size, codes)
+
+
+def _text_bytes(cells: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each str, one row each, padded to the longest, and
+    the number of bytes of each."""
+    data = [c.encode("utf-8", "surrogatepass") for c in cells]
+    size = np.array([len(b) for b in data], dtype=np.intp)
+    width = int(size.max(initial=0))
+    raw = np.array(data, dtype=f"S{max(width, 1)}").view(np.uint8)
+    return raw.reshape(len(data), max(width, 1))[:, :width], size
+
+
+def _number_slots(x: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Slots of `"%.17g" % v` for the float64 array x where 1 <= |v| < limit
+    (at most 1e17, broadcast against x), whose text runs from byte 0, or 1
+    where v > 0 (the first array of masks), to one before the second array, 0
+    for the other values; and the mask of those other values but NaN, which
+    are left to Python."""
     a = np.abs(x)
-    fast = (a >= 1.0) & (a < 1e17)  # false for NaN
+    fast = (a >= 1.0) & (a < limit)  # false for NaN
     a[~fast] = 1.0
-    out, end = _cell_bytes(*_decimal17(a))
-    keep = _KEEP[np.where(fast, end, 0)]
-    keep[:, 0] = fast & (x < 0)
-    cells = str(out[keep].data, "ascii").split("\n")[:-1]
-    for i in np.flatnonzero(~fast & ~np.isnan(x)).tolist():
-        cells[i] = "%.17g" % x[i]
-    return cells
+    slots, stop = _digit_slots(*_decimal17(a.reshape(-1)))
+    stop = np.where(fast, stop.reshape(x.shape), 0)
+    return slots.reshape(*x.shape, _SLOT), fast & (x > 0), stop, ~fast & ~np.isnan(x)
 
 
 def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,50 +286,71 @@ def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is even, so N = p + rint(err). N stays below 10^17: the float below
     10^(e+1) is over 11 units lower.
     """
-    e = _DECIMAL_EXP[np.frexp(a)[1] - 1]  # that of the binade's lower end
-    e += a >= _POW10[e + 1]  # a binade holds at most one power of 10
+    # frexp's int32 exponents are widened at once here and below: int32
+    # arithmetic would page in more of numpy's code, about 130 KiB of RSS.
+    binade = np.frexp(a)[1].astype(np.int64) - 1
+    e = np.take(_DECIMAL_EXP, binade)  # that of the binade's lower end
+    e += a >= np.take(_POW10, e + 1)  # a binade holds at most one power of 10
     k = 16 - e
-    p = a * _POW10[k]
+    p = a * np.take(_POW10, k)
     c = 134217729.0 * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    b_hi, b_lo = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return e, (p.astype(np.int64) + np.rint(err).astype(np.int64)).view(np.uint64)
+    return e, p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _cell_bytes(e: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """20-byte cells holding "-", the 17 digits of n with a point after e + 1
-    of them, and a newline; and the index of the last byte of each cell's
-    text, which drops trailing fraction zeros (and a bare point)."""
-    # The digits in ASCII, in three little-endian words: the first digit in
-    # the top byte of one, then two words of 8, each split into halves in
-    # 32-bit lanes, quarters in 16-bit lanes and digits in bytes (x * 10486
-    # >> 20 is x // 100 for x < 10^4, x * 103 >> 10 is x // 10 for x < 100).
-    top, rest = np.divmod(n, 10**16)
-    v = np.stack(np.divmod(rest, 10**8), axis=1)
-    v = v // 10000 | (v % 10000) << 32
-    q = (v * 10486 >> 20) & 0x0000007F0000007F
-    v = q | (v - q * 100) << 16
-    q = (v * 103 >> 10) & 0x000F000F000F000F
-    words = np.empty((n.size, 3), "<u8")
-    words[:, 0] = (top + 0x30) << 56
-    words[:, 1:] = q | (v - q * 10) << 8 | 0x3030303030303030
-    digits = words.view(np.uint8)[:, 7:]
-    out = np.empty((n.size, 20), np.uint8)
-    out[:, 0], out[:, 2:19], out[:, 19] = ord("-"), digits, ord("\n")
-    np.copyto(out[:, 1:18], digits, where=_BEFORE_POINT[e])
-    out.reshape(-1)[np.arange(2, 20 * n.size, 20) + e] = ord(".")
+def _digit_slots(e: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots holding "-", then the 17 digits of n with a point after e + 1 of
+    them; and one past the last byte of each slot's text, which drops
+    trailing fraction zeros (and a bare point). n is overwritten.
+
+    Each number is built in four little-endian words, bytes 0-31: "-" and the
+    first digit are bytes 6 and 7, the other digits follow from byte 8, and
+    its slot is bytes 6 to 30.
+    """
+    # The first digit, then two words of 8 digits, each split into halves in
+    # 32-bit lanes, quarters in 16-bit lanes and digits in bytes.
+    top = n // 10**16
+    n -= top * 10**16
+    v = np.empty((2, n.size), np.int64)
+    np.floor_divide(n, 10**8, out=v[0])
+    np.subtract(n, v[0] * 10**8, out=v[1])
+    del n
+    for d, m, s, lanes, bits in _DIGIT_SPLITS:
+        q = v * m
+        q >>= s
+        q &= lanes
+        v -= q * d
+        v <<= bits
+        v |= q
     # The last nonzero digit: frexp's exponent locates the top nonzero byte
-    # of each word of digits less "0" (0 for a word of zeros).
-    z = words[:, 1:] ^ 0x3030303030303030
-    nz = (np.frexp(z)[1] - 1) >> 3
-    last = np.where(z[:, 1] != 0, 9 + nz[:, 1], 1 + nz[:, 0])
-    return out, np.where(last > e, last + 2, e + 1)
+    # of each word of digits (0 for a word of zeros).
+    nz = (np.frexp(v)[1].astype(np.int64) - 1) >> 3
+    last = np.where(nz[1] >= 0, 9 + nz[1], 1 + nz[0])
+    del nz
+    # Words 1-3 hold those digits in ASCII, then nothing; the point goes to
+    # byte 8 + e, and the bytes from there on move up one, a shift of the
+    # three words as one little-endian number.
+    words = np.zeros((3, v.shape[1]), np.int64)
+    np.bitwise_or(v, 0x3030303030303030, out=words[:2])
+    del v
+    up = words & 0xFFFFFFFFFFFFFF  # the top byte moves out
+    up <<= 8
+    up[1:] |= words[:2] >> 56
+    words ^= up
+    words &= np.take(_BELOW_POINT, e, axis=1)
+    words ^= up
+    del up
+    slots = np.empty((top.size, 4), "<i8")
+    slots[:, 0] = (top + 0x30) << 56 | ord("-") << 48
+    slots[:, 1], slots[:, 2], slots[:, 3] = words
+    raw = slots.view(np.uint8)
+    raw.reshape(-1)[np.arange(8, 32 * top.size, 32) + e] = ord(".")
+    return raw[:, 6 : 6 + _SLOT], np.where(last > e, last + 3, e + 2)
 
 
-# One str object per verdict, shared by every row.
-_VERDICTS = np.array(("pass", "fail", "n/a"), dtype=object)
 # Relative tolerance granted to every inequality verdict.
 _SLACK = 1e-9
 
@@ -551,6 +639,8 @@ def sweep_sums(
         "melas": _check_le(mel, s1),
         "holder_upper": _check_le(s1, holder_rhs),
     }
+    # the record of the eigenvalues the rows read, whatever the cutoff
+    joins, gap = spec.merge_record(n_max)
     return _report(
         "sums",
         domain,
@@ -559,8 +649,8 @@ def sweep_sums(
         checks,
         n_max=n_max,
         cutoff_used=spec.cutoff,
-        merge_joins=spec.merge_joins,
-        merge_max_gap=spec.merge_max_gap,
+        merge_joins=joins,
+        merge_max_gap=gap,
         melas_m="none" if melas_m is None else f"{melas_m} (external constant)",
     )
 

@@ -15,9 +15,11 @@ The merge is one sort of the values, each repeated by its multiplicity (equal
 values are indistinguishable), then the anchor rule: v joins the current entry
 when v - first <= 1e-9 * v for the entry's first value, else starts one, so a
 run of neighbours each within 1e-9 of the next can still split. A Spectrum
-records merge_joins, the eigenvalues joined to a first value that differs
-from them in any bit (rounding twins, or distinct values closer than 1e-9),
-and merge_max_gap, the widest (v - first) / v among them (0.0 if none).
+keeps the positions, in ascending order with multiplicity, of the eigenvalues
+joined to a first value that differs from them in any bit (rounding twins, or
+distinct values closer than 1e-9), and their gaps (v - first) / v. Its merge
+record, for all eigenvalues or the lowest few, is merge_joins, how many of
+those there are, and merge_max_gap, the widest gap among them (0.0 if none).
 """
 
 from __future__ import annotations
@@ -48,17 +50,31 @@ ENUMERATION_LIMIT = 2_000_000
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Distinct eigenvalues below a cutoff, ascending, and their multiplicities,
-    as read-only float64 and int64 arrays, with the merge record."""
+    with the positions and gaps of the joined eigenvalues, as read-only arrays."""
 
     cutoff: float
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    merge_joins: int
-    merge_max_gap: float
+    join_positions: np.ndarray
+    join_gaps: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues, np.float64))
-        object.__setattr__(self, "multiplicities", _readonly(self.multiplicities, np.int64))
+        for name, dtype in _FIELD_DTYPES.items():
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+
+    def merge_record(self, count: int | None = None) -> tuple[int, float]:
+        """merge_joins and merge_max_gap of the `count` lowest eigenvalues, with
+        multiplicity, or of all of them."""
+        k = np.searchsorted(self.join_positions, math.inf if count is None else count)
+        return int(k), float(np.max(self.join_gaps[:k], initial=0.0))
+
+    @property
+    def merge_joins(self) -> int:
+        return self.merge_record()[0]
+
+    @property
+    def merge_max_gap(self) -> float:
+        return self.merge_record()[1]
 
     @property
     def values(self) -> tuple[tuple[float, int], ...]:
@@ -77,6 +93,14 @@ class Spectrum:
     @property
     def total_count(self) -> int:
         return int(self.cumulative_counts[-1]) if self.eigenvalues.size else 0
+
+
+_FIELD_DTYPES = {
+    "eigenvalues": np.float64,
+    "multiplicities": np.int64,
+    "join_positions": np.int64,
+    "join_gaps": np.float64,
+}
 
 
 def _readonly(a: ArrayLike, dtype: type | None = None) -> np.ndarray:
@@ -164,10 +188,11 @@ def _disk_eigenvalues(radius: float, cutoff: float) -> np.ndarray:
     return np.repeat(lams[below], mult[below])
 
 
-def _merge(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Entries by the anchor rule, and the merge record, from the eigenvalues v
-    repeated by multiplicity, which it sorts in place. A gap above the tolerance
-    always splits; only runs wider than the tolerance are walked value by value."""
+def _merge(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries by the anchor rule, and the positions and gaps of the joined
+    values, from the eigenvalues v repeated by multiplicity, which it sorts in
+    place. A gap above the tolerance always splits; only runs wider than the
+    tolerance are walked value by value."""
     v.sort()
     start = np.ones(v.size, dtype=bool)
     np.greater(np.diff(v), _MERGE_REL_TOL * np.abs(v[1:]), out=start[1:])
@@ -185,9 +210,11 @@ def _merge(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
                     anchor = x
         runs, inner, first = _runs(start)
         vi, vf = v[inner], v[first]
+    entries, counts = v[runs], np.diff(runs, append=v.size)
+    del start, runs, first  # before the record's arrays are made
     joined = vi != vf
-    gap = float(np.max((vi[joined] - vf[joined]) / vi[joined], initial=0.0))
-    return v[runs], np.diff(runs, append=v.size), int(np.count_nonzero(joined)), gap
+    vi = vi[joined]
+    return entries, counts, inner[joined], (vi - vf[joined]) / vi
 
 
 def _runs(start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -728,6 +728,27 @@ def test_csv_to_stdout(capsys):
     assert "lambda,n,riesz_mean" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "50"],
+        ["sweep", "--domain", "disk:1", "--sigma", "1.5", "--lambda-max", "2e3", "--points", "40"],
+        ["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "3000"],
+        ["asymptotics", "--domain", "box:1x1", "--sigma", "2", "--lambda-max", "1e4",
+         "--points", "30"],
+    ],
+)
+def test_csv_stream_gets_the_file_bytes(argv, tmp_path, capsys):
+    # --csv - writes to a text stream, and the summary follows the table there
+    dest = tmp_path / "out.csv"
+    rc = main([*argv, "--csv", str(dest)])
+    after_file = capsys.readouterr().out
+    assert main([*argv, "--csv", "-"]) == rc
+    table = dest.read_bytes().decode()
+    assert table.count("\n") > 2 and "\r" not in table
+    assert capsys.readouterr().out == table + after_file
+
+
 def test_sums_cli(capsys):
     rc = main(
         ["sums", "--domain", "box:1x1", "--sigma", "2", "--n-max", "50", "--points", "10"]

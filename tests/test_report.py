@@ -179,6 +179,14 @@ near_numpy_range = st.builds(
 )
 
 
+def _kernel_cells(values) -> tuple[list[str], list[bool]]:
+    """The writer's numpy kernel on a float64 array: the text of each value's
+    slot, and whether the kernel converted it (Python formats the others)."""
+    slots, unsigned, stop, _ = harness._number_slots(np.array(values, dtype=float), 1e17)
+    cells = [bytes(s[a:b]).decode() for s, a, b in zip(slots, unsigned.tolist(), stop.tolist())]
+    return cells, (stop > 0).tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(near_numpy_range, max_size=64))
 @example(values=[1234567890123456.25, 1234567890123456.75])
@@ -190,14 +198,65 @@ near_numpy_range = st.builds(
     ]
 )
 def test_float_cells_match_python_formatting(values):
-    expected = ["" if math.isnan(v) else "%.17g" % v for v in values]
-    assert harness._float_cells(np.array(values, dtype=float)) == expected
+    converted = [1.0 <= abs(v) < 1e17 for v in values]  # false for NaN
+    expected = ["%.17g" % v if c else "" for v, c in zip(values, converted)]
+    assert _kernel_cells(values) == (expected, converted)
 
 
 def test_float_cells_round_ties_to_even():
     # both values are exact ties between two 17-digit decimals
-    cells = harness._float_cells(np.array([1234567890123456.25, -1234567890123456.75]))
+    cells, _ = _kernel_cells([1234567890123456.25, -1234567890123456.75])
     assert cells == ["1234567890123456.2", "-1234567890123456.8"]
+
+
+# Values at the edges of each way a cell is written: the kernel's range for
+# floats (1 <= |v| < 1e17) and integers (|n| < 2^53), the widest %.17g text,
+# signed zeros and NaN.
+EDGE_FLOATS = [
+    0.0, -0.0, math.nan, 1.0, -1.0, 0.5, 1e17, -1e17, math.nextafter(1e17, 0.0),
+    2.0**53, -(2.0**53) - 2.0, -2.2250738585072014e-308, -1.7976931348623157e308,
+    -4.9406564584124654e-324, -1.2345678901234567e-100, math.inf, -math.inf,
+]
+EDGE_INTS = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+EDGE_UINTS = [0, 1, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+texts = st.text(st.characters(blacklist_characters="\x00"), max_size=40)
+
+
+@st.composite
+def edge_column(draw, size):
+    kind = draw(st.sampled_from(["float", "int64", "uint64", "bool", "verdict", "object", "str"]))
+    if kind == "float":
+        elements = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+        return draw(hnp.arrays(np.float64, size, elements=elements))
+    if kind == "int64":
+        elements = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**63), 2**63 - 1))
+        return draw(hnp.arrays(np.int64, size, elements=elements))
+    if kind == "uint64":
+        elements = st.one_of(st.sampled_from(EDGE_UINTS), st.integers(0, 2**64 - 1))
+        return draw(hnp.arrays(np.uint64, size, elements=elements))
+    if kind == "bool":
+        return draw(hnp.arrays(np.bool_, size))
+    if kind == "verdict":
+        return harness._VERDICTS[draw(hnp.arrays(np.int64, size, elements=st.integers(0, 2)))]
+    # verdicts mixed with other objects or text: Python formats those cells
+    verdict = st.sampled_from(["pass", "fail", "n/a"])
+    other = st.integers() if kind == "object" else texts
+    cells = draw(st.lists(st.one_of(verdict, other), min_size=size, max_size=size))
+    if kind == "str":
+        return np.array(cells, dtype=str).reshape(size)
+    out = np.empty(size, dtype=object)
+    out[:] = cells
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(0, 40), block=st.integers(1, 9))
+def test_writer_slot_branches_match_reference(data, size, block):
+    n_cols = data.draw(st.integers(1, 7))
+    values = {f"c{j}": data.draw(edge_column(size)) for j in range(n_cols)}
+    rep = BoundReport("test", harness._table(size, values, {}), ())
+    with mock.patch.object(harness, "_CSV_BLOCK", block):
+        assert _csv(rep) == reference_csv(rep)
 
 
 margins = st.sampled_from([math.nan, -2.0, -1.0, -0.0, 0.0, 1.0, 1e-300])

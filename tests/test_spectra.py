@@ -9,6 +9,7 @@ expression they replaced, kept below verbatim as references.
 """
 
 import functools
+import io
 import itertools
 import math
 import time
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from berezin_lab import spectra
+from berezin_lab import harness, spectra
 from berezin_lab.errors import CutoffExceededError, EnumerationLimitError
 from berezin_lab.geometry import AxisBox, BoxUnion, Disk
 from berezin_lab.harness import sweep_riesz, sweep_sums
@@ -91,16 +92,19 @@ def riesz_mean_reference(spec, sigma, lam):
     )
 
 
-def merge_record_reference(pairs):
-    """The same walk, counting values joined to a first value that differs."""
-    joins, max_gap, anchor = 0, 0.0, None
+def merge_record_reference(pairs, count=math.inf):
+    """The same walk, counting values joined to a first value that differs,
+    among the `count` lowest values with multiplicity."""
+    joins, max_gap, anchor, position = 0, 0.0, None, 0
     for v, m in sorted(pairs):
         if anchor is not None and v - anchor <= 1e-9 * abs(v):
-            if v != anchor:
-                joins += m
+            below = max(0, min(m, count - position))
+            if v != anchor and below:
+                joins += below
                 max_gap = max(max_gap, (v - anchor) / v)
         else:
             anchor = v
+        position += m
     return joins, max_gap
 
 
@@ -344,7 +348,7 @@ def test_spectrum_arrays_are_read_only():
     )
     # built from writable arrays, the spectrum is read-only and the inputs are not
     ev, mult = np.array([1.0, 2.0]), np.array([1, 2])
-    built = Spectrum(3.0, ev, mult, 0, 0.0)
+    built = Spectrum(3.0, ev, mult, [], [])
     assert not built.eigenvalues.flags.writeable
     ev[0] = 0.5
     assert built.eigenvalues[0] == 0.5 and ev.flags.writeable
@@ -399,11 +403,13 @@ def test_merge_matches_tuple_reference(clusters, data):
         pairs = data.draw(st.permutations(pairs))
     vals = np.array([v for v, _ in pairs], dtype=float)
     mult = np.array([m for _, m in pairs], dtype=np.int64)
-    ev, mu, joins, max_gap = spectra._merge(np.repeat(vals, mult))
+    spec = Spectrum(1.0, *spectra._merge(np.repeat(vals, mult)))
     ref = merge_reference(pairs)
-    assert ev.tobytes() == np.array([v for v, _ in ref], dtype=float).tobytes()
-    assert mu.tolist() == [m for _, m in ref]
-    assert (joins, max_gap) == merge_record_reference(pairs)
+    assert spec.eigenvalues.tobytes() == np.array([v for v, _ in ref], dtype=float).tobytes()
+    assert spec.multiplicities.tolist() == [m for _, m in ref]
+    assert spec.merge_record() == merge_record_reference(pairs)
+    count = data.draw(st.integers(0, spec.total_count)) if data else 0
+    assert spec.merge_record(count) == merge_record_reference(pairs, count)
 
 
 def test_union_of_equal_boxes_doubles_every_value():
@@ -454,9 +460,30 @@ def test_merge_record():
     assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
     rep = sweep_sums(dom, 2.0, (1, 20000))
     spec = enumerate_spectrum(dom, rep.metadata["cutoff_used"])
-    assert rep.metadata["merge_joins"] == spec.merge_joins > 0
-    assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
+    joins, gap = spec.merge_record(20000)  # of the eigenvalues the rows read
+    assert rep.metadata["merge_joins"] == joins > 0
+    assert rep.metadata["merge_max_gap"] == gap
     assert not any(c.startswith("merge") for c in rep.columns)
+
+
+def test_sums_merge_record_does_not_move_with_the_cutoff(monkeypatch):
+    # The rows read the n_max lowest eigenvalues; enumerating far above them
+    # adds joins the record must leave out, and moves no CSV byte.
+    dom = AxisBox((1.41421356, 1.0))
+    rep = sweep_sums(dom, 2.0, (1, 20000))
+    far_above = lambda d, cutoff: enumerate_spectrum(d, 3.0 * cutoff)
+    monkeypatch.setattr(harness, "enumerate_spectrum", far_above)
+    far = sweep_sums(dom, 2.0, (1, 20000))
+    assert far.metadata["cutoff_used"] > rep.metadata["cutoff_used"]
+    record = [rep.metadata[k] for k in ("merge_joins", "merge_max_gap")]
+    assert [far.metadata[k] for k in ("merge_joins", "merge_max_gap")] == record
+    assert record[0] > 0
+    one = sweep_sums(AxisBox((1e3, 1e3, 1.0)), 1.0, (1,))
+    assert (one.metadata["merge_joins"], one.metadata["merge_max_gap"]) == (0, 0.0)
+    far_csv, rep_csv = io.StringIO(), io.StringIO()
+    far.to_csv(far_csv)
+    rep.to_csv(rep_csv)
+    assert far_csv.getvalue() == rep_csv.getvalue()
 
 
 @st.composite
