@@ -180,7 +180,10 @@ def _nu_argument(text: str) -> float | None:
 
 
 def _emit_csv(report: BoundReport, dest: str) -> None:
-    report.to_csv(sys.stdout if dest == "-" else dest)
+    if dest == "-":
+        sys.stdout.flush()  # what was printed comes before the table
+        dest = sys.stdout.buffer
+    report.to_csv(dest)
 
 
 def _positive(flag: str, value: float) -> float:

@@ -10,11 +10,15 @@ values and the signed margin rhs - lhs, which does not depend on the slack,
 so violations are quantified, not just flagged, and any other tolerance can
 be applied to the margins afterwards.
 
+Report columns hold numbers, and verdicts as int8 codes (0 pass, 1 fail,
+2 n/a) from `_check_le` to the file; `rows` decodes them to words.
+
 CSV bytes are those of printing every float with `%.17g` (NaN as an empty
-field) and every integer in full. A block of rows becomes one byte matrix in
-numpy, with a fixed-width slot per cell: numbers with 1 <= |v| < 1e17 (2^53
-for integers) get their digits there in numpy, and verdicts theirs from a
-table; Python formats the other cells, whose bytes are copied in.
+field), every integer in full and every verdict as its word. A block of rows
+becomes one byte matrix in numpy, with a fixed-width slot per cell: numbers
+with 1 <= |v| < 1e17 (2^53 for integers) get their digits there in numpy, and
+verdicts theirs from a table; Python formats the other numbers, whose bytes
+are copied in. The blocks are written as bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -73,9 +77,9 @@ class BoundReport:
     """Sweep result: a table stored as columns, plus run metadata.
 
     `columns` maps each CSV column name, in order, to an array with one entry
-    per row: integers, floats (NaN for a missing value) or strings. Verdict
-    columns hold 'pass', 'fail', or 'n/a'; each has a sibling
-    '<name>_margin' column with the signed gap rhs - lhs.
+    per row: integers or floats (NaN for a missing value). The columns named
+    by `checks` are verdicts, int8 codes 0 pass, 1 fail, 2 n/a; each has a
+    sibling '<name>_margin' column with the signed gap rhs - lhs.
     """
 
     kind: str
@@ -83,14 +87,24 @@ class BoundReport:
     checks: tuple[str, ...]
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name, c in self.columns.items():
+            ok = c.dtype == np.int8 if name in self.checks else c.dtype.kind in "biuf"
+            if not ok:
+                raise TypeError(f"column {name!r}: {c.dtype}, not numbers or int8 codes")
+
     @property
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
     @property
     def rows(self) -> list[dict]:
-        """One dict of Python scalars per row, built on demand."""
-        cols = [c.tolist() for c in self.columns.values()]
+        """One dict of Python scalars per row, built on demand; verdicts are
+        'pass', 'fail' or 'n/a'."""
+        cols = [
+            [_VERDICTS[k] for k in c.tolist()] if name in self.checks else c.tolist()
+            for name, c in self.columns.items()
+        ]
         return [dict(zip(self.columns, row)) for row in zip(*cols)]
 
     def failures(self) -> list[tuple[int, str, float]]:
@@ -99,7 +113,7 @@ class BoundReport:
         hits = sorted(
             (i, k)
             for k, c in enumerate(self.checks)
-            for i in np.flatnonzero(self.columns[c] == "fail").tolist()
+            for i in np.flatnonzero(self.columns[c] == 1).tolist()
         )
         out = [
             (i, self.checks[k], self.columns[f"{self.checks[k]}_margin"][i].item())
@@ -114,70 +128,69 @@ class BoundReport:
     def all_passed(self) -> bool:
         return not self.failures()
 
-    def to_csv(self, dest: str | Path | IO[str]) -> None:
+    def to_csv(self, dest: str | Path | IO[bytes]) -> None:
         if isinstance(dest, (str, Path)):
-            with open(dest, "w", newline="") as fh:
+            with open(dest, "wb") as fh:
                 self._write_csv(fh)
         else:
             self._write_csv(dest)
 
-    def _write_csv(self, fh: IO[str]) -> None:
-        fh.write(f"# berezin-lab v{TOOL_VERSION}\n" + ",".join(self.columns) + "\n")
+    def _write_csv(self, fh: IO[bytes]) -> None:
+        fh.write(f"# berezin-lab v{TOOL_VERSION}\n{','.join(self.columns)}\n".encode())
         fh.writelines(self._csv_blocks(slice(None)))
 
-    def _csv_blocks(self, which: slice) -> Iterator[str]:
-        """CSV lines of the rows selected, _CSV_BLOCK rows per string.
+    def _csv_blocks(self, which: slice) -> Iterator[memoryview]:
+        """CSV bytes of the rows selected, _CSV_BLOCK rows per buffer.
 
         A block is one byte matrix with a _SLOT-byte slot per cell, whose last
         byte is the cell's separator, and a keep mask made from where the text
-        of each slot ends: the block's text is the kept bytes, in order.
+        of each slot ends: the block's bytes are the kept ones, in order.
         Numbers with 1 <= |v| < 1e17 (2^53 for integers) get the digits of
-        `"%.17g" % v` from `_number_slots`, verdicts their bytes from a table,
-        NaN nothing; Python formats the other cells, and their bytes are
-        copied in (a slot widens to the longest).
+        `"%.17g" % v` from `_number_slots`, verdict codes their word from a
+        table, NaN nothing (a float column NaN throughout skips the kernel);
+        Python formats the other numbers, and their bytes are copied in.
         """
         cols = [c[which] for c in self.columns.values()]
-        num = [j for j, c in enumerate(cols) if c.dtype.kind in "biuf"]
-        ints = [cols[j].dtype.kind != "f" for j in num]
+        verdicts = [j for j, name in enumerate(self.columns) if name in self.checks]
+        ints = np.array([c.dtype.kind != "f" for c in cols])
         limit = np.where(ints, 2.0**53, 1e17)
+        # [t]: the bytes of a slot below t
+        below = np.arange(_SLOT) < np.arange(_SLOT + 1)[:, None]
         for lo in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK):
             block = [c[lo : lo + _CSV_BLOCK] for c in cols]
             shape = (len(block[0]), len(block))
+            buf = np.empty((*shape, _SLOT), np.uint8)
+            items = buf.view(_ITEM)[..., 0]  # each cell's slot as one item
             # One past the last text byte of each slot, and whether its byte 0
             # is not text (a positive number's, which holds "-").
             stop, unsigned = np.zeros(shape, np.intp), np.zeros(shape, bool)
-            # (cells, (their bytes, byte counts)): string and object columns,
-            # then the numbers that the kernel leaves to Python.
-            text = [
-                ((slice(None), j), _column_text(c))
-                for j, c in enumerate(block)
-                if j not in num
+            if verdicts:
+                codes = np.stack([block[j] for j in verdicts], axis=1)
+                items[:, verdicts] = np.take(_VERDICT_SLOTS, codes)
+                stop[:, verdicts] = np.take(_VERDICT_SIZES, codes)
+            num = [
+                j for j, c in enumerate(block)
+                if j not in verdicts and (ints[j] or not np.isnan(c).all())
             ]
             if num:
                 x = np.stack([block[j] for j in num], axis=1, dtype=float)
-                slots, unsigned[:, num], stop[:, num], left = _number_slots(x, limit)
+                slots, unsigned[:, num], stop[:, num], left = _number_slots(x, limit[num])
+                items[:, num] = slots.view(_ITEM)[..., 0]
+                del slots
                 r, k = np.nonzero(left)
                 cells = ["%.17g" % v for v in x[r, k].tolist()]
-                for i in np.flatnonzero(np.take(ints, k)).tolist():
+                for i in np.flatnonzero(ints[num][k]).tolist():
                     cells[i] = "%d" % block[num[k[i]]][r[i]].item()  # exact
-                text.append(((r, np.take(num, k)), _text_bytes(cells)))
-            width = max([_SLOT, *(t.shape[1] + 1 for _, (t, _) in text)])
-            buf = np.empty((*shape, width), np.uint8)
-            if num:
-                buf[..., :_SLOT].view(_ITEM)[:, num] = slots.view(_ITEM)
-                del slots
-            for at, (t, n) in text:
-                buf[at + (slice(t.shape[1]),)], stop[at] = t, n
+                at = (r, np.take(num, k))
+                items[at] = np.array(cells, f"S{_SLOT}").view(_ITEM)
+                stop[at] = [len(c) for c in cells]
             buf[:, :, -1], buf[:, -1, -1] = ord(","), ord("\n")
-            # [t]: the bytes below t; the width only exceeds _SLOT when a
-            # text cell is longer than 24 bytes.
-            below = np.arange(width) < np.arange(width + 1)[:, None]
             keep = np.take(below, stop, axis=0)
             keep[..., 0] &= ~unsigned
             keep[..., -1] = True
             data = buf[keep]
-            del buf, keep  # before the block's text is made
-            yield str(data.data, "utf-8", "surrogatepass")
+            del buf, keep
+            yield data.data
 
     def summary(self) -> str:
         lines = [f"berezin-lab v{TOOL_VERSION} {self.kind} report"]
@@ -185,8 +198,7 @@ class BoundReport:
             lines.append(f"  {key}: {self.metadata[key]}")
         lines.append(f"  rows: {self.n_rows}")
         for c in self.checks:
-            states = self.columns[c]
-            n_pass, n_fail, n_na = (np.count_nonzero(states == v) for v in _VERDICTS)
+            n_pass, n_fail, n_na = np.bincount(self.columns[c], minlength=3).tolist()
             line = f"  check {c}: pass={n_pass} fail={n_fail} n/a={n_na}"
             margins = self.columns[f"{c}_margin"]
             if not np.isnan(margins).all():
@@ -202,7 +214,8 @@ class BoundReport:
                 default=fails[0],
             )
             if worst[0] >= 0:
-                cells = next(self._csv_blocks(slice(worst[0], worst[0] + 1)))
+                row = next(self._csv_blocks(slice(worst[0], worst[0] + 1)))
+                cells = str(row, "ascii")
                 detail = ", ".join(
                     f"{c}={v}" for c, v in zip(self.columns, cells[:-1].split(","))
                 )
@@ -214,14 +227,16 @@ class BoundReport:
         return "\n".join(lines)
 
 
-# Rows formatted per string written, so a long table is never one string.
+# Rows per buffer written, so a long table is never one buffer.
 _CSV_BLOCK = 1024
-# Bytes per cell slot: room for the widest "%.17g" text, 24 bytes, then the
-# separator; a number's slot moves as one item of this dtype.
+# Bytes per cell slot: room for the widest "%.17g" or int64/uint64 text, 24
+# bytes, then the separator; a number's slot moves as one item of this dtype.
 _SLOT = 25
 _ITEM = np.dtype(("V", _SLOT))
-# One str object per verdict, shared by every row.
-_VERDICTS = np.array(("pass", "fail", "n/a"), dtype=object)
+# Each verdict code's word, its slot and its byte count.
+_VERDICTS = ("pass", "fail", "n/a")
+_VERDICT_SLOTS = np.array(_VERDICTS, f"S{_SLOT}").view(_ITEM)
+_VERDICT_SIZES = np.array([len(v) for v in _VERDICTS])
 
 # 10^k, exact as a double for k <= 22, with its Veltkamp split into halves of
 # at most 26 bits whose products are exact; and the decimal exponent of 2^b.
@@ -241,27 +256,6 @@ _BELOW_POINT = tuple(
     tuple((1 << 8 * max(0, e - 8 * w)) - 1 if e < 8 * w + 8 else -1 for e in range(17))
     for w in range(3)
 )
-
-
-def _column_text(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_text_bytes` of the cells of a column: those of a column of verdicts
-    from a table, those of any other column through str."""
-    hits = col == _VERDICTS[:, None] if col.dtype.kind in "OU" else None
-    if hits is None or not hits.any(0).all():
-        return _text_bytes(map(str, col.tolist()))
-    table, size = _text_bytes(_VERDICTS)
-    codes = hits.argmax(0)
-    return np.take(table, codes, axis=0), np.take(size, codes)
-
-
-def _text_bytes(cells: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of each str, one row each, padded to the longest, and
-    the number of bytes of each."""
-    data = [c.encode("utf-8", "surrogatepass") for c in cells]
-    size = np.array([len(b) for b in data], dtype=np.intp)
-    width = int(size.max(initial=0))
-    raw = np.array(data, dtype=f"S{max(width, 1)}").view(np.uint8)
-    return raw.reshape(len(data), max(width, 1))[:, :width], size
 
 
 def _number_slots(x: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -393,19 +387,18 @@ def _grid(values: ArrayLike, name: str, *, integer: bool) -> np.ndarray:
 
 
 def _check_le(lhs: ArrayLike, rhs: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise verdicts of lhs <= rhs with _SLACK, and margins rhs - lhs."""
+    """Elementwise verdict codes of lhs <= rhs with _SLACK, and margins rhs - lhs."""
     lhs, rhs = np.broadcast_arrays(
         np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     )
     na = np.isnan(lhs) | np.isnan(rhs)
     ok = lhs <= rhs + _SLACK * np.maximum(1.0, np.abs(rhs))
-    verdict = _VERDICTS[np.where(na, 2, np.where(ok, 0, 1))]
-    return verdict, np.where(na, math.nan, rhs - lhs)
+    return np.where(na, np.int8(2), ~ok), np.where(na, math.nan, rhs - lhs)
 
 
 def _table(size: int, values: dict, checks: dict) -> dict[str, np.ndarray]:
     """Report columns from whole-grid values (a scalar is a constant column)
-    and (verdicts, margins) per check."""
+    and (verdict codes, margins) per check."""
     columns = dict(values)
     for name, (verdict, margin) in checks.items():
         columns.update({name: verdict, f"{name}_margin": margin})
@@ -662,9 +655,11 @@ def asymptotic_diagnostics(
 ) -> BoundReport:
     """High-energy convergence of the Riesz mean toward its two-term form.
 
-    ratio_main = S / S_classical climbs toward one along the grid rows whose
-    Riesz mean is positive, strictly for sigma >= 2, where its verdict
-    applies (it is n/a below); ratio_second compares the observed deficit
+    ratio_main = S / S_classical climbs toward one for sigma >= 2: its slope
+    has the sign of sigma z R_{sigma-1}(z) - (sigma + d/2) R_sigma(z), which
+    Harrell and Hermi show is nonnegative there. That inequality is checked
+    on every row, with its worst margin and row in the metadata; below
+    sigma = 2 the verdict is n/a. ratio_second compares the observed deficit
     with the boundary term and should drift toward one. Surface measure is
     required, so a union whose boxes touch is rejected.
     """
@@ -693,19 +688,23 @@ def asymptotic_diagnostics(
         "ratio_second": ratio_second,
     }
     checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan)}
-    # ratio_main is 0 below the first eigenvalue, so only rows above it rise;
-    # that it rises is a theorem only for sigma >= 2 (Harrell-Hermi).
-    rising = ratio_main[s_val > 0.0]
-    monotone = bool((rising[1:] > rising[:-1]).all())
+    monotone = {"ratio_main_monotone_verdict": "n/a"}
+    if sigma >= 2.0:
+        lower = riesz_mean(spec, sigma - 1.0, lam)
+        codes, margin = _check_le((sigma + 0.5 * d) * s_val, sigma * lam * lower)
+        worst = int(np.argmin(margin))  # the first row on ties
+        monotone = {
+            "ratio_main_monotone_verdict": "fail" if (codes == 1).any() else "pass",
+            "ratio_main_monotone_worst_margin": margin[worst].item(),
+            "ratio_main_monotone_worst_row": worst,
+        }
     return _report(
         "asymptotics",
         domain,
         sigma,
         values,
         checks,
-        ratio_main_monotone_verdict=(
-            "n/a" if sigma < 2.0 else "pass" if monotone else "fail"
-        ),
+        **monotone,
         ratio_second_first=ratio_second[0].item(),
         ratio_second_last=ratio_second[-1].item(),
     )

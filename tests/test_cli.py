@@ -736,17 +736,22 @@ def test_csv_to_stdout(capsys):
         ["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "3000"],
         ["asymptotics", "--domain", "box:1x1", "--sigma", "2", "--lambda-max", "1e4",
          "--points", "30"],
+        ["sweep", "--domain", "disk:1", "--sigma", "1.5", "--nu", "5", "--lambda-max",
+         "2e3", "--points", "40"],
     ],
 )
 def test_csv_stream_gets_the_file_bytes(argv, tmp_path, capsys):
-    # --csv - writes to a text stream, and the summary follows the table there
+    # --csv - writes the file's bytes to stdout, and the summary follows them
     dest = tmp_path / "out.csv"
     rc = main([*argv, "--csv", str(dest)])
     after_file = capsys.readouterr().out
+    assert rc == (1 if "--nu" in argv else 0)  # only the overweight nu fails
     assert main([*argv, "--csv", "-"]) == rc
     table = dest.read_bytes().decode()
     assert table.count("\n") > 2 and "\r" not in table
     assert capsys.readouterr().out == table + after_file
+    # a failing report's summary names its worst row, decoded from its bytes
+    assert ("\n  worst row [" in after_file) == (rc == 1)
 
 
 def test_sums_cli(capsys):

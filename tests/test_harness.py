@@ -5,6 +5,7 @@ spectra modules, so a sweep cannot drift away from the functions it is
 supposed to orchestrate.
 """
 
+import dataclasses
 import io
 import math
 import re
@@ -162,7 +163,7 @@ def test_csv_identical_across_runs(tmp_path):
     outs = []
     for _ in range(2):
         rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.5, grid)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         rep.to_csv(buf)
         outs.append(buf.getvalue())
     assert outs[0] == outs[1]
@@ -174,14 +175,14 @@ def test_csv_identical_across_runs(tmp_path):
              "--points", "40", "--csv", str(dest)]
         )
     assert rc == 0
-    assert dest.read_text() == outs[0]
+    assert dest.read_bytes() == outs[0]
 
 
 def test_csv_format():
     rep = sweep_riesz(AxisBox((1.0, 1.0)), 1.0, (50.0,))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     rep.to_csv(buf)
-    text = buf.getvalue()
+    text = buf.getvalue().decode()
     lines = text.splitlines()
     assert lines[0] == f"# berezin-lab v{TOOL_VERSION}"
     assert lines[1].split(",") == list(rep.columns)
@@ -332,6 +333,63 @@ def test_asymptotics_monotone_check_is_na_on_a_falling_ratio_below_sigma_2():
     assert 0.0 < rep.columns["ratio_main"][1] < rep.columns["ratio_main"][0]
     assert rep.metadata["ratio_main_monotone_verdict"] == "n/a"
     assert rep.all_passed
+
+
+def test_asymptotics_monotone_check_reads_each_row_of_a_two_point_grid(monkeypatch):
+    # the lower point is below the first eigenvalue, so one row has a positive
+    # Riesz mean and comparing neighbours would compare nothing
+    dom, lam1 = AxisBox((1.0, 1.0)), 2.0 * math.pi**2
+    grid = (0.5 * lam1, 10.0 * lam1)
+    rep = asymptotic_diagnostics(dom, 2.0, grid)
+    assert rep.metadata["ratio_main_monotone_verdict"] == "pass"
+    assert rep.metadata["ratio_main_monotone_worst_margin"] == 0.0  # 0 <= 0
+    assert rep.metadata["ratio_main_monotone_worst_row"] == 0
+    # Its lowest eigenvalue alone gives R_2(z) = (z - lam1)^2, R_1(z) = z - lam1,
+    # and sigma z R_1 - (sigma + d/2) R_2 = 2 z (z - lam1) - 3 (z - lam1)^2,
+    # which is -63 lam1^2 at z = 10 lam1.
+    def lowest(domain, cutoff):
+        spec = enumerate_spectrum(domain, cutoff)
+        return dataclasses.replace(
+            spec, eigenvalues=spec.eigenvalues[:1], multiplicities=spec.multiplicities[:1]
+        )
+
+    monkeypatch.setattr(harness, "enumerate_spectrum", lowest)
+    bad = asymptotic_diagnostics(dom, 2.0, grid)
+    assert bad.metadata["ratio_main_monotone_verdict"] == "fail"
+    assert bad.metadata["ratio_main_monotone_worst_margin"] == pytest.approx(-63 * lam1**2)
+    assert bad.metadata["ratio_main_monotone_worst_row"] == 1
+    assert [f[:2] for f in bad.failures()] == [(-1, "ratio_main_monotone_verdict")]
+
+
+@pytest.mark.parametrize(
+    "domain, sigma",
+    [(AxisBox((1.0, 2.0, 0.5)), 2.0), (AxisBox((3.0, 1.0)), 2.5), (Disk(1.0), 3.0)],
+    ids=["box-1x2x0.5", "box-3x1", "disk-1"],
+)
+def test_asymptotics_monotone_check_holds_on_every_row(domain, sigma):
+    # Harrell-Hermi: sigma z R_{sigma-1}(z) >= (sigma + d/2) R_sigma(z), sigma >= 2
+    rep = asymptotic_diagnostics(domain, sigma, np.geomspace(1.0, 1e4, 600))
+    assert rep.metadata["ratio_main_monotone_verdict"] == "pass"
+    assert rep.metadata["ratio_main_monotone_worst_margin"] >= 0.0
+
+
+def test_report_columns_hold_numbers_and_int8_verdict_codes():
+    # no object array comes back from any sweep, applicable checks or not
+    sq = AxisBox((1.0, 1.0))
+    reports = (
+        sweep_riesz(sq, 1.5, (10.0, 50.0)),
+        sweep_riesz(Disk(1.0), 0.5, (10.0, 50.0)),
+        sweep_sums(sq, 2.0, (1, 5)),
+        sweep_sums(sq, 0.5, (1, 5), melas_m=0.1),
+        asymptotic_diagnostics(sq, 2.0, (50.0, 100.0)),
+    )
+    for rep in reports:
+        assert rep.checks
+        for name, col in rep.columns.items():
+            if name in rep.checks:
+                assert col.dtype == np.int8, name
+            else:
+                assert col.dtype.kind in "iuf", name
 
 
 def test_every_report_kind_shares_the_common_metadata(monkeypatch):

@@ -3,7 +3,8 @@
 The references below are the report layer as it was when tables were kept
 as one dict per row: a per-cell formatter, a per-row CSV writer, and the
 row-loop verdict tallies. The column-store writer and tallies must give the
-same bytes and the same answers.
+same bytes and the same answers. They decode a check column's int8 codes
+with their own table of words, not the harness's.
 """
 
 import io
@@ -12,12 +13,16 @@ import struct
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from berezin_lab import harness
 from berezin_lab.harness import BoundReport
 from berezin_lab.version import TOOL_VERSION
+
+# the word of each verdict code
+WORDS = ("pass", "fail", "n/a")
 
 
 def _fmt(v) -> str:
@@ -31,18 +36,21 @@ def _fmt(v) -> str:
     return f"{f:.17g}"
 
 
-def reference_csv(rep: BoundReport) -> str:
-    out = [f"# berezin-lab v{TOOL_VERSION}\n", ",".join(rep.columns) + "\n"]
-    for i in range(rep.n_rows):
-        out.append(",".join(_fmt(col[i]) for col in rep.columns.values()) + "\n")
-    return "".join(out)
+def _cell(rep: BoundReport, name: str, i: int):
+    """Row i of a column as a Python scalar, a verdict as its word."""
+    value = rep.columns[name][i : i + 1].tolist()[0]
+    return WORDS[value] if name in rep.checks else value
 
 
 def reference_rows(rep: BoundReport) -> list[dict]:
-    return [
-        {c: col[i : i + 1].tolist()[0] for c, col in rep.columns.items()}
-        for i in range(rep.n_rows)
-    ]
+    return [{c: _cell(rep, c, i) for c in rep.columns} for i in range(rep.n_rows)]
+
+
+def reference_csv(rep: BoundReport) -> str:
+    out = [f"# berezin-lab v{TOOL_VERSION}\n", ",".join(rep.columns) + "\n"]
+    for row in reference_rows(rep):
+        out.append(",".join(_fmt(v) for v in row.values()) + "\n")
+    return "".join(out)
 
 
 def reference_failures(rep: BoundReport) -> list:
@@ -99,9 +107,9 @@ def reference_summary(rep: BoundReport) -> str:
 
 
 def _csv(rep: BoundReport) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     rep.to_csv(buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")
 
 
 SPECIAL_FLOATS = [
@@ -110,25 +118,29 @@ SPECIAL_FLOATS = [
 ]
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 INT_DTYPES = [np.int8, np.int32, np.int64, np.uint64, np.bool_]
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+def verdict_codes(size):
+    """A check column's int8 codes, or one code for a constant column."""
+    return st.one_of(
+        hnp.arrays(np.int8, size, elements=st.integers(0, 2)),
+        st.integers(0, 2).map(np.int8),
+    )
 
 
 @st.composite
 def column(draw, size):
-    """One column as a report holds it, or a scalar for a constant column."""
-    kind = draw(st.sampled_from(["float", "int", "pyint", "verdict", "scalar"]))
+    """One value column as a report holds it, or a scalar for a constant column."""
+    kind = draw(st.sampled_from(["float", "int", "pyint", "scalar"]))
     if kind == "float":
         return draw(hnp.arrays(np.float64, size, elements=floats))
     if kind == "int":
         return draw(hnp.arrays(draw(st.sampled_from(INT_DTYPES)), size))
     if kind == "pyint":
-        ints = draw(st.lists(st.integers(), min_size=size, max_size=size))
-        big = any(abs(v) >= 2**63 for v in ints)
-        return np.array(ints, dtype=object if big else None).reshape(size)
-    if kind == "verdict":
-        codes = draw(hnp.arrays(np.int64, size, elements=st.integers(0, 2)))
-        return harness._VERDICTS[codes]
-    return draw(st.one_of(floats, st.integers(-(2**63), 2**63 - 1),
-                          st.sampled_from(["pass", "fail", "n/a"])))
+        ints = draw(st.lists(int64s, min_size=size, max_size=size))
+        return np.array(ints).reshape(size)
+    return draw(st.one_of(floats, int64s))
 
 
 @st.composite
@@ -136,13 +148,17 @@ def table(draw):
     size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
     n_cols = draw(st.integers(1, 6))
     values = {f"c{j}": draw(column(size)) for j in range(n_cols)}
-    return harness._table(size, values, {})
+    margins = hnp.arrays(np.float64, size, elements=floats)
+    checks = {
+        f"k{j}": (draw(verdict_codes(size)), draw(margins))
+        for j in range(draw(st.integers(0, 2)))
+    }
+    return BoundReport("test", harness._table(size, values, checks), tuple(checks))
 
 
 @settings(max_examples=300, deadline=None)
-@given(columns=table(), block=st.integers(1, 7))
-def test_column_writer_matches_per_cell_reference(columns, block):
-    rep = BoundReport("test", columns, ())
+@given(rep=table(), block=st.integers(1, 7))
+def test_column_writer_matches_per_cell_reference(rep, block):
     with mock.patch.object(harness, "_CSV_BLOCK", block):
         assert _csv(rep) == reference_csv(rep)
     assert _csv(rep) == reference_csv(rep)  # one block at the default size
@@ -219,12 +235,19 @@ EDGE_FLOATS = [
 ]
 EDGE_INTS = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
 EDGE_UINTS = [0, 1, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
-texts = st.text(st.characters(blacklist_characters="\x00"), max_size=40)
 
 
 @st.composite
 def edge_column(draw, size):
-    kind = draw(st.sampled_from(["float", "int64", "uint64", "bool", "verdict", "object", "str"]))
+    """A column, and whether it is a check's verdict codes."""
+    kind = draw(st.sampled_from(["float", "int64", "uint64", "bool", "verdict"]))
+    if kind == "verdict":
+        return np.broadcast_to(draw(verdict_codes(size)), (size,)), True
+    return draw(edge_value_column(kind, size)), False
+
+
+@st.composite
+def edge_value_column(draw, kind, size):
     if kind == "float":
         elements = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
         return draw(hnp.arrays(np.float64, size, elements=elements))
@@ -234,29 +257,36 @@ def edge_column(draw, size):
     if kind == "uint64":
         elements = st.one_of(st.sampled_from(EDGE_UINTS), st.integers(0, 2**64 - 1))
         return draw(hnp.arrays(np.uint64, size, elements=elements))
-    if kind == "bool":
-        return draw(hnp.arrays(np.bool_, size))
-    if kind == "verdict":
-        return harness._VERDICTS[draw(hnp.arrays(np.int64, size, elements=st.integers(0, 2)))]
-    # verdicts mixed with other objects or text: Python formats those cells
-    verdict = st.sampled_from(["pass", "fail", "n/a"])
-    other = st.integers() if kind == "object" else texts
-    cells = draw(st.lists(st.one_of(verdict, other), min_size=size, max_size=size))
-    if kind == "str":
-        return np.array(cells, dtype=str).reshape(size)
-    out = np.empty(size, dtype=object)
-    out[:] = cells
-    return out
+    return draw(hnp.arrays(np.bool_, size))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), size=st.integers(0, 40), block=st.integers(1, 9))
 def test_writer_slot_branches_match_reference(data, size, block):
+    # verdict columns anywhere in the row, the last one too
     n_cols = data.draw(st.integers(1, 7))
-    values = {f"c{j}": data.draw(edge_column(size)) for j in range(n_cols)}
-    rep = BoundReport("test", harness._table(size, values, {}), ())
+    drawn = {f"c{j}": data.draw(edge_column(size)) for j in range(n_cols)}
+    columns = {name: col for name, (col, _) in drawn.items()}
+    checks = tuple(name for name, (_, verdict) in drawn.items() if verdict)
+    rep = BoundReport("test", columns, checks)
     with mock.patch.object(harness, "_CSV_BLOCK", block):
         assert _csv(rep) == reference_csv(rep)
+
+
+@pytest.mark.parametrize(
+    "column, checks",
+    [
+        (np.array(["pass", "fail"]), ()),
+        (np.array([1, "a,b"], dtype=object), ()),
+        (np.array([0, 2**64], dtype=object), ()),
+        (np.array([0.0, 1.0]), ("c",)),  # a check column holds int8 codes
+        (np.array([0, 1]), ("c",)),
+    ],
+)
+def test_report_refuses_text_and_object_columns(column, checks):
+    # a text cell would go unquoted into the CSV; columns hold numbers or codes
+    with pytest.raises(TypeError, match="column 'c': "):
+        BoundReport("test", {"x": np.zeros(2), "c": column}, checks)
 
 
 margins = st.sampled_from([math.nan, -2.0, -1.0, -0.0, 0.0, 1.0, 1e-300])
@@ -267,10 +297,9 @@ def verdict_report(draw):
     size = draw(st.integers(0, 25))
     checks = tuple(f"k{j}" for j in range(draw(st.integers(0, 3))))
     values = {"lambda": np.arange(size) * 0.5, "n": np.arange(size)}
-    codes = hnp.arrays(np.int64, size, elements=st.integers(0, 2))
     pairs = {
         c: (
-            harness._VERDICTS[draw(codes)],
+            draw(hnp.arrays(np.int8, size, elements=st.integers(0, 2))),
             draw(hnp.arrays(np.float64, size, elements=margins)),
         )
         for c in checks
@@ -294,8 +323,8 @@ def test_tallies_match_row_loop_reference(rep):
 def test_tallies_with_ties_and_nan_margins():
     nan = math.nan
     margin = np.array([nan, -1.0, 0.5, -1.0, -0.0, 0.0, nan])
-    verdict = harness._VERDICTS[[2, 1, 0, 1, 0, 0, 2]]
-    other = harness._VERDICTS[[1, 1, 1, 2, 2, 2, 1]]
+    verdict = np.array([2, 1, 0, 1, 0, 0, 2], np.int8)
+    other = np.array([1, 1, 1, 2, 2, 2, 1], np.int8)
     other_margin = np.array([-1.0, 2.0, -1.0, nan, nan, nan, nan])
     columns = harness._table(
         7,

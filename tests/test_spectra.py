@@ -480,7 +480,7 @@ def test_sums_merge_record_does_not_move_with_the_cutoff(monkeypatch):
     assert record[0] > 0
     one = sweep_sums(AxisBox((1e3, 1e3, 1.0)), 1.0, (1,))
     assert (one.metadata["merge_joins"], one.metadata["merge_max_gap"]) == (0, 0.0)
-    far_csv, rep_csv = io.StringIO(), io.StringIO()
+    far_csv, rep_csv = io.BytesIO(), io.BytesIO()
     far.to_csv(far_csv)
     rep.to_csv(rep_csv)
     assert far_csv.getvalue() == rep_csv.getvalue()
