@@ -7,15 +7,7 @@ explicitly computed correction weight), and reports pass/fail verdicts
 for every inequality on user-chosen grids.
 """
 
-from .constants import (
-    SemiclassicalParams,
-    c_const,
-    dimension_reduction_identity_residual,
-    lt_value,
-    polya_counting_factor,
-    rho_lower,
-    unit_ball_volume,
-)
+from .constants import SemiclassicalParams, c_const, lt_value, polya_counting_factor
 from .errors import (
     ConvergenceError,
     CutoffExceededError,
@@ -97,7 +89,6 @@ __all__ = [
     "c_const",
     "counting",
     "critical_length",
-    "dimension_reduction_identity_residual",
     "eigenvalue_lower",
     "enumerate_spectrum",
     "epsilon_mu",
@@ -112,7 +103,6 @@ __all__ = [
     "phase_space_eta",
     "polya_counting_factor",
     "render_domain",
-    "rho_lower",
     "riesz_mean",
     "s_classical",
     "sliced_bound",
@@ -123,6 +113,5 @@ __all__ = [
     "sweep_sums",
     "two_term_riesz",
     "two_term_sum",
-    "unit_ball_volume",
     "volume",
 ]

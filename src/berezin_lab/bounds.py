@@ -11,13 +11,16 @@ evaluated in one call; scalars give scalars.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .constants import SemiclassicalParams, c_const, lt_value
 from .geometry import Domain, SectionAtoms, critical_length, section_measure
 from .remainder import lattice_sum
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "phase_space_eta",

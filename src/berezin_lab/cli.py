@@ -28,15 +28,7 @@ import sys
 
 import numpy as np
 
-from .constants import (
-    SemiclassicalParams,
-    c_const,
-    dimension_reduction_identity_residual,
-    lt_value,
-    polya_counting_factor,
-    rho_lower,
-    unit_ball_volume,
-)
+from .constants import SemiclassicalParams, c_const, lt_value, polya_counting_factor
 from .errors import (
     DomainParseError,
     EnumerationLimitError,
@@ -306,15 +298,10 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "lt_classical": lt_value(p.sigma, p.dim),
         "lt_lower_dim": lt_value(p.sigma, p.dim - 1),
         "counting_constant": lt_value(0.0, p.dim),
-        "unit_ball_volume": unit_ball_volume(p.dim),
         "polya_counting_factor": polya_counting_factor(p.dim),
     }
     if p.sigma > 0.0:
         values["c_const"] = c_const(p)
-    if p.sigma >= 1.0:
-        values["rho_lower"] = rho_lower(p)
-    if p.dim >= 2:
-        values["dimension_reduction_residual"] = dimension_reduction_identity_residual(p)
     print(f"sigma = {_show(p.sigma)}")
     print(f"dim = {p.dim}")
     for name, value in values.items():

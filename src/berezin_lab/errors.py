@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types and the frozen record base shared across the toolkit.
 
 NumericFailure marks results that must not be trusted (exit code 3 in the
 CLI); the ValueError subclasses mark bad requests (exit code 2). A remainder
@@ -7,6 +7,13 @@ minimum whose tail bound reaches past the scan limit (mu below 1.162 or above
 lattice sum over more indices than the enumeration limit (a section far
 longer than the critical length), or a command-line grid larger than any
 enumeration could serve, is an EnumerationLimitError.
+
+Record is the base of the toolkit's value classes. A subclass names its
+fields in `_fields`; Record's `__init__` stores them as given, and a class
+that validates or converts its fields does so in its own `__init__` first.
+Each gets a repr naming its fields, equality and hash by type and fields,
+and an AttributeError on assignment or deletion. Unlike a frozen dataclass,
+it generates no code, which every process would compile at import.
 """
 
 
@@ -40,3 +47,42 @@ class DomainParseError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class Record:
+    """Frozen value over the fields named in `_fields`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            msg = f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}"
+            raise TypeError(msg)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), self._values()

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .errors import NumericFailure, UnsupportedDomainError
+from .errors import NumericFailure, Record, UnsupportedDomainError
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "AxisBox",
@@ -51,32 +52,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AxisBox:
+class AxisBox(Record):
     """Open axis-aligned box: product of (origin_i, origin_i + sides_i)."""
 
-    sides: tuple[float, ...]
-    origin: tuple[float, ...] | None = None
-    slicing_axis: int | None = None
+    __slots__ = _fields = ("sides", "origin", "slicing_axis")
 
-    def __post_init__(self) -> None:
-        sides = tuple(float(s) for s in self.sides)
+    def __init__(
+        self,
+        sides: tuple[float, ...],
+        origin: tuple[float, ...] | None = None,
+        slicing_axis: int | None = None,
+    ) -> None:
+        sides = tuple(float(s) for s in sides)
         if not sides:
             raise ValueError("box needs at least one side")
         if any(not (math.isfinite(s) and s > 0.0) for s in sides):
             raise ValueError(f"box sides must be positive finite reals, got {sides!r}")
-        origin = self.origin
         origin = (0.0,) * len(sides) if origin is None else tuple(float(o) for o in origin)
         if len(origin) != len(sides):
             raise ValueError("origin length must match sides length")
         if any(not math.isfinite(o) for o in origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
-        axis = len(sides) if self.slicing_axis is None else int(self.slicing_axis)
+        axis = len(sides) if slicing_axis is None else int(slicing_axis)
         if not 1 <= axis <= len(sides):
             raise ValueError(f"slicing_axis must lie in [1, {len(sides)}], got {axis}")
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "slicing_axis", axis)
+        super().__init__(sides, origin, axis)
 
     @property
     def dim(self) -> int:
@@ -88,17 +88,16 @@ class AxisBox:
         return (self,)
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(Record):
     """Open planar disk of given radius, centered at the origin."""
 
-    radius: float
+    __slots__ = _fields = ("radius",)
 
-    def __post_init__(self) -> None:
-        r = float(self.radius)
+    def __init__(self, radius: float) -> None:
+        r = float(radius)
         if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
-        object.__setattr__(self, "radius", r)
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
+        super().__init__(r)
 
     @property
     def dim(self) -> int:
@@ -119,15 +118,15 @@ def _separated(a: AxisBox, b: AxisBox) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BoxUnion:
+class BoxUnion(Record):
     """Finite union of same-dimension boxes with pairwise disjoint interiors."""
 
-    boxes: tuple[AxisBox, ...]
-    slicing_axis: int | None = None
+    __slots__ = _fields = ("boxes", "slicing_axis")
 
-    def __post_init__(self) -> None:
-        boxes = tuple(self.boxes)
+    def __init__(
+        self, boxes: tuple[AxisBox, ...], slicing_axis: int | None = None
+    ) -> None:
+        boxes = tuple(boxes)
         if not boxes:
             raise ValueError("union needs at least one box")
         d = boxes[0].dim
@@ -137,11 +136,10 @@ class BoxUnion:
             for j in range(i + 1, len(boxes)):
                 if _interiors_overlap(boxes[i], boxes[j]):
                     raise ValueError(f"boxes {i} and {j} have overlapping interiors")
-        axis = d if self.slicing_axis is None else int(self.slicing_axis)
+        axis = d if slicing_axis is None else int(slicing_axis)
         if not 1 <= axis <= d:
             raise ValueError(f"slicing_axis must lie in [1, {d}], got {axis}")
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "slicing_axis", axis)
+        super().__init__(boxes, axis)
 
     @property
     def dim(self) -> int:
@@ -151,17 +149,39 @@ class BoxUnion:
 Domain = Union[AxisBox, BoxUnion, Disk]
 
 
-@dataclass(frozen=True)
-class SlicingStats:
+class SlicingStats(Record):
     """Long-section statistics; the fields are arrays when lam is one."""
 
-    vol_omega_lambda: ArrayLike
-    d_lambda: ArrayLike
+    __slots__ = _fields = ("vol_omega_lambda", "d_lambda")
 
 
-# 48 Gauss-Legendre nodes mapped to [0, pi/2] once; reused by every disk
-# evaluation.
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(48)
+# The 48-node Gauss-Legendre rule on [-1, 1], numpy's leggauss(48) written
+# as literals so that importing geometry imports no numpy.polynomial. Its
+# nodes are odd and its weights even about 0, bit for bit, so the 24
+# negative nodes, ascending, and their weights give the rule. Mapped to
+# [0, pi/2] once; reused by every disk evaluation.
+_GL_NEG_X = np.array([
+    -0.9987710072524261, -0.9935301722663508, -0.9841245837228269,
+    -0.9705915925462473, -0.9529877031604308, -0.9313866907065543,
+    -0.9058791367155696, -0.8765720202742479, -0.8435882616243935,
+    -0.8070662040294426, -0.7671590325157404, -0.7240341309238146,
+    -0.6778723796326639, -0.6288673967765136, -0.5772247260839727,
+    -0.523160974722233, -0.4669029047509584, -0.4086864819907167,
+    -0.3487558862921607, -0.28736248735545555, -0.22476379039468905,
+    -0.1612223560688917, -0.0970046992094627, -0.03238017096286937,
+])
+_GL_NEG_W = np.array([
+    0.0031533460523098414, 0.007327553901276135, 0.011477234579234614,
+    0.015579315722943226, 0.019616160457356056, 0.023570760839324047,
+    0.027426509708357034, 0.031167227832798097, 0.034777222564770394,
+    0.0382413510658305, 0.04154508294346455, 0.04467456085669423,
+    0.04761665849249024, 0.0503590355538542, 0.05289018948519344,
+    0.05519950369998403, 0.057277292100402916, 0.059114839698395344,
+    0.0607044391658936, 0.06203942315989242, 0.06311419228625373,
+    0.06392423858464787, 0.06446616443594982, 0.06473769681268365,
+])
+_gl_x = np.concatenate((_GL_NEG_X, -_GL_NEG_X[::-1]))
+_gl_w = np.concatenate((_GL_NEG_W, _GL_NEG_W[::-1]))
 _gl_phi = 0.25 * math.pi * (_gl_x + 1.0)
 _gl_wphi = 0.25 * math.pi * _gl_w
 _gl_cos = np.cos(_gl_phi)
@@ -177,12 +197,10 @@ def critical_length(lam: ArrayLike) -> ArrayLike:
     return math.pi / np.sqrt(lam)
 
 
-@dataclass(frozen=True)
-class SectionAtoms:
+class SectionAtoms(Record):
     """mu as atoms: per box, its side along the slicing axis and cross area."""
 
-    lengths: np.ndarray
-    weights: np.ndarray
+    __slots__ = _fields = ("lengths", "weights")
 
     def tail(self, s: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """(M1(s), M0(s)), summed along the last axis of (energies, sections)
@@ -192,11 +210,10 @@ class SectionAtoms:
         return m1, (self.weights * long).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class DiskSections:
+class DiskSections(Record):
     """mu of the disk: density t/(2 sqrt(R^2 - t^2/4)) on (0, 2R)."""
 
-    radius: float
+    __slots__ = _fields = ("radius",)
 
     def tail(self, s: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """(u* s + 2 R^2 arcsin(u*/R), 2 u*) with u* = sqrt(R^2 - s^2/4)."""

@@ -24,12 +24,10 @@ are copied in. The blocks are written as bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .bounds import (
     boundary_term,
@@ -65,6 +63,9 @@ from .remainder import epsilon_mu, nu_nonneg_cap
 from .spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
 from .version import TOOL_VERSION
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 __all__ = [
     "BoundReport",
     "sweep_riesz",
@@ -72,26 +73,31 @@ __all__ = [
     "asymptotic_diagnostics",
 ]
 
-@dataclass
 class BoundReport:
     """Sweep result: a table stored as columns, plus run metadata.
 
     `columns` maps each CSV column name, in order, to an array with one entry
     per row: integers or floats (NaN for a missing value). The columns named
     by `checks` are verdicts, int8 codes 0 pass, 1 fail, 2 n/a; each has a
-    sibling '<name>_margin' column with the signed gap rhs - lhs.
+    sibling '<name>_margin' column with the signed gap rhs - lhs. Each report
+    without a `metadata` argument gets its own empty dict.
     """
 
-    kind: str
-    columns: dict[str, np.ndarray]
-    checks: tuple[str, ...]
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name, c in self.columns.items():
-            ok = c.dtype == np.int8 if name in self.checks else c.dtype.kind in "biuf"
+    def __init__(
+        self,
+        kind: str,
+        columns: dict[str, np.ndarray],
+        checks: tuple[str, ...],
+        metadata: dict | None = None,
+    ) -> None:
+        for name, c in columns.items():
+            ok = c.dtype == np.int8 if name in checks else c.dtype.kind in "biuf"
             if not ok:
                 raise TypeError(f"column {name!r}: {c.dtype}, not numbers or int8 codes")
+        self.kind = kind
+        self.columns = columns
+        self.checks = checks
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def n_rows(self) -> int:

@@ -22,16 +22,17 @@ practical (sigma, d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .errors import ConvergenceError, EnumerationLimitError
+from .errors import ConvergenceError, EnumerationLimitError, Record
 from .specfun import beta
 from .spectra import ENUMERATION_LIMIT
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "RemainderResult", "f_mu", "lattice_sum", "epsilon_mu",
@@ -48,12 +49,8 @@ _SCAN_LIMIT = 60
 _BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
-class RemainderResult:
-    mu: float
-    epsilon: float
-    argmin_a: float
-    scan_upper: float
+class RemainderResult(Record):
+    __slots__ = _fields = ("mu", "epsilon", "argmin_a", "scan_upper")
 
 
 def _check_mu(mu: float) -> None:
@@ -155,7 +152,11 @@ def epsilon_mu(mu: float) -> RemainderResult:
     _check_mu(mu)
     if not mu > 0.5:
         raise ConvergenceError(f"f_mu minimum for mu={mu} has no tail bound (A0=inf)")
-    log_c = _log_tail_constant(mu)
+    try:
+        log_c = _log_tail_constant(mu)
+    except OverflowError:
+        msg = f"f_mu minimum for mu={mu} has no tail bound (log C_mu overflows)"
+        raise ConvergenceError(msg) from None
     npts = int(math.ceil(1.0 / _SCAN_STEP)) + 1
 
     # Candidates in scan order, each segment's grid minimum and then its
@@ -186,12 +187,7 @@ def epsilon_mu(mu: float) -> RemainderResult:
     cand_x = np.column_stack([grid_x, gold_x]).ravel()
     cand_f = np.column_stack([grid_f, gold_f]).ravel()
     k = int(np.argmin(cand_f))
-    return RemainderResult(
-        mu=float(mu),
-        epsilon=float(cand_f[k]),
-        argmin_a=float(cand_x[k]),
-        scan_upper=float(seg),
-    )
+    return RemainderResult(float(mu), float(cand_f[k]), float(cand_x[k]), float(seg))
 
 
 def nu_nonneg_cap(mu: float) -> float:

@@ -25,15 +25,22 @@ those there are, and merge_max_gap, the widest gap among them (0.0 if none).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .errors import CutoffExceededError, EnumerationLimitError, UnsupportedDomainError
+from .errors import (
+    CutoffExceededError,
+    EnumerationLimitError,
+    Record,
+    UnsupportedDomainError,
+)
 from .geometry import AxisBox, BoxUnion, Disk, Domain
 from .specfun import bessel_zeros_below
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "Spectrum",
@@ -45,22 +52,34 @@ __all__ = [
 
 _MERGE_REL_TOL = 1e-9
 ENUMERATION_LIMIT = 2_000_000
+_FIELD_DTYPES = {
+    "eigenvalues": np.float64,
+    "multiplicities": np.int64,
+    "join_positions": np.int64,
+    "join_gaps": np.float64,
+}
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record):
     """Distinct eigenvalues below a cutoff, ascending, and their multiplicities,
-    with the positions and gaps of the joined eigenvalues, as read-only arrays."""
+    with the positions and gaps of the joined eigenvalues, as read-only arrays.
+    Equal only to itself; its instance dict holds the cached properties."""
 
-    cutoff: float
-    eigenvalues: np.ndarray
-    multiplicities: np.ndarray
-    join_positions: np.ndarray
-    join_gaps: np.ndarray
+    _fields = ("cutoff", *_FIELD_DTYPES)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        for name, dtype in _FIELD_DTYPES.items():
-            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+    def __init__(
+        self,
+        cutoff: float,
+        eigenvalues: ArrayLike,
+        multiplicities: ArrayLike,
+        join_positions: ArrayLike,
+        join_gaps: ArrayLike,
+    ) -> None:
+        arrays = (eigenvalues, multiplicities, join_positions, join_gaps)
+        dtypes = _FIELD_DTYPES.values()
+        super().__init__(cutoff, *(_readonly(a, t) for a, t in zip(arrays, dtypes)))
 
     def merge_record(self, count: int | None = None) -> tuple[int, float]:
         """merge_joins and merge_max_gap of the `count` lowest eigenvalues, with
@@ -93,14 +112,6 @@ class Spectrum:
     @property
     def total_count(self) -> int:
         return int(self.cumulative_counts[-1]) if self.eigenvalues.size else 0
-
-
-_FIELD_DTYPES = {
-    "eigenvalues": np.float64,
-    "multiplicities": np.int64,
-    "join_positions": np.int64,
-    "join_gaps": np.float64,
-}
 
 
 def _readonly(a: ArrayLike, dtype: type | None = None) -> np.ndarray:

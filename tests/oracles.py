@@ -4,7 +4,9 @@ Nothing here imports berezin_lab.geometry, .bounds or .remainder (a test in
 test_geometry.py checks the imports), so the slicing statistics, volumes,
 moments and sliced bounds they compute never share code with the kernels
 they check. Domains are read through their data only: a disk's `radius`, a
-box's or union's `boxes`, `sides`, `origin` and `slicing_axis`.
+box's or union's `boxes`, `sides`, `origin` and `slicing_axis`. The one
+helper that does share code, `dimension_reduction_residual`, is an identity
+between two package functions, `lt_value` and `beta`.
 """
 
 import itertools
@@ -13,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from berezin_lab.constants import lt_value
+from berezin_lab.specfun import beta
 from berezin_lab.spectra import riesz_mean
 
 
@@ -48,6 +52,17 @@ def lt_oracle(sigma, dim):
     return math.gamma(sigma + 1.0) / (
         (4.0 * math.pi) ** (0.5 * dim) * math.gamma(sigma + 1.0 + 0.5 * dim)
     )
+
+
+def dimension_reduction_residual(sigma, dim):
+    """|lhs/rhs - 1| for the Beta-function relation tying dim to dim - 1,
+    B(1 + sigma + (dim - 1)/2, 1/2) L_{sigma,dim-1} / (2 pi) = L_{sigma,dim}.
+
+    The relation underlies every slice-and-stack argument; the residual
+    should sit at rounding level for all reasonable (sigma, dim >= 2).
+    """
+    lhs = beta(1.0 + sigma + 0.5 * (dim - 1), 0.5) * lt_value(sigma, dim - 1)
+    return abs(lhs / (2.0 * math.pi) / lt_value(sigma, dim) - 1.0)
 
 
 def oracle_sections(dom, xp):

@@ -17,10 +17,7 @@ import numpy as np
 
 from berezin_lab.bounds import improved_rhs, phase_space_eta
 from berezin_lab.cli import main
-from berezin_lab.constants import (
-    SemiclassicalParams,
-    dimension_reduction_identity_residual,
-)
+from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.geometry import (
     AxisBox,
     BoxUnion,
@@ -33,7 +30,7 @@ from berezin_lab.remainder import epsilon_mu
 from berezin_lab.specfun import bessel_zeros_below, beta
 from berezin_lab.spectra import counting, enumerate_spectrum
 from berezin_lab.bounds import sliced_bound
-from oracles import midpoint_oracle, riesz_integral_check
+from oracles import dimension_reduction_residual, midpoint_oracle, riesz_integral_check
 
 
 @contextmanager
@@ -76,8 +73,7 @@ def test_criterion_02_dimension_reduction_identity():
     with criterion(2, "dimension-reduction identity residual at most 1e-12"):
         for sigma in (1.0, 1.5, 2.0, 3.0, 5.0):
             for dim in range(2, 7):
-                p = SemiclassicalParams(sigma, dim)
-                assert dimension_reduction_identity_residual(p) <= 1e-12
+                assert dimension_reduction_residual(sigma, dim) <= 1e-12
 
 
 def test_criterion_03_unit_square_chain():

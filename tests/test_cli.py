@@ -177,9 +177,12 @@ def test_module_entry_point_runs_without_warnings():
 
 
 def test_reports_do_not_import_numpy_ma(tmp_path):
-    # numpy.ma, which np.unique imports on first use, costs about 12 ms of
-    # every command's run time; a fresh process shows whether it was loaded.
-    # Each command writes its CSV, so the writer runs under the guard too.
+    # Modules no command needs, each a cost every process would pay: numpy.ma
+    # (np.unique imports it on first use, about 12 ms), numpy.polynomial (a
+    # quadrature table that is a literal instead), numpy.typing (read only in
+    # annotations) and dataclasses (code generated per class). A fresh
+    # process shows whether any was loaded. Each command writes its CSV, so
+    # the writer runs under the guard too.
     script = """
 import contextlib, io, sys
 from berezin_lab.cli import main
@@ -193,11 +196,12 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["sums", "--domain", "box:2x1", "--sigma", "2",
               "--n-max", "500", "--points", "30", "--csv", out + "/sums.csv"]),
     ]
-print(codes, "numpy.ma" in sys.modules)
+unused = ("numpy.ma", "numpy.polynomial", "numpy.typing", "dataclasses")
+print(codes, [m for m in unused if m in sys.modules])
 """
     proc = _run_python("-c", script, str(tmp_path))
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[0, 0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0] []\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["box.csv", "disk.csv", "sums.csv"]
 
 
@@ -213,9 +217,11 @@ def test_constants_output(capsys):
     assert float(lines["counting_constant"]) == pytest.approx(
         1.0 / (4.0 * math.pi), rel=1e-14
     )
-    assert float(lines["unit_ball_volume"]) == pytest.approx(math.pi, rel=1e-14)
-    assert float(lines["dimension_reduction_residual"]) <= 1e-12
     assert float(lines["polya_counting_factor"]) == 2.0
+    assert list(lines) == [
+        "sigma", "dim", "lt_classical", "lt_lower_dim", "counting_constant",
+        "polya_counting_factor", "c_const",
+    ]
 
 
 def test_constants_lt_classical_is_lt_value(capsys):
@@ -397,7 +403,7 @@ def test_unusable_slack_is_a_usage_error(command, slack, capsys):
         ["epsilon", "--mu", "1e308"],
         ["constants", "--sigma", "1e300", "--dim", "2"],
         ["sums", "--domain", "box:1x1", "--sigma", "1e300", "--n-max", "10"],
-        # lt_value(0, 1000) underflows to 0, which c_const then divides by
+        # lt_value(200, 1000) underflows to 0
         ["constants", "--sigma", "200", "--dim", "1000"],
     ],
 )
@@ -407,6 +413,28 @@ def test_overflow_is_a_numeric_failure(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # unchecked, c_const would raise 0.0 to a negative power
+        (["constants", "--sigma", "1.5", "--dim", "300"],
+         "lt_value at sigma=1.5, d=300 underflows to 0"),
+        (["constants", "--sigma", "0", "--dim", "1500"],
+         "lt_value at sigma=0.0, d=1500 underflows to 0"),
+        # the remainder minimum's tail constant overflows before any lt_value
+        (["check", "--domain", "box:1x1", "--sigma", "1e308", "--lambda", "100"],
+         "f_mu minimum for mu=1e+308 has no tail bound (log C_mu overflows)"),
+        # lt_value, not the s_classical column it feeds, is what overflows
+        (["check", "--domain", "box:1", "--sigma", "1e308", "--lambda", "100"],
+         "lt_value at sigma=1e+308, d=1 overflows"),
+    ],
+)
+def test_a_constant_outside_the_floats_is_named(argv, message, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"numeric failure: {message}\n")
 
 
 @pytest.mark.parametrize("sigma", ["150", "200"])

@@ -14,13 +14,12 @@ import pytest
 from berezin_lab.constants import (
     SemiclassicalParams,
     c_const,
-    dimension_reduction_identity_residual,
     lt_value,
     polya_counting_factor,
-    rho_lower,
-    unit_ball_volume,
 )
+from berezin_lab.errors import NumericFailure
 from berezin_lab.specfun import beta
+from oracles import dimension_reduction_residual
 
 
 # (sigma, dim) -> Gamma ratio expanded by hand
@@ -44,39 +43,55 @@ def test_lt_value_dimension_zero_is_one():
         assert lt_value(sigma, 0) == pytest.approx(1.0, rel=1e-15)
 
 
+def _lt_mpmath(sigma, dim):
+    return mpmath.gamma(sigma + 1) / (
+        (4 * mpmath.pi) ** (mpmath.mpf(dim) / 2) * mpmath.gamma(1 + sigma + dim / 2)
+    )
+
+
 def test_lt_value_where_gamma_overflows():
-    # Gamma(501) overflows a double; the log-Gamma form stays in range
-    for sigma, dim in ((500.0, 3), (2.5, 400)):
-        expected = mpmath.gamma(sigma + 1) / (
-            (4 * mpmath.pi) ** (mpmath.mpf(dim) / 2) * mpmath.gamma(1 + sigma + dim / 2)
-        )
-        assert lt_value(sigma, dim) == pytest.approx(float(expected), rel=1e-12)
+    # Gamma(501) and Gamma(301) overflow a double; the log-Gamma form stays
+    # in range
+    for sigma, dim in ((500.0, 3), (300.0, 4)):
+        expected = float(_lt_mpmath(sigma, dim))
+        assert lt_value(sigma, dim) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma, dim, how",
+    [(2.5, 400, "underflows to 0"), (0.0, 1500, "underflows to 0"), (1e308, 2, "overflows")],
+)
+def test_lt_value_outside_the_floats_is_a_named_numeric_failure(sigma, dim, how):
+    # L is about 1e-600 at (2.5, 400); log-Gamma overflows at sigma = 1e308
+    if how.startswith("under"):
+        assert float(_lt_mpmath(sigma, dim)) == 0.0
+    with pytest.raises(NumericFailure) as info:
+        lt_value(sigma, dim)
+    assert str(info.value) == f"lt_value at sigma={float(sigma)!r}, d={dim} {how}"
 
 
 def test_unit_ball_volumes():
-    assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
-    assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
-    assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+    # (2 pi)^d lt_value(0, d) is the volume of the unit ball: 2, pi, 4 pi/3
+    for d, ball in ((1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)):
+        assert lt_value(0.0, d) * (2.0 * math.pi) ** d == pytest.approx(ball, rel=1e-14)
 
 
 def test_counting_constant_is_scaled_ball_volume():
     # lt_value at sigma = 0 equals vol(B_d) / (2 pi)^d
     for d in range(1, 7):
-        expected = unit_ball_volume(d) / (2.0 * math.pi) ** d
-        assert lt_value(0.0, d) == pytest.approx(expected, rel=1e-13)
+        ball = math.pi ** (0.5 * d) / math.gamma(1.0 + 0.5 * d)
+        assert lt_value(0.0, d) == pytest.approx(ball / (2.0 * math.pi) ** d, rel=1e-13)
 
 
 def test_dimension_reduction_identity_core_grid():
     for sigma in (1.0, 1.5, 2.0, 3.0, 5.0):
         for dim in range(2, 7):
-            p = SemiclassicalParams(sigma=sigma, dim=dim)
-            assert dimension_reduction_identity_residual(p) <= 1e-12
+            assert dimension_reduction_residual(sigma, dim) <= 1e-12
 
 
 def test_dimension_reduction_identity_spot_values():
     for sigma, dim in ((1.5, 2), (2.0, 3), (1.0, 5)):
-        p = SemiclassicalParams(sigma=sigma, dim=dim)
-        assert dimension_reduction_identity_residual(p) <= 1e-14
+        assert dimension_reduction_residual(sigma, dim) <= 1e-14
 
 
 def test_beta_relation_to_counting_coefficient():
@@ -116,24 +131,6 @@ def test_c_const_requires_positive_sigma():
         c_const(SemiclassicalParams(sigma=0.0, dim=2))
 
 
-def test_rho_lower_values():
-    for d in (1, 2, 3, 10):
-        assert rho_lower(SemiclassicalParams(sigma=1.0, dim=d)) == pytest.approx(
-            1.0, rel=1e-14
-        )
-    assert rho_lower(SemiclassicalParams(sigma=2.0, dim=2)) == pytest.approx(
-        0.75, rel=1e-14
-    )
-    for sigma in (1.0, 1.5, 2.0, 4.0):
-        for d in (1, 2, 3, 5):
-            assert rho_lower(SemiclassicalParams(sigma=sigma, dim=d)) <= 1.0 + 1e-15
-
-
-def test_rho_lower_requires_sigma_at_least_one():
-    with pytest.raises(ValueError):
-        rho_lower(SemiclassicalParams(sigma=0.5, dim=2))
-
-
 def test_polya_counting_factor():
     assert polya_counting_factor(2) == pytest.approx(2.0, rel=1e-15)
     assert polya_counting_factor(1) == pytest.approx(math.sqrt(3.0), rel=1e-15)
@@ -155,8 +152,3 @@ def test_params_validation():
         lt_value(1.0, -1)
     with pytest.raises(ValueError):
         lt_value(-0.5, 2)
-
-
-def test_dimension_reduction_requires_dim_two():
-    with pytest.raises(ValueError):
-        dimension_reduction_identity_residual(SemiclassicalParams(sigma=1.0, dim=1))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from berezin_lab import bounds
+from berezin_lab import bounds, geometry
 from berezin_lab.bounds import sliced_bound
 from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import NumericFailure, UnsupportedDomainError
@@ -141,6 +141,14 @@ def test_oracles_import_nothing_from_the_checked_modules():
         home = getattr(obj, "__module__", None) or obj.__name__
         assert home != "berezin_lab", f"{module} {name} opens the whole package"
         assert not home.startswith(checked), f"{module} {name} comes from {home}"
+
+
+def test_gauss_legendre_literals_are_numpys_rule_bit_for_bit():
+    # the disk's lattice terms read the 48-node rule from literals, so that
+    # importing geometry imports no numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(48)
+    assert geometry._gl_x.tobytes() == x.tobytes()
+    assert geometry._gl_w.tobytes() == w.tobytes()
 
 
 def test_slicing_stats_square():

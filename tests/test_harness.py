@@ -5,7 +5,6 @@ spectra modules, so a sweep cannot drift away from the functions it is
 supposed to orchestrate.
 """
 
-import dataclasses
 import io
 import math
 import re
@@ -35,7 +34,7 @@ from berezin_lab.harness import (
     sweep_sums,
 )
 from berezin_lab.remainder import epsilon_mu
-from berezin_lab.spectra import counting, enumerate_spectrum, riesz_mean
+from berezin_lab.spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
 from berezin_lab.version import TOOL_VERSION
 
 
@@ -349,8 +348,12 @@ def test_asymptotics_monotone_check_reads_each_row_of_a_two_point_grid(monkeypat
     # which is -63 lam1^2 at z = 10 lam1.
     def lowest(domain, cutoff):
         spec = enumerate_spectrum(domain, cutoff)
-        return dataclasses.replace(
-            spec, eigenvalues=spec.eigenvalues[:1], multiplicities=spec.multiplicities[:1]
+        return Spectrum(
+            spec.cutoff,
+            spec.eigenvalues[:1],
+            spec.multiplicities[:1],
+            spec.join_positions,
+            spec.join_gaps,
         )
 
     monkeypatch.setattr(harness, "enumerate_spectrum", lowest)
