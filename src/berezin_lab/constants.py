@@ -59,11 +59,16 @@ def lt_value(sigma: float, dim: int) -> float:
 
 
 def c_const(p: SemiclassicalParams) -> float:
-    """Leading coefficient of the eigenvalue power-sum asymptotics (sigma > 0)."""
+    """Leading coefficient of the eigenvalue power-sum asymptotics (sigma > 0);
+    NumericFailure, naming (sigma, dim), where it overflows."""
     if not p.sigma > 0.0:
         raise ValueError("c_const requires sigma > 0")
     base = lt_value(0.0, p.dim)
-    return p.dim / (2.0 * p.sigma + p.dim) * base ** (-2.0 * p.sigma / p.dim)
+    try:
+        power = base ** (-2.0 * p.sigma / p.dim)
+    except OverflowError:
+        raise NumericFailure(f"c_const at sigma={p.sigma!r}, d={p.dim} overflows") from None
+    return p.dim / (2.0 * p.sigma + p.dim) * power
 
 
 def polya_counting_factor(d: int) -> float:

@@ -216,12 +216,13 @@ class DiskSections(Record):
     __slots__ = _fields = ("radius",)
 
     def tail(self, s: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        """(u* s + 2 R^2 arcsin(u*/R), 2 u*) with u* = sqrt(R^2 - s^2/4)."""
+        """(u* s + 2 R^2 arccos(s/(2R)), 2 u*) with u* = sqrt(R^2 - s^2/4);
+        arccos(s/(2R)) = arcsin(u*/R), but stays well conditioned as u* -> R."""
         r = self.radius
         long = 2.0 * r > s
         half = np.minimum(0.5 * s, r)  # s**2 overflows for a subnormal lam
         u_star = np.sqrt(r * r - half * half)
-        m1 = np.where(long, u_star * s + 2.0 * r * r * np.arcsin(u_star / r), 0.0)
+        m1 = np.where(long, u_star * s + 2.0 * r * r * np.arccos(half / r), 0.0)
         return m1, np.where(long, 2.0 * u_star, 0.0)
 
     def lattice_terms(self, e: float, l_crit: float) -> np.ndarray:

@@ -21,28 +21,24 @@ J_j(x) at each integer x for every order j <= x + P, P = 15, negative ones
 too, from one FFT of exp(i x sin t) (Jacobi-Anger, DLMF 10.12.1), on a
 power-of-two node count no smaller than the kernel's 2n at m = x + P + 1, so
 its aliasing is as negligible as the kernel's. The scan uses the signs of
-J_m. Each zero's Newton refinement starts at the root of the degree-P Taylor
-polynomial of J_m about the bracket end where |J_m| is smaller; its
-coefficients come from the neighbouring orders at that end (DLMF 10.6.7),
-at no kernel cost, and the start lies within 2e-15 (1 + x) of the zero (the
-largest gap for x < 1000). From these starts, Newton steps with
-J_m' = (m/x) J_m - J_{m+1} (DLMF 10.6.2) refine all brackets in lockstep;
-every zero below x = 1000 takes one step.
-A step that lands in the closed bracket is taken and any other step bisects;
-a step within tolerance ends the refinement, also when it rounds onto a
-bracket end, so each zero is a converged Newton iterate, within a few ulps
-of the true zero. A certificate raises ConvergenceError unless each zero
-lies in its own scan bracket (a unit interval with a checked sign change, so
-each zero is tied to exactly one sign change), each order's zeros are more
-than one apart, adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1}
-(DLMF 10.21.3), and the sign of J_m(x_max) matches the parity of each
-order's count, which catches a lost last zero; the sign test is
-inconclusive, and skipped, where |J_m(x_max)| is within ten refinement
-tolerances of zero.
-
-The refinement tolerance is fixed: a step is within tolerance once it moves
-x by at most 1e-13 (1 + |x|), and a zero that needs more than 100 steps
-raises ConvergenceError.
+J_m. Each zero is the root of the degree-P Taylor polynomial of J_m about
+the bracket end where |J_m| is smaller; its coefficients come from the
+neighbouring orders at that end (DLMF 10.6.7), so no zero costs a kernel
+point. Newton passes on the polynomial, clipped to the bracket, find the
+root; the last pass must move x by at most 1e-13 (1 + |x|), or
+ConvergenceError names the order. Measured against 30-digit mpmath, each
+zero lies within a few ulps of the true zero: within 6.5e-16 relative for
+every zero below x = 160, and within 8e-16 in the samples checked below
+x = 1000 (the worst are first zeros, in the turning region x ~ m). A
+certificate raises ConvergenceError unless each zero lies in its own scan
+bracket (a unit interval with a checked sign change, so each zero is tied
+to exactly one sign change), each order's zeros are more than one apart,
+adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3),
+and the sign of J_m(x_max), the one kernel point per order, matches the
+parity of each order's count, which catches a lost last zero; the sign test
+is inconclusive, and skipped, where |J_m(x_max)| is within ten convergence
+tolerances of zero. The certificate covers the count and the order of the
+zeros, not their last digits.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericFailure
 
 __all__ = [
     "beta",
@@ -62,17 +58,20 @@ __all__ = [
 ]
 
 
-# Refinement tolerance and step budget (see the module docstring).
+# Convergence tolerance of each zero (see the module docstring).
 _ABS_TOL = 1e-13
 _REL_TOL = 1e-13
-_MAX_ITER = 100
 
 
 def beta(a: float, b: float) -> float:
-    """Euler Beta function via log-Gamma."""
+    """Euler Beta function via log-Gamma; NumericFailure, naming (a, b), where a
+    log-Gamma or the result overflows."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta requires positive arguments, got {a!r}, {b!r}")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    try:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    except OverflowError:
+        raise NumericFailure(f"beta at a={a!r}, b={b!r} overflows") from None
 
 
 # Above this the ascending series starts losing digits to cancellation.
@@ -107,11 +106,11 @@ def _j_series(m: int, x: float) -> float:
 
 
 # Largest (points x nodes) array the quadrature, or the scan's FFT, forms at
-# once, and the most Taylor coefficients the Newton starts hold at once.
+# once, and the most Taylor coefficients the zero finder holds at once.
 _BLOCK = 1 << 18
 
-# Degree of the Taylor polynomial that starts each zero's Newton refinement,
-# and the Newton passes taken on it (see _taylor_starts).
+# Degree of the Taylor polynomial whose root is each zero, and the Newton
+# passes taken on it before the converged one (see _taylor_roots).
 _DEGREE = 15
 _PASSES = 8
 
@@ -158,7 +157,7 @@ def _brackets(
     orders: np.ndarray, x_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (m, lo, hi) with lo < x_max around the zeros of each J_m, in
-    order, and a Newton start for each zero (see _taylor_starts).
+    order, and each zero (see _taylor_roots).
 
     J_m is positive on (0, j_{m,1}) and zeros are separated by more than one,
     so scanning x = m, m + 1, ... cannot skip a sign change; a grid value of
@@ -202,84 +201,57 @@ def _brackets(
     near = np.where(abs(f2) <= abs(f1), col[1:], col[:-1])[found]  # smaller |J_m|
     m = m[1:][found]
     x0 = points[near].astype(float)
-    return m, lo, hi, _taylor_starts(table, m - orders[0], near, x0, lo, hi)
+    return m, lo, hi, _taylor_roots(table, base, m, near, x0, lo, hi)
 
 
-def _taylor_starts(
+def _taylor_roots(
     table: np.ndarray,
-    rows: np.ndarray,
+    base: int,
+    m: np.ndarray,
     cols: np.ndarray,
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> np.ndarray:
-    """Newton starts in [lo, hi]: the root of the degree-P Taylor polynomial of
-    J_m about x0, where table[row + i, col] holds J_{m-P+i}(x0), i <= 2P.
+    """The zero of J_m in [lo, hi]: the root of the degree-P Taylor polynomial
+    of J_m about x0, where table[j - base, col] holds J_j(x0).
 
     Its coefficients are J_m^(k)(x0) / k! with J_m^(k) = 2^-k sum_j (-1)^j
     C(k, j) J_{m-k+2j} (DLMF 10.6.7), so they cost no kernel points. As
     |J_m^(k)| <= 1, the polynomial is off by at most |t|^(P+1) / (P+1)! at
-    t = x - x0. A fixed number of Newton passes on it, each clipped to the
-    bracket, and sums taken in a fixed order make every start independent of
-    the batch. Brackets go in blocks of at most _BLOCK coefficients.
+    t = x - x0. _PASSES Newton passes on it from t = 0, each clipped to the
+    bracket, then one more whose step must be within _ABS_TOL + _REL_TOL |x|,
+    or ConvergenceError names the order. A fixed number of passes and sums
+    taken in a fixed order make every root independent of the batch.
+    Brackets go in blocks of at most _BLOCK coefficients.
     """
     out = np.empty(x0.size)
     per = max(1, _BLOCK // (_DEGREE + 1))
     for s in range(0, x0.size, per):
         b = slice(s, s + per)
-        coef = np.zeros((_DEGREE + 1, x0[b].size))
+        coef, rows = np.zeros((_DEGREE + 1, x0[b].size)), m[b] - _DEGREE - base
         for i in range(2 * _DEGREE + 1):
-            values = table[rows[b] + i, cols[b]]  # J_{m-P+i}(x0) = J_{m-k+2j}(x0)
+            values = table[rows + i, cols[b]]  # J_{m-P+i}(x0) = J_{m-k+2j}(x0)
             for k in range(abs(i - _DEGREE), _DEGREE + 1, 2):
                 j = (i - _DEGREE + k) // 2
                 w = (-1) ** j * math.comb(k, j) / (2.0**k * math.factorial(k))
                 coef[k] += w * values
         t, t_lo, t_hi = np.zeros(coef.shape[1]), lo[b] - x0[b], hi[b] - x0[b]
-        for _ in range(_PASSES):
+        for _ in range(_PASSES + 1):
             p, dp = coef[_DEGREE], 0.0
             for c in coef[-2::-1]:
                 p, dp = p * t + c, dp * t + p
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.clip(t - p / dp, t_lo, t_hi)
+                step = p / dp
+            t = np.clip(t - step, t_lo, t_hi)
         out[b] = x0[b] + t
+        slow = ~(abs(step) <= _ABS_TOL + _REL_TOL * abs(out[b]))  # NaN too
+        if slow.any():
+            raise ConvergenceError(
+                f"zero of order {m[b][slow][0]} not within tolerance"
+                f" after {_PASSES + 1} Taylor-root passes"
+            )
     return out
-
-
-def _newton(
-    m: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray, start: np.ndarray
-) -> np.ndarray:
-    """Refine the brackets of the k-th zeros of J_m in lockstep from start (the
-    bracket midpoint where start is not inside); each takes exactly the steps
-    it takes alone.
-
-    J_m > 0 below j_{m,1}, so J_m(lo) has the sign (-1)^(k-1). A Newton step
-    that lands in the closed bracket is taken, any other step bisects, and a
-    step within tolerance ends the refinement: one that rounds onto a bracket
-    end, or a zero step from an exact root, is converged.
-    """
-    lo_positive = k % 2 == 1
-    x = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
-    z = np.empty_like(x)
-    idx = np.arange(x.size)
-    for _ in range(_MAX_ITER):
-        if not idx.size:
-            break
-        fx, above = np.split(_j(np.concatenate([m, m + 1]), np.tile(x, 2)), 2)
-        up = (fx > 0.0) == lo_positive
-        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x - fx / (m / x * fx - above)  # J_m' = (m/x) J_m - J_{m+1}
-        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new, 0.5 * (lo + hi))
-        done = abs(x_new - x) <= _ABS_TOL + _REL_TOL * abs(x_new)
-        z[idx[done]] = x_new[done]
-        go = ~done
-        m, lo, hi, lo_positive = m[go], lo[go], hi[go], lo_positive[go]
-        x, idx = x_new[go], idx[go]
-    if idx.size:
-        raise ConvergenceError(
-            f"zero refinement for order {m[0]} stalled after {_MAX_ITER} iterations"
-        )
-    return z
 
 
 def _certify(
@@ -328,9 +300,7 @@ def bessel_zeros_below(
         raise ValueError(f"orders must be a strictly increasing sequence, got {m!r}")
     if not (x_max > 0.0 and math.isfinite(x_max)):
         raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
-    bm, lo, hi, start = _brackets(orders, x_max)
-    k = np.arange(bm.size) - np.searchsorted(bm, bm) + 1
-    z = _newton(bm, k, lo, hi, start)
+    bm, lo, hi, z = _brackets(orders, x_max)
     below = z < x_max
     zeros = np.split(z[below], np.searchsorted(bm[below], orders[1:]))
     _certify(orders, zeros, x_max, strays=bm[(z < lo) | (z > hi)])

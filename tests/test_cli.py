@@ -429,6 +429,15 @@ def test_overflow_is_a_numeric_failure(argv, capsys):
         # lt_value, not the s_classical column it feeds, is what overflows
         (["check", "--domain", "box:1", "--sigma", "1e308", "--lambda", "100"],
          "lt_value at sigma=1e+308, d=1 overflows"),
+        # c_const's float power L_{0,d}^(-2 sigma / d) overflows
+        (["constants", "--sigma", "1e300", "--dim", "2"],
+         "c_const at sigma=1e+300, d=2 overflows"),
+        (["constants", "--sigma", "1e16", "--dim", "2"],
+         "c_const at sigma=1e+16, d=2 overflows"),
+        # an explicit --nu skips epsilon_mu; nu_nonneg_cap's log-Gamma overflows
+        (["check", "--domain", "box:1x1", "--sigma", "1e308", "--lambda", "100",
+          "--nu", "1"],
+         "beta at a=1e+308, b=0.5 overflows"),
     ],
 )
 def test_a_constant_outside_the_floats_is_named(argv, message, capsys):

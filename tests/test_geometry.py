@@ -11,6 +11,7 @@ import importlib
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -280,13 +281,27 @@ def test_section_measure_properties(dom):
         assert (vol[every_long] == volume(dom)).all()
 
 
-@pytest.mark.xfail(strict=True, reason="arcsin(u*/R) is ill-conditioned as u* -> R")
 def test_disk_long_section_volume_is_monotone_on_a_dense_grid():
-    # around lambda = 1e6, a cutoff that a disk:1 sweep reaches: the rounding
-    # of u*/R, amplified by arcsin's slope 2R / l_crit, outgrows the true
-    # change of vol(Omega_Lambda) between neighbouring rows
+    # around lambda = 1e6, a cutoff that a disk:1 sweep reaches: arcsin(u*/R)
+    # amplified the rounding of u*/R by its slope 2R / l_crit, beyond the true
+    # change of vol(Omega_Lambda) between neighbouring rows; arccos does not
     lam = np.geomspace(0.99e6, 1.01e6, 2000)
     assert (np.diff(slicing_stats(Disk(1.0), lam).vol_omega_lambda) >= 0.0).all()
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+@pytest.mark.parametrize("lam", [1e3, 1.5e4, 8e6, 1e10, 1e12])
+def test_disk_long_section_volume_matches_mpmath(radius, lam):
+    # M1 at the float critical length s, against 40-digit u* s + 2 R^2
+    # arccos(s/(2R)): within an ulp of 1, relative, where arcsin(u*/R) was
+    # off by 1.3e-15 at 1.5e4 and 8.4e-12 at 1e12 for R = 1
+    s = float(critical_length(lam))
+    got = slicing_stats(Disk(radius), lam).vol_omega_lambda
+    with mpmath.workdps(40):
+        r, s = mpmath.mpf(radius), mpmath.mpf(s)
+        u = mpmath.sqrt(r * r - s * s / 4)
+        ref = u * s + 2 * r * r * mpmath.acos(s / (2 * r))
+        assert abs(got - ref) <= 2.0**-52 * ref
 
 
 def test_bounds_names_no_domain_class():

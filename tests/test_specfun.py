@@ -2,7 +2,7 @@
 
 The Bessel zero values used across the suite are frozen here. They come
 from the bisection oracle below (sign changes of the plain power series),
-so the production Taylor-start/Newton path is always compared against an
+so the production Taylor-root path is always compared against an
 independent construction.
 """
 
@@ -20,7 +20,7 @@ from berezin_lab.specfun import (
     bessel_zeros_below,
     beta,
 )
-from berezin_lab.errors import ConvergenceError
+from berezin_lab.errors import ConvergenceError, NumericFailure
 
 
 def series_j(m, x, terms=60):
@@ -82,6 +82,13 @@ def test_beta_rejects_nonpositive():
         beta(0.0, 1.0)
     with pytest.raises(ValueError):
         beta(1.0, -1.0)
+
+
+def test_beta_overflow_is_a_named_numeric_failure():
+    with pytest.raises(NumericFailure, match=r"^beta at a=1e\+308, b=0.5 overflows$"):
+        beta(1e308, 0.5)
+    with pytest.raises(NumericFailure, match=r"^beta at a=1e-320, b=1e-320 overflows$"):
+        beta(1e-320, 1e-320)
 
 
 def test_bessel_j_small_arguments():
@@ -150,12 +157,14 @@ def test_zeros_below_cutoff_is_consistent():
     assert bessel_zeros_below(3, 6.0) == []
 
 
-def test_refinement_reports_exhaustion(monkeypatch):
-    monkeypatch.setattr(specfun, "_ABS_TOL", 1e-300)
-    monkeypatch.setattr(specfun, "_REL_TOL", 1e-300)
-    monkeypatch.setattr(specfun, "_MAX_ITER", 3)
-    with pytest.raises(ConvergenceError, match="stalled after 3 iterations"):
-        bessel_zeros_below(0, 2.0 * math.pi)
+def test_taylor_root_outside_tolerance_names_the_order(monkeypatch):
+    # two passes from the bracket end leave a last step far above 1e-13
+    assert len(bessel_zeros_below([0, 1], 2.0 * math.pi)[1]) == 1  # passes untouched
+    monkeypatch.setattr(specfun, "_PASSES", 1)
+    with pytest.raises(
+        ConvergenceError, match="^zero of order 0 not within tolerance after 2 Taylor-root"
+    ):
+        bessel_zeros_below([0, 1], 2.0 * math.pi)
 
 
 # Scalar reference for the batched kernel: one point at a time, with the
@@ -202,8 +211,8 @@ def test_batched_j_blocks_match(monkeypatch):
     zeros = bessel_zeros_below(list(range(62)), 61.5)
     monkeypatch.setattr(specfun, "_BLOCK", 64)
     assert np.array_equal(specfun._j(m, x), want)
-    # the scan's FFTs and the Newton starts go in blocks too: one FFT and
-    # four starts per block
+    # the scan's FFTs and the Taylor roots go in blocks too: one FFT and
+    # four roots per block
     assert bessel_zeros_below(list(range(62)), 61.5) == zeros
 
 
@@ -218,7 +227,9 @@ def test_zeros_match_mpmath_to_a_few_ulps():
         assert abs(zeros[m][k - 1] - ref) <= 1e-15 * ref, (m, k)
 
 
-def _kernel_points_per_zero(monkeypatch, orders, x_max):
+def test_zeros_cost_only_the_certificate_kernel_points(monkeypatch):
+    # Each zero is a Taylor root from the scan's FFT table, so the kernel
+    # serves only the sign certificate: one point per order, at x_max.
     points = []
     kernel = specfun._j
 
@@ -227,20 +238,25 @@ def _kernel_points_per_zero(monkeypatch, orders, x_max):
         return kernel(m, x)
 
     monkeypatch.setattr(specfun, "_j", counting)
-    zeros = bessel_zeros_below(orders, x_max)
-    return sum(points) / (len(zeros) if np.ndim(orders) == 0 else sum(map(len, zeros)))
+    zeros = bessel_zeros_below(list(range(142)), math.sqrt(2e4) * (1.0 + 1e-12))
+    assert sum(points) == 142 and sum(points) / sum(map(len, zeros)) <= 0.06
+    points.clear()
+    assert len(bessel_zeros_below(0, 120.0)) == 38 and points == [1]
 
 
-def test_converged_newton_steps_end_the_refinement(monkeypatch):
-    # A Newton step that rounds onto a bracket end is converged, not a cue to
-    # bisect the bracket down to the tolerance, which costs about 36 and 21
-    # kernel points per zero here. From the Taylor start each of the first
-    # call's 2,510 brackets converges in one step (J_m and J_{m+1} at one
-    # point); with the sign certificate's 142 points, over the 2,485 zeros
-    # below x_max, that is 2.08.
-    x_max = math.sqrt(2e4) * (1.0 + 1e-12)
-    assert _kernel_points_per_zero(monkeypatch, list(range(142)), x_max) <= 2.1
-    assert _kernel_points_per_zero(monkeypatch, 0, 120.0) <= 9.0
+def test_zeros_at_cutoff_1e6_match_mpmath():
+    # a disk:1 sweep to lambda = 1e6 reaches every order up to 1,000, with
+    # zeros up to x = 1,000, beyond the other accuracy tests' x < 400
+    zeros = bessel_zeros_below(list(range(1001)), 1000.0 * (1.0 + 1e-12))
+    pairs = [(m, k) for m, zs in enumerate(zeros) for k in range(len(zs))]
+    assert len(pairs) == 124906
+    rng = np.random.default_rng(1000)
+    with mpmath.workdps(30):
+        for i in rng.choice(len(pairs), 120, replace=False):
+            m, k = pairs[i]
+            z = zeros[m][k]
+            ref = mpmath.findroot(lambda x: mpmath.besselj(m, x), mpmath.mpf(z))
+            assert abs(z - ref) <= 2e-15 * ref, (m, k + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,18 +264,20 @@ def test_converged_newton_steps_end_the_refinement(monkeypatch):
 @example(m=0, k=1)
 @example(m=300, k=1)  # the first zero sits in the turning region, x ~ m
 @example(m=300, k=60)
+@example(m=238, k=1)  # the worst first zero of orders up to 300: 3.6 ulps
 def test_taylor_start_is_within_tolerance_of_the_zero(m, k):
-    # Close enough that the first Newton step is within tolerance and ends
-    # the refinement. The reference is mpmath's 20-digit root of J_m next to
-    # the k-th zero from scipy.special.jn_zeros (Zhang and Jin's Fortran):
-    # mpmath.besseljzero finds the same root but first isolates every lower
-    # zero, which takes seconds per order near m = 300.
+    # The Taylor root is the zero: within five ulps of 1, relative (first
+    # zeros near m = 240-300, in the turning region, reach 3.6). The
+    # reference is mpmath's 20-digit root of J_m next to the k-th zero from
+    # scipy.special.jn_zeros (Zhang and Jin's Fortran): mpmath.besseljzero
+    # finds the same root but first isolates every lower zero, which takes
+    # seconds per order near m = 300.
     with mpmath.workdps(20):
         guess = float(scipy.special.jn_zeros(m, k)[-1])
         ref = float(mpmath.findroot(lambda x: mpmath.besselj(m, x), guess))
     assert abs(ref - guess) <= 1e-12 * ref  # the same zero
-    _, _, _, start = specfun._brackets(np.array([m]), ref + 1.0)
-    assert abs(start[k - 1] - ref) <= 1e-13 * (1.0 + ref), (m, k)
+    _, _, _, z = specfun._brackets(np.array([m]), ref + 1.0)
+    assert abs(z[k - 1] - ref) <= 5.0 * 2.0**-52 * ref, (m, k)
 
 
 def test_bessel_zero_is_entry_of_zeros_below():
@@ -294,7 +312,7 @@ def test_certificate_catches_a_dropped_bracket(monkeypatch, drop):
     scan = specfun._brackets
 
     def lossy(orders, x_max):
-        found = scan(orders, x_max)  # (m, lo, hi, start)
+        found = scan(orders, x_max)  # (m, lo, hi, zero)
         i = np.flatnonzero(found[0] == 3)[drop]  # a zero of J_3 goes missing
         return tuple(np.delete(a, i) for a in found)
 
@@ -309,7 +327,7 @@ def test_certificate_catches_a_doubled_zero(monkeypatch):
     scan = specfun._brackets
 
     def doubled(orders, x_max):
-        found = scan(orders, x_max)  # (m, lo, hi, start)
+        found = scan(orders, x_max)  # (m, lo, hi, zero)
         i = np.flatnonzero(found[0] == 7)[2]
         return tuple(np.insert(a, i, a[i]) for a in found)
 
@@ -332,15 +350,15 @@ def test_certificate_catches_a_lost_last_zero_of_a_single_order(monkeypatch):
 
 
 def test_certificate_catches_a_zero_outside_its_bracket(monkeypatch):
-    refine = specfun._newton
+    roots = specfun._taylor_roots
 
     def shifted(*args):
-        z = refine(*args)
+        z = roots(*args)
         z[4] += 1.0  # still more than one from its neighbours, but past its bracket
         return z
 
     assert len(bessel_zeros_below(3, 40.0)) == 11  # passes untouched
-    monkeypatch.setattr(specfun, "_newton", shifted)
+    monkeypatch.setattr(specfun, "_taylor_roots", shifted)
     with pytest.raises(ConvergenceError, match="bracket"):
         bessel_zeros_below(3, 40.0)
 
