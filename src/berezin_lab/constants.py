@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericFailure, Record
+from .specfun import check_log_gamma_sum
 
 __all__ = [
     "SemiclassicalParams",
@@ -41,20 +42,23 @@ class SemiclassicalParams(Record):
 def lt_value(sigma: float, dim: int) -> float:
     """Leading Weyl coefficient; dim = 0 is allowed for cross-sections.
 
-    NumericFailure, naming (sigma, dim), where it leaves the floats: a
-    log-Gamma or the result overflows, or the result underflows to 0.
+    NumericFailure, naming (sigma, dim), where it leaves the floats (a
+    log-Gamma or the result overflows, or the result underflows to 0), or
+    where its log-Gammas cancel past `check_log_gamma_sum`'s tolerance.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0):
         raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
+    what = f"lt_value at sigma={sigma!r}, d={dim}"
     try:
-        lead = math.lgamma(sigma + 1.0) - 0.5 * dim * _LOG_4PI
-        value = math.exp(lead - math.lgamma(1.0 + sigma + 0.5 * dim))
+        top, bottom = math.lgamma(sigma + 1.0), math.lgamma(1.0 + sigma + 0.5 * dim)
+        value = math.exp(top - 0.5 * dim * _LOG_4PI - bottom)
     except OverflowError:
-        raise NumericFailure(f"lt_value at sigma={sigma!r}, d={dim} overflows") from None
+        raise NumericFailure(f"{what} overflows") from None
     if value == 0.0:
-        raise NumericFailure(f"lt_value at sigma={sigma!r}, d={dim} underflows to 0")
+        raise NumericFailure(f"{what} underflows to 0")
+    check_log_gamma_sum(what, (top, 0.5 * dim * _LOG_4PI, bottom))
     return value
 
 

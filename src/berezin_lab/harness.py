@@ -15,10 +15,12 @@ Report columns hold numbers, and verdicts as int8 codes (0 pass, 1 fail,
 
 CSV bytes are those of printing every float with `%.17g` (NaN as an empty
 field), every integer in full and every verdict as its word. A block of rows
-becomes one byte matrix in numpy, with a fixed-width slot per cell: numbers
-with 1 <= |v| < 1e17 (2^53 for integers) get their digits there in numpy, and
-verdicts theirs from a table; Python formats the other numbers, whose bytes
-are copied in. The blocks are written as bytes.
+becomes one byte matrix in numpy, a 32-byte cell per value taken from a pool
+in one lookup: verdicts, zeros and NaN from a table of words, numbers with
+1 <= |v| < 1e17 (2^53 for integers) from cells whose digits numpy writes as
+words of a table of all 4-digit groups; Python formats the other numbers
+into their cells. One lookup per block of where each cell's text starts and
+ends picks the bytes kept, which are written as they are.
 """
 
 from __future__ import annotations
@@ -148,55 +150,71 @@ class BoundReport:
     def _csv_blocks(self, which: slice) -> Iterator[memoryview]:
         """CSV bytes of the rows selected, _CSV_BLOCK rows per buffer.
 
-        A block is one byte matrix with a _SLOT-byte slot per cell, whose last
-        byte is the cell's separator, and a keep mask made from where the text
-        of each slot ends: the block's bytes are the kept ones, in order.
-        Numbers with 1 <= |v| < 1e17 (2^53 for integers) get the digits of
-        `"%.17g" % v` from `_number_slots`, verdict codes their word from a
-        table, NaN nothing (a float column NaN throughout skips the kernel);
-        Python formats the other numbers, and their bytes are copied in.
+        A block is one byte matrix of 32-byte cells, each taken whole, in one
+        `np.take`, from a pool: the table of words (verdicts, 0, -0, NaN),
+        then the cells `_number_slots` fills with the digits of
+        `"%.17g" % v` for the block's numbers with 1 <= |v| < 1e17 (2^53 for
+        integers), column by column within each row. Python formats the other
+        numbers into their cells; zeros and NaN point to their word instead,
+        and a float column NaN throughout skips the kernel. One lookup of
+        `_KEEP` by stop + 26 * unsigned gives the bytes each cell keeps, its
+        text and then its separator, and the block's bytes are those, in order.
         """
         cols = [c[which] for c in self.columns.values()]
         verdicts = [j for j, name in enumerate(self.columns) if name in self.checks]
-        ints = np.array([c.dtype.kind != "f" for c in cols])
+        num, empty = [], []  # number columns, and float columns NaN throughout
+        for j, c in enumerate(cols):
+            if j not in verdicts:
+                (empty if c.dtype.kind == "f" and np.isnan(c).all() else num).append(j)
+        ints = np.array([cols[j].dtype.kind != "f" for j in num], bool)
         limit = np.where(ints, 2.0**53, 1e17)
-        # [t]: the bytes of a slot below t
-        below = np.arange(_SLOT) < np.arange(_SLOT + 1)[:, None]
-        for lo in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK):
+        size = len(cols[0]) if cols else 0
+        # Each cell's place in the pool: NaN's word, or its number's cell.
+        words = len(_WORD_CELLS)
+        rows = min(size, _CSV_BLOCK)
+        place = np.full((rows, len(cols)), words - 1, np.intp)
+        place[:, num] = np.arange(words, words + rows * len(num)).reshape(rows, len(num))
+
+        def block_bytes(lo: int) -> np.ndarray:
+            # a function, so that each block's arrays are freed with it
             block = [c[lo : lo + _CSV_BLOCK] for c in cols]
-            shape = (len(block[0]), len(block))
-            buf = np.empty((*shape, _SLOT), np.uint8)
-            items = buf.view(_ITEM)[..., 0]  # each cell's slot as one item
-            # One past the last text byte of each slot, and whether its byte 0
-            # is not text (a positive number's, which holds "-").
-            stop, unsigned = np.zeros(shape, np.intp), np.zeros(shape, bool)
-            if verdicts:
-                codes = np.stack([block[j] for j in verdicts], axis=1)
-                items[:, verdicts] = np.take(_VERDICT_SLOTS, codes)
-                stop[:, verdicts] = np.take(_VERDICT_SIZES, codes)
-            num = [
-                j for j, c in enumerate(block)
-                if j not in verdicts and (ints[j] or not np.isnan(c).all())
-            ]
+            at = place[: len(block[0])].copy()
+            for j in verdicts:
+                at[:, j] = block[j]
+            pool = np.empty((words + at.shape[0] * len(num), 32), np.uint8)
+            pool[:words] = _WORD_CELLS.view(np.uint8).reshape(words, 32)
+            keys = np.empty(len(pool), np.intp)  # stop + 26 * unsigned
+            keys[:words] = _WORD_SIZES
             if num:
                 x = np.stack([block[j] for j in num], axis=1, dtype=float)
-                slots, unsigned[:, num], stop[:, num], left = _number_slots(x, limit[num])
-                items[:, num] = slots.view(_ITEM)[..., 0]
-                del slots
-                r, k = np.nonzero(left)
-                cells = ["%.17g" % v for v in x[r, k].tolist()]
-                for i in np.flatnonzero(ints[num][k]).tolist():
-                    cells[i] = "%d" % block[num[k[i]]][r[i]].item()  # exact
-                at = (r, np.take(num, k))
-                items[at] = np.array(cells, f"S{_SLOT}").view(_ITEM)
-                stop[at] = [len(c) for c in cells]
-            buf[:, :, -1], buf[:, -1, -1] = ord(","), ord("\n")
-            keep = np.take(below, stop, axis=0)
-            keep[..., 0] &= ~unsigned
-            keep[..., -1] = True
-            data = buf[keep]
-            del buf, keep
-            yield data.data
+                _, unsigned, stop, left = _number_slots(x, limit, pool[words:])
+                stop[unsigned] += 26
+                keys[words:] = stop.reshape(-1)
+                if left.any():
+                    # zeros and NaN point to their word, Python formats the rest
+                    r, k = np.nonzero(left)
+                    v = x[r, k]
+                    nan = np.isnan(v)
+                    word = nan | (v == 0.0)
+                    code = np.signbit(v[word]) + 2 * nan[word] + 3
+                    at[r[word], np.take(num, k[word])] = code
+                    r, k = r[~word], k[~word]
+                    cells = ["%.17g" % f for f in v[~word].tolist()]
+                    for i in np.flatnonzero(ints[k]).tolist():
+                        cells[i] = "%d" % block[num[k[i]]][r[i]].item()  # exact
+                    i = words + r * len(num) + k
+                    texts = np.array([c + "," for c in cells], "S25")
+                    pool[i, 5:30] = texts.view(np.uint8).reshape(-1, 25)
+                    keys[i] = [len(c) for c in cells]
+                del x, unsigned, stop, left
+            buf = np.take(pool.view(_CELL)[:, 0], at).view(np.uint8)
+            buf, key = buf.reshape(*at.shape, 32), np.take(keys, at)
+            del pool, keys, at
+            buf[np.arange(len(key)), -1, 5 + key[:, -1] % 26] = ord("\n")  # the row's end
+            return buf[np.take(_KEEP, key, axis=0)]
+
+        for lo in range(0, size, _CSV_BLOCK):
+            yield block_bytes(lo).data
 
     def summary(self) -> str:
         lines = [f"berezin-lab v{TOOL_VERSION} {self.kind} report"]
@@ -235,120 +253,125 @@ class BoundReport:
 
 # Rows per buffer written, so a long table is never one buffer.
 _CSV_BLOCK = 1024
-# Bytes per cell slot: room for the widest "%.17g" or int64/uint64 text, 24
-# bytes, then the separator; a number's slot moves as one item of this dtype.
-_SLOT = 25
-_ITEM = np.dtype(("V", _SLOT))
-# Each verdict code's word, its slot and its byte count.
+# A cell's text, at most 24 bytes (the widest "%.17g" or int64/uint64 text),
+# and then its separator start at byte 5 of its 32 bytes; byte 5 of a
+# number's cell holds "-", and the text of a positive one starts at byte 6.
+_CELL = np.dtype(("V", 32))
+# The cells of the verdict codes' words, then of 0, -0 and NaN (either sign),
+# with the sizes of their text.
 _VERDICTS = ("pass", "fail", "n/a")
-_VERDICT_SLOTS = np.array(_VERDICTS, f"S{_SLOT}").view(_ITEM)
-_VERDICT_SIZES = np.array([len(v) for v in _VERDICTS])
+_WORD_CELLS = np.array([f"\0\0\0\0\0{w}," for w in (*_VERDICTS, "0", "-0", "", "")], "S32")
+_WORD_SIZES = np.array([4, 4, 3, 1, 2, 0, 0])
+# [stop + 26 * unsigned]: the bytes a cell keeps, its text from byte 5 (6 if
+# unsigned) and its separator at byte 5 + stop.
+_KEEP = (np.arange(-5, 27) >= 0) & (np.arange(-5, 27) <= np.arange(26)[:, None])
+_KEEP = np.concatenate([_KEEP, _KEEP & (np.arange(32) > 5)])
+# [c]: the 4 digits of c < 10^4 in ASCII, as a little-endian word.
+_D = np.arange(0x30, 0x3A, dtype=np.uint32)
+_DIGITS4 = (_D[:, None, None, None] | _D[:, None, None] << 8 | _D[:, None] << 16 | _D << 24)
+_DIGITS4 = _DIGITS4.reshape(-1)
 
-# 10^k, exact as a double for k <= 22, with its Veltkamp split into halves of
-# at most 26 bits whose products are exact; and the decimal exponent of 2^b.
-_POW10 = np.array([float(10**k) for k in range(19)])
-_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-_DECIMAL_EXP = np.array([len(str(2**b)) - 1 for b in range(57)])
-# (d, m, s, lanes, bits): x * m >> s is x // d in each lane of the lanes mask
-# for every x below 10^8, 10^4 and 100 in turn; the remainder moves up bits.
-_DIGIT_SPLITS = (
-    (10**4, 109951163, 40, 0x3FFF, 32),
-    (100, 10486, 20, 0x0000007F0000007F, 16),
-    (10, 103, 10, 0x000F000F000F000F, 8),
+# [e]: 10^(16-e), exact as a double, its Veltkamp split into halves of at
+# most 26 bits whose products are exact, and 9 * 10^(16-e) as int64 bits.
+_P = np.array([float(10 ** (16 - e)) for e in range(17)])
+_P_HI = 134217729.0 * _P - (134217729.0 * _P - _P)
+_POW10 = np.stack([_P, _P_HI, _P - _P_HI, (9 * _P.astype(np.int64)).view(float)], 1)
+# [b]: for 2^b <= a < 2^(b+1), the decimal exponent of 2^b and the power of
+# ten above it, which a may reach.
+_BINADE_EXP = np.array([len(str(2**b)) - 1 for b in range(57)])
+_BINADE_TEN = 10.0 ** (_BINADE_EXP + 1)
+# [17 * stop + e]: what turns the "0" at bytes 5, 7 + e and 5 + stop of a
+# number's cell into "-", the point (where the text goes past it) and the
+# separator, as four little-endian words.
+_MARKS = np.zeros((20, 17, 32), np.uint8)
+_MARKS[..., 5] = ord("0") ^ ord("-")
+_MARKS[:, range(17), range(7, 24)] = (ord("0") ^ ord(".")) * (
+    np.arange(20)[:, None] > np.arange(2, 19)
 )
-# [:, e]: words 1-3 of a number's slot with the bytes below its point, 8 + e.
-_BELOW_POINT = tuple(
-    tuple((1 << 8 * max(0, e - 8 * w)) - 1 if e < 8 * w + 8 else -1 for e in range(17))
-    for w in range(3)
-)
+_MARKS[range(20), :, range(5, 25)] = ord("0") ^ ord(",")
+_MARKS = _MARKS.view(np.int64).reshape(-1, 4)
 
 
-def _number_slots(x: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, ...]:
+def _number_slots(
+    x: np.ndarray, limit: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """Slots of `"%.17g" % v` for the float64 array x where 1 <= |v| < limit
     (at most 1e17, broadcast against x), whose text runs from byte 0, or 1
-    where v > 0 (the first array of masks), to one before the second array, 0
-    for the other values; and the mask of those other values but NaN, which
-    are left to Python."""
+    where v > 0 (the first array of masks), to one before the second array,
+    0 for the other values, and is followed by ","; and the mask of those
+    other values, which the caller writes. The slots are bytes 5-29 of each
+    value's 32-byte cell, in the rows of `out` if given."""
     a = np.abs(x)
     fast = (a >= 1.0) & (a < limit)  # false for NaN
     a[~fast] = 1.0
-    slots, stop = _digit_slots(*_decimal17(a.reshape(-1)))
-    stop = np.where(fast, stop.reshape(x.shape), 0)
-    return slots.reshape(*x.shape, _SLOT), fast & (x > 0), stop, ~fast & ~np.isnan(x)
+    a = a.reshape(-1)
+    out = np.empty((a.size, 32), np.uint8) if out is None else out
+    stop = _digit_slots(*_decimal17(a), out).reshape(x.shape)
+    stop *= fast
+    return out[:, 5:30].reshape(*x.shape, 25), fast & (x > 0), stop, ~fast
 
 
 def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e and N for 1 <= a < 1e17: 10^e <= a < 10^(e+1), and N is the integer
-    nearest a * 10^(16-e), ties to even, so its digits are those of %.17g.
+    """e and N' for 1 <= a < 1e17: 10^e <= a < 10^(e+1), and the 18 digits
+    of N' are the 17 of %.17g with a 0 put after the first e + 1.
 
-    Dekker's two-product gives a * 10^(16-e) exactly as p + err, and p >= 2^53
-    is even, so N = p + rint(err). N stays below 10^17: the float below
-    10^(e+1) is over 11 units lower.
+    Those are the digits of N, the integer nearest a * 10^(16-e), ties to
+    even. Dekker's two-product gives a * 10^(16-e) exactly as p + err, and
+    p >= 2^53 is even, so N = p + rint(err). N stays below 10^17, and below
+    (I + 1) 10^(16-e) for a's integer part I: the float below 10^(e+1) is
+    over 11 units of N lower, and the float below I + 1 over one. So N's
+    first e + 1 digits are those of I, and N' = N + 9 I 10^(16-e).
     """
-    # frexp's int32 exponents are widened at once here and below: int32
-    # arithmetic would page in more of numpy's code, about 130 KiB of RSS.
-    binade = np.frexp(a)[1].astype(np.int64) - 1
-    e = np.take(_DECIMAL_EXP, binade)  # that of the binade's lower end
-    e += a >= np.take(_POW10, e + 1)  # a binade holds at most one power of 10
-    k = 16 - e
-    p = a * np.take(_POW10, k)
+    binade = (a.view(np.int64) >> 52) - 1023
+    e = np.take(_BINADE_EXP, binade)
+    e += a >= np.take(_BINADE_TEN, binade)  # a binade holds at most one power of 10
+    b, b_hi, b_lo, nines = np.take(_POW10, e, axis=0).T
+    p = a * b
     c = 134217729.0 * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    b_hi, b_lo = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return e, p.astype(np.int64) + np.rint(err).astype(np.int64)
+    n = p.astype(np.int64)
+    n += np.rint(err).astype(np.int64)
+    n += a.astype(np.int64) * nines.view(np.int64)
+    return e, n
 
 
-def _digit_slots(e: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slots holding "-", then the 17 digits of n with a point after e + 1 of
-    them; and one past the last byte of each slot's text, which drops
-    trailing fraction zeros (and a bare point). n is overwritten.
+def _digit_slots(e: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the 32-byte cells `out` with "-" and the 18 digits of n from
+    byte 5, the digit after the first e + 1 (a 0) made the point, and ","
+    after the text, which drops trailing fraction zeros (and a bare point);
+    return where the "," is, less 5.
 
-    Each number is built in four little-endian words, bytes 0-31: "-" and the
-    first digit are bytes 6 and 7, the other digits follow from byte 8, and
-    its slot is bytes 6 to 30.
+    A cell is eight little-endian words: bytes 4-7 are the `_DIGITS4` word
+    of the first two digits, so bytes 6 and 7 hold them and byte 5 a "0",
+    four more words hold the other 16 digits, bytes 8-23, and bytes 24-27
+    are "0000" (bytes 0-3 and 28-31 are not written). One lookup of `_MARKS`
+    then turns the right "0"s into "-", the point and the separator.
     """
-    # The first digit, then two words of 8 digits, each split into halves in
-    # 32-bit lanes, quarters in 16-bit lanes and digits in bytes.
     top = n // 10**16
     n -= top * 10**16
-    v = np.empty((2, n.size), np.int64)
-    np.floor_divide(n, 10**8, out=v[0])
-    np.subtract(n, v[0] * 10**8, out=v[1])
-    del n
-    for d, m, s, lanes, bits in _DIGIT_SPLITS:
-        q = v * m
-        q >>= s
-        q &= lanes
-        v -= q * d
-        v <<= bits
-        v |= q
-    # The last nonzero digit: frexp's exponent locates the top nonzero byte
-    # of each word of digits (0 for a word of zeros).
-    nz = (np.frexp(v)[1].astype(np.int64) - 1) >> 3
-    last = np.where(nz[1] >= 0, 9 + nz[1], 1 + nz[0])
-    del nz
-    # Words 1-3 hold those digits in ASCII, then nothing; the point goes to
-    # byte 8 + e, and the bytes from there on move up one, a shift of the
-    # three words as one little-endian number.
-    words = np.zeros((3, v.shape[1]), np.int64)
-    np.bitwise_or(v, 0x3030303030303030, out=words[:2])
-    del v
-    up = words & 0xFFFFFFFFFFFFFF  # the top byte moves out
-    up <<= 8
-    up[1:] |= words[:2] >> 56
-    words ^= up
-    words &= np.take(_BELOW_POINT, e, axis=1)
-    words ^= up
-    del up
-    slots = np.empty((top.size, 4), "<i8")
-    slots[:, 0] = (top + 0x30) << 56 | ord("-") << 48
-    slots[:, 1], slots[:, 2], slots[:, 3] = words
-    raw = slots.view(np.uint8)
-    raw.reshape(-1)[np.arange(8, 32 * top.size, 32) + e] = ord(".")
-    return raw[:, 6 : 6 + _SLOT], np.where(last > e, last + 3, e + 2)
+    quads = np.empty((4, n.size), np.int64)  # the four groups of four digits
+    np.floor_divide(n, 10**8, out=quads[1])
+    np.subtract(n, quads[1] * 10**8, out=quads[3])
+    np.floor_divide(quads[1::2], 10**4, out=quads[0::2])
+    quads[1::2] -= quads[0::2] * 10**4
+    cells = out.view(np.uint32)
+    cells[:, 1] = np.take(_DIGITS4, top)
+    cells[:, 2:6] = np.take(_DIGITS4, quads).T
+    cells[:, 6] = _DIGITS4[0]
+    del quads, top
+    words = out.view(np.int64)
+    # The last nonzero digit: the float exponent of words 1 and 2 less their
+    # ASCII zeros, shifted up 3 bits, is 128 more than the top nonzero byte
+    # of each (0 for a word of zeros).
+    ends = [
+        ((words[:, w] ^ 0x3030303030303030) << 3).astype(float).view(np.int64) >> 55
+        for w in (1, 2)
+    ]
+    stop = np.maximum(np.maximum(ends[0], ends[1] + 8), e + 126) - 124
+    words ^= np.take(_MARKS, 17 * stop + e, axis=0)
+    return stop
 
 
 # Relative tolerance granted to every inequality verdict.

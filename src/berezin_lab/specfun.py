@@ -65,13 +65,35 @@ _REL_TOL = 1e-13
 
 def beta(a: float, b: float) -> float:
     """Euler Beta function via log-Gamma; NumericFailure, naming (a, b), where a
-    log-Gamma or the result overflows."""
+    log-Gamma or the result overflows, or where cancellation between the
+    log-Gammas may leave it off by more than `check_log_gamma_sum` allows."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta requires positive arguments, got {a!r}, {b!r}")
+    what = f"beta at a={a!r}, b={b!r}"
     try:
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        terms = (math.lgamma(a), math.lgamma(b), math.lgamma(a + b))
+        value = math.exp(terms[0] + terms[1] - terms[2])
     except OverflowError:
-        raise NumericFailure(f"beta at a={a!r}, b={b!r} overflows") from None
+        raise NumericFailure(f"{what} overflows") from None
+    check_log_gamma_sum(what, terms)
+    return value
+
+
+# Relative error allowed in exp of a sum of log-Gammas, 1% of the verdict
+# slack: 4 units of 2^-53 of the terms' size bound the sum's rounding error
+# (a log-Gamma is within 2 ulps of its value, and each addition rounds once).
+_LOG_GAMMA_TOL = 1e-11
+
+
+def check_log_gamma_sum(what: str, terms: Sequence[float]) -> None:
+    """NumericFailure naming `what` where exp of the sum of `terms` may be off
+    by more than _LOG_GAMMA_TOL, as where large log-Gammas cancel."""
+    size = sum(abs(t) for t in terms)
+    if size * 2.0**-51 > _LOG_GAMMA_TOL:
+        raise NumericFailure(
+            f"{what} cancels: log-Gamma terms of size {size:.3g} leave a relative"
+            f" error bound of {size * 2.0**-51:.2g}, above {_LOG_GAMMA_TOL:g}"
+        )
 
 
 # Above this the ascending series starts losing digits to cancellation.

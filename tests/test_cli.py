@@ -429,15 +429,26 @@ def test_overflow_is_a_numeric_failure(argv, capsys):
         # lt_value, not the s_classical column it feeds, is what overflows
         (["check", "--domain", "box:1", "--sigma", "1e308", "--lambda", "100"],
          "lt_value at sigma=1e+308, d=1 overflows"),
-        # c_const's float power L_{0,d}^(-2 sigma / d) overflows
+        # lt_value's log-Gammas cancel: 4 units of 2^-53 of their size
+        # exceed 1e-11 before c_const is reached
         (["constants", "--sigma", "1e300", "--dim", "2"],
-         "c_const at sigma=1e+300, d=2 overflows"),
+         "lt_value at sigma=1e+300, d=2 cancels: log-Gamma terms of size 1.38e+303"
+         " leave a relative error bound of 6.1e+287, above 1e-11"),
         (["constants", "--sigma", "1e16", "--dim", "2"],
-         "c_const at sigma=1e+16, d=2 overflows"),
+         "lt_value at sigma=1e+16, d=2 cancels: log-Gamma terms of size 7.17e+17"
+         " leave a relative error bound of 3.2e+02, above 1e-11"),
         # an explicit --nu skips epsilon_mu; nu_nonneg_cap's log-Gamma overflows
         (["check", "--domain", "box:1x1", "--sigma", "1e308", "--lambda", "100",
           "--nu", "1"],
          "beta at a=1e+308, b=0.5 overflows"),
+        # c_const's float power L_{0,d}^(-2 sigma / d) overflows
+        (["constants", "--sigma", "300", "--dim", "2"],
+         "c_const at sigma=300.0, d=2 overflows"),
+        # nu_nonneg_cap's Beta cancels
+        (["check", "--domain", "box:1x1", "--sigma", "1e12", "--lambda", "100",
+          "--nu", "1"],
+         "beta at a=1000000000001.5, b=0.5 cancels: log-Gamma terms of size 5.33e+13"
+         " leave a relative error bound of 0.024, above 1e-11"),
     ],
 )
 def test_a_constant_outside_the_floats_is_named(argv, message, capsys):

@@ -58,6 +58,29 @@ def test_lt_value_where_gamma_overflows():
 
 
 @pytest.mark.parametrize(
+    "sigma, size, bound",
+    [(1e6, "2.56e+07", "1.1e-08"), (1e12, "5.33e+13", "0.024"), (1e16, "7.17e+17", "3.2e+02")],
+)
+def test_lt_value_whose_log_gammas_cancel_is_a_named_numeric_failure(sigma, size, bound):
+    # lt_value(1e6, 2) would be off by 1.2e-9 relative, (1e12, 2) by 1.9e-3,
+    # and (1e16, 2) would be 1.0 for a true 8e-18
+    with pytest.raises(NumericFailure) as info:
+        lt_value(sigma, 2)
+    assert str(info.value) == (
+        f"lt_value at sigma={sigma!r}, d=2 cancels: log-Gamma terms of size {size}"
+        f" leave a relative error bound of {bound}, above 1e-11"
+    )
+
+
+@pytest.mark.parametrize("sigma, dim", [(1600.0, 2), (1000.0, 3), (500.0, 3)])
+def test_lt_value_below_the_cancellation_bound_is_within_it(sigma, dim):
+    # the log-Gammas' bound is below 1e-11, and so is the error against mpmath
+    with mpmath.workdps(30):
+        expected = _lt_mpmath(mpmath.mpf(sigma), dim)
+        assert abs(lt_value(sigma, dim) / expected - 1) < 1e-11
+
+
+@pytest.mark.parametrize(
     "sigma, dim, how",
     [(2.5, 400, "underflows to 0"), (0.0, 1500, "underflows to 0"), (1e308, 2, "overflows")],
 )

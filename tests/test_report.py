@@ -225,6 +225,35 @@ def test_float_cells_round_ties_to_even():
     assert cells == ["1234567890123456.2", "-1234567890123456.8"]
 
 
+def test_four_digit_table_matches_python_formatting():
+    # every chunk of four digits, as its little-endian word's bytes
+    words = harness._DIGITS4.astype("<u4").view("S4")
+    assert words.tolist() == [b"%04d" % c for c in range(10**4)]
+
+
+def test_signed_zeros_in_a_column_of_kernel_numbers():
+    # +0.0 and -0.0 take "0" and "-0" from the table, between kernel numbers,
+    # NaN and a Python-formatted value, in float and integer columns
+    x = np.array([1.5, 0.0, -0.0, -2.25, math.nan, -0.0, 1e-5, 0.0, 3.0])
+    columns = {"x": x, "y": -x, "n": np.array([0, 3, 0, -7, 0, 1, 0, 2**60, 5])}
+    rep = BoundReport("test", columns, ())
+    for block in (1, 2, 4, 1024):
+        with mock.patch.object(harness, "_CSV_BLOCK", block):
+            assert _csv(rep) == reference_csv(rep)
+    assert _csv(rep).splitlines()[3] == "0,-0,3"
+
+
+def test_blocks_with_and_without_python_cells_side_by_side():
+    # blocks of four rows: the first and third hold only kernel numbers and
+    # verdicts, the second and fourth a value Python formats
+    x = np.arange(1.0, 17.0) * 1.25
+    x[[5, 13]] = [1e300, -3e-7]
+    columns = harness._table(16, {"x": x, "n": np.arange(16)}, {"v": harness._check_le(x, 10.0)})
+    rep = BoundReport("test", columns, ("v",))
+    with mock.patch.object(harness, "_CSV_BLOCK", 4):
+        assert _csv(rep) == reference_csv(rep)
+
+
 # Values at the edges of each way a cell is written: the kernel's range for
 # floats (1 <= |v| < 1e17) and integers (|n| < 2^53), the widest %.17g text,
 # signed zeros and NaN.

@@ -91,6 +91,27 @@ def test_beta_overflow_is_a_named_numeric_failure():
         beta(1e-320, 1e-320)
 
 
+def test_beta_cancellation_is_a_named_numeric_failure():
+    # 4 units of 2^-53 of the log-Gammas' size, 5.33e13, exceed 1e-11; the
+    # value itself is off by about 1e-3 relative
+    message = (
+        "beta at a=1000000000000.0, b=0.5 cancels: log-Gamma terms of size 5.33e+13"
+        " leave a relative error bound of 0.024, above 1e-11"
+    )
+    with pytest.raises(NumericFailure) as info:
+        beta(1e12, 0.5)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("a", [506.0, 1001.0, 1500.0])
+def test_beta_below_the_cancellation_bound_is_within_it(a):
+    # the largest remainder argument, and two past it whose bound is still
+    # below 1e-11: the value is within that bound of 30-digit mpmath
+    with mpmath.workdps(30):
+        expected = mpmath.beta(a, mpmath.mpf(0.5))
+        assert abs(beta(a, 0.5) / expected - 1) < 1e-11
+
+
 def test_bessel_j_small_arguments():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(1, 0.0) == 0.0
