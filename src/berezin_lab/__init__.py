@@ -7,7 +7,7 @@ explicitly computed correction weight), and reports pass/fail verdicts
 for every inequality on user-chosen grids.
 """
 
-from .constants import SemiclassicalParams, c_const, lt_value, polya_counting_factor
+from .constants import SemiclassicalParams, c_const, lt_value
 from .errors import (
     ConvergenceError,
     CutoffExceededError,
@@ -30,17 +30,8 @@ from .geometry import (
     volume,
 )
 from .remainder import RemainderResult, epsilon_mu, f_mu, nu_bounds
-from .specfun import (
-    bessel_j,
-    bessel_zeros_below,
-    beta,
-)
-from .spectra import (
-    Spectrum,
-    counting,
-    enumerate_spectrum,
-    riesz_mean,
-)
+from .specfun import bessel_j, bessel_zeros_below, beta
+from .spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
 from .bounds import (
     eigenvalue_lower,
     improved_rhs,
@@ -53,12 +44,7 @@ from .bounds import (
     two_term_riesz,
     two_term_sum,
 )
-from .harness import (
-    BoundReport,
-    asymptotic_diagnostics,
-    sweep_riesz,
-    sweep_sums,
-)
+from .harness import BoundReport, asymptotic_diagnostics, sweep_riesz, sweep_sums
 from .cli import parse_domain, render_domain
 from .version import TOOL_VERSION
 
@@ -101,7 +87,6 @@ __all__ = [
     "nu_bounds",
     "parse_domain",
     "phase_space_eta",
-    "polya_counting_factor",
     "render_domain",
     "riesz_mean",
     "s_classical",

@@ -28,14 +28,15 @@ import sys
 
 import numpy as np
 
-from .constants import SemiclassicalParams, c_const, lt_value, polya_counting_factor
+from . import geometry
+from .constants import SemiclassicalParams, c_const, lt_value
 from .errors import (
+    Domain,
     DomainParseError,
     EnumerationLimitError,
     NumericFailure,
     UnsupportedDomainError,
 )
-from .geometry import AxisBox, BoxUnion, Disk, Domain
 from .harness import BoundReport, asymptotic_diagnostics, sweep_riesz, sweep_sums
 from .remainder import epsilon_mu, nu_bounds, nu_ceiling
 from .spectra import ENUMERATION_LIMIT, enumerate_spectrum
@@ -99,13 +100,13 @@ def parse_domain(text: str) -> Domain:
     if kind == "box":
         sides = _parse_list(rest, "x", "side length", start)
         check_axis(len(sides))
-        return AxisBox(sides, slicing_axis=axis)
+        return geometry.AxisBox(sides, slicing_axis=axis)
     if kind == "disk":
         radius = _parse_number(rest, "radius", start)
         if axis is not None:
             msg = "a disk takes no axis: its sections are the same in every direction"
             raise DomainParseError(msg, len(body) + 1)
-        return Disk(radius)
+        return geometry.Disk(radius)
     if kind == "union":
         boxes = []
         pos = start
@@ -122,38 +123,19 @@ def parse_domain(text: str) -> Domain:
                 raise DomainParseError(
                     f"origin has {len(origin)} coordinates for {len(sides)} sides", pos
                 )
-            boxes.append(AxisBox(sides, origin))
+            boxes.append(geometry.AxisBox(sides, origin))
             pos += len(part) + 1
         check_axis(boxes[0].dim)
         try:
-            return BoxUnion(tuple(boxes), slicing_axis=axis)
+            return geometry.BoxUnion(tuple(boxes), slicing_axis=axis)
         except ValueError as exc:
             raise DomainParseError(str(exc), start) from None
     raise DomainParseError(f"unknown domain kind {kind!r}", 0)
 
 
-def _join(values: tuple[float, ...], sep: str) -> str:
-    return sep.join(repr(v) for v in values)
-
-
 def render_domain(dom: Domain) -> str:
-    """Inverse of parse_domain, up to box-versus-union spelling.
-
-    A box with a nonzero origin only exists in the union branch of the
-    grammar, so it renders as a one-box union.
-    """
-    if isinstance(dom, Disk):
-        return f"disk:{dom.radius!r}"
-    if isinstance(dom, AxisBox) and not any(dom.origin):
-        text = f"box:{_join(dom.sides, 'x')}"
-    else:
-        parts = (
-            f"box({_join(b.sides, 'x')})@({_join(b.origin, ',')})" for b in dom.boxes
-        )
-        text = "union:" + "+".join(parts)
-    if dom.slicing_axis != dom.dim:
-        text += f";axis={dom.slicing_axis}"
-    return text
+    """The text form that the domain's family declares: parse_domain's inverse."""
+    return dom.render()
 
 
 def _show(v: float) -> str:
@@ -298,7 +280,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "lt_classical": lt_value(p.sigma, p.dim),
         "lt_lower_dim": lt_value(p.sigma, p.dim - 1),
         "counting_constant": lt_value(0.0, p.dim),
-        "polya_counting_factor": polya_counting_factor(p.dim),
     }
     if p.sigma > 0.0:
         values["c_const"] = c_const(p)
@@ -409,8 +390,7 @@ def _cmd_sums(args: argparse.Namespace) -> int:
     if args.points is not None:
         _at_least("--points", args.points)
     _at_least("--n-max", args.n_max)
-    # An entry holds one box eigenvalue, or up to two disk eigenvalues.
-    _bound_grid("--n-max", args.n_max, 2 if isinstance(dom, Disk) else 1)
+    _bound_grid("--n-max", args.n_max, dom.eigenvalues_per_entry)
     if args.points is None:
         grid = np.arange(1, args.n_max + 1)
     else:

@@ -15,16 +15,9 @@ __all__ = [
     "SemiclassicalParams",
     "lt_value",
     "c_const",
-    "polya_counting_factor",
 ]
 
 _LOG_4PI = math.log(4.0 * math.pi)
-
-
-def _check_dim(d: int) -> int:
-    if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1):
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-    return d
 
 
 class SemiclassicalParams(Record):
@@ -35,7 +28,8 @@ class SemiclassicalParams(Record):
     def __init__(self, sigma: float, dim: int) -> None:
         if not (math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-        _check_dim(dim)
+        if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {dim!r}")
         super().__init__(float(sigma), dim)
 
 
@@ -74,8 +68,3 @@ def c_const(p: SemiclassicalParams) -> float:
         raise NumericFailure(f"c_const at sigma={p.sigma!r}, d={p.dim} overflows") from None
     return p.dim / (2.0 * p.sigma + p.dim) * power
 
-
-def polya_counting_factor(d: int) -> float:
-    """Upper factor (1 + 2/d)^(d/2) for the counting/phase-space ratio."""
-    _check_dim(d)
-    return (1.0 + 2.0 / d) ** (0.5 * d)

@@ -1,4 +1,4 @@
-"""Exception types and the frozen record base shared across the toolkit.
+"""Exception types, and the frozen record and domain bases of the toolkit.
 
 NumericFailure marks results that must not be trusted (exit code 3 in the
 CLI); the ValueError subclasses mark bad requests (exit code 2). A remainder
@@ -86,3 +86,20 @@ class Record:
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through __init__, as assignment is refused
         return type(self), self._values()
+
+
+class Domain(Record):
+    """Base of the families in geometry. Each declares `dim`, `render()`,
+    `eigenvalues(cutoff)` (below it, with multiplicity), `section_measure()`,
+    `surface()`, `moment_J()`, `first_overflow()` (why its lowest eigenvalue is
+    no float, or None), `polya_theorem` (is N <= eta a theorem for it) and
+    `eigenvalues_per_entry` (the most that one enumeration-limit entry holds)."""
+
+    __slots__ = ()
+
+
+def check_domain(dom: object) -> Domain:
+    """dom, or UnsupportedDomainError if it is not a domain: the one such test."""
+    if not isinstance(dom, Domain):
+        raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
+    return dom

@@ -1,14 +1,14 @@
-"""Domain model and axis slicing: long-section statistics, volumes, moments.
+"""Domain families and axis slicing: long-section statistics, volumes, moments.
 
 Supported domains are axis-aligned boxes, finite unions of boxes with
-pairwise disjoint interiors, and planar disks: the domains whose spectra are
-enumerated exactly, so each one can reach a verdict. A box is a one-box
-union: its `boxes` is (self,), so every box quantity (section measure,
-surface, moment, enumeration) has the one kernel of a union, a sum
-over its boxes. Boxes and unions carry their slicing axis, because their
-sliced bounds depend on the orientation; it is 1-based and defaults to the
-last coordinate. A disk has no slicing axis: its sections are the same in
-every direction.
+pairwise disjoint interiors, and planar disks, whose spectra are enumerated
+exactly. Each family is declared here once, as its classes' methods and
+attributes (listed in `errors.Domain`), and every other module reads that
+declaration: spectra, bounds, harness and the command line outside its parser
+name no domain class. A box is a one-box union: its `boxes` is (self,), so it
+has the box family's methods, each a sum over the boxes. Boxes and unions
+carry their slicing axis, 1-based and by default the last coordinate; a disk
+has none, as its sections are the same in every direction.
 
 Everything the corrected bounds take from a domain depends only on mu, the
 cross measure pushed forward to the length of each section along the slicing
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericFailure, Record, UnsupportedDomainError
+from .errors import Domain, NumericFailure, Record, UnsupportedDomainError, check_domain
+from .spectra import _box_eigenvalues, _check_limit, _disk_eigenvalues
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -52,7 +53,84 @@ __all__ = [
 ]
 
 
-class AxisBox(Record):
+def _join(values: tuple[float, ...], sep: str) -> str:
+    return sep.join(repr(v) for v in values)
+
+
+def _axis(d: int, axis: int | None) -> int:
+    axis = d if axis is None else int(axis)
+    if not 1 <= axis <= d:
+        raise ValueError(f"slicing_axis must lie in [1, {d}], got {axis}")
+    return axis
+
+
+class _BoxFamily(Domain):
+    """Boxes and unions, through `boxes` and `slicing_axis`. Polya (1961) holds
+    for a box, which tiles, and for a union: N and eta add over its boxes."""
+
+    __slots__ = ()
+    polya_theorem = True
+    eigenvalues_per_entry = 1
+
+    @property
+    def dim(self) -> int:
+        return len(self.boxes[0].sides)
+
+    def render(self) -> str:
+        if self.boxes[0] is self and not any(self.origin):  # a box at the origin
+            text = f"box:{_join(self.sides, 'x')}"
+        else:  # only the union grammar places a box
+            parts = (f"box({_join(b.sides, 'x')})@({_join(b.origin, ',')})" for b in self.boxes)
+            text = "union:" + "+".join(parts)
+        return text if self.slicing_axis == self.dim else f"{text};axis={self.slicing_axis}"
+
+    def eigenvalues(self, cutoff: float) -> np.ndarray:
+        parts: list[np.ndarray] = []
+        for box in self.boxes:
+            parts.append(_box_eigenvalues(box.sides, cutoff))
+            _check_limit(sum(p.size for p in parts))
+        return np.concatenate(parts)
+
+    def section_measure(self) -> SectionAtoms:
+        """One atom per box; NumericFailure names a box whose cross area is no float."""
+        ax = self.slicing_axis - 1
+        lengths = np.array([b.sides[ax] for b in self.boxes])
+        weights = [_in_floats("cross weight", _cross(b, ax), b) for b in self.boxes]
+        return SectionAtoms(lengths, np.array(weights))
+
+    def surface(self) -> float:
+        """The sum over the boxes, which must be pairwise separated for it to hold."""
+        if not all(_separated(*pair) for pair in itertools.combinations(self.boxes, 2)):
+            raise UnsupportedDomainError("surface of a union needs pairwise separated boxes")
+        faces = (sum(2.0 * _cross(b, i) for i in range(b.dim)) for b in self.boxes)
+        return _in_floats("surface", sum(faces), self)
+
+    def moment_J(self) -> float:
+        """The parallel-axis theorem in pairwise form,
+        sum_i v_i |s_i|^2/12 + sum_{i<j} v_i v_j |c_i - c_j|^2 / V for box
+        volumes v_i, sides s_i and centres c_i: there is no centroid to round,
+        and each centre gap is a difference of origins plus half a difference
+        of sides, so the moment is translation-invariant, and a box's is
+        exactly prod(sides) * sum(sides^2) / 12."""
+        vols = [math.prod(b.sides) for b in self.boxes]
+        own = sum(v * sum(s * s for s in b.sides) / 12.0 for v, b in zip(vols, self.boxes))
+        gaps = sum(
+            vols[i] * vols[j] * sum(
+                ((ao - bo) + 0.5 * (as_ - bs)) ** 2
+                for ao, as_, bo, bs in zip(a.origin, a.sides, b.origin, b.sides)
+            )
+            for (i, a), (j, b) in itertools.combinations(enumerate(self.boxes), 2)
+        )
+        return own + gaps / sum(vols)
+
+    def first_overflow(self) -> str | None:
+        with np.errstate(divide="ignore", over="ignore"):
+            first = math.pi**2 * (1.0 / np.square([b.sides for b in self.boxes])).sum(1)
+        every = "the first eigenvalue of every box, pi^2 times the sum of its sides^-2,"
+        return f"{every} overflows a float" if np.isinf(first).all() else None
+
+
+class AxisBox(_BoxFamily):
     """Open axis-aligned box: product of (origin_i, origin_i + sides_i)."""
 
     __slots__ = _fields = ("sides", "origin", "slicing_axis")
@@ -73,14 +151,7 @@ class AxisBox(Record):
             raise ValueError("origin length must match sides length")
         if any(not math.isfinite(o) for o in origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
-        axis = len(sides) if slicing_axis is None else int(slicing_axis)
-        if not 1 <= axis <= len(sides):
-            raise ValueError(f"slicing_axis must lie in [1, {len(sides)}], got {axis}")
-        super().__init__(sides, origin, axis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.sides)
+        super().__init__(sides, origin, _axis(len(sides), slicing_axis))
 
     @property
     def boxes(self) -> tuple[AxisBox]:
@@ -88,10 +159,14 @@ class AxisBox(Record):
         return (self,)
 
 
-class Disk(Record):
-    """Open planar disk of given radius, centered at the origin."""
+class Disk(Domain):
+    """Open planar disk of given radius, centered at the origin. Polya holds
+    for it too (Filonov et al. 2023), a theorem that no check reads yet."""
 
     __slots__ = _fields = ("radius",)
+    dim = 2
+    polya_theorem = False
+    eigenvalues_per_entry = 2  # an entry is a zero, of order m >= 1 for two values
 
     def __init__(self, radius: float) -> None:
         r = float(radius)
@@ -99,9 +174,23 @@ class Disk(Record):
             raise ValueError(f"radius must be positive and finite, got {radius!r}")
         super().__init__(r)
 
-    @property
-    def dim(self) -> int:
-        return 2
+    def render(self) -> str:
+        return f"disk:{self.radius!r}"
+
+    def eigenvalues(self, cutoff: float) -> np.ndarray:
+        return _disk_eigenvalues(self.radius, cutoff)
+
+    def section_measure(self) -> DiskSections:
+        return DiskSections(self.radius)
+
+    def surface(self) -> float:
+        return _in_floats("surface", 2.0 * math.pi * self.radius, self)
+
+    def moment_J(self) -> float:
+        return 0.5 * math.pi * self.radius**4
+
+    def first_overflow(self) -> None:
+        return None
 
 
 def _interiors_overlap(a: AxisBox, b: AxisBox) -> bool:
@@ -118,7 +207,7 @@ def _separated(a: AxisBox, b: AxisBox) -> bool:
     )
 
 
-class BoxUnion(Record):
+class BoxUnion(_BoxFamily):
     """Finite union of same-dimension boxes with pairwise disjoint interiors."""
 
     __slots__ = _fields = ("boxes", "slicing_axis")
@@ -132,21 +221,10 @@ class BoxUnion(Record):
         d = boxes[0].dim
         if any(b.dim != d for b in boxes):
             raise ValueError("all boxes in a union must share the dimension")
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if _interiors_overlap(boxes[i], boxes[j]):
-                    raise ValueError(f"boxes {i} and {j} have overlapping interiors")
-        axis = d if slicing_axis is None else int(slicing_axis)
-        if not 1 <= axis <= d:
-            raise ValueError(f"slicing_axis must lie in [1, {d}], got {axis}")
-        super().__init__(boxes, axis)
-
-    @property
-    def dim(self) -> int:
-        return self.boxes[0].dim
-
-
-Domain = Union[AxisBox, BoxUnion, Disk]
+        for (i, a), (j, b) in itertools.combinations(enumerate(boxes), 2):
+            if _interiors_overlap(a, b):
+                raise ValueError(f"boxes {i} and {j} have overlapping interiors")
+        super().__init__(boxes, _axis(d, slicing_axis))
 
 
 class SlicingStats(Record):
@@ -250,17 +328,8 @@ def _in_floats(what: str, value: float, dom: object) -> float:
 
 
 def section_measure(dom: Domain) -> SectionAtoms | DiskSections:
-    """mu, the cross measure pushed forward to section length: one atom per
-    box (NumericFailure names a box whose cross area leaves the floats), or
-    the disk's density."""
-    if isinstance(dom, Disk):
-        return DiskSections(dom.radius)
-    if not isinstance(dom, (AxisBox, BoxUnion)):
-        raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
-    ax = dom.slicing_axis - 1
-    lengths = np.array([b.sides[ax] for b in dom.boxes])
-    weights = [_in_floats("cross weight", _cross(b, ax), b) for b in dom.boxes]
-    return SectionAtoms(lengths, np.array(weights))
+    """mu, the cross measure pushed forward to section length: atoms or a density."""
+    return check_domain(dom).section_measure()
 
 
 def slicing_stats(dom: Domain, lam: ArrayLike) -> SlicingStats:
@@ -282,15 +351,7 @@ def volume(dom: Domain) -> float:
 
 def surface(dom: Domain) -> float:
     """Boundary measure; unions must be separated for the per-box sum to hold."""
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        if not all(_separated(*pair) for pair in itertools.combinations(dom.boxes, 2)):
-            msg = "surface of a union needs pairwise separated boxes"
-            raise UnsupportedDomainError(msg)
-        faces = (sum(2.0 * _cross(b, i) for i in range(b.dim)) for b in dom.boxes)
-        return _in_floats("surface", sum(faces), dom)
-    if isinstance(dom, Disk):
-        return _in_floats("surface", 2.0 * math.pi * dom.radius, dom)
-    raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
+    return check_domain(dom).surface()
 
 
 def _cross(box: AxisBox, i: int) -> float:
@@ -299,29 +360,5 @@ def _cross(box: AxisBox, i: int) -> float:
 
 
 def moment_J(dom: Domain) -> float:
-    """Second moment of the domain about its centroid.
-
-    A box is a one-box union. The union moment is the parallel-axis theorem
-    in pairwise form, sum_i v_i |s_i|^2/12 + sum_{i<j} v_i v_j |c_i - c_j|^2 / V
-    for box volumes v_i, sides s_i and centres c_i: there is no centroid to
-    round, and each centre gap is a difference of origins plus half a
-    difference of sides, so the moment is translation-invariant, and a box's
-    is exactly prod(sides) * sum(sides^2) / 12.
-    """
-    if isinstance(dom, Disk):
-        return 0.5 * math.pi * dom.radius**4
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        vols = [math.prod(b.sides) for b in dom.boxes]
-        own = sum(
-            v * sum(s * s for s in b.sides) / 12.0 for v, b in zip(vols, dom.boxes)
-        )
-        gaps = sum(
-            vols[i] * vols[j] * sum(
-                ((ao - bo) + 0.5 * (as_ - bs)) ** 2
-                for ao, as_, bo, bs in zip(a.origin, a.sides, b.origin, b.sides)
-            )
-            for (i, a), (j, b) in itertools.combinations(enumerate(dom.boxes), 2)
-        )
-        return own + gaps / sum(vols)
-    raise UnsupportedDomainError(f"unknown domain class {type(dom).__name__}")
-
+    """Second moment of the domain about its centroid."""
+    return check_domain(dom).moment_J()

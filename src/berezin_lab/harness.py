@@ -52,8 +52,6 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .geometry import (
-    AxisBox,
-    BoxUnion,
     Domain,
     _in_floats,
     moment_J,
@@ -479,7 +477,6 @@ def sweep_riesz(
     vol = volume(domain)
     spec = enumerate_spectrum(domain, lambda_max)
     surf = _try_surface(domain)
-    tiling = isinstance(domain, (AxisBox, BoxUnion))
     sliced_ok = sigma >= 1.5 and d >= 2
     mu = sigma + 0.5 * (d - 1)
 
@@ -545,7 +542,7 @@ def sweep_riesz(
         "improved_le_classical": _check_le(improved, scl),
         # A NaN side turns a check that does not apply into n/a.
         "berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan),
-        "polya": _check_le(n, eta if tiling else math.nan),
+        "polya": _check_le(n, eta if domain.polya_theorem else math.nan),
         "improved_nonneg": _check_le(
             0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan
         ),
@@ -575,14 +572,9 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     # last cutoff with too few: counts and entries both grow with the cutoff.
     weyl = ((count + 8) / (lt_value(0.0, d) * volume(dom))) ** (2.0 / d)
     lam = _in_floats("start cutoff", 1.35 * weyl, dom)
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        with np.errstate(divide="ignore", over="ignore"):
-            first = math.pi**2 * (1.0 / np.square([b.sides for b in dom.boxes])).sum(1)
-        if np.isinf(first).all():
-            raise InsufficientCutoffError(
-                f"could not enumerate {count} eigenvalues: the first eigenvalue of "
-                "every box, pi^2 times the sum of its sides^-2, overflows a float"
-            )
+    overflow = dom.first_overflow()
+    if overflow is not None:
+        raise InsufficientCutoffError(f"could not enumerate {count} eigenvalues: {overflow}")
     below, above, too_many = 0.0, math.inf, None
     while below < lam < above:
         try:

@@ -1,9 +1,11 @@
-"""Exact Dirichlet spectra for boxes, box unions, and disks.
+"""Exact Dirichlet spectra: the engines, the merge, counting and Riesz means.
 
-Box eigenvalues are pi^2 * sum (n_i / a_i)^2 over positive integer
-multi-indices; a union's spectrum is the multiset union of its boxes' (a box
-is a one-box union); disk eigenvalues are (j_{m,k} / R)^2 with multiplicity
-one for m = 0 and two for m >= 1. Enumeration is strict below the cutoff.
+Each domain family in geometry, which imports this module, gives its values
+from an engine here, and enumerate_spectrum merges them. Box eigenvalues are
+pi^2 * sum (n_i / a_i)^2 over positive integer multi-indices; a union's
+spectrum is the multiset union of its boxes' (a box is a one-box union); disk
+eigenvalues are (j_{m,k} / R)^2 with multiplicity one for m = 0 and two for
+m >= 1. Enumeration is strict below the cutoff.
 A box is walked one coordinate at a time, in numpy over all prefixes at once:
 a prefix keeps the indices whose all-ones completion is below the cutoff, so
 each kept prefix leads to entries, which come in the order of nested loops.
@@ -32,11 +34,11 @@ import numpy as np
 
 from .errors import (
     CutoffExceededError,
+    Domain,
     EnumerationLimitError,
     Record,
-    UnsupportedDomainError,
+    check_domain,
 )
-from .geometry import AxisBox, BoxUnion, Disk, Domain
 from .specfun import bessel_zeros_below
 
 if TYPE_CHECKING:
@@ -121,23 +123,10 @@ def _readonly(a: ArrayLike, dtype: type | None = None) -> np.ndarray:
 
 
 def enumerate_spectrum(dom: Domain, cutoff: float) -> Spectrum:
-    """All eigenvalues strictly below cutoff, merged and sorted."""
+    """All eigenvalues strictly below cutoff, the domain's own, merged and sorted."""
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-    if isinstance(dom, (AxisBox, BoxUnion)):
-        parts: list[np.ndarray] = []
-        for box in dom.boxes:
-            parts.append(_box_eigenvalues(box.sides, cutoff))
-            _check_limit(sum(p.size for p in parts))
-        vals = np.concatenate(parts)
-        del parts  # one copy of the values while they merge
-    elif isinstance(dom, Disk):
-        vals = _disk_eigenvalues(dom.radius, cutoff)
-    else:
-        raise UnsupportedDomainError(
-            "spectra are available for boxes, box unions, and disks only"
-        )
-    return Spectrum(float(cutoff), *_merge(vals))
+    return Spectrum(float(cutoff), *_merge(check_domain(dom).eigenvalues(cutoff)))
 
 
 def _check_limit(entries: int) -> None:

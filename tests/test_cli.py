@@ -217,10 +217,8 @@ def test_constants_output(capsys):
     assert float(lines["counting_constant"]) == pytest.approx(
         1.0 / (4.0 * math.pi), rel=1e-14
     )
-    assert float(lines["polya_counting_factor"]) == 2.0
     assert list(lines) == [
-        "sigma", "dim", "lt_classical", "lt_lower_dim", "counting_constant",
-        "polya_counting_factor", "c_const",
+        "sigma", "dim", "lt_classical", "lt_lower_dim", "counting_constant", "c_const",
     ]
 
 
@@ -733,6 +731,126 @@ def test_grid_flags_end_in_an_exit_code(argv):
                 assert err.getvalue() == (
                     f"usage error: {name} must be finite, got {float(value)!r}\n"
                 )
+
+
+# Sides and radii, log-uniform: moderate ones reach a verdict in milliseconds
+# at the cutoffs below, thin ones have no eigenvalue there, huge ones pass the
+# enumeration limit; then the ends of the floats and malformed numbers.
+_MODERATE = st.floats(-2.0, 1.0).map(lambda e: repr(10.0**e))
+_LENGTH = st.one_of(
+    _MODERATE,
+    _MODERATE,
+    _MODERATE,
+    st.floats(-300.0, -20.0).map(lambda e: repr(10.0**e)),
+    st.floats(20.0, 300.0).map(lambda e: repr(10.0**e)),
+    st.sampled_from(["5e-324", "1.7976931348623157e308", "1e400", "0", "-1", "nan", "x", ""]),
+)
+
+
+@st.composite
+def _union_text(draw, dim):
+    """Boxes placed along the first axis, each apart from, touching or
+    overlapping the one before, or at an origin of any finite coordinates."""
+    parts, at = [], 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        first = 10.0 ** draw(st.floats(-2.0, 1.0))
+        sides = [repr(first), *draw(st.lists(_LENGTH, min_size=dim - 1, max_size=dim - 1))]
+        if draw(st.booleans()):
+            origin = [repr(at)] + ["0"] * (dim - 1)
+            at += first + draw(st.sampled_from([0.5, 0.0, -0.25]))
+        else:
+            origin = [repr(draw(st.floats(allow_nan=False, allow_infinity=False)))] * dim
+        parts.append(f"box({'x'.join(sides)})@({','.join(origin)})")
+    return "union:" + "+".join(parts)
+
+
+@st.composite
+def _domain_text(draw):
+    """Domain texts of both families, valid or not, with an optional axis."""
+    kind = draw(st.sampled_from(["box", "union", "disk", "broken"]))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    if kind == "box":
+        text = "box:" + "x".join(draw(st.lists(_LENGTH, min_size=dim, max_size=dim)))
+    elif kind == "union":
+        text = draw(_union_text(dim))
+    elif kind == "disk":
+        text = f"disk:{draw(_LENGTH)}"
+    else:
+        # a valid text cut short or with a character put in, or any text
+        base = draw(st.sampled_from(["box:1x2", "disk:0.5", "union:box(1x1)@(0,0)+box(1x1)@(1,0)"]))
+        k = draw(st.integers(0, len(base)))
+        put_in = st.sampled_from("x+@(),:;=.e-").map(lambda c: base[:k] + c + base[k:])
+        text = draw(st.one_of(st.just(base[:k]), put_in, st.text(max_size=12)))
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "4", "", "x", "1.5", "-1"]))
+        text += draw(st.sampled_from([f";axis={axis}", f"; axis={axis} ", f";ax={axis}"]))
+    return text
+
+
+@st.composite
+def _domain_argv(draw):
+    command = draw(st.sampled_from(["spectrum", "check", "sweep", "sums", "asymptotics"]))
+    # "=" keeps a text such as -1 from reading as a flag
+    argv = [command, f"--domain={draw(_domain_text())}"]
+    energy = st.floats(0.5, 300.0).map(repr)
+    if command == "spectrum":
+        return argv + [f"--cutoff={draw(energy)}"]
+    argv.append(f"--sigma={draw(st.sampled_from(['1', '1.5', '2', '3']))}")
+    if command == "check":
+        argv.append(f"--lambda={draw(energy)}")
+    elif command == "sweep":
+        argv += [f"--lambda-max={draw(energy)}", f"--points={draw(st.integers(1, 8))}"]
+    elif command == "sums":
+        argv.append(f"--n-max={draw(st.integers(1, 60))}")
+    else:
+        # a grid start below 50 or the default 100, and an end mostly above it
+        if draw(st.booleans()):
+            argv.append(f"--lambda={draw(st.floats(0.5, 50.0))!r}")
+        argv.append(f"--lambda-max={draw(st.floats(50.0, 300.0))!r}")
+        argv.append(f"--points={draw(st.integers(2, 8))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_domain_argv())
+@example(argv=["sweep", "--domain=box:1e-300x1", "--sigma=2", "--lambda-max=100", "--points=3"])
+@example(argv=["sums", "--domain=box:1e-300x1", "--sigma=2", "--n-max=20"])
+@example(argv=["sums", "--domain=box:1e-30x1e30", "--sigma=2", "--n-max=20"])
+@example(argv=["spectrum", "--domain=disk:1e30", "--cutoff=100"])
+@example(argv=["check", "--domain=disk:1e-160", "--sigma=2", "--lambda=100"])
+@example(argv=["sums", "--domain=disk:1e-160", "--sigma=2", "--n-max=5"])
+@example(
+    argv=["asymptotics", "--domain=union:box(1x1)@(0,0)+box(1x1)@(1,0)", "--sigma=2",
+          "--lambda-max=300", "--points=3"]
+)
+@example(argv=["check", "--domain=union:box(1x1)@(0,0)+box(1x1)@(0.5,0)", "--sigma=2",
+               "--lambda=100"])
+@example(argv=["sweep", "--domain=box:1x1x1;axis=3", "--sigma=1", "--lambda-max=300",
+               "--points=4"])
+def test_domain_texts_end_in_an_exit_code(argv):
+    text = argv[1].split("=", 1)[1]
+    try:
+        dom = parse_domain(text)
+    except DomainParseError:
+        dom = None
+    else:
+        assert parse_domain(render_domain(dom)) == dom
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc in (2, 3):
+        prefix = "usage error: " if rc == 2 else "numeric failure: "
+        assert err.getvalue().startswith(prefix)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
+    if dom is None:
+        assert rc == 2
 
 
 def test_check_rejects_bad_nu_text(capsys):

@@ -15,7 +15,6 @@ from berezin_lab.constants import (
     SemiclassicalParams,
     c_const,
     lt_value,
-    polya_counting_factor,
 )
 from berezin_lab.errors import NumericFailure
 from berezin_lab.specfun import beta
@@ -152,14 +151,6 @@ def test_c_const_agrees_with_published_alternate_form():
 def test_c_const_requires_positive_sigma():
     with pytest.raises(ValueError):
         c_const(SemiclassicalParams(sigma=0.0, dim=2))
-
-
-def test_polya_counting_factor():
-    assert polya_counting_factor(2) == pytest.approx(2.0, rel=1e-15)
-    assert polya_counting_factor(1) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    vals = [polya_counting_factor(d) for d in range(1, 40)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert all(1.0 <= v < math.e for v in vals)
 
 
 def test_params_validation():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from berezin_lab import bounds, geometry
+from berezin_lab import bounds, cli, geometry, harness, spectra
 from berezin_lab.bounds import sliced_bound
 from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import NumericFailure, UnsupportedDomainError
@@ -304,19 +304,42 @@ def test_disk_long_section_volume_matches_mpmath(radius, lam):
         assert abs(got - ref) <= 2.0**-52 * ref
 
 
-def test_bounds_names_no_domain_class():
-    # bounds reads a domain only through its section measure, so a new domain
-    # needs no branch there; an import of a class counts, renamed or not
+_DOMAIN_CLASSES = {"AxisBox", "BoxUnion", "Disk"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in tree; an import of a class
+    counts, renamed or not."""
     names = set()
-    for node in ast.walk(ast.parse(Path(bounds.__file__).read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_bounds_names_no_domain_class():
+    # bounds reads a domain only through its section measure, so a new domain
+    # needs no branch there
+    names = _names(ast.parse(Path(bounds.__file__).read_text()))
     assert "section_measure" in names
-    assert not names & {"AxisBox", "BoxUnion", "Disk"}
+    assert not names & _DOMAIN_CLASSES
+
+
+@pytest.mark.parametrize("module", [spectra, harness, cli], ids=lambda m: m.__name__)
+def test_layers_name_no_domain_class(module):
+    # every other layer reads what it asks of a domain from its family's
+    # declaration in geometry, so a new family needs no branch there; the
+    # command line names the classes in its parser only
+    tree = ast.parse(Path(module.__file__).read_text())
+    if module is cli:
+        (parser,) = [n for n in tree.body if getattr(n, "name", None) == "parse_domain"]
+        assert _names(parser) >= _DOMAIN_CLASSES
+        tree.body.remove(parser)
+    assert not _names(tree) & _DOMAIN_CLASSES
 
 
 def test_volume_and_surface():
