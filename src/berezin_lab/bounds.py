@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import SemiclassicalParams, c_const, lt_value
-from .geometry import Domain, SectionAtoms, critical_length, section_measure
-from .remainder import lattice_sum
+from .geometry import Domain, critical_length, section_measure
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -128,24 +127,19 @@ def sliced_bound(dom: Domain, p: SemiclassicalParams, lam: ArrayLike) -> ArrayLi
 
     With e = sigma + (d - 1)/2 and l_crit = pi/sqrt(lam), a section of
     length t contributes lam^e L_{sigma,d-1} lattice_sum(e, t / l_crit) per
-    unit cross measure: integrated against the section measure mu, exactly
-    over atoms, and over a density as the sum of its G_e(j l_crit). Bounding
-    each lattice sum by t/(2 l_crit) B(1 + e, 1/2) - epsilon_e gives the
-    corrected bound.
+    unit cross measure, integrated against the section measure mu by its
+    lattice_integral: exactly over atoms, and over a density as the sum of
+    its G_e(j l_crit). Bounding each lattice sum by
+    t/(2 l_crit) B(1 + e, 1/2) - epsilon_e gives the corrected bound.
     """
     if p.sigma < 1.5:
         raise ValueError("sliced_bound requires sigma >= 3/2")
     if p.dim != dom.dim:
         raise ValueError("params dimension must match the domain dimension")
-    mu = section_measure(dom)
     l_crit = critical_length(lam)
     e = p.sigma + 0.5 * (p.dim - 1)
     pref = np.asarray(lam, dtype=float) ** e * lt_value(p.sigma, p.dim - 1)
-    if isinstance(mu, SectionAtoms):
-        terms = mu.weights * lattice_sum(e, mu.lengths / l_crit[..., None])
-        return (pref * terms.sum(axis=-1))[()]
-    total = [mu.lattice_terms(e, lc).sum() for lc in l_crit.flat]
-    return (pref * np.reshape(total, l_crit.shape))[()]
+    return (pref * section_measure(dom).lattice_integral(e, l_crit))[()]
 
 
 def li_yau_rhs(d: int, vol: float, n: ArrayLike) -> ArrayLike:

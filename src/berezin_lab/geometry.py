@@ -17,9 +17,10 @@ and the box's cross area per box) for boxes and unions, and the disk's
 density. Each form gives the tails M1(s) = int_{t>s} t dmu and
 M0(s) = mu((s, inf)): slicing_stats is (M1, M0) at the critical length
 pi/sqrt(lambda), the volume of the long-section subset and the cross measure
-of its base, and the volume is M1(0). The sliced bound integrates lattice
-sums against mu: exactly over atoms, and through the disk's
-G_e(s) = int_{t>s} (1 - (s/t)^2)^e dmu at s = j l_crit.
+of its base, and the volume is M1(0). Each form's lattice_integral gives
+the integral of lattice sums against mu that the sliced bound needs:
+exactly over atoms, and through the disk's G_e(s) = int_{t>s}
+(1 - (s/t)^2)^e dmu at s = j l_crit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import Domain, NumericFailure, Record, UnsupportedDomainError, check_domain
+from .remainder import lattice_sum
 from .spectra import _box_eigenvalues, _check_limit, _disk_eigenvalues
 
 if TYPE_CHECKING:
@@ -287,6 +289,12 @@ class SectionAtoms(Record):
         m1 = (self.weights * np.where(long, self.lengths, 0.0)).sum(axis=-1)
         return m1, (self.weights * long).sum(axis=-1)
 
+    def lattice_integral(self, e: float, l_crit: np.ndarray) -> np.ndarray:
+        """Integral of lattice_sum(e, t / l_crit) against mu at each l_crit:
+        the weighted sum over the atoms, along the last axis as in tail."""
+        terms = self.weights * lattice_sum(e, self.lengths / l_crit[..., None])
+        return terms.sum(axis=-1)
+
 
 class DiskSections(Record):
     """mu of the disk: density t/(2 sqrt(R^2 - t^2/4)) on (0, 2R)."""
@@ -303,19 +311,23 @@ class DiskSections(Record):
         m1 = np.where(long, u_star * s + 2.0 * r * r * np.arccos(half / r), 0.0)
         return m1, np.where(long, 2.0 * u_star, 0.0)
 
-    def lattice_terms(self, e: float, l_crit: float) -> np.ndarray:
-        """G_e(j l_crit) for each j >= 1 with j l_crit <= 2R: twice the cross
-        integral over u > 0, by Gauss-Legendre in a smoothing substitution."""
+    def lattice_integral(self, e: float, l_crit: np.ndarray) -> np.ndarray:
+        """Sum of G_e(j l_crit) over j >= 1 with j l_crit <= 2R at each l_crit:
+        each term is twice the cross integral over u > 0, by Gauss-Legendre in
+        a smoothing substitution."""
         r_dom = self.radius
-        jmax = int(math.floor(2.0 * r_dom / l_crit))
-        js = np.arange(1, jmax + 1, dtype=float)
-        uj2 = r_dom * r_dom - (0.5 * js * l_crit) ** 2
-        np.maximum(uj2, 0.0, out=uj2)
-        uj = np.sqrt(uj2)
-        num = uj2[:, None] * _gl_cos2[None, :]
-        den = r_dom * r_dom - uj2[:, None] * _gl_sin2[None, :]
-        integrand = (num / den) ** e * _gl_cos[None, :]
-        return 2.0 * uj * (integrand @ _gl_wphi)
+        total = []
+        for lc in l_crit.flat:
+            jmax = int(math.floor(2.0 * r_dom / lc))
+            js = np.arange(1, jmax + 1, dtype=float)
+            uj2 = r_dom * r_dom - (0.5 * js * lc) ** 2
+            np.maximum(uj2, 0.0, out=uj2)
+            uj = np.sqrt(uj2)
+            num = uj2[:, None] * _gl_cos2[None, :]
+            den = r_dom * r_dom - uj2[:, None] * _gl_sin2[None, :]
+            integrand = (num / den) ** e * _gl_cos[None, :]
+            total.append((2.0 * uj * (integrand @ _gl_wphi)).sum())
+        return np.reshape(total, l_crit.shape)
 
 
 def _in_floats(what: str, value: float, dom: object) -> float:

@@ -570,7 +570,10 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     # The cutoff grows by 1.4 until it holds count eigenvalues. Once a cutoff
     # exceeds the enumeration limit, the next ones bisect between it and the
     # last cutoff with too few: counts and entries both grow with the cutoff.
-    weyl = ((count + 8) / (lt_value(0.0, d) * volume(dom))) ** (2.0 / d)
+    try:
+        weyl = ((count + 8) / (lt_value(0.0, d) * volume(dom))) ** (2.0 / d)
+    except OverflowError:
+        weyl = math.inf
     lam = _in_floats("start cutoff", 1.35 * weyl, dom)
     overflow = dom.first_overflow()
     if overflow is not None:

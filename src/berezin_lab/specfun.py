@@ -3,47 +3,41 @@
 Beta goes through the C library's log-Gamma so large arguments do not
 overflow, and its symmetry in (a, b) is exact by construction.
 
-The Bessel evaluator combines the ascending series (small argument) with
-trapezoidal quadrature of the cosine integral representation
+One engine gives Bessel J: by the Jacobi-Anger expansion exp(i x sin t) =
+sum_j J_j(x) exp(i j t) (DLMF 10.12.1), one FFT of exp(i x sin t) at N
+equispaced t gives J_j(x) for every order j at once, negative ones too. This
+is the trapezoidal rule on the period, spectrally accurate: each value is
+off by the aliases J_{j+kN}(x), k != 0, negligible once N - j clears the
+turning point x by a few transition widths x^(1/3). N depends on x and the
+highest order read alone, so each value is the same in any batch. bessel_j
+uses the ascending series up to x = 6, where it is accurate relative to small
+values, and one FFT above.
 
-    J_m(x) = (1/pi) * int_0^pi cos(m*theta - x*sin(theta)) dtheta.
-
-The integrand extends to a smooth even 2*pi-periodic function, so the
-trapezoidal rule is spectrally accurate; aliasing leaves an error of order
-J_{2n-m}(x), which is negligible once 2n - m clears the turning point x by a
-few transition widths x^(1/3).
-
-One batched engine serves every Bessel routine: its kernel evaluates (m, x)
-points in groups of equal node count, each with exactly the arithmetic of a
-lone evaluation. A unit-step sign scan brackets the zeros of all requested
-orders at once (consecutive zeros of J_m are more than one apart). It reads
-J_j(x) at each integer x for every order j <= x + P, P = 15, negative ones
-too, from one FFT of exp(i x sin t) (Jacobi-Anger, DLMF 10.12.1), on a
-power-of-two node count no smaller than the kernel's 2n at m = x + P + 1, so
-its aliasing is as negligible as the kernel's. The scan uses the signs of
-J_m. Each zero is the root of the degree-P Taylor polynomial of J_m about
-the bracket end where |J_m| is smaller; its coefficients come from the
-neighbouring orders at that end (DLMF 10.6.7), so no zero costs a kernel
-point. Newton passes on the polynomial, clipped to the bracket, find the
-root; the last pass must move x by at most 1e-13 (1 + |x|), or
-ConvergenceError names the order. Measured against 30-digit mpmath, each
-zero lies within a few ulps of the true zero: within 6.5e-16 relative for
-every zero below x = 160, and within 8e-16 in the samples checked below
-x = 1000 (the worst are first zeros, in the turning region x ~ m). A
-certificate raises ConvergenceError unless each zero lies in its own scan
-bracket (a unit interval with a checked sign change, so each zero is tied
-to exactly one sign change), each order's zeros are more than one apart,
-adjacent orders interlace, j_{m,k} < j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3),
-and the sign of J_m(x_max), the one kernel point per order, matches the
-parity of each order's count, which catches a lost last zero; the sign test
-is inconclusive, and skipped, where |J_m(x_max)| is within ten convergence
-tolerances of zero. The certificate covers the count and the order of the
-zeros, not their last digits.
+A unit-step sign scan brackets the zeros of all requested orders at once
+(consecutive zeros of J_m are more than one apart). It reads J_j(x) at each
+integer x for every order j <= x + P, P = 15, from the engine, and uses the
+signs of J_m. Each zero is the root of the degree-P Taylor polynomial of J_m
+about the bracket end where |J_m| is smaller; its coefficients come from the
+neighbouring orders at that end (DLMF 10.6.7), so no zero costs another FFT.
+Newton passes on the polynomial, clipped to the bracket, find the root; the
+last pass must move x by at most 1e-13 (1 + |x|), or ConvergenceError names
+the order. Measured against 30-digit mpmath, each zero lies within a few ulps
+of the true zero: within 6.5e-16 relative for every zero below x = 160, and
+within 8e-16 in the samples checked below x = 1000 (the worst are first
+zeros, in the turning region x ~ m). A certificate raises ConvergenceError
+unless each zero lies in its own scan bracket (a unit interval with a
+checked sign change, so each zero is tied to exactly one sign change), each
+order's zeros are more than one apart, adjacent orders interlace, j_{m,k} <
+j_{m+1,k} < j_{m,k+1} (DLMF 10.21.3), and the sign of J_m(x_max), read for
+every order from one more FFT, matches the parity of each order's count,
+which catches a lost last zero; the sign test is inconclusive, and skipped,
+where |J_m(x_max)| is within ten convergence tolerances of zero. The
+certificate covers the count and the order of the zeros, not their last
+digits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
@@ -110,7 +104,9 @@ def bessel_j(m: int, x: float) -> float:
     _check_order(m)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError(f"bessel_j requires finite x >= 0, got {x!r}")
-    return float(_j(np.array([int(m)]), np.array([float(x)]))[0])
+    if x <= _SERIES_LIMIT:
+        return _j_series(int(m), float(x))
+    return float(_table(np.array([float(x)]), int(m), int(m))[0, 0])
 
 
 def _j_series(m: int, x: float) -> float:
@@ -127,8 +123,8 @@ def _j_series(m: int, x: float) -> float:
     return total
 
 
-# Largest (points x nodes) array the quadrature, or the scan's FFT, forms at
-# once, and the most Taylor coefficients the zero finder holds at once.
+# Largest (points x nodes) array the FFT forms at once, and the most Taylor
+# coefficients the zero finder holds at once.
 _BLOCK = 1 << 18
 
 # Degree of the Taylor polynomial whose root is each zero, and the Newton
@@ -137,42 +133,36 @@ _DEGREE = 15
 _PASSES = 8
 
 
-def _node_count(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoid intervals n on [0, pi] for J_m(x): the aliasing term
-    J_{2n-m}(x) has 2n - m >= x + 14 (x/2)^(1/3) + 20."""
+def _table(x: np.ndarray, base: int, top: int | np.ndarray) -> np.ndarray:
+    """J_j(x) for base <= j <= top at each x: row j - base, one column per x.
+    top may be one order for every x or one per x.
+
+    The FFT of exp(i x sin t) at N equispaced t on [0, 2 pi), over N, is
+    J_j(x) + sum_{k != 0} J_{j+kN}(x). N is 2n rounded up to a power of two,
+    n = ceil((m + x + 14 (x/2)^(1/3) + 20) / 2) at m = max(top, x + P) + 1,
+    so every alias order has size above x + 14 (x/2)^(1/3) + 20 and the
+    aliases are negligible. N depends on x and top alone, so each value is
+    the same in any batch. Points of equal N go through the FFT in blocks of
+    at most _BLOCK values.
+    """
+    top = np.broadcast_to(top, x.shape)
     # Python's ** is C pow; np.power may differ from it in the last bit.
     root = np.array([v ** (1.0 / 3.0) for v in (0.5 * x).tolist()])
-    return np.ceil(0.5 * (m + x + 14.0 * root + 20.0)).astype(np.int64)
-
-
-@functools.cache
-def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n + 1 trapezoid nodes on [0, pi] and their sines, made once per n."""
-    theta = np.linspace(0.0, math.pi, n + 1)
-    sin = np.sin(theta)
-    theta.flags.writeable = sin.flags.writeable = False
-    return theta, sin
-
-
-def _j(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_m(x) elementwise over 1-D arrays of orders m >= 0 and x >= 0."""
-    out = np.empty(x.shape)
-    small = x <= _SERIES_LIMIT
-    out[small] = [_j_series(a, b) for a, b in zip(m[small].tolist(), x[small].tolist())]
-    big = np.flatnonzero(~small)
-    nodes = _node_count(m[big], x[big])
-    order = np.argsort(nodes, kind="stable")
-    big, nodes = big[order], nodes[order]
-    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], len(big))):
-        n = int(nodes[lo])
-        theta, sin = _nodes(n)
-        rows = max(1, _BLOCK // (n + 1))
-        for s in range(lo, hi, rows):
-            i = big[s : min(s + rows, hi)]
-            vals = np.cos(m[i, None] * theta - x[i, None] * sin)
-            out[i] = (0.5 * (vals[:, 0] + vals[:, -1]) + vals[:, 1:-1].sum(axis=1)) / n
-    return out
+    m = np.maximum(top, x + _DEGREE) + 1
+    nodes = np.ceil(0.5 * (m + x + 14.0 * root + 20.0)).astype(np.int64)
+    sizes = 2 ** np.ceil(np.log2(2.0 * nodes)).astype(np.int64)
+    table = np.empty((top.max() + 1 - base, x.size))
+    groups = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for g, g_end in zip(groups, np.append(groups[1:], x.size)):
+        n = int(sizes[g])
+        sin = np.sin(2.0 * math.pi / n * np.arange(n))
+        rows = max(1, _BLOCK // n)
+        for s in range(g, g_end, rows):
+            e = min(s + rows, g_end)
+            coef = np.fft.fft(np.exp(1j * np.multiply.outer(x[s:e], sin))).real
+            j = np.arange(base, top[s:e].max() + 1)
+            table[: j.size, s:e] = coef[:, j % n].T / n
+    return table
 
 
 def _brackets(
@@ -185,31 +175,12 @@ def _brackets(
     so scanning x = m, m + 1, ... cannot skip a sign change; a grid value of
     exactly zero gets the bracket of width one centred on it.
 
-    One FFT per integer x gives J_j(x) for every order j, negative ones too:
-    by DLMF 10.12.1, exp(i x sin t) = sum_j J_j(x) exp(i j t), so the FFT of
-    its values at N equispaced t on [0, 2 pi), over N, is J_j(x) +
-    sum_{k != 0} J_{j+kN}(x). The table keeps the orders m - P .. m + P of
-    every requested m <= x, P = _DEGREE. N is the kernel's node count on the
-    whole period at order x + P + 1, 2 n(x + P + 1, x), rounded up to a power
-    of two, so each alias has order at least N - x - P > x + 14 (x/2)^(1/3) +
-    20, as negligible as the kernel's. N depends on x alone, so each value,
-    and each start, is the same in any batch.
+    The table (see _table) keeps the orders m - P .. m + P of every
+    requested m <= x, P = _DEGREE, at each integer x.
     """
     points = np.arange(orders[0], math.floor(x_max) + 2)
-    nodes = _node_count(points + _DEGREE + 1, points)
-    sizes = 2 ** np.ceil(np.log2(2.0 * nodes)).astype(np.int64)
     base = orders[0] - _DEGREE  # table row r holds order base + r
-    table = np.empty((orders[-1] + _DEGREE + 1 - base, points.size))
-    groups = np.flatnonzero(np.diff(sizes, prepend=-1))
-    for g, g_end in zip(groups, np.append(groups[1:], points.size)):
-        n = int(sizes[g])
-        sin = np.sin(2.0 * math.pi / n * np.arange(n))
-        rows = max(1, _BLOCK // n)
-        for s in range(g, g_end, rows):
-            xs = points[s : min(s + rows, g_end)]
-            coef = np.fft.fft(np.exp(1j * np.multiply.outer(xs, sin))).real
-            j = np.arange(base, min(xs[-1], orders[-1]) + _DEGREE + 1)
-            table[: j.size, s : s + xs.size] = coef[:, j % n].T / n
+    table = _table(points, base, np.minimum(points, orders[-1]) + _DEGREE)
     scanned = orders[:, None] <= points  # x = m, m + 1, ... for each order
     m = np.broadcast_to(orders[:, None], scanned.shape)[scanned]
     col = np.broadcast_to(np.arange(points.size), scanned.shape)[scanned]
@@ -239,7 +210,7 @@ def _taylor_roots(
     of J_m about x0, where table[j - base, col] holds J_j(x0).
 
     Its coefficients are J_m^(k)(x0) / k! with J_m^(k) = 2^-k sum_j (-1)^j
-    C(k, j) J_{m-k+2j} (DLMF 10.6.7), so they cost no kernel points. As
+    C(k, j) J_{m-k+2j} (DLMF 10.6.7), so they cost no further FFT. As
     |J_m^(k)| <= 1, the polynomial is off by at most |t|^(P+1) / (P+1)! at
     t = x - x0. _PASSES Newton passes on it from t = 0, each clipped to the
     bracket, then one more whose step must be within _ABS_TOL + _REL_TOL |x|,
@@ -285,7 +256,7 @@ def _certify(
     (-1)^count (J_m > 0 below its first zero). As |J_m'| <= 1, a zero within
     tolerance of x_max may lie on either side, so the sign test is
     inconclusive, and skipped, where |J_m(x_max)| <= 10 (_ABS_TOL + _REL_TOL
-    x_max): about 1e-12 for small x_max."""
+    x_max): about 1e-12 for small x_max. One FFT gives every J_m(x_max)."""
     z = np.full((len(zeros), max(map(len, zeros)) + 1), math.inf)
     for row, zs in zip(z, zeros):
         row[: len(zs)] = zs
@@ -295,7 +266,7 @@ def _certify(
     apart = (z[:, 1:] > z[:, :-1] + 1.0) | end[:, 1:]
     bad = ~apart.all(axis=1) | np.isin(orders, strays)
     bad[:-1] |= (np.diff(orders) == 1) & ~ok.all(axis=1)
-    f = _j(orders, np.full(orders.size, float(x_max)))
+    f = _table(np.array([float(x_max)]), orders[0], orders[-1])[orders - orders[0], 0]
     odd = np.array([len(zs) % 2 == 1 for zs in zeros])
     bad |= (abs(f) > 10.0 * (_ABS_TOL + _REL_TOL * x_max)) & ((f < 0.0) != odd)
     if bad.any():

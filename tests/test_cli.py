@@ -447,6 +447,13 @@ def test_overflow_is_a_numeric_failure(argv, capsys):
           "--nu", "1"],
          "beta at a=1000000000001.5, b=0.5 cancels: log-Gamma terms of size 5.33e+13"
          " leave a relative error bound of 0.024, above 1e-11"),
+        # the Weyl start of the sums cutoff search overflows a float power
+        (["sums", "--domain", "box:1e-300", "--sigma", "2", "--n-max", "5"],
+         "start cutoff of AxisBox(sides=(1e-300,), origin=(0.0,), slicing_axis=1) is inf,"
+         " not a positive finite float"),
+        (["sums", "--domain", "box:1e-250", "--sigma", "2", "--n-max", "5"],
+         "start cutoff of AxisBox(sides=(1e-250,), origin=(0.0,), slicing_axis=1) is inf,"
+         " not a positive finite float"),
     ],
 )
 def test_a_constant_outside_the_floats_is_named(argv, message, capsys):

@@ -322,11 +322,12 @@ def _names(tree: ast.AST) -> set[str]:
 
 
 def test_bounds_names_no_domain_class():
-    # bounds reads a domain only through its section measure, so a new domain
-    # needs no branch there
+    # bounds reads a domain only through its section measure, and each form
+    # of the measure answers for its own lattice integral, so a new domain or
+    # a new form needs no branch there
     names = _names(ast.parse(Path(bounds.__file__).read_text()))
-    assert "section_measure" in names
-    assert not names & _DOMAIN_CLASSES
+    assert {"section_measure", "lattice_integral"} <= names
+    assert not names & (_DOMAIN_CLASSES | {"SectionAtoms", "DiskSections", "isinstance"})
 
 
 @pytest.mark.parametrize("module", [spectra, harness, cli], ids=lambda m: m.__name__)

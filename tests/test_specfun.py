@@ -188,50 +188,44 @@ def test_taylor_root_outside_tolerance_names_the_order(monkeypatch):
         bessel_zeros_below([0, 1], 2.0 * math.pi)
 
 
-# Scalar reference for the batched kernel: one point at a time, with the
-# arithmetic the kernel must reproduce bit for bit.
-def scalar_j(m, x):
-    if x <= 6.0:
-        return specfun._j_series(m, x)
-    span = m + x + 14.0 * (0.5 * x) ** (1.0 / 3.0) + 20.0
-    n = int(math.ceil(0.5 * span))
-    theta = np.linspace(0.0, math.pi, n + 1)
-    vals = np.cos(m * theta - x * np.sin(theta))
-    return float((0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum()) / n)
-
-
-def node_count_edges(m, x_lo, x_hi):
-    """Pairs of nearby x on both sides of each node-count change of order m."""
+def fft_size_edges(m, x_lo, x_hi):
+    """Pairs of nearby x on both sides of each change of the FFT size that
+    bessel_j(m, x) uses: 2 ceil((k + x + 14 (x/2)^(1/3) + 20) / 2) rounded up
+    to a power of two, k = max(m, x + 15) + 1."""
     xs = np.linspace(x_lo, x_hi, 20001)
-    n = np.ceil(0.5 * (m + xs + 14.0 * (0.5 * xs) ** (1.0 / 3.0) + 20.0))
-    i = np.flatnonzero(np.diff(n))
+    k = np.maximum(m, xs + 15.0) + 1.0
+    n = np.ceil(0.5 * (k + xs + 14.0 * (0.5 * xs) ** (1.0 / 3.0) + 20.0))
+    i = np.flatnonzero(np.diff(np.ceil(np.log2(2.0 * n))))
     return np.concatenate((xs[i], xs[i + 1]))
 
 
-def test_batched_j_matches_scalar_reference_bitwise():
+def test_bessel_j_matches_scipy_jv():
+    # scipy.special.jv (Zhang and Jin's Fortran) shares no code with the
+    # series or the FFT; the points at the FFT-size edges take the coarsest
+    # FFT each size has
     rng = np.random.default_rng(1618)
     m = rng.integers(0, 300, 3000)
     x = np.concatenate((6.0 * rng.random(500), [0.0, 6.0, np.nextafter(6.0, 7.0)],
                         400.0 * rng.random(2497)))
-    edges = [(k, xe) for k in (0, 3, 57) for xe in node_count_edges(k, 6.5, 80.0)]
+    edges = [(k, xe) for k in (0, 3, 57, 250) for xe in fft_size_edges(k, 6.5, 400.0)]
+    assert len(edges) >= 16
     m = np.concatenate((m, [k for k, _ in edges])).astype(np.int64)
     x = np.concatenate((x, [xe for _, xe in edges]))
-    want = np.array([scalar_j(int(a), float(b)) for a, b in zip(m, x)])
-    got = specfun._j(m, x)
-    assert np.array_equal(got, want)
-    # order within the batch and block size do not matter either
-    perm = rng.permutation(m.size)
-    assert np.array_equal(specfun._j(m[perm], x[perm]), want[perm])
-    assert [bessel_j(int(a), float(b)) for a, b in zip(m[:200], x[:200])] == want[:200].tolist()
+    got = np.array([bessel_j(int(a), float(b)) for a, b in zip(m, x)])
+    assert np.abs(got - scipy.special.jv(m, x)).max() <= 2e-14
 
 
 def test_batched_j_blocks_match(monkeypatch):
+    # a column of the FFT table is the same bits alone, inside a batch, and
+    # with one FFT per block
     rng = np.random.default_rng(7)
-    m, x = rng.integers(0, 50, 400), 6.0 + 100.0 * rng.random(400)
-    want = specfun._j(m, x)
+    x = 6.0 + 100.0 * rng.random(400)
+    want = specfun._table(x, 0, 50)
+    alone = [specfun._table(x[i : i + 1], 0, 50)[:, 0] for i in range(x.size)]
+    assert np.array_equal(np.column_stack(alone), want)
     zeros = bessel_zeros_below(list(range(62)), 61.5)
     monkeypatch.setattr(specfun, "_BLOCK", 64)
-    assert np.array_equal(specfun._j(m, x), want)
+    assert np.array_equal(specfun._table(x, 0, 50), want)
     # the scan's FFTs and the Taylor roots go in blocks too: one FFT and
     # four roots per block
     assert bessel_zeros_below(list(range(62)), 61.5) == zeros
@@ -248,21 +242,21 @@ def test_zeros_match_mpmath_to_a_few_ulps():
         assert abs(zeros[m][k - 1] - ref) <= 1e-15 * ref, (m, k)
 
 
-def test_zeros_cost_only_the_certificate_kernel_points(monkeypatch):
-    # Each zero is a Taylor root from the scan's FFT table, so the kernel
-    # serves only the sign certificate: one point per order, at x_max.
-    points = []
-    kernel = specfun._j
+def test_zeros_cost_one_certificate_fft_column(monkeypatch):
+    # Each zero is a Taylor root from the scan's FFT table, so the certificate
+    # costs one more FFT: J_m(x_max) for every order from one column.
+    sizes = []
+    table = specfun._table
 
-    def counting(m, x):
-        points.append(x.size)
-        return kernel(m, x)
+    def counting(x, base, top):
+        sizes.append(x.size)
+        return table(x, base, top)
 
-    monkeypatch.setattr(specfun, "_j", counting)
+    monkeypatch.setattr(specfun, "_table", counting)
     zeros = bessel_zeros_below(list(range(142)), math.sqrt(2e4) * (1.0 + 1e-12))
-    assert sum(points) == 142 and sum(points) / sum(map(len, zeros)) <= 0.06
-    points.clear()
-    assert len(bessel_zeros_below(0, 120.0)) == 38 and points == [1]
+    assert sizes == [143, 1] and sum(map(len, zeros)) == 2485
+    sizes.clear()
+    assert len(bessel_zeros_below(0, 120.0)) == 38 and sizes == [122, 1]
 
 
 def test_zeros_at_cutoff_1e6_match_mpmath():
@@ -385,13 +379,13 @@ def test_certificate_catches_a_zero_outside_its_bracket(monkeypatch):
 
 
 def unit_step_brackets(orders, x_max):
-    """The quadrature sign scan the FFT scan replaced: J_m by the trapezoid
-    kernel at x = m, m + 1, ..., floor(x_max) + 1, order by order."""
+    """The unit-step sign scan with J_m from scipy.special.jv, which shares no
+    code with the FFT: x = m, m + 1, ..., floor(x_max) + 1, order by order."""
     counts = np.maximum(math.floor(x_max) + 2 - orders, 0)
     m = np.repeat(orders, counts)
     step = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts)
     x = (m + step).astype(float)
-    f = specfun._j(m, x)
+    f = scipy.special.jv(m, x)
     x1, x2, f1, f2 = x[:-1], x[1:], f[:-1], f[1:]
     zero = f2 == 0.0
     lo = np.where(zero, x2 - 0.5, x1)
