@@ -25,6 +25,8 @@ from .geometry import (
     SlicingStats,
     critical_length,
     moment_J,
+    parse_domain,
+    render_domain,
     slicing_stats,
     surface,
     volume,
@@ -45,7 +47,6 @@ from .bounds import (
     two_term_sum,
 )
 from .harness import BoundReport, asymptotic_diagnostics, sweep_riesz, sweep_sums
-from .cli import parse_domain, render_domain
 from .version import TOOL_VERSION
 
 __version__ = TOOL_VERSION

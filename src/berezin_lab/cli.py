@@ -9,10 +9,7 @@ Subcommands:
     sums         eigenvalue-sum bounds over an index grid
     asymptotics  high-energy ratios against the two-term expansion
 
-Domains are given as text: "box:1x2", "disk:0.75",
-"union:box(1x1)@(0,0)+box(2x0.5)@(1,0)". A box or a union may be followed
-by ";axis=<i>" to slice along coordinate i instead of the last one; a disk
-takes no axis, since its sliced quantities do not depend on the direction.
+--domain takes a domain's text form; geometry's module docstring gives the grammar.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 usage or malformed input, 3 a numeric procedure failed to converge or a
@@ -22,120 +19,28 @@ value overflowed.
 from __future__ import annotations
 
 import argparse
+import io
 import math
-import re
 import sys
 
 import numpy as np
 
-from . import geometry
 from .constants import SemiclassicalParams, c_const, lt_value
 from .errors import (
-    Domain,
     DomainParseError,
     EnumerationLimitError,
     NumericFailure,
     UnsupportedDomainError,
 )
+from .geometry import parse_domain, render_domain
 from .harness import BoundReport, asymptotic_diagnostics, sweep_riesz, sweep_sums
 from .remainder import epsilon_mu, nu_bounds, nu_ceiling
 from .spectra import ENUMERATION_LIMIT, enumerate_spectrum
 from .version import TOOL_VERSION
 
-__all__ = [
-    "main",
-    "parse_domain",
-    "render_domain",
-    "build_parser",
-]
+__all__ = ["main", "build_parser"]
 
-_UNION_BOX = re.compile(r"box\(([^()]*)\)@\(([^()]*)\)")
 _AT_MOST = f"at most {ENUMERATION_LIMIT:,}"  # bound of --points and --n-max
-
-
-def _parse_number(token: str, what: str, pos: int, positive: bool = True) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise DomainParseError(f"could not read {what} from {token!r}", pos) from None
-    if not (math.isfinite(v) and (v > 0.0 or not positive)):
-        need = "positive and finite" if positive else "finite"
-        raise DomainParseError(f"{what} must be {need}, got {token!r}", pos)
-    return v
-
-
-def _parse_list(
-    body: str, sep: str, what: str, start: int, positive: bool = True
-) -> tuple[float, ...]:
-    values = []
-    pos = start
-    for token in body.split(sep):
-        values.append(_parse_number(token, what, pos, positive))
-        pos += len(token) + 1
-    return tuple(values)
-
-
-def parse_domain(text: str) -> Domain:
-    """Build a domain from its text form; see the module docstring."""
-    body = text.strip()
-    axis = None
-    if ";" in body:
-        body, _, tail = body.partition(";")
-        opt = re.fullmatch(r"\s*axis=(\d+)\s*", tail)
-        if opt is None:
-            raise DomainParseError(
-                f"unrecognized option {tail!r}, expected axis=<int>", len(body) + 1
-            )
-        axis = int(opt.group(1))
-    kind, sep, rest = body.partition(":")
-    if not sep:
-        raise DomainParseError("expected <kind>:<parameters>", 0)
-    start = len(kind) + 1
-
-    def check_axis(d: int) -> None:
-        if axis is not None and not 1 <= axis <= d:
-            msg = f"slicing_axis must lie in [1, {d}], got {axis}"
-            raise DomainParseError(msg, len(body) + 1)
-
-    if kind == "box":
-        sides = _parse_list(rest, "x", "side length", start)
-        check_axis(len(sides))
-        return geometry.AxisBox(sides, slicing_axis=axis)
-    if kind == "disk":
-        radius = _parse_number(rest, "radius", start)
-        if axis is not None:
-            msg = "a disk takes no axis: its sections are the same in every direction"
-            raise DomainParseError(msg, len(body) + 1)
-        return geometry.Disk(radius)
-    if kind == "union":
-        boxes = []
-        pos = start
-        for part in re.split(r"\+(?=box\()", rest):  # not the + of an exponent
-            match = _UNION_BOX.fullmatch(part)
-            if match is None:
-                raise DomainParseError(
-                    f"expected box(<sides>)@(<origin>), got {part!r}", pos
-                )
-            sides = _parse_list(match.group(1), "x", "side length", pos + 4)
-            at = pos + 4 + len(match.group(1)) + 3
-            origin = _parse_list(match.group(2), ",", "origin coordinate", at, False)
-            if len(origin) != len(sides):
-                raise DomainParseError(
-                    f"origin has {len(origin)} coordinates for {len(sides)} sides", pos
-                )
-            boxes.append(geometry.AxisBox(sides, origin))
-            pos += len(part) + 1
-        check_axis(boxes[0].dim)
-        try:
-            return geometry.BoxUnion(tuple(boxes), slicing_axis=axis)
-        except ValueError as exc:
-            raise DomainParseError(str(exc), start) from None
-    raise DomainParseError(f"unknown domain kind {kind!r}", 0)
-
-
-def render_domain(dom: Domain) -> str:
-    """The text form that the domain's family declares: parse_domain's inverse."""
-    return dom.render()
 
 
 def _show(v: float) -> str:
@@ -167,12 +72,6 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
-def _grid_end(flag: str, end: float, start: float, size: int) -> None:
-    """Exit 2, naming the flag, when a grid of 2+ points ends at or below its start."""
-    if size > 1 and end <= start:
-        raise ValueError(f"{flag} must be > the grid start {start!r}, got {end!r}")
-
-
 def _at_least(flag: str, size: int, least: int = 1) -> None:
     """A grid size too small for its command: exit 2, naming the flag."""
     if size < least:
@@ -187,6 +86,17 @@ def _bound_grid(flag: str, size: int, per_entry: int = 1) -> None:
             f"{flag} {size} exceeds {cap}, the most that the enumeration limit of "
             f"{ENUMERATION_LIMIT} entries allows"
         )
+
+
+def _energy_grid(args: argparse.Namespace, start: float) -> np.ndarray:
+    """--points energies from start up to --lambda-max, geometrically spaced; one
+    point is --lambda-max alone. Each flag is checked in turn, and named."""
+    _at_least("--points", args.points)
+    end = _positive("--lambda-max", args.lambda_max)
+    if args.points > 1 and end <= start:
+        raise ValueError(f"--lambda-max must be > the grid start {start!r}, got {end!r}")
+    _bound_grid("--points", args.points)
+    return np.geomspace(start if args.points > 1 else end, end, args.points)
 
 
 def _add_domain_options(p: argparse.ArgumentParser) -> None:
@@ -317,16 +227,16 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
     spec = enumerate_spectrum(dom, args.cutoff)
+    report = BoundReport(
+        "spectrum",
+        {
+            "eigenvalue": spec.eigenvalues,
+            "multiplicity": spec.multiplicities,
+            "cumulative_count": spec.cumulative_counts,
+        },
+        (),
+    )
     if args.csv is not None:
-        report = BoundReport(
-            "spectrum",
-            {
-                "eigenvalue": spec.eigenvalues,
-                "multiplicity": spec.multiplicities,
-                "cumulative_count": spec.cumulative_counts,
-            },
-            (),
-        )
         _emit_csv(report, args.csv)
         if args.csv != "-":
             print(f"wrote {report.n_rows} rows to {args.csv}")
@@ -335,10 +245,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     print(f"cutoff = {_show(args.cutoff)}")
     print(f"distinct = {spec.eigenvalues.size}")
     print(f"total = {spec.total_count}")
-    print("eigenvalue multiplicity cumulative_count")
-    columns = (spec.eigenvalues, spec.multiplicities, spec.cumulative_counts)
-    for value, mult, count in zip(*(c.tolist() for c in columns)):
-        print(f"{_show(value)} {mult} {count}")
+    # the table is the CSV after its comment line, with spaces for commas
+    table = io.BytesIO()
+    report.to_csv(table)
+    sys.stdout.write(table.getvalue().split(b"\n", 1)[1].replace(b",", b" ").decode())
     return 0
 
 
@@ -374,14 +284,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
-    _at_least("--points", args.points)
-    lambda_max = _positive("--lambda-max", args.lambda_max)
-    _grid_end("--lambda-max", lambda_max, 1.0, args.points)
-    _bound_grid("--points", args.points)
-    # The grid runs from 1.0 up to --lambda-max; its one point is --lambda-max.
-    start = 1.0 if args.points > 1 else lambda_max
-    grid = np.geomspace(start, lambda_max, args.points)
-    report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
+    report = sweep_riesz(dom, args.sigma, _energy_grid(args, 1.0), nu=args.nu)
     return _report_exit(report, args.csv)
 
 
@@ -405,11 +308,7 @@ def _cmd_sums(args: argparse.Namespace) -> int:
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
     _at_least("--points", args.points, 2)
-    lam = _positive("--lambda", args.lam)
-    lambda_max = _positive("--lambda-max", args.lambda_max)
-    _grid_end("--lambda-max", lambda_max, lam, args.points)
-    _bound_grid("--points", args.points)
-    grid = np.geomspace(lam, lambda_max, args.points)
+    grid = _energy_grid(args, _positive("--lambda", args.lam))
     report = asymptotic_diagnostics(dom, args.sigma, grid)
     return _report_exit(report, args.csv)
 
@@ -429,11 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 (--help, --version) or 2
+        return exc.code
     try:
         return _HANDLERS[args.command](args)
     # ArithmeticError: a closed form overflowed, or divided by an underflowed 0

@@ -3,12 +3,18 @@
 Supported domains are axis-aligned boxes, finite unions of boxes with
 pairwise disjoint interiors, and planar disks, whose spectra are enumerated
 exactly. Each family is declared here once, as its classes' methods and
-attributes (listed in `errors.Domain`), and every other module reads that
-declaration: spectra, bounds, harness and the command line outside its parser
-name no domain class. A box is a one-box union: its `boxes` is (self,), so it
-has the box family's methods, each a sum over the boxes. Boxes and unions
-carry their slicing axis, 1-based and by default the last coordinate; a disk
-has none, as its sections are the same in every direction.
+attributes (listed in `errors.Domain`) and its branch of the text grammar,
+and every other module reads that declaration: spectra, bounds, harness and
+the command line name no domain class. A box is a one-box union: its `boxes`
+is (self,), so it has the box family's methods, each a sum over the boxes.
+Boxes and unions carry their slicing axis, 1-based and by default the last
+coordinate; a disk has none, as its sections are the same in every direction.
+
+Domains are given as text: "box:1x2", "disk:0.75",
+"union:box(1x1)@(0,0)+box(2x0.5)@(1,0)". A box or a union may be followed
+by ";axis=<i>" to slice along coordinate i instead of the last one; a disk
+takes no axis, since its sliced quantities do not depend on the direction.
+parse_domain reads that form and each family's `render` writes it.
 
 Everything the corrected bounds take from a domain depends only on mu, the
 cross measure pushed forward to the length of each section along the slicing
@@ -27,11 +33,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import Domain, NumericFailure, Record, UnsupportedDomainError, check_domain
+from .errors import (
+    Domain, DomainParseError, NumericFailure, Record, UnsupportedDomainError, check_domain
+)
 from .remainder import lattice_sum
 from .spectra import _box_eigenvalues, _check_limit, _disk_eigenvalues
 
@@ -43,6 +52,8 @@ __all__ = [
     "BoxUnion",
     "Disk",
     "Domain",
+    "parse_domain",
+    "render_domain",
     "SlicingStats",
     "critical_length",
     "SectionAtoms",
@@ -227,6 +238,94 @@ class BoxUnion(_BoxFamily):
             if _interiors_overlap(a, b):
                 raise ValueError(f"boxes {i} and {j} have overlapping interiors")
         super().__init__(boxes, _axis(d, slicing_axis))
+
+
+_UNION_BOX = re.compile(r"box\(([^()]*)\)@\(([^()]*)\)")
+
+
+def _parse_number(token: str, what: str, pos: int, positive: bool = True) -> float:
+    try:
+        v = float(token)
+    except ValueError:
+        raise DomainParseError(f"could not read {what} from {token!r}", pos) from None
+    if not (math.isfinite(v) and (v > 0.0 or not positive)):
+        need = "positive and finite" if positive else "finite"
+        raise DomainParseError(f"{what} must be {need}, got {token!r}", pos)
+    return v
+
+
+def _parse_list(
+    body: str, sep: str, what: str, start: int, positive: bool = True
+) -> tuple[float, ...]:
+    values = []
+    pos = start
+    for token in body.split(sep):
+        values.append(_parse_number(token, what, pos, positive))
+        pos += len(token) + 1
+    return tuple(values)
+
+
+def parse_domain(text: str) -> Domain:
+    """Build a domain from its text form; see the module docstring."""
+    body = text.strip()
+    axis = None
+    if ";" in body:
+        body, _, tail = body.partition(";")
+        opt = re.fullmatch(r"\s*axis=(\d+)\s*", tail)
+        if opt is None:
+            raise DomainParseError(
+                f"unrecognized option {tail!r}, expected axis=<int>", len(body) + 1
+            )
+        axis = int(opt.group(1))
+    kind, sep, rest = body.partition(":")
+    if not sep:
+        raise DomainParseError("expected <kind>:<parameters>", 0)
+    start = len(kind) + 1
+
+    def check_axis(d: int) -> None:
+        if axis is not None and not 1 <= axis <= d:
+            msg = f"slicing_axis must lie in [1, {d}], got {axis}"
+            raise DomainParseError(msg, len(body) + 1)
+
+    if kind == "box":
+        sides = _parse_list(rest, "x", "side length", start)
+        check_axis(len(sides))
+        return AxisBox(sides, slicing_axis=axis)
+    if kind == "disk":
+        radius = _parse_number(rest, "radius", start)
+        if axis is not None:
+            msg = "a disk takes no axis: its sections are the same in every direction"
+            raise DomainParseError(msg, len(body) + 1)
+        return Disk(radius)
+    if kind == "union":
+        boxes = []
+        pos = start
+        for part in re.split(r"\+(?=box\()", rest):  # not the + of an exponent
+            match = _UNION_BOX.fullmatch(part)
+            if match is None:
+                raise DomainParseError(
+                    f"expected box(<sides>)@(<origin>), got {part!r}", pos
+                )
+            sides = _parse_list(match.group(1), "x", "side length", pos + 4)
+            at = pos + 4 + len(match.group(1)) + 3
+            origin = _parse_list(match.group(2), ",", "origin coordinate", at, False)
+            if len(origin) != len(sides):
+                raise DomainParseError(
+                    f"origin has {len(origin)} coordinates for {len(sides)} sides", pos
+                )
+            boxes.append(AxisBox(sides, origin))
+            pos += len(part) + 1
+        check_axis(boxes[0].dim)
+        try:
+            return BoxUnion(tuple(boxes), slicing_axis=axis)
+        except ValueError as exc:
+            raise DomainParseError(str(exc), start) from None
+    raise DomainParseError(f"unknown domain kind {kind!r}", 0)
+
+
+def render_domain(dom: Domain) -> str:
+    """The text form that the domain's family declares: parse_domain's inverse."""
+    return dom.render()
 
 
 class SlicingStats(Record):

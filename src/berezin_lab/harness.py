@@ -508,19 +508,19 @@ def sweep_riesz(
     st = slicing_stats(domain, lam)
     sliced = sliced_bound(domain, p, lam) if sliced_ok else math.nan
     improved = (
-        improved_rhs(
+        _no_overflow("improved_rhs", sigma, lambda: improved_rhs(
             params=p,
             lam=lam,
             vol_omega_lambda=st.vol_omega_lambda,
             d_lambda=st.d_lambda,
             nu=nu,
             exploratory=nu_mode == "explicit",
-        )
+        ))
         if improved_ok
         else math.nan
     )
     ms1 = (
-        two_term_riesz(p, vol, surf, lam)
+        _no_overflow("two_term_riesz", sigma, lambda: two_term_riesz(p, vol, surf, lam))
         if surf is not None and sigma > 0.0
         else math.nan
     )
@@ -700,7 +700,9 @@ def asymptotic_diagnostics(
 
     scl = _no_overflow("s_classical", sigma, lambda: s_classical(p, vol, lam))
     s_val = riesz_mean(spec, sigma, lam)
-    boundary = boundary_term(0.25, sigma, d, surf, lam)
+    boundary = _no_overflow(
+        "boundary_term", sigma, lambda: boundary_term(0.25, sigma, d, surf, lam)
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_main = np.where(scl > 0.0, s_val / scl, math.nan)
         ratio_second = np.where(boundary > 0.0, (scl - s_val) / boundary, math.nan)

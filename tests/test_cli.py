@@ -169,6 +169,18 @@ def _run_python(*args):
     )
 
 
+def test_package_import_leaves_out_the_command_line():
+    # the grammar lives in geometry, so a library user pays for no argparse
+    assert berezin_lab.parse_domain is berezin_lab.cli.parse_domain
+    assert berezin_lab.render_domain is berezin_lab.cli.render_domain
+    proc = _run_python(
+        "-c",
+        "import sys, berezin_lab; "
+        "print([m for m in ('berezin_lab.cli', 'argparse') if m in sys.modules])",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_module_entry_point_runs_without_warnings():
     proc = _run_python("-W", "error", "-m", "berezin_lab", "--version")
     assert proc.returncode == 0
@@ -308,6 +320,30 @@ def test_spectrum_stdout(capsys):
     assert "domain = box:1.0x1.0" in out
     assert "distinct = 2" in out
     assert "total = 3" in out
+
+
+@pytest.mark.parametrize(
+    "domain, cutoff",
+    [
+        ("box:2x1", "300"),
+        ("disk:1", "400"),
+        ("union:box(1x1)@(0,0)+box(2x1)@(1,0)", "200"),
+        ("box:1x1", "10"),
+    ],
+    ids=["box", "disk", "union", "empty"],
+)
+def test_spectrum_listing_is_the_csv_body_with_spaces(domain, cutoff, capsys):
+    argv = ["spectrum", "--domain", domain, "--cutoff", cutoff]
+    assert main(argv) == 0
+    listing = capsys.readouterr().out
+    assert main([*argv, "--csv", "-"]) == 0
+    csv = capsys.readouterr().out
+    assert csv.startswith(f"# berezin-lab v{TOOL_VERSION}\n")
+    head = listing.index("eigenvalue multiplicity cumulative_count")
+    assert listing[head:] == csv.split("\n", 1)[1].replace(",", " ")
+    rows = listing[head:].count("\n") - 1
+    assert f"distinct = {rows}\n" in listing[:head]
+    assert (rows == 0) == (cutoff == "10")
 
 
 def test_spectrum_csv(tmp_path, capsys):
@@ -475,24 +511,40 @@ def test_sums_overflow_names_the_column_without_a_warning(sigma, capsys):
     )
 
 
+_THIN_LONG = "box:1e300x1e-300"  # surface 2e300, so its boundary term overflows
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, column",
     [
-        ["check", "--domain", "box:1x1", "--sigma", "400", "--lambda", "100"],
-        ["sweep", "--domain", "box:1x1", "--sigma", "400", "--lambda-max", "100",
-         "--points", "5"],
-        ["asymptotics", "--domain", "box:1x1", "--sigma", "400", "--lambda-max", "1e4"],
+        (["check", "--domain", "box:1x1", "--sigma", "400", "--lambda", "100"],
+         "s_classical"),
+        (["sweep", "--domain", "box:1x1", "--sigma", "400", "--lambda-max", "100",
+          "--points", "5"], "s_classical"),
+        (["asymptotics", "--domain", "box:1x1", "--sigma", "400", "--lambda-max",
+          "1e4"], "s_classical"),
+        (["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "10",
+          "--nu", "1e308"], "improved_rhs"),
+        (["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "10",
+          "--nu=-1e308"], "improved_rhs"),
+        (["check", "--domain", _THIN_LONG, "--sigma", "1.5", "--lambda", "1e10"],
+         "two_term_riesz"),
+        (["asymptotics", "--domain", _THIN_LONG, "--sigma", "1.5", "--lambda", "1e9",
+          "--lambda-max", "1e10", "--points", "2"], "boundary_term"),
     ],
-    ids=["check", "sweep", "asymptotics"],
+    ids=["check", "sweep", "asymptotics", "huge-nu", "huge-negative-nu",
+         "thin-long-check", "thin-long-asymptotics"],
 )
-def test_riesz_overflow_names_the_column_without_a_warning(argv, capsys):
+def test_riesz_overflow_names_the_column_without_a_warning(argv, column, capsys):
+    # an overflowing column is named, never an inf in a verdict or a ratio
+    sigma = argv[argv.index("--sigma") + 1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "numeric failure: s_classical overflows a float at sigma = 400\n"
+        f"numeric failure: {column} overflows a float at sigma = {sigma}\n"
     )
 
 

@@ -333,14 +333,16 @@ def test_bounds_names_no_domain_class():
 @pytest.mark.parametrize("module", [spectra, harness, cli], ids=lambda m: m.__name__)
 def test_layers_name_no_domain_class(module):
     # every other layer reads what it asks of a domain from its family's
-    # declaration in geometry, so a new family needs no branch there; the
-    # command line names the classes in its parser only
+    # declaration in geometry, the text grammar included, so a new family
+    # needs no branch there
     tree = ast.parse(Path(module.__file__).read_text())
-    if module is cli:
-        (parser,) = [n for n in tree.body if getattr(n, "name", None) == "parse_domain"]
-        assert _names(parser) >= _DOMAIN_CLASSES
-        tree.body.remove(parser)
     assert not _names(tree) & _DOMAIN_CLASSES
+    grammar = ast.parse(Path(geometry.__file__).read_text())
+    defined = {n.name for n in grammar.body if isinstance(n, ast.FunctionDef)}
+    assert {"parse_domain", "render_domain"} <= defined
+    assert not {"parse_domain", "render_domain"} & {
+        n.name for n in tree.body if isinstance(n, ast.FunctionDef)
+    }
 
 
 def test_volume_and_surface():
