@@ -109,31 +109,24 @@ def _add_report_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="berezin-lab",
-        description="Spectral bounds for the Dirichlet Laplacian on explicit domains.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"berezin-lab {TOOL_VERSION}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="semiclassical constants for one (sigma, dim)")
+def _constants_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--dim", type=int, required=True)
 
-    p = sub.add_parser("epsilon", help="remainder minimum and correction weights")
+
+def _epsilon_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=float, default=None, help="remainder exponent")
     p.add_argument("--sigma", type=float, default=None, help="with --dim, sets mu")
     p.add_argument("--dim", type=int, default=None)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of a domain below a cutoff")
+
+def _spectrum_options(p: argparse.ArgumentParser) -> None:
     _add_domain_options(p)
     p.add_argument("--cutoff", type=float, required=True)
     _add_report_options(p)
 
-    p = sub.add_parser("check", help="full bound chain at a single energy")
+
+def _check_options(p: argparse.ArgumentParser) -> None:
     _add_domain_options(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -145,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_report_options(p)
 
-    p = sub.add_parser("sweep", help="Riesz-mean bounds over an energy grid")
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
     _add_domain_options(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
@@ -155,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=_nu_argument, default=None)
     _add_report_options(p)
 
-    p = sub.add_parser("sums", help="eigenvalue-sum bounds over an index grid")
+
+def _sums_options(p: argparse.ArgumentParser) -> None:
     _add_domain_options(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument(
@@ -170,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--melas-m", type=float, default=None)
     _add_report_options(p)
 
-    p = sub.add_parser("asymptotics", help="high-energy two-term diagnostics")
+
+def _asymptotics_options(p: argparse.ArgumentParser) -> None:
     _add_domain_options(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument(
@@ -180,6 +176,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=8, help=f"grid size, {_AT_MOST}")
     _add_report_options(p)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command` alone; either way
+    its usage line, printed for unrecognized arguments, names every one."""
+    parser = argparse.ArgumentParser(
+        prog="berezin-lab",
+        description="Spectral bounds for the Dirichlet Laplacian on explicit domains.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"berezin-lab {TOOL_VERSION}"
+    )
+    if command is None:
+        # without a metavar, the error for a missing command names "command"
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        every = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (help_line, add_options, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -313,25 +329,33 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     return _report_exit(report, args.csv)
 
 
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "epsilon": _cmd_epsilon,
-    "spectrum": _cmd_spectrum,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "sums": _cmd_sums,
-    "asymptotics": _cmd_asymptotics,
+# Each subcommand: its help line, the function that adds its options and its handler.
+_COMMANDS = {
+    "constants": (
+        "semiclassical constants for one (sigma, dim)", _constants_options, _cmd_constants
+    ),
+    "epsilon": ("remainder minimum and correction weights", _epsilon_options, _cmd_epsilon),
+    "spectrum": ("eigenvalues of a domain below a cutoff", _spectrum_options, _cmd_spectrum),
+    "check": ("full bound chain at a single energy", _check_options, _cmd_check),
+    "sweep": ("Riesz-mean bounds over an energy grid", _sweep_options, _cmd_sweep),
+    "sums": ("eigenvalue-sum bounds over an index grid", _sums_options, _cmd_sums),
+    "asymptotics": (
+        "high-energy two-term diagnostics", _asymptotics_options, _cmd_asymptotics
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command in first place takes every later argument, so its parser
+    # alone parses them; anything else is parsed with every command built.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 (--help, --version) or 2
         return exc.code
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     # ArithmeticError: a closed form overflowed, or divided by an underflowed 0
     except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ exactly over atoms, and through the disk's G_e(s) = int_{t>s}
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -366,6 +367,9 @@ _gl_wphi = 0.25 * math.pi * _gl_w
 _gl_cos = np.cos(_gl_phi)
 _gl_cos2 = _gl_cos**2
 _gl_sin2 = np.sin(_gl_phi) ** 2
+# Rows of the disk's integrand per block: 256 x 48 doubles, 96 KiB, stay
+# below glibc's 128 KiB mmap threshold, so no temporary is a fresh mapping.
+_DISK_BLOCK_ROWS = 256
 
 
 def critical_length(lam: ArrayLike) -> ArrayLike:
@@ -391,7 +395,9 @@ class SectionAtoms(Record):
     def lattice_integral(self, e: float, l_crit: np.ndarray) -> np.ndarray:
         """Integral of lattice_sum(e, t / l_crit) against mu at each l_crit:
         the weighted sum over the atoms, along the last axis as in tail."""
-        terms = self.weights * lattice_sum(e, self.lengths / l_crit[..., None])
+        with np.errstate(over="ignore"):  # lattice_sum names an infinite ratio
+            ratio = self.lengths / l_crit[..., None]
+        terms = self.weights * lattice_sum(e, ratio)
         return terms.sum(axis=-1)
 
 
@@ -413,19 +419,42 @@ class DiskSections(Record):
     def lattice_integral(self, e: float, l_crit: np.ndarray) -> np.ndarray:
         """Sum of G_e(j l_crit) over j >= 1 with j l_crit <= 2R at each l_crit:
         each term is twice the cross integral over u > 0, by Gauss-Legendre in
-        a smoothing substitution."""
+        a smoothing substitution.
+
+        The (energy, j) rows of the whole grid are laid end to end; the
+        integrand is evaluated in blocks of whole energies of at most
+        _DISK_BLOCK_ROWS rows, or one energy alone, so its temporaries stay
+        small. Each energy keeps its own matrix product and sum, which gives
+        the bits of one energy evaluated alone."""
         r_dom = self.radius
-        total = []
-        for lc in l_crit.flat:
-            jmax = int(math.floor(2.0 * r_dom / lc))
-            js = np.arange(1, jmax + 1, dtype=float)
-            uj2 = r_dom * r_dom - (0.5 * js * lc) ** 2
-            np.maximum(uj2, 0.0, out=uj2)
-            uj = np.sqrt(uj2)
-            num = uj2[:, None] * _gl_cos2[None, :]
-            den = r_dom * r_dom - uj2[:, None] * _gl_sin2[None, :]
-            integrand = (num / den) ** e * _gl_cos[None, :]
-            total.append((2.0 * uj * (integrand @ _gl_wphi)).sum())
+        flat = l_crit.ravel()
+        ratio = 2.0 * r_dom / flat
+        # The j of the largest energy, of which every energy's are a prefix;
+        # built before the cast below, so a ratio past the floats or the
+        # memory raises (OverflowError, ValueError, MemoryError).
+        js_top = np.arange(1, math.floor(ratio.max(initial=0.0)) + 1, dtype=float)
+        jmax = np.floor(ratio).astype(np.intp)
+        ends = np.cumsum(jmax)
+        starts = ends - jmax
+        js = js_top[np.arange(jmax.sum()) - np.repeat(starts, jmax)]
+        uj2 = r_dom * r_dom - (0.5 * js * np.repeat(flat, jmax)) ** 2
+        np.maximum(uj2, 0.0, out=uj2)
+        uj = np.sqrt(uj2)
+        starts, ends = starts.tolist(), ends.tolist()
+        quad = np.empty_like(uj)
+        i = 0
+        while i < len(ends):
+            a = starts[i]
+            k = max(bisect.bisect_right(ends, a + _DISK_BLOCK_ROWS, i), i + 1)
+            block = uj2[a : ends[k - 1], None]
+            num = block * _gl_cos2
+            den = r_dom * r_dom - block * _gl_sin2
+            integrand = (num / den) ** e * _gl_cos
+            for s, t in zip(starts[i:k], ends[i:k]):
+                np.matmul(integrand[s - a : t - a], _gl_wphi, out=quad[s:t])
+            i = k
+        terms = 2.0 * uj * quad
+        total = [terms[s:t].sum() for s, t in zip(starts, ends)]
         return np.reshape(total, l_crit.shape)
 
 

@@ -64,7 +64,13 @@ def f_mu(mu: float, a: ArrayLike) -> ArrayLike:
     a = np.asarray(a, dtype=float)
     if not np.all(a >= 1.0):
         raise ValueError(f"f_mu requires A >= 1, got {a!r}")
-    return 0.5 * a * beta(1.0 + mu, 0.5) - lattice_sum(mu, a)
+    return _f_mu(mu, a, 0.5 * beta(1.0 + mu, 0.5))
+
+
+def _f_mu(mu: float, a: np.ndarray, half_beta: float) -> np.ndarray:
+    """f_mu unchecked, given B(1 + mu, 1/2)/2: halving is exact, so this is
+    0.5 * a * B bit for bit."""
+    return a * half_beta - lattice_sum(mu, a)
 
 
 def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
@@ -86,18 +92,18 @@ def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
         )
     out = np.empty(flat.size)
     step = max(1, _BLOCK // max(int(top), 1))
-    for start in range(0, flat.size, step):
-        block = flat[start : start + step]
-        # numpy reduces axis 0 of a (jmax, n) array one row at a time, except
-        # for n == 1, where it sums the lone column pairwise; so pad to two.
-        cols = np.resize(block, max(block.size, 2))
-        j2 = np.arange(1.0, int(cols.max()) + 1.0) ** 2
-        # An r*r that is 0 or subnormal has no term: 1 - inf clips to 0.
-        with np.errstate(divide="ignore", over="ignore"):
+    # An r*r that is 0 or subnormal has no term: 1 - inf clips to 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, flat.size, step):
+            block = flat[start : start + step]
+            # numpy reduces axis 0 of a (jmax, n) array one row at a time, except
+            # for n == 1, where it sums the lone column pairwise; so pad to two.
+            cols = block if block.size > 1 else np.repeat(block, 2)
+            j2 = np.arange(1.0, int(cols.max()) + 1.0) ** 2
             t = np.subtract(1.0, np.multiply.outer(j2, 1.0 / (cols * cols)))
-        np.maximum(t, 0.0, out=t)
-        np.power(t, e, out=t)
-        out[start : start + block.size] = t.sum(axis=0)[: block.size]
+            np.maximum(t, 0.0, out=t)
+            np.power(t, e, out=t)
+            out[start : start + block.size] = t.sum(axis=0)[: block.size]
     return out.reshape(r.shape)[()]
 
 
@@ -107,9 +113,9 @@ def _golden_min(
     """Golden-section minima of fn over the brackets [lo, hi], all in lockstep.
 
     Each bracket takes the same steps it would take alone and stops once it
-    is no wider than tol; fn is evaluated once per step on the live brackets.
+    is no wider than tol, keeping its values from then on; fn is evaluated
+    once per step on the live brackets.
     """
-    lo, hi = lo.copy(), hi.copy()
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = fn(c), fn(d)
@@ -117,14 +123,16 @@ def _golden_min(
     while live.any():
         left = live & (fc < fd)
         right = live & ~left
-        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = hi[left] - _GOLDEN * (hi[left] - lo[left])
-        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = lo[right] + _GOLDEN * (hi[right] - lo[right])
+        # a left step keeps lo and moves hi to d; a right step the reverse
+        hi, lo = np.where(left, d, hi), np.where(right, c, lo)
+        c, d = (
+            np.where(left, hi - _GOLDEN * (hi - lo), np.where(right, d, c)),
+            np.where(right, lo + _GOLDEN * (hi - lo), np.where(left, c, d)),
+        )
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
         fx = np.empty_like(lo)
         fx[live] = fn(np.where(left, c, d)[live])
-        fc[left] = fx[left]
-        fd[right] = fx[right]
+        fc, fd = np.where(left, fx, fc), np.where(right, fx, fd)
         live = hi - lo > tol
     x = 0.5 * (lo + hi)
     return x, fn(x)
@@ -158,6 +166,7 @@ def epsilon_mu(mu: float) -> RemainderResult:
         msg = f"f_mu minimum for mu={mu} has no tail bound (log C_mu overflows)"
         raise ConvergenceError(msg) from None
     npts = int(math.ceil(1.0 / _SCAN_STEP)) + 1
+    half_beta = 0.5 * beta(1.0 + mu, 0.5)
 
     # Candidates in scan order, each segment's grid minimum and then its
     # refined minimum; the first of the smallest values wins.
@@ -170,7 +179,7 @@ def epsilon_mu(mu: float) -> RemainderResult:
                 f" past the scan limit {_SCAN_LIMIT}"
             )
         grid = np.linspace(seg, seg + 1.0, npts)
-        vals = f_mu(mu, grid)
+        vals = _f_mu(mu, grid, half_beta)
         i = int(np.argmin(vals))
         grid_x.append(grid[i])
         grid_f.append(vals[i])
@@ -182,7 +191,7 @@ def epsilon_mu(mu: float) -> RemainderResult:
             # clamped below overflow: only whether A0 passes the limit matters
             a0 = math.exp(min((log_c - math.log(0.5 - low)) / (mu - 0.5), 700.0))
     gold_x, gold_f = _golden_min(
-        lambda t: f_mu(mu, t), np.array(lo), np.array(hi), _TOL
+        lambda t: _f_mu(mu, t, half_beta), np.array(lo), np.array(hi), _TOL
     )
     cand_x = np.column_stack([grid_x, gold_x]).ravel()
     cand_f = np.column_stack([grid_f, gold_f]).ravel()

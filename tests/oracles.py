@@ -142,3 +142,31 @@ def midpoint_oracle(dom, sigma, lam, nodes=4096):
     sliced = lam**e * lt_oracle(sigma, d - 1) * lattice
     moment = m2 - sum(c * c for c in m1) / m0
     return MidpointValues(vol_long, d_long, sliced, m0, moment)
+
+
+def disk_lattice_integral_reference(radius, e, l_crit):
+    """The disk's lattice integral one energy at a time: at each l_crit, the
+    sum over j >= 1 with j l_crit <= 2R of twice the cross integral of G_e,
+    by numpy's 48-node Gauss-Legendre rule mapped to [0, pi/2].
+
+    This is the per-energy loop that geometry's DiskSections.lattice_integral
+    replaced with blocks across the grid; the two must agree bit for bit.
+    """
+    x, w = np.polynomial.legendre.leggauss(48)
+    phi = 0.25 * math.pi * (x + 1.0)
+    wphi = 0.25 * math.pi * w
+    cos = np.cos(phi)
+    cos2, sin2 = cos**2, np.sin(phi) ** 2
+    l_crit = np.asarray(l_crit, dtype=float)
+    total = []
+    for lc in l_crit.flat:
+        jmax = int(math.floor(2.0 * radius / lc))
+        js = np.arange(1, jmax + 1, dtype=float)
+        uj2 = radius * radius - (0.5 * js * lc) ** 2
+        np.maximum(uj2, 0.0, out=uj2)
+        uj = np.sqrt(uj2)
+        num = uj2[:, None] * cos2[None, :]
+        den = radius * radius - uj2[:, None] * sin2[None, :]
+        integrand = (num / den) ** e * cos[None, :]
+        total.append((2.0 * uj * (integrand @ wphi)).sum())
+    return np.reshape(total, l_crit.shape)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import berezin_lab
-from berezin_lab import harness
+from berezin_lab import cli, harness
 from berezin_lab.cli import main, parse_domain, render_domain
 from berezin_lab.constants import lt_value
 from berezin_lab.errors import DomainParseError
@@ -158,6 +158,45 @@ def test_version_and_usage_exits(capsys):
     assert main([]) == 2
     assert main(["check", "--domain", "box(1x1", "--sigma", "1.5", "--lambda", "5"]) == 2
     capsys.readouterr()
+
+
+_VALID = {
+    "constants": ["--sigma", "1.5", "--dim", "2"],
+    "epsilon": ["--mu", "2"],
+    "spectrum": ["--domain", "box:1x1", "--cutoff", "50"],
+    "check": ["--domain", "box:1x1", "--sigma", "1.5", "--lambda", "50"],
+    "sweep": ["--domain", "disk:1", "--sigma", "1.5", "--lambda-max", "50", "--points", "3"],
+    "sums": ["--domain", "box:1x1", "--sigma", "2", "--n-max", "5"],
+    "asymptotics": ["--domain", "box:1x1", "--sigma", "1.5", "--lambda-max", "500"],
+}
+_ARGV_MATRIX = (
+    [[], ["--help"], ["-h"], ["--version"], ["bogus"], ["bogus", "--help"]]
+    + [["--version", "sweep"], ["-h", "sweep"], ["--bogus", *["sweep", *_VALID["sweep"]]]]
+    + [[name, "--help"] for name in _VALID]
+    + [[name, *args, "--bogus"] for name, args in _VALID.items()]
+    + [[name, *args] for name, args in _VALID.items()]
+    + [
+        ["sweep", "--domain", "disk:1", "--sigma", "1.5", "--points", "3"],
+        ["constants", "--sigma", "1.5"],
+        ["sweep", *_VALID["sweep"][:-1], "three"],
+        ["check", *_VALID["check"], "--nu", "much"],
+        ["epsilon", "--mu", "two"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", _ARGV_MATRIX, ids=" ".join)
+def test_one_command_parser_answers_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the parser of the command in first place; stdout,
+    # stderr and exit code must be those of the parser with every command
+    code = main(list(argv))
+    got = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert (code, got.out, got.err) == (main(list(argv)), *capsys.readouterr())
+    if argv[-1:] == ["--bogus"]:
+        # the usage argparse prints still names every command
+        assert "{constants,epsilon,spectrum,check,sweep,sums,asymptotics}" in got.err
 
 
 def _run_python(*args):
@@ -886,6 +925,8 @@ def _domain_argv(draw):
                "--lambda=100"])
 @example(argv=["sweep", "--domain=box:1x1x1;axis=3", "--sigma=1", "--lambda-max=300",
                "--points=4"])
+@example(argv=["check", "--domain=union:box(0.1x1e-20x1.7976931348623157e308)@(0.0,0,0)"
+               "+box(1.0x1.0x1.0)@(0.6,0,0)", "--sigma=1.5", "--lambda=10.0"])
 def test_domain_texts_end_in_an_exit_code(argv):
     text = argv[1].split("=", 1)[1]
     try:

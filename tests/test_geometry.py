@@ -34,7 +34,7 @@ from berezin_lab.geometry import (
 )
 from berezin_lab.harness import asymptotic_diagnostics
 from berezin_lab.spectra import enumerate_spectrum
-from oracles import midpoint_oracle, oracle_sections
+from oracles import disk_lattice_integral_reference, midpoint_oracle, oracle_sections
 
 
 def disk_long_stats_oracle(radius, lam, n=2_000_001):
@@ -150,6 +150,32 @@ def test_gauss_legendre_literals_are_numpys_rule_bit_for_bit():
     x, w = np.polynomial.legendre.leggauss(48)
     assert geometry._gl_x.tobytes() == x.tobytes()
     assert geometry._gl_w.tobytes() == w.tobytes()
+
+
+# Grids of l_crit for the disk's lattice integral: one energy, energies whose
+# sections are all too short to count (jmax = 0), dense and sparse geometric
+# grids, an energy with more rows than a block holds, a 2-d grid, no energy.
+_DISK_GRIDS = {
+    "scalar": np.array(math.pi / math.sqrt(37.5)),
+    "no-long-section": math.pi / np.sqrt([0.5, 1.0, 2.0, 3.0]),
+    "dense-to-2e4": math.pi / np.sqrt(np.geomspace(0.01, 2e4, 777)),
+    "sparse-to-1e6": math.pi / np.sqrt(np.geomspace(1.0, 1e6, 50)),
+    "lambda-1e8": np.array([math.pi / 1e4]),
+    "2-d": math.pi / np.sqrt(np.geomspace(1.0, 1e4, 24)).reshape(4, 6),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("grid", list(_DISK_GRIDS))
+@pytest.mark.parametrize("e", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 7.5, 40.0])
+def test_disk_lattice_integral_is_the_per_energy_loop_bit_for_bit(radius, e, grid):
+    # blocks across the grid give each energy the bits it has alone
+    l_crit = _DISK_GRIDS[grid]
+    got = geometry.DiskSections(radius).lattice_integral(e, l_crit)
+    want = disk_lattice_integral_reference(radius, e, l_crit)
+    assert got.shape == want.shape == l_crit.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_slicing_stats_square():

@@ -273,6 +273,26 @@ def test_scan_finds_a_dip_inside_the_range(monkeypatch):
     assert res.epsilon < 0.0
 
 
+@pytest.mark.parametrize(
+    "mu, pinned",
+    [
+        (1.2, ("0x1.d129cb63cb908p-2", "0x1.80064968a3a6cp+0", "0x1.8000000000000p+5")),
+        (1.5, ("0x1.ddceb66d16a17p-2", "0x1.946d2393e5fa2p+0", "0x1.e000000000000p+3")),
+        (2.0, ("0x1.ea78fe4820258p-2", "0x1.b2d3d992b0d32p+0", "0x1.c000000000000p+2")),
+        (2.5, ("0x1.f1cf165689057p-2", "0x1.cde877c11a9d4p+0", "0x1.4000000000000p+2")),
+        (3.7, ("0x1.addb9b7a1f44ep-2", "0x1.0000000000000p+0", "0x1.0000000000000p+1")),
+        (10.0, ("0x1.14bf15e76d043p-2", "0x1.0000000000000p+0", "0x1.0000000000000p+1")),
+        (100.0, ("0x1.69a4f492a2e69p-4", "0x1.0000000000000p+0", "0x1.a000000000000p+3")),
+        (500.0, ("0x1.446eb98cf4bd4p-5", "0x1.0000000000000p+0", "0x1.e000000000000p+5")),
+    ],
+)
+def test_minimum_is_pinned_bit_for_bit(mu, pinned):
+    # epsilon, argmin_a and scan_upper as float.hex, recorded from the search
+    # that called f_mu with its checks for every scan segment and golden step
+    res = epsilon_mu(mu)
+    assert (res.epsilon.hex(), res.argmin_a.hex(), res.scan_upper.hex()) == pinned
+
+
 def test_ends_of_the_certified_range():
     assert epsilon_mu(1.163).scan_upper == 60.0
     assert epsilon_mu(505.4).scan_upper == 60.0
