@@ -40,10 +40,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    Domain, DomainParseError, NumericFailure, Record, UnsupportedDomainError, check_domain
+    Domain, DomainParseError, EnumerationLimitError, NumericFailure, Record,
+    UnsupportedDomainError, check_domain,
 )
 from .remainder import lattice_sum
-from .spectra import _box_eigenvalues, _check_limit, _disk_eigenvalues
+from .spectra import ENUMERATION_LIMIT, _box_eigenvalues, _check_limit, _disk_eigenvalues
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -421,41 +422,42 @@ class DiskSections(Record):
         each term is twice the cross integral over u > 0, by Gauss-Legendre in
         a smoothing substitution.
 
-        The (energy, j) rows of the whole grid are laid end to end; the
-        integrand is evaluated in blocks of whole energies of at most
-        _DISK_BLOCK_ROWS rows, or one energy alone, so its temporaries stay
-        small. Each energy keeps its own matrix product and sum, which gives
-        the bits of one energy evaluated alone."""
+        The (energy, j) rows of the whole grid are built and evaluated in
+        blocks of whole energies of at most _DISK_BLOCK_ROWS rows, or one
+        energy alone, so the memory held is bounded by the block. Each energy
+        keeps its own matrix product and sum, which gives the bits of one
+        energy evaluated alone. An energy with more lattice indices than the
+        enumeration limit raises EnumerationLimitError before any array is built."""
         r_dom = self.radius
         flat = l_crit.ravel()
         ratio = 2.0 * r_dom / flat
-        # The j of the largest energy, of which every energy's are a prefix;
-        # built before the cast below, so a ratio past the floats or the
-        # memory raises (OverflowError, ValueError, MemoryError).
-        js_top = np.arange(1, math.floor(ratio.max(initial=0.0)) + 1, dtype=float)
+        top = ratio.max(initial=0.0)
+        if not top < ENUMERATION_LIMIT + 1:
+            raise EnumerationLimitError(
+                f"disk lattice integral at 2R/l_crit = {top:.6g} would exceed the"
+                f" limit of {ENUMERATION_LIMIT} lattice indices"
+            )
         jmax = np.floor(ratio).astype(np.intp)
-        ends = np.cumsum(jmax)
-        starts = ends - jmax
-        js = js_top[np.arange(jmax.sum()) - np.repeat(starts, jmax)]
-        uj2 = r_dom * r_dom - (0.5 * js * np.repeat(flat, jmax)) ** 2
-        np.maximum(uj2, 0.0, out=uj2)
-        uj = np.sqrt(uj2)
-        starts, ends = starts.tolist(), ends.tolist()
-        quad = np.empty_like(uj)
+        ends = np.cumsum(jmax).tolist()
+        out = np.empty(flat.size)
         i = 0
-        while i < len(ends):
-            a = starts[i]
+        while i < flat.size:
+            a = ends[i] - int(jmax[i])
             k = max(bisect.bisect_right(ends, a + _DISK_BLOCK_ROWS, i), i + 1)
-            block = uj2[a : ends[k - 1], None]
-            num = block * _gl_cos2
-            den = r_dom * r_dom - block * _gl_sin2
-            integrand = (num / den) ** e * _gl_cos
-            for s, t in zip(starts[i:k], ends[i:k]):
-                np.matmul(integrand[s - a : t - a], _gl_wphi, out=quad[s:t])
+            rows = jmax[i:k]
+            cuts = [t - a for t in ends[i:k]]  # where each energy's rows end
+            js = np.arange(1.0, cuts[-1] + 1.0) - np.repeat([0, *cuts[:-1]], rows)
+            uj2 = r_dom * r_dom - (0.5 * js * np.repeat(flat[i:k], rows)) ** 2
+            np.maximum(uj2, 0.0, out=uj2)
+            block = uj2[:, None]
+            integrand = (block * _gl_cos2 / (r_dom * r_dom - block * _gl_sin2)) ** e * _gl_cos
+            quad = np.empty_like(uj2)
+            for s, t in zip([0, *cuts], cuts):
+                np.matmul(integrand[s:t], _gl_wphi, out=quad[s:t])
+            terms = 2.0 * np.sqrt(uj2) * quad
+            out[i:k] = [terms[s:t].sum() for s, t in zip([0, *cuts], cuts)]
             i = k
-        terms = 2.0 * uj * quad
-        total = [terms[s:t].sum() for s, t in zip(starts, ends)]
-        return np.reshape(total, l_crit.shape)
+        return out.reshape(l_crit.shape)
 
 
 def _in_floats(what: str, value: float, dom: object) -> float:

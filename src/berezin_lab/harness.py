@@ -11,7 +11,7 @@ so violations are quantified, not just flagged, and any other tolerance can
 be applied to the margins afterwards.
 
 Report columns hold numbers, and verdicts as int8 codes (0 pass, 1 fail,
-2 n/a) from `_check_le` to the file; `rows` decodes them to words.
+2 n/a), one per check of `_CHECKS`, to the file; `rows` decodes them.
 
 CSV bytes are those of printing every float with `%.17g` (NaN as an empty
 field), every integer in full and every verdict as its word. A block of rows
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
@@ -423,15 +424,6 @@ def _check_le(lhs: ArrayLike, rhs: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     return np.where(na, np.int8(2), ~ok), np.where(na, math.nan, rhs - lhs)
 
 
-def _table(size: int, values: dict, checks: dict) -> dict[str, np.ndarray]:
-    """Report columns from whole-grid values (a scalar is a constant column)
-    and (verdict codes, margins) per check."""
-    columns = dict(values)
-    for name, (verdict, margin) in checks.items():
-        columns.update({name: verdict, f"{name}_margin": margin})
-    return {k: np.broadcast_to(v, (size,)) for k, v in columns.items()}
-
-
 def _try_surface(dom: Domain) -> float | None:
     try:
         return surface(dom)
@@ -439,13 +431,54 @@ def _try_surface(dom: Domain) -> float | None:
         return None
 
 
+# Per report kind, its checks in column order: the name, the sides lhs <= rhs
+# (a column, a fact such as holder_rhs, or a number) and whether it applies,
+# from the report's facts. The corrected bound is nonnegative on every domain
+# only for nu up to nu_nonneg_cap, so improved_nonneg is n/a above it.
+_BEREZIN = ("berezin", "riesz_mean", "s_classical", lambda f: f.sigma >= 1.0)
+_CHECKS = {
+    "riesz": (
+        ("s_le_sliced", "riesz_mean", "sliced_bound", lambda f: f.sliced_ok),
+        ("sliced_le_improved", "sliced_bound", "improved_rhs",
+         lambda f: f.sliced_ok and f.improved_ok),
+        ("improved_le_classical", "improved_rhs", "s_classical", lambda f: f.improved_ok),
+        _BEREZIN,
+        ("polya", "n", "eta", lambda f: f.domain.polya_theorem),
+        ("improved_nonneg", 0.0, "improved_rhs",
+         lambda f: f.improved_ok and f.nu <= f.nu_cap * (1.0 + 1e-12)),
+    ),
+    "sums": (
+        ("li_yau", "li_yau_rhs", "s1", lambda f: True),
+        ("lambda_lower", "eigenvalue_lower", "lambda_n", lambda f: True),
+        ("melas", "melas_rhs", "s1", lambda f: f.melas_m is not None),
+        ("holder_upper", "s1", "holder_rhs", lambda f: f.sigma > 1.0),
+    ),
+    "asymptotics": (_BEREZIN,),
+}
+
+
 def _report(
-    kind: str, domain: Domain, sigma: float, values: dict, checks: dict, **metadata
+    kind: str, domain: Domain, sigma: float, values: dict, facts: dict, **metadata
 ) -> BoundReport:
-    """A sweep's report: `values` then `checks`, in their order, are its table,
-    with one row per entry of the first value (the grid); the metadata every
-    kind shares is followed by `metadata`."""
-    columns = _table(len(next(iter(values.values()))), values, checks)
+    """A sweep's report: `values` (a scalar is a constant column), then a
+    verdict and a margin column per check of `_CHECKS[kind]`, with one row per
+    entry of the first value (the grid), and metadata. A check that does not
+    apply, by its predicate over sigma, the domain and `facts`, is n/a in every
+    row; a NaN side of one that applies is a NumericFailure naming the row."""
+    given = SimpleNamespace(sigma=sigma, domain=domain, **facts)
+    known = {**values, **facts}
+    columns = dict(values)
+    for name, lhs, rhs, applies in _CHECKS[kind]:
+        codes, margin = np.int8(2), math.nan
+        if applies(given):
+            a, b = (known.get(side, side) for side in (lhs, rhs))
+            nan = np.flatnonzero(np.isnan(a) | np.isnan(b))
+            if nan.size:
+                raise NumericFailure(f"check {name}, {lhs} <= {rhs}: NaN side in row {nan[0]}")
+            codes, margin = _check_le(a, b)
+        columns.update({name: codes, f"{name}_margin": margin})
+    size = len(next(iter(values.values())))
+    columns = {k: np.broadcast_to(v, (size,)) for k, v in columns.items()}
     metadata = {
         "tool_version": TOOL_VERSION,
         "kind": kind,
@@ -454,7 +487,7 @@ def _report(
         "slack": _SLACK,
         **metadata,
     }
-    return BoundReport(kind, columns, tuple(checks), metadata)
+    return BoundReport(kind, columns, tuple(c[0] for c in _CHECKS[kind]), metadata)
 
 
 def sweep_riesz(
@@ -497,8 +530,6 @@ def sweep_riesz(
         nu = math.nan
         nu_mode = "n/a"
     improved_ok = d >= 2 and math.isfinite(nu)
-    # The corrected bound is nonnegative on every domain only for nu up to
-    # this cap, so improved_nonneg is n/a above it.
     nu_cap = nu_nonneg_cap(mu) if d >= 2 else math.nan
 
     scl = _no_overflow("s_classical", sigma, lambda: s_classical(p, vol, lam))
@@ -536,23 +567,12 @@ def sweep_riesz(
         "vol_omega_lambda": st.vol_omega_lambda,
         "d_lambda": st.d_lambda,
     }
-    checks = {
-        "s_le_sliced": _check_le(s_val, sliced),
-        "sliced_le_improved": _check_le(sliced, improved),
-        "improved_le_classical": _check_le(improved, scl),
-        # A NaN side turns a check that does not apply into n/a.
-        "berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan),
-        "polya": _check_le(n, eta if domain.polya_theorem else math.nan),
-        "improved_nonneg": _check_le(
-            0.0, improved if nu <= nu_cap * (1.0 + 1e-12) else math.nan
-        ),
-    }
     return _report(
         "riesz",
         domain,
         sigma,
         values,
-        checks,
+        {"sliced_ok": sliced_ok, "improved_ok": improved_ok, "nu": nu, "nu_cap": nu_cap},
         nu=nu,
         nu_mode=nu_mode,
         nu_nonneg_cap=nu_cap,
@@ -649,13 +669,6 @@ def sweep_sums(
         "eigenvalue_lower": lam_low,
         "two_term_sum": ms2,
     }
-    # NaN without melas_m, or for sigma <= 1, makes those checks n/a.
-    checks = {
-        "li_yau": _check_le(ly, s1),
-        "lambda_lower": _check_le(lam_low, lam_n),
-        "melas": _check_le(mel, s1),
-        "holder_upper": _check_le(s1, holder_rhs),
-    }
     # the record of the eigenvalues the rows read, whatever the cutoff
     joins, gap = spec.merge_record(n_max)
     return _report(
@@ -663,7 +676,7 @@ def sweep_sums(
         domain,
         sigma,
         values,
-        checks,
+        {"melas_m": melas_m, "holder_rhs": holder_rhs},
         n_max=n_max,
         cutoff_used=spec.cutoff,
         merge_joins=joins,
@@ -713,7 +726,6 @@ def asymptotic_diagnostics(
         "ratio_main": ratio_main,
         "ratio_second": ratio_second,
     }
-    checks = {"berezin": _check_le(s_val, scl if sigma >= 1.0 else math.nan)}
     monotone = {"ratio_main_monotone_verdict": "n/a"}
     if sigma >= 2.0:
         lower = riesz_mean(spec, sigma - 1.0, lam)
@@ -729,7 +741,7 @@ def asymptotic_diagnostics(
         domain,
         sigma,
         values,
-        checks,
+        {},
         **monotone,
         ratio_second_first=ratio_second[0].item(),
         ratio_second_last=ratio_second[-1].item(),

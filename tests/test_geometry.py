@@ -9,6 +9,7 @@ midpoint oracle of oracles.py, which shares no code with geometry.
 import ast
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from berezin_lab import bounds, cli, geometry, harness, spectra
 from berezin_lab.bounds import sliced_bound
 from berezin_lab.constants import SemiclassicalParams
-from berezin_lab.errors import NumericFailure, UnsupportedDomainError
+from berezin_lab.errors import EnumerationLimitError, NumericFailure, UnsupportedDomainError
 from berezin_lab.geometry import (
     AxisBox,
     BoxUnion,
@@ -176,6 +177,38 @@ def test_disk_lattice_integral_is_the_per_energy_loop_bit_for_bit(radius, e, gri
     want = disk_lattice_integral_reference(radius, e, l_crit)
     assert got.shape == want.shape == l_crit.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [1e30, 1e300])
+def test_disk_lattice_integral_refuses_past_the_enumeration_limit(lam):
+    # 2R/l_crit is 6.4e14 and 6.4e149 lattice indices: refused, as lattice_sum
+    # refuses, before any array is built (not a MemoryError or a ValueError)
+    l_crit = np.array([math.pi / math.sqrt(lam)])
+    with pytest.raises(EnumerationLimitError, match="limit of 2000000 lattice indices"):
+        geometry.DiskSections(1.0).lattice_integral(2.0, l_crit)
+
+
+def test_disk_lattice_integral_limit_counts_one_energys_indices(monkeypatch):
+    # floor(2R/l_crit) indices per energy, not the grid's total, against the limit
+    monkeypatch.setattr(geometry, "ENUMERATION_LIMIT", 10)
+    disk = geometry.DiskSections(1.0)
+    assert disk.lattice_integral(2.0, np.full(5, 2.0 / 10.99)).shape == (5,)
+    with pytest.raises(EnumerationLimitError, match="2R/l_crit = 11 "):
+        disk.lattice_integral(2.0, np.array([1.0, 2.0 / 11.0]))
+
+
+def test_disk_lattice_integral_memory_is_bounded_by_its_block():
+    # the (energy, j) rows are built block by block: 20,000 energies up to 2e4,
+    # about 351,000 rows, peak near 1.6 MiB (16 MiB with the rows of the whole
+    # grid built at once); what stays grows only with the energies
+    l_crit = math.pi / np.sqrt(np.geomspace(1.0, 2e4, 20_000))
+    tracemalloc.start()
+    try:
+        geometry.DiskSections(1.0).lattice_integral(2.0, l_crit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_slicing_stats_square():

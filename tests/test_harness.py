@@ -5,10 +5,11 @@ spectra modules, so a sweep cannot drift away from the functions it is
 supposed to orchestrate.
 """
 
+import ast
 import io
 import math
 import re
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from berezin_lab.bounds import (
 )
 from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams
-from berezin_lab.errors import EnumerationLimitError, InsufficientCutoffError
+from berezin_lab.errors import EnumerationLimitError, InsufficientCutoffError, NumericFailure
 from berezin_lab.geometry import AxisBox, Disk, slicing_stats
 from berezin_lab.harness import (
     BoundReport,
@@ -63,6 +64,107 @@ def test_column_contracts(tmp_path):
             col for c in re.split(r",\s+", checks) for col in (c, f"{c}_margin")
         ]
         assert header == re.split(r",\s+", columns) + verdicts, kind
+
+
+def test_readme_check_table_is_the_check_table():
+    # README's table of checks has one row per entry of harness._CHECKS, in
+    # column order: its name, the report kinds that share it and its sides
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `(\w+)` \| ([a-z, ]+) \| `(\w+)` <= `(\w+)` \|", readme, re.M)
+    entries = []
+    for checks in harness._CHECKS.values():
+        entries += [c for c in checks if c not in entries]
+    want = [
+        (
+            name,
+            ", ".join(kind for kind, checks in harness._CHECKS.items() if entry in checks),
+            *(side if isinstance(side, str) else f"{side:g}" for side in (lhs, rhs)),
+        )
+        for entry in entries
+        for name, lhs, rhs, _ in [entry]
+    ]
+    assert listed == want
+
+
+def test_checks_are_declared_once():
+    # every verdict column comes from _CHECKS through _report; the only other
+    # _check_le is asymptotics' monotone check, which goes to the metadata
+    tree = ast.parse(Path(harness.__file__).read_text())
+    callers = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_le"
+    ]
+    assert sorted(callers) == ["_report", "asymptotic_diagnostics"]
+    sq = AxisBox((1.0, 1.0))
+    reports = (
+        sweep_riesz(sq, 1.5, (10.0, 50.0)),
+        sweep_riesz(Disk(1.0), 0.5, (10.0, 50.0), nu=1.0),
+        sweep_riesz(AxisBox((2.0,)), 1.5, (10.0, 50.0)),
+        sweep_sums(sq, 1.0, (1, 5)),
+        sweep_sums(Disk(1.0), 2.0, (1, 5), melas_m=0.1),
+        asymptotic_diagnostics(sq, 2.0, (50.0, 100.0)),
+    )
+    for rep in reports:
+        names = tuple(name for name, *_ in harness._CHECKS[rep.kind])
+        assert rep.checks == names
+        assert list(rep.columns)[-2 * len(names) :] == [
+            col for name in names for col in (name, f"{name}_margin")
+        ]
+
+
+# Per report kind: a bound the sweep calls, the first check with it as a side,
+# and a sweep of three rows.
+_NAN_SIDES = {
+    "riesz": (
+        "sliced_bound", "s_le_sliced, riesz_mean <= sliced_bound",
+        lambda: sweep_riesz(AxisBox((1.0, 1.0)), 1.5, (20.0, 50.0, 100.0)),
+    ),
+    "sums": (
+        "li_yau_rhs", "li_yau, li_yau_rhs <= s1",
+        lambda: sweep_sums(AxisBox((2.0, 1.0)), 2.0, (1, 2, 3)),
+    ),
+    "asymptotics": (
+        "s_classical", "berezin, riesz_mean <= s_classical",
+        lambda: asymptotic_diagnostics(AxisBox((1.0, 1.0)), 1.5, (50.0, 80.0, 100.0)),
+    ),
+}
+
+
+def _nan_in_row(monkeypatch, bound, row):
+    """Make the harness's `bound` give NaN in one row."""
+    real = getattr(harness, bound)
+
+    def patched(*args, **kwargs):
+        out = np.array(real(*args, **kwargs), dtype=float)
+        out[row] = math.nan
+        return out
+
+    monkeypatch.setattr(harness, bound, patched)
+
+
+@pytest.mark.parametrize("kind", list(_NAN_SIDES))
+def test_a_nan_side_where_a_check_applies_fails_loudly(monkeypatch, kind):
+    # a NaN where a check applies is a numeric fault, named, not an n/a verdict
+    bound, check, sweep = _NAN_SIDES[kind]
+    _nan_in_row(monkeypatch, bound, 1)
+    with pytest.raises(NumericFailure, match=re.escape(f"check {check}: NaN side in row 1")):
+        sweep()
+
+
+def test_a_nan_side_exits_3_naming_the_check_and_row(monkeypatch):
+    _nan_in_row(monkeypatch, "sliced_bound", 2)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["sweep", "--domain", "box:1x1", "--sigma", "1.5", "--lambda-max", "500",
+            "--points", "5"]
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "numeric failure: check s_le_sliced, riesz_mean <= sliced_bound: NaN side in row 2\n"
+    )
 
 
 def test_riesz_rows_match_direct_evaluation():
@@ -128,6 +230,18 @@ def test_riesz_below_three_halves_skips_sliced_chain():
         assert math.isnan(row["sliced_bound"])
         assert row["s_le_sliced"] == "n/a"
         assert row["berezin"] == "pass"
+
+
+def test_improved_nonneg_applies_up_to_the_nu_cap():
+    # the corrected bound is nonnegative for weights up to nu_nonneg_cap only
+    sq = AxisBox((1.0, 1.0))
+    grid = (20.0, 100.0, 500.0)
+    cap = sweep_riesz(sq, 1.5, grid).metadata["nu_nonneg_cap"]
+    at_cap = sweep_riesz(sq, 1.5, grid, nu=cap)
+    assert [row["improved_nonneg"] for row in at_cap.rows] == ["pass"] * 3
+    above = sweep_riesz(sq, 1.5, grid, nu=cap * (1.0 + 1e-9))
+    assert [row["improved_nonneg"] for row in above.rows] == ["n/a"] * 3
+    assert np.isnan(above.columns["improved_nonneg_margin"]).all()
 
 
 def test_riesz_exploratory_overweight_fails():

@@ -106,6 +106,15 @@ def reference_summary(rep: BoundReport) -> str:
     return "\n".join(lines)
 
 
+def _table(size: int, values: dict, checks: dict) -> dict[str, np.ndarray]:
+    """Report columns from values (a scalar is a constant column) and
+    (verdict codes, margins) per check, laid out as a sweep lays them out."""
+    columns = dict(values)
+    for name, (verdict, margin) in checks.items():
+        columns.update({name: verdict, f"{name}_margin": margin})
+    return {k: np.broadcast_to(v, (size,)) for k, v in columns.items()}
+
+
 def _csv(rep: BoundReport) -> str:
     buf = io.BytesIO()
     rep.to_csv(buf)
@@ -153,7 +162,7 @@ def table(draw):
         f"k{j}": (draw(verdict_codes(size)), draw(margins))
         for j in range(draw(st.integers(0, 2)))
     }
-    return BoundReport("test", harness._table(size, values, checks), tuple(checks))
+    return BoundReport("test", _table(size, values, checks), tuple(checks))
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,7 +178,7 @@ def test_column_writer_crosses_block_boundaries():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     x[rng.integers(0, n, 50)] = math.nan
-    columns = harness._table(
+    columns = _table(
         n,
         {"i": np.arange(n), "x": x, "y": x * 3.0, "c": math.nan, "k": 5},
         {"v": harness._check_le(x, 0.0)},
@@ -248,7 +257,7 @@ def test_blocks_with_and_without_python_cells_side_by_side():
     # verdicts, the second and fourth a value Python formats
     x = np.arange(1.0, 17.0) * 1.25
     x[[5, 13]] = [1e300, -3e-7]
-    columns = harness._table(16, {"x": x, "n": np.arange(16)}, {"v": harness._check_le(x, 10.0)})
+    columns = _table(16, {"x": x, "n": np.arange(16)}, {"v": harness._check_le(x, 10.0)})
     rep = BoundReport("test", columns, ("v",))
     with mock.patch.object(harness, "_CSV_BLOCK", 4):
         assert _csv(rep) == reference_csv(rep)
@@ -337,7 +346,7 @@ def verdict_report(draw):
     if draw(st.booleans()):
         verdict = draw(st.sampled_from(["pass", "fail"]))
         metadata["ratio_main_monotone_verdict"] = verdict
-    return BoundReport("riesz", harness._table(size, values, pairs), checks, metadata)
+    return BoundReport("riesz", _table(size, values, pairs), checks, metadata)
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,7 +364,7 @@ def test_tallies_with_ties_and_nan_margins():
     verdict = np.array([2, 1, 0, 1, 0, 0, 2], np.int8)
     other = np.array([1, 1, 1, 2, 2, 2, 1], np.int8)
     other_margin = np.array([-1.0, 2.0, -1.0, nan, nan, nan, nan])
-    columns = harness._table(
+    columns = _table(
         7,
         {"lambda": np.arange(7.0), "n": np.arange(7)},
         {"a": (verdict, margin), "b": (other, other_margin)},

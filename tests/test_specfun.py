@@ -152,11 +152,14 @@ def test_bessel_zero_interlacing():
 
 
 def test_zero_residual_and_sign_change():
+    # J_m from scipy.special.jv: above x = 6, bessel_j reads the same FFT
+    # column that found the zero, so it would check the engine against itself
+    jv = scipy.special.jv
     for m in (0, 1, 2, 5, 17):
         for k in (1, 2, 7):
             z = kth_zero(m, k)
-            assert abs(bessel_j(m, z)) <= 1e-10
-            assert bessel_j(m, z - 1e-6) * bessel_j(m, z + 1e-6) < 0.0
+            assert abs(jv(m, z)) <= 1e-10
+            assert jv(m, z - 1e-6) * jv(m, z + 1e-6) < 0.0
 
 
 def test_zeros_strictly_increasing_full_range():
