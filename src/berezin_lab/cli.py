@@ -58,11 +58,20 @@ def _nu_argument(text: str) -> float | None:
         ) from None
 
 
+def _csv_text(report: BoundReport) -> str:
+    table = io.BytesIO()
+    report.to_csv(table)
+    return table.getvalue().decode("ascii")
+
+
 def _emit_csv(report: BoundReport, dest: str) -> None:
-    if dest == "-":
+    if dest != "-":
+        report.to_csv(dest)
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # what was printed comes before the table
-        dest = sys.stdout.buffer
-    report.to_csv(dest)
+        report.to_csv(sys.stdout.buffer)
+    else:  # a text stream with no bytes beneath, such as io.StringIO
+        sys.stdout.write(_csv_text(report))
 
 
 def _positive(flag: str, value: float) -> float:
@@ -262,9 +271,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     print(f"distinct = {spec.eigenvalues.size}")
     print(f"total = {spec.total_count}")
     # the table is the CSV after its comment line, with spaces for commas
-    table = io.BytesIO()
-    report.to_csv(table)
-    sys.stdout.write(table.getvalue().split(b"\n", 1)[1].replace(b",", b" ").decode())
+    sys.stdout.write(_csv_text(report).split("\n", 1)[1].replace(",", " "))
     return 0
 
 

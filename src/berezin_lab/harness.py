@@ -11,7 +11,8 @@ so violations are quantified, not just flagged, and any other tolerance can
 be applied to the margins afterwards.
 
 Report columns hold numbers, and verdicts as int8 codes (0 pass, 1 fail,
-2 n/a), one per check of `_CHECKS`, to the file; `rows` decodes them.
+2 n/a), one per check of `_CHECKS`, to the file; `rows` decodes them. That
+table is the only source of verdicts: metadata holds none.
 
 CSV bytes are those of printing every float with `%.17g` (NaN as an empty
 field), every integer in full and every verdict as its word. A block of rows
@@ -115,21 +116,16 @@ class BoundReport:
         return [dict(zip(self.columns, row)) for row in zip(*cols)]
 
     def failures(self) -> list[tuple[int, str, float]]:
-        """(row, check, margin) per failing verdict, then (-1, key, nan) per
-        failing '*_verdict' metadata entry."""
+        """(row, check, margin) per failing verdict, by row, then check order."""
         hits = sorted(
             (i, k)
             for k, c in enumerate(self.checks)
             for i in np.flatnonzero(self.columns[c] == 1).tolist()
         )
-        out = [
+        return [
             (i, self.checks[k], self.columns[f"{self.checks[k]}_margin"][i].item())
             for i, k in hits
         ]
-        for key, value in self.metadata.items():
-            if key.endswith("_verdict") and value == "fail":
-                out.append((-1, key, math.nan))
-        return out
 
     @property
     def all_passed(self) -> bool:
@@ -231,20 +227,14 @@ class BoundReport:
         fails = self.failures()
         if fails:
             lines.append(f"  VERDICT: FAIL ({len(fails)} failing entries)")
-            worst = min(
+            i, name, _ = min(
                 (f for f in fails if not math.isnan(f[2])),
                 key=lambda f: f[2],
                 default=fails[0],
             )
-            if worst[0] >= 0:
-                row = next(self._csv_blocks(slice(worst[0], worst[0] + 1)))
-                cells = str(row, "ascii")
-                detail = ", ".join(
-                    f"{c}={v}" for c, v in zip(self.columns, cells[:-1].split(","))
-                )
-                lines.append(f"  worst row [{worst[0]}] {worst[1]}: {detail}")
-            else:
-                lines.append(f"  failing metadata check: {worst[1]}")
+            cells = str(next(self._csv_blocks(slice(i, i + 1))), "ascii")
+            detail = ", ".join(f"{c}={v}" for c, v in zip(self.columns, cells[:-1].split(",")))
+            lines.append(f"  worst row [{i}] {name}: {detail}")
         else:
             lines.append("  VERDICT: PASS")
         return "\n".join(lines)
@@ -386,7 +376,8 @@ def _check_finite(name: str, value: float | None) -> None:
 def _no_overflow(
     name: str, sigma: float, compute: Callable[[], ArrayLike]
 ) -> ArrayLike:
-    """compute(), or NumericFailure naming the column if it overflows a float."""
+    """compute(), or NumericFailure naming the column or check if it
+    overflows a float."""
     message = f"{name} overflows a float at sigma = {sigma:g}"
     try:
         with np.errstate(over="ignore"):
@@ -414,16 +405,6 @@ def _grid(values: ArrayLike, name: str, *, integer: bool) -> np.ndarray:
     return grid
 
 
-def _check_le(lhs: ArrayLike, rhs: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise verdict codes of lhs <= rhs with _SLACK, and margins rhs - lhs."""
-    lhs, rhs = np.broadcast_arrays(
-        np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    )
-    na = np.isnan(lhs) | np.isnan(rhs)
-    ok = lhs <= rhs + _SLACK * np.maximum(1.0, np.abs(rhs))
-    return np.where(na, np.int8(2), ~ok), np.where(na, math.nan, rhs - lhs)
-
-
 def _try_surface(dom: Domain) -> float | None:
     try:
         return surface(dom)
@@ -434,7 +415,9 @@ def _try_surface(dom: Domain) -> float | None:
 # Per report kind, its checks in column order: the name, the sides lhs <= rhs
 # (a column, a fact such as holder_rhs, or a number) and whether it applies,
 # from the report's facts. The corrected bound is nonnegative on every domain
-# only for nu up to nu_nonneg_cap, so improved_nonneg is n/a above it.
+# only for nu up to nu_nonneg_cap, so improved_nonneg is n/a above it; the
+# ratio of the Riesz mean to its classical value rises for sigma >= 2 (Harrell
+# and Hermi), which ratio_main_monotone checks.
 _BEREZIN = ("berezin", "riesz_mean", "s_classical", lambda f: f.sigma >= 1.0)
 _CHECKS = {
     "riesz": (
@@ -453,7 +436,11 @@ _CHECKS = {
         ("melas", "melas_rhs", "s1", lambda f: f.melas_m is not None),
         ("holder_upper", "s1", "holder_rhs", lambda f: f.sigma > 1.0),
     ),
-    "asymptotics": (_BEREZIN,),
+    "asymptotics": (
+        _BEREZIN,
+        ("ratio_main_monotone", "scaled_riesz_mean", "scaled_lower_mean",
+         lambda f: f.sigma >= 2.0),
+    ),
 }
 
 
@@ -464,7 +451,9 @@ def _report(
     verdict and a margin column per check of `_CHECKS[kind]`, with one row per
     entry of the first value (the grid), and metadata. A check that does not
     apply, by its predicate over sigma, the domain and `facts`, is n/a in every
-    row; a NaN side of one that applies is a NumericFailure naming the row."""
+    row; a NaN side of one that applies is a NumericFailure naming the row.
+    Elsewhere a row fails where lhs > rhs + _SLACK * max(1, |rhs|), and its
+    margin is rhs - lhs."""
     given = SimpleNamespace(sigma=sigma, domain=domain, **facts)
     known = {**values, **facts}
     columns = dict(values)
@@ -475,7 +464,8 @@ def _report(
             nan = np.flatnonzero(np.isnan(a) | np.isnan(b))
             if nan.size:
                 raise NumericFailure(f"check {name}, {lhs} <= {rhs}: NaN side in row {nan[0]}")
-            codes, margin = _check_le(a, b)
+            codes = (a > b + _SLACK * np.maximum(1.0, np.abs(b))).astype(np.int8)
+            margin = b - a
         columns.update({name: codes, f"{name}_margin": margin})
     size = len(next(iter(values.values())))
     columns = {k: np.broadcast_to(v, (size,)) for k, v in columns.items()}
@@ -694,11 +684,12 @@ def asymptotic_diagnostics(
 
     ratio_main = S / S_classical climbs toward one for sigma >= 2: its slope
     has the sign of sigma z R_{sigma-1}(z) - (sigma + d/2) R_sigma(z), which
-    Harrell and Hermi show is nonnegative there. That inequality is checked
-    on every row, with its worst margin and row in the metadata; below
-    sigma = 2 the verdict is n/a. ratio_second compares the observed deficit
-    with the boundary term and should drift toward one. Surface measure is
-    required, so a union whose boxes touch is rejected.
+    Harrell and Hermi show is nonnegative there. The check ratio_main_monotone
+    holds every row to it, with sides scaled_riesz_mean, (sigma + d/2)
+    R_sigma(z), and scaled_lower_mean, sigma z R_{sigma-1}(z), which are not
+    columns; below sigma = 2 it is n/a. ratio_second compares the observed
+    deficit with the boundary term and should drift toward one. Surface
+    measure is required, so a union whose boxes touch is rejected.
     """
     if not sigma > 0.0:
         raise ValueError("asymptotic diagnostics require sigma > 0")
@@ -726,23 +717,17 @@ def asymptotic_diagnostics(
         "ratio_main": ratio_main,
         "ratio_second": ratio_second,
     }
-    monotone = {"ratio_main_monotone_verdict": "n/a"}
+    lhs = rhs = math.nan
     if sigma >= 2.0:
-        lower = riesz_mean(spec, sigma - 1.0, lam)
-        codes, margin = _check_le((sigma + 0.5 * d) * s_val, sigma * lam * lower)
-        worst = int(np.argmin(margin))  # the first row on ties
-        monotone = {
-            "ratio_main_monotone_verdict": "fail" if (codes == 1).any() else "pass",
-            "ratio_main_monotone_worst_margin": margin[worst].item(),
-            "ratio_main_monotone_worst_row": worst,
-        }
+        lhs, rhs = _no_overflow("ratio_main_monotone", sigma, lambda: (
+            (sigma + 0.5 * d) * s_val, sigma * lam * riesz_mean(spec, sigma - 1.0, lam)
+        ))
     return _report(
         "asymptotics",
         domain,
         sigma,
         values,
-        {},
-        **monotone,
+        {"scaled_riesz_mean": lhs, "scaled_lower_mean": rhs},
         ratio_second_first=ratio_second[0].item(),
         ratio_second_last=ratio_second[-1].item(),
     )

@@ -570,9 +570,12 @@ _THIN_LONG = "box:1e300x1e-300"  # surface 2e300, so its boundary term overflows
          "two_term_riesz"),
         (["asymptotics", "--domain", _THIN_LONG, "--sigma", "1.5", "--lambda", "1e9",
           "--lambda-max", "1e10", "--points", "2"], "boundary_term"),
+        # both sides of the Harrell-Hermi check overflow, s_classical does not
+        (["asymptotics", "--domain", "box:20x20", "--sigma", "100", "--lambda", "500",
+          "--lambda-max", "1110", "--points", "2"], "ratio_main_monotone"),
     ],
     ids=["check", "sweep", "asymptotics", "huge-nu", "huge-negative-nu",
-         "thin-long-check", "thin-long-asymptotics"],
+         "thin-long-check", "thin-long-asymptotics", "monotone-asymptotics"],
 )
 def test_riesz_overflow_names_the_column_without_a_warning(argv, column, capsys):
     # an overflowing column is named, never an inf in a verdict or a ratio
@@ -997,6 +1000,28 @@ def test_csv_to_stdout(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep", "--domain", "disk:1", "--sigma", "1.5", "--lambda-max", "2e3", "--points", "9"],
+        ["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "50", "--melas-m", "0.5"],
+        ["check", "--domain", "box:10x0.85", "--sigma", "1.5", "--lambda", "40", "--nu", "2.1"],
+        ["spectrum", "--domain", "disk:1", "--cutoff", "300"],
+    ],
+    ids=["sweep", "sums", "check", "spectrum"],
+)
+def test_csv_stream_to_a_text_stdout(argv):
+    # main under redirect_stdout(io.StringIO()), which has no byte stream,
+    # prints the text that a real stdout gets from a fresh process
+    proc = _run_python("-m", "berezin_lab", *argv, "--csv", "-")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([*argv, "--csv", "-"]) == proc.returncode
+    assert proc.stderr == ""
+    assert out.getvalue() == proc.stdout
+    assert proc.stdout.startswith(f"# berezin-lab v{TOOL_VERSION}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "50"],
         ["sweep", "--domain", "disk:1", "--sigma", "1.5", "--lambda-max", "2e3", "--points", "40"],
         ["sums", "--domain", "box:2x1", "--sigma", "2", "--n-max", "3000"],
@@ -1048,7 +1073,8 @@ def test_asymptotics_cli(capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "ratio_main_monotone_verdict: n/a" in out  # sigma < 2
+    assert "\n  check ratio_main_monotone: pass=0 fail=0 n/a=3\n" in out  # sigma < 2
+    assert "ratio_main_monotone_" not in out  # no metadata verdict
     rc = main(
         [
             "asymptotics",

@@ -75,6 +75,11 @@ CASES = {
          "--lambda-max", "4e4", "--points", "9"],
         0,
     ),
+    "asymptotics-disk-1-sigma2": (
+        ["asymptotics", "--domain", "disk:1", "--sigma", "2",
+         "--lambda-max", "1e4", "--points", "20"],
+        0,
+    ),
 }
 
 

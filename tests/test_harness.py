@@ -28,12 +28,7 @@ from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import EnumerationLimitError, InsufficientCutoffError, NumericFailure
 from berezin_lab.geometry import AxisBox, Disk, slicing_stats
-from berezin_lab.harness import (
-    BoundReport,
-    asymptotic_diagnostics,
-    sweep_riesz,
-    sweep_sums,
-)
+from berezin_lab.harness import asymptotic_diagnostics, sweep_riesz, sweep_sums
 from berezin_lab.remainder import epsilon_mu
 from berezin_lab.spectra import Spectrum, counting, enumerate_spectrum, riesz_mean
 from berezin_lab.version import TOOL_VERSION
@@ -87,17 +82,21 @@ def test_readme_check_table_is_the_check_table():
 
 
 def test_checks_are_declared_once():
-    # every verdict column comes from _CHECKS through _report; the only other
-    # _check_le is asymptotics' monotone check, which goes to the metadata
+    # every verdict comes from _CHECKS through _report: it alone reads the
+    # slack, no function calls a verdict helper of its own, and no report
+    # carries a verdict in its metadata
     tree = ast.parse(Path(harness.__file__).read_text())
-    callers = [
-        fn.name
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_le"
-    ]
-    assert sorted(callers) == ["_report", "asymptotic_diagnostics"]
+    readers = {
+        name: sorted({
+            fn.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == name
+        })
+        for name in ("_SLACK", "_check_le")
+    }
+    assert readers == {"_SLACK": ["_report"], "_check_le": []}
     sq = AxisBox((1.0, 1.0))
     reports = (
         sweep_riesz(sq, 1.5, (10.0, 50.0)),
@@ -106,8 +105,10 @@ def test_checks_are_declared_once():
         sweep_sums(sq, 1.0, (1, 5)),
         sweep_sums(Disk(1.0), 2.0, (1, 5), melas_m=0.1),
         asymptotic_diagnostics(sq, 2.0, (50.0, 100.0)),
+        asymptotic_diagnostics(Disk(1.0), 1.5, (50.0, 100.0)),
     )
     for rep in reports:
+        assert not [key for key in rep.metadata if key.endswith("_verdict")]
         names = tuple(name for name, *_ in harness._CHECKS[rep.kind])
         assert rep.checks == names
         assert list(rep.columns)[-2 * len(names) :] == [
@@ -115,31 +116,39 @@ def test_checks_are_declared_once():
         ]
 
 
-# Per report kind: a bound the sweep calls, the first check with it as a side,
-# and a sweep of three rows.
+# Per report kind: a bound the sweep calls (with the one Riesz order at which
+# it gives NaN, if not every call), the first check with it as a side, and a
+# sweep of three rows.
 _NAN_SIDES = {
     "riesz": (
-        "sliced_bound", "s_le_sliced, riesz_mean <= sliced_bound",
+        ("sliced_bound", None), "s_le_sliced, riesz_mean <= sliced_bound",
         lambda: sweep_riesz(AxisBox((1.0, 1.0)), 1.5, (20.0, 50.0, 100.0)),
     ),
     "sums": (
-        "li_yau_rhs", "li_yau, li_yau_rhs <= s1",
+        ("li_yau_rhs", None), "li_yau, li_yau_rhs <= s1",
         lambda: sweep_sums(AxisBox((2.0, 1.0)), 2.0, (1, 2, 3)),
     ),
     "asymptotics": (
-        "s_classical", "berezin, riesz_mean <= s_classical",
+        ("s_classical", None), "berezin, riesz_mean <= s_classical",
         lambda: asymptotic_diagnostics(AxisBox((1.0, 1.0)), 1.5, (50.0, 80.0, 100.0)),
+    ),
+    # R_{sigma-1} at sigma = 2, a side of the Harrell-Hermi check only
+    "asymptotics-monotone": (
+        ("riesz_mean", 1.0), "ratio_main_monotone, scaled_riesz_mean <= scaled_lower_mean",
+        lambda: asymptotic_diagnostics(AxisBox((1.0, 1.0)), 2.0, (50.0, 80.0, 100.0)),
     ),
 }
 
 
-def _nan_in_row(monkeypatch, bound, row):
-    """Make the harness's `bound` give NaN in one row."""
+def _nan_in_row(monkeypatch, bound, row, order=None):
+    """Make the harness's `bound` give NaN in one row, at Riesz order `order`
+    (its second argument) only if that is given."""
     real = getattr(harness, bound)
 
     def patched(*args, **kwargs):
         out = np.array(real(*args, **kwargs), dtype=float)
-        out[row] = math.nan
+        if order is None or args[1] == order:
+            out[row] = math.nan
         return out
 
     monkeypatch.setattr(harness, bound, patched)
@@ -148,8 +157,8 @@ def _nan_in_row(monkeypatch, bound, row):
 @pytest.mark.parametrize("kind", list(_NAN_SIDES))
 def test_a_nan_side_where_a_check_applies_fails_loudly(monkeypatch, kind):
     # a NaN where a check applies is a numeric fault, named, not an n/a verdict
-    bound, check, sweep = _NAN_SIDES[kind]
-    _nan_in_row(monkeypatch, bound, 1)
+    (bound, order), check, sweep = _NAN_SIDES[kind]
+    _nan_in_row(monkeypatch, bound, 1, order)
     with pytest.raises(NumericFailure, match=re.escape(f"check {check}: NaN side in row 1")):
         sweep()
 
@@ -410,7 +419,10 @@ def test_sweep_grid_is_a_read_only_copy():
 def test_asymptotics_report():
     rep = asymptotic_diagnostics(AxisBox((1.0, 1.0)), 1.5, (4e2, 4e3, 4e4))
     assert rep.kind == "asymptotics"
-    assert rep.metadata["ratio_main_monotone_verdict"] == "n/a"  # sigma < 2
+    assert rep.checks == ("berezin", "ratio_main_monotone")
+    assert rep.columns["ratio_main_monotone"].tolist() == [2, 2, 2]  # n/a: sigma < 2
+    assert np.isnan(rep.columns["ratio_main_monotone_margin"]).all()
+    assert not [key for key in rep.metadata if key.startswith("ratio_main_monotone")]
     assert rep.all_passed
     ratios = [row["ratio_main"] for row in rep.rows]
     assert all(0.0 < r < 1.0 for r in ratios)
@@ -434,7 +446,7 @@ def test_asymptotics_monotone_check_skips_rows_below_the_ground_state(domain):
     assert s[0] == s[1] == ratio[0] == ratio[1] == 0.0
     rising = ratio[s > 0.0]
     assert rising.size >= 5 and (np.diff(rising) > 0.0).all()
-    assert rep.metadata["ratio_main_monotone_verdict"] == "pass"
+    assert rep.columns["ratio_main_monotone"].tolist() == [0] * 8
     assert rep.all_passed
 
 
@@ -444,7 +456,7 @@ def test_asymptotics_monotone_check_is_na_on_a_falling_ratio_below_sigma_2():
     # rise for sigma >= 2, so the correct spectrum passes
     rep = asymptotic_diagnostics(Disk(1.0), 1.5, (14.5, 14.65))
     assert 0.0 < rep.columns["ratio_main"][1] < rep.columns["ratio_main"][0]
-    assert rep.metadata["ratio_main_monotone_verdict"] == "n/a"
+    assert rep.columns["ratio_main_monotone"].tolist() == [2, 2]
     assert rep.all_passed
 
 
@@ -454,9 +466,12 @@ def test_asymptotics_monotone_check_reads_each_row_of_a_two_point_grid(monkeypat
     dom, lam1 = AxisBox((1.0, 1.0)), 2.0 * math.pi**2
     grid = (0.5 * lam1, 10.0 * lam1)
     rep = asymptotic_diagnostics(dom, 2.0, grid)
-    assert rep.metadata["ratio_main_monotone_verdict"] == "pass"
-    assert rep.metadata["ratio_main_monotone_worst_margin"] == 0.0  # 0 <= 0
-    assert rep.metadata["ratio_main_monotone_worst_row"] == 0
+    assert rep.columns["ratio_main_monotone"].tolist() == [0, 0]
+    margin = rep.columns["ratio_main_monotone_margin"]
+    assert margin[0] == 0.0 and margin[1] > 0.0  # 0 <= 0 below the ground state
+    assert "check ratio_main_monotone: pass=2 fail=0 n/a=0 worst_margin=0 (row 0)" in (
+        rep.summary()
+    )
     # Its lowest eigenvalue alone gives R_2(z) = (z - lam1)^2, R_1(z) = z - lam1,
     # and sigma z R_1 - (sigma + d/2) R_2 = 2 z (z - lam1) - 3 (z - lam1)^2,
     # which is -63 lam1^2 at z = 10 lam1.
@@ -472,10 +487,12 @@ def test_asymptotics_monotone_check_reads_each_row_of_a_two_point_grid(monkeypat
 
     monkeypatch.setattr(harness, "enumerate_spectrum", lowest)
     bad = asymptotic_diagnostics(dom, 2.0, grid)
-    assert bad.metadata["ratio_main_monotone_verdict"] == "fail"
-    assert bad.metadata["ratio_main_monotone_worst_margin"] == pytest.approx(-63 * lam1**2)
-    assert bad.metadata["ratio_main_monotone_worst_row"] == 1
-    assert [f[:2] for f in bad.failures()] == [(-1, "ratio_main_monotone_verdict")]
+    assert bad.columns["ratio_main_monotone"].tolist() == [0, 1]
+    margin = bad.columns["ratio_main_monotone_margin"]
+    assert margin[0] == 0.0
+    assert margin[1] == pytest.approx(-63 * lam1**2)
+    assert [f[:2] for f in bad.failures()] == [(1, "ratio_main_monotone")]
+    assert "\n  worst row [1] ratio_main_monotone: lambda=" in bad.summary()
 
 
 @pytest.mark.parametrize(
@@ -486,8 +503,8 @@ def test_asymptotics_monotone_check_reads_each_row_of_a_two_point_grid(monkeypat
 def test_asymptotics_monotone_check_holds_on_every_row(domain, sigma):
     # Harrell-Hermi: sigma z R_{sigma-1}(z) >= (sigma + d/2) R_sigma(z), sigma >= 2
     rep = asymptotic_diagnostics(domain, sigma, np.geomspace(1.0, 1e4, 600))
-    assert rep.metadata["ratio_main_monotone_verdict"] == "pass"
-    assert rep.metadata["ratio_main_monotone_worst_margin"] >= 0.0
+    assert (rep.columns["ratio_main_monotone"] == 0).all()
+    assert (rep.columns["ratio_main_monotone_margin"] >= 0.0).all()
 
 
 def test_report_columns_hold_numbers_and_int8_verdict_codes():
@@ -595,21 +612,6 @@ def test_report_summary_content():
     assert "VERDICT: PASS" in text
     assert "check s_le_sliced: pass=2" in text
     assert "rows: 2" in text
-
-
-def test_report_failures_include_metadata_verdicts():
-    rep = BoundReport(
-        kind="riesz",
-        columns={"lambda": np.empty(0)},
-        checks=(),
-        metadata={"ratio_main_monotone_verdict": "fail"},
-    )
-    fails = rep.failures()
-    assert len(fails) == 1
-    assert fails[0][0] == -1
-    assert fails[0][1] == "ratio_main_monotone_verdict"
-    assert not rep.all_passed
-    assert "failing metadata check" in rep.summary()
 
 
 def test_readme_python_api_runs():
