@@ -101,20 +101,15 @@ def improved_rhs(
     vol_omega_lambda: ArrayLike,
     d_lambda: ArrayLike,
     nu: float,
-    exploratory: bool = False,
 ) -> ArrayLike:
     """Two-term upper bound: the Weyl term of the long sections' volume
     vol(Omega_Lambda) minus boundary_term with weight nu/4 over their cross
     measure d(Omega_Lambda); lam and the statistics may be arrays of one shape.
 
-    The guaranteed regime is sigma >= 3/2, dim >= 2 and nu = 4 epsilon_mu (see
-    remainder.nu_bounds); it is nonnegative for nu <= remainder.nu_nonneg_cap.
-    exploratory admits sigma < 3/2; sweeps set it for an explicit nu.
+    It bounds the sliced bound for nu = 4 epsilon_mu (see remainder.nu_bounds)
+    and is nonnegative for nu <= remainder.nu_nonneg_cap; where it is a
+    theorem is harness's to say (sweep_riesz and its table of checks).
     """
-    if not exploratory and params.sigma < 1.5:
-        raise ValueError("improved_rhs requires sigma >= 3/2 (or exploratory=True)")
-    if params.dim < 2:
-        raise ValueError("improved_rhs requires dim >= 2")
     if not math.isfinite(nu):
         raise ValueError("improved_rhs needs a finite nu")
     lam = _check_lam(lam)
@@ -131,13 +126,14 @@ def sliced_bound(dom: Domain, p: SemiclassicalParams, lam: ArrayLike) -> ArrayLi
     lattice_integral: exactly over atoms, and over a density as the sum of
     its G_e(j l_crit). Bounding each lattice sum by
     t/(2 l_crit) B(1 + e, 1/2) - epsilon_e gives the corrected bound.
+    The lattice sums need e > 0, which fails only for sigma = 0 in one dimension.
     """
-    if p.sigma < 1.5:
-        raise ValueError("sliced_bound requires sigma >= 3/2")
     if p.dim != dom.dim:
         raise ValueError("params dimension must match the domain dimension")
-    l_crit = critical_length(lam)
     e = p.sigma + 0.5 * (p.dim - 1)
+    if not e > 0.0:
+        raise ValueError(f"sliced_bound needs sigma + (d - 1)/2 > 0, got {e!r}")
+    l_crit = critical_length(lam)
     pref = np.asarray(lam, dtype=float) ** e * lt_value(p.sigma, p.dim - 1)
     return (pref * section_measure(dom).lattice_integral(e, l_crit))[()]
 

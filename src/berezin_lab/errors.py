@@ -89,11 +89,12 @@ class Record:
 
 
 class Domain(Record):
-    """Base of the families in geometry. Each declares `dim`, `render()`,
-    `eigenvalues(cutoff)` (below it, with multiplicity), `section_measure()`,
-    `surface()`, `moment_J()`, `first_overflow()` (why its lowest eigenvalue is
-    no float, or None), `polya_theorem` (is N <= eta a theorem for it) and
-    `eigenvalues_per_entry` (the most that one enumeration-limit entry holds)."""
+    """Base of the families in geometry. Each declares eight members: `dim`,
+    `render()`, `eigenvalues(cutoff)` (below it, with multiplicity, or
+    EnumerationLimitError before any array once they pass the limit),
+    `section_measure()`, `surface()`, `moment_J()`, `polya_theorem` (is
+    N <= eta a theorem for it) and `eigenvalues_per_entry` (the most that one
+    enumeration-limit entry holds)."""
 
     __slots__ = ()
 

@@ -138,12 +138,6 @@ class _BoxFamily(Domain):
         )
         return own + gaps / sum(vols)
 
-    def first_overflow(self) -> str | None:
-        with np.errstate(divide="ignore", over="ignore"):
-            first = math.pi**2 * (1.0 / np.square([b.sides for b in self.boxes])).sum(1)
-        every = "the first eigenvalue of every box, pi^2 times the sum of its sides^-2,"
-        return f"{every} overflows a float" if np.isinf(first).all() else None
-
 
 class AxisBox(_BoxFamily):
     """Open axis-aligned box: product of (origin_i, origin_i + sides_i)."""
@@ -203,9 +197,6 @@ class Disk(Domain):
 
     def moment_J(self) -> float:
         return 0.5 * math.pi * self.radius**4
-
-    def first_overflow(self) -> None:
-        return None
 
 
 def _interiors_overlap(a: AxisBox, b: AxisBox) -> bool:
@@ -502,5 +493,10 @@ def _cross(box: AxisBox, i: int) -> float:
 
 
 def moment_J(dom: Domain) -> float:
-    """Second moment of the domain about its centroid."""
-    return check_domain(dom).moment_J()
+    """Second moment of the domain about its centroid; NumericFailure if it
+    is no positive float (a float power that overflows reads as inf)."""
+    try:
+        value = check_domain(dom).moment_J()
+    except ArithmeticError:
+        value = math.inf
+    return _in_floats("moment_J", value, dom)

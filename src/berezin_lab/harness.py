@@ -27,6 +27,7 @@ ends picks the bytes kept, which are written as they are.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable, Iterator
@@ -535,7 +536,6 @@ def sweep_riesz(
             vol_omega_lambda=st.vol_omega_lambda,
             d_lambda=st.d_lambda,
             nu=nu,
-            exploratory=nu_mode == "explicit",
         ))
         if improved_ok
         else math.nan
@@ -585,9 +585,15 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     except OverflowError:
         weyl = math.inf
     lam = _in_floats("start cutoff", 1.35 * weyl, dom)
-    overflow = dom.first_overflow()
-    if overflow is not None:
-        raise InsufficientCutoffError(f"could not enumerate {count} eigenvalues: {overflow}")
+    # The family's engine at the largest float refuses before building any
+    # array once past the limit; below it, it gives every eigenvalue there is.
+    try:
+        every = dom.eigenvalues(sys.float_info.max).size
+    except EnumerationLimitError:
+        every = count
+    if every < count:
+        below_max = f"{dom!r} has {every} below the largest float"
+        raise InsufficientCutoffError(f"could not enumerate {count} eigenvalues: {below_max}")
     below, above, too_many = 0.0, math.inf, None
     while below < lam < above:
         try:

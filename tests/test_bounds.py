@@ -223,27 +223,28 @@ def test_improved_rhs_thin_rectangle_closed_form():
 
 
 def test_improved_rhs_guards():
-    p_low = SemiclassicalParams(1.0, 2)
     inputs = dict(lam=50.0, vol_omega_lambda=1.0, d_lambda=1.0, nu=1.0)
-    with pytest.raises(ValueError):
-        improved_rhs(params=p_low, **inputs)
-    # the exploratory escape hatch admits the same parameters
-    improved_rhs(params=p_low, exploratory=True, **inputs)
-    with pytest.raises(ValueError):
-        improved_rhs(params=SemiclassicalParams(1.5, 1), **inputs)
-    # every input but exploratory is a required keyword
+    # every input is a required keyword
     with pytest.raises(TypeError):
         improved_rhs(params=SemiclassicalParams(1.5, 2), lam=50.0, nu=1.0)
     with pytest.raises(TypeError):
         improved_rhs(SemiclassicalParams(1.5, 2), **inputs)
     with pytest.raises(ValueError):
-        improved_rhs(
-            params=SemiclassicalParams(1.5, 2),
-            lam=50.0,
-            vol_omega_lambda=1.0,
-            d_lambda=1.0,
-            nu=math.nan,
-        )
+        improved_rhs(**{**inputs, "params": SemiclassicalParams(1.5, 2), "nu": math.nan})
+
+
+def test_improved_rhs_is_a_formula_at_any_sigma():
+    # no range of sigma or dim is stated here: the harness owns where the
+    # chain is a theorem
+    p = SemiclassicalParams(1.0, 2)
+    lam, vol_l, d_l, nu = 70.0, 0.8, 0.9, 1.3
+    got = improved_rhs(params=p, lam=lam, vol_omega_lambda=vol_l, d_lambda=d_l, nu=nu)
+    weyl = lt_value(1.0, 2) * vol_l * lam**2.0
+    assert got == pytest.approx(weyl - boundary_term(nu / 4, 1.0, 2, d_l, lam), rel=1e-15)
+    assert np.isfinite(
+        improved_rhs(params=SemiclassicalParams(0.5, 1), lam=lam, vol_omega_lambda=vol_l,
+                     d_lambda=d_l, nu=nu)
+    )
 
 
 def test_sliced_bound_square_closed_form():
@@ -256,6 +257,15 @@ def test_sliced_bound_square_closed_form():
             * lam**2.0
             * (1.0 - math.pi**2 / lam) ** 2.0
         )
+        assert sliced_bound(sq, p, lam) == pytest.approx(closed, rel=1e-13)
+
+
+def test_sliced_bound_square_closed_form_below_three_halves():
+    # sigma = 1: e = 3/2, and one lattice term for pi^2 < lam < 4 pi^2
+    p = SemiclassicalParams(1.0, 2)
+    sq = AxisBox((1.0, 1.0))
+    for lam in (1.5 * math.pi**2, 3.9 * math.pi**2):
+        closed = lt_value(1.0, 1) * lam**1.5 * (1.0 - math.pi**2 / lam) ** 1.5
         assert sliced_bound(sq, p, lam) == pytest.approx(closed, rel=1e-13)
 
 
@@ -325,13 +335,14 @@ def test_grid_evaluation_matches_pointwise(block, monkeypatch):
 
 
 def test_sliced_bound_validation():
-    p = SemiclassicalParams(1.0, 2)
-    with pytest.raises(ValueError):
-        sliced_bound(AxisBox((1.0, 1.0)), p, 50.0)
     with pytest.raises(ValueError):
         sliced_bound(AxisBox((1.0, 1.0)), SemiclassicalParams(1.5, 3), 50.0)
     with pytest.raises(ValueError):
         sliced_bound(AxisBox((1.0, 1.0)), SemiclassicalParams(1.5, 2), 0.0)
+    # the lattice sums need e = sigma + (d - 1)/2 > 0: only sigma = 0 in 1-d fails
+    with pytest.raises(ValueError, match="sigma"):
+        sliced_bound(AxisBox((1.0,)), SemiclassicalParams(0.0, 1), 50.0)
+    assert sliced_bound(AxisBox((1.0,)), SemiclassicalParams(0.5, 1), 50.0) > 0.0
 
 
 def test_sandwich_chain_on_square():

@@ -537,9 +537,14 @@ def test_a_constant_outside_the_floats_is_named(argv, message, capsys):
     assert (captured.out, captured.err) == ("", f"numeric failure: {message}\n")
 
 
-@pytest.mark.parametrize("sigma", ["150", "200"])
-def test_sums_overflow_names_the_column_without_a_warning(sigma, capsys):
-    argv = ["sums", "--domain", "box:1x1", "--sigma", sigma, "--n-max", "10"]
+@pytest.mark.parametrize(
+    "domain, sigma",
+    # the tiny box's vol**(-2 sigma/d) is a Python float power, which raises
+    [("box:1x1", "150"), ("box:1x1", "200"), ("box:1e-100x1e-100", "10")],
+    ids=["150", "200", "float-power"],
+)
+def test_sums_overflow_names_the_column_without_a_warning(domain, sigma, capsys):
+    argv = ["sums", "--domain", domain, "--sigma", sigma, "--n-max", "10"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
@@ -645,6 +650,30 @@ def test_geometry_outside_the_floats_names_the_quantity(argv, what, capsys):
     assert captured.out == ""
     assert re.fullmatch(
         rf"numeric failure: {what} of AxisBox\(.*\) is inf, not a positive finite float\n",
+        captured.err,
+    )
+
+
+@pytest.mark.parametrize(
+    "domain, moment",
+    [
+        ("disk:1e100", "inf"),  # a float power that raises
+        ("union:box(1x1)@(0,0)+box(1x1)@(1e160,0)", "inf"),  # a centre gap's square
+        ("disk:1e-100", "0.0"),
+        ("box:1e-100x1e-100", "0.0"),
+        ("box:1e80x1e80", "inf"),
+    ],
+)
+def test_moment_outside_the_floats_names_the_moment(domain, moment, capsys):
+    # a valid domain whose moment leaves the floats: exit 3, not a bad request
+    argv = ["sums", "--domain", domain, "--sigma", "1", "--n-max", "3", "--melas-m", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        rf"numeric failure: moment_J of .* is {moment}, not a positive finite float\n",
         captured.err,
     )
 
@@ -956,6 +985,15 @@ def test_domain_texts_end_in_an_exit_code(argv):
         assert rc == 2
 
 
+def test_nu_auto_is_the_default_weight(capsys):
+    argv = ["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "100"]
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    assert main([*argv, "--nu", "auto"]) == 0
+    assert capsys.readouterr() == default
+    assert "(default-from-remainder-minimum)" in default.out
+
+
 def test_check_rejects_bad_nu_text(capsys):
     rc = main(
         ["check", "--domain", "box:1x1", "--sigma", "1.5", "--lambda", "50", "--nu", "wide"]
@@ -1119,8 +1157,9 @@ def test_thin_box_has_an_empty_spectrum(argv, capsys):
 
 
 def test_thin_box_sums_cannot_enumerate(capsys):
-    # pi^2 sum a_i^-2 overflows for every box, so no cutoff holds an
-    # eigenvalue: the error comes before the cutoff search, not at 1.8e308
+    # pi^2 sum a_i^-2 overflows for every box, so the engine finds no
+    # eigenvalue even at the largest float: the error comes before the
+    # cutoff search, not at 1.8e308
     cases = [
         ("box:1e-200x1", "2", "5"),
         ("box:1e-160x1", "1", "3"),
@@ -1135,8 +1174,9 @@ def test_thin_box_sums_cannot_enumerate(capsys):
         assert enumerate_spectrum.call_count <= 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"numeric failure: could not enumerate {n_max} eigenvalues"
+        assert captured.err == (
+            f"numeric failure: could not enumerate {n_max} eigenvalues:"
+            f" {parse_domain(domain)!r} has 0 below the largest float\n"
         )
 
 

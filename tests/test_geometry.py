@@ -8,6 +8,7 @@ midpoint oracle of oracles.py, which shares no code with geometry.
 
 import ast
 import importlib
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -26,6 +27,7 @@ from berezin_lab.geometry import (
     AxisBox,
     BoxUnion,
     Disk,
+    Domain,
     critical_length,
     moment_J,
     section_measure,
@@ -402,6 +404,17 @@ def test_layers_name_no_domain_class(module):
     assert not {"parse_domain", "render_domain"} & {
         n.name for n in tree.body if isinstance(n, ast.FunctionDef)
     }
+
+
+def _subclasses(cls: type) -> set[type]:
+    return {cls}.union(*map(_subclasses, cls.__subclasses__()))
+
+
+def test_each_fact_is_declared_once():
+    # a family's engine answers whether it has eigenvalues that are floats,
+    # and the harness alone says where the corrected bound is a theorem
+    assert not [c for c in _subclasses(Domain) if "first_overflow" in vars(c)]
+    assert "exploratory" not in inspect.signature(bounds.improved_rhs).parameters
 
 
 def test_volume_and_surface():

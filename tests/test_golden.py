@@ -1,19 +1,19 @@
 """Golden-matrix regression: CLI tables against recorded CSVs.
 
-Each case runs one CLI command and compares its CSV with the table in
-tests/golden/ that an earlier version of the program wrote. Exit codes,
-the comment line, the header, the integer and verdict columns, and the `n`
-and `riesz_mean` columns must match byte for byte. Every other float must
-lie within RTOL times the largest |value| in its row, which leaves room for
-last-digit changes in how a bound is evaluated but not for a wrong formula.
+Each case runs one CLI command and compares its exit code, and its CSV byte
+for byte with the table in tests/golden/ that an earlier version of the
+program wrote; a failure names the first row and column that differ.
 
-To record the table of a new case, or to re-record a case on purpose (only
-from a version whose numbers are trusted), name each case to write:
+A deliberate change to the numbers re-records the tables it moves, by name,
+from a version whose numbers are trusted:
 
     PYTHONPATH=src python tests/test_golden.py tests/golden NAME...
 
-Only the named tables are written; with no name the command writes nothing
-and exits 2, so one re-record cannot silently rewrite the other tables.
+Before it replaces a table, the command compares the new table with the
+committed one and prints, per column that changed, the rows moved and the
+largest relative change, or "unchanged". Only the named tables are written;
+with no name the command writes nothing and exits 2, so one re-record
+cannot silently rewrite the other tables.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ import pytest
 from berezin_lab.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-RTOL = 1e-13
-EXACT_COLUMNS = ("n", "n_index", "riesz_mean")
-VERDICTS = ("pass", "fail", "n/a")
 
 # name -> (argv without --csv, exit code)
 CASES = {
@@ -88,31 +85,45 @@ def _run(argv: list[str], dest: Path) -> int:
         return main([*argv, "--csv", str(dest)])
 
 
-def _number(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
+def _moved(new: str, old: str) -> list[tuple[int, str, str, str]]:
+    """(row, column, new cell, old cell) of each cell that differs, row by
+    row; the comment line, the header and the row count must agree."""
+    new_lines, old_lines = new.splitlines(), old.splitlines()
+    assert new_lines[:2] == old_lines[:2], "the comment line or the header differs"
+    assert len(new_lines) == len(old_lines), f"{len(new_lines) - 2} rows, not {len(old_lines) - 2}"
+    header = old_lines[1].split(",")
+    return [
+        (i, col, n, o)
+        for i, (n_line, o_line) in enumerate(zip(new_lines[2:], old_lines[2:]))
+        for col, n, o in zip(header, n_line.split(","), o_line.split(","), strict=True)
+        if n != o
+    ]
 
 
 def _compare(got: str, want: str) -> None:
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    assert got_lines[:2] == want_lines[:2]  # comment line and header
-    assert len(got_lines) == len(want_lines)
-    header = want_lines[1].split(",")
-    for i, (g_line, w_line) in enumerate(zip(got_lines[2:], want_lines[2:])):
-        g_cells, w_cells = g_line.split(","), w_line.split(",")
-        assert len(g_cells) == len(w_cells) == len(header)
-        values = [abs(v) for v in map(_number, w_cells) if v is not None]
-        scale = max((v for v in values if math.isfinite(v)), default=0.0)
-        for col, g, w in zip(header, g_cells, w_cells):
-            if col in EXACT_COLUMNS or w in VERDICTS or w == "" or g == "":
-                assert g == w, f"row {i} column {col}: {g!r} != {w!r}"
-                continue
-            gv, wv = float(g), float(w)
-            assert abs(gv - wv) <= RTOL * scale, (
-                f"row {i} column {col}: {g} vs {w} (row scale {scale:.3g})"
-            )
+    moved = _moved(got, want)
+    assert not moved, "row {} column {}: {!r} != {!r}".format(*moved[0])
+    assert got == want
+
+
+def _relative_change(new: str, old: str) -> float:
+    try:
+        return abs(float(new) - float(old)) / abs(float(old))
+    except (ValueError, ZeroDivisionError):  # a verdict, an empty cell or a zero
+        return math.inf
+
+
+def _column_diff(new: str, old: str) -> list[str]:
+    """Per column that changed, its rows moved and largest relative change."""
+    changes: dict[str, list[float]] = {}
+    for _, col, n, o in _moved(new, old):
+        changes.setdefault(col, []).append(_relative_change(n, o))
+    return [
+        f"{col}: rows moved {len(changes[col])}, largest relative change"
+        f" {max(changes[col]):.2g}"
+        for col in old.splitlines()[1].split(",")
+        if col in changes
+    ] or ["unchanged"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -124,8 +135,9 @@ def test_golden_matrix(name, tmp_path):
     _compare(dest.read_text(), want)
 
 
-def record(out_dir: Path, names: list[str]) -> int:
-    """Write the tables of the named cases into out_dir; exit status."""
+def record(out_dir: Path, names: list[str], committed: Path = GOLDEN_DIR) -> int:
+    """Write the tables of the named cases into out_dir, each after saying
+    how it differs from its table in `committed`; exit status."""
     if not names or not set(names) <= CASES.keys():
         print(
             "usage: test_golden.py DIR NAME..., each NAME one of: "
@@ -136,8 +148,18 @@ def record(out_dir: Path, names: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
         argv, code = CASES[name]
+        before = committed / f"{name}.csv"
+        old = before.read_text() if before.exists() else None
         rc = _run(argv, out_dir / f"{name}.csv")
         print(f"{name}: exit {rc} (expected {code})")
+        try:
+            diff = ["new table"] if old is None else _column_diff(
+                (out_dir / f"{name}.csv").read_text(), old
+            )
+        except AssertionError as exc:  # a new header or row count
+            diff = [str(exc)]
+        for line in diff:
+            print(f"  {line}")
     return 0
 
 
@@ -150,6 +172,23 @@ def test_record_writes_only_the_named_cases(tmp_path, capsys):
     want = (GOLDEN_DIR / "check-overweight-nu.csv").read_text()
     _compare((tmp_path / "check-overweight-nu.csv").read_text(), want)
     capsys.readouterr()
+
+
+def test_record_says_what_moved(tmp_path, capsys):
+    assert record(tmp_path / "out", ["check-overweight-nu"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  unchanged"]
+    # a committed table with one cell altered: that column, one row
+    lines = (GOLDEN_DIR / "check-overweight-nu.csv").read_text().splitlines(True)
+    header, row = lines[1].split(","), lines[2].split(",")
+    col = header.index("s_classical")
+    row[col] = repr(float(row[col]) * 1.5)
+    committed = tmp_path / "committed"
+    committed.mkdir()
+    (committed / "check-overweight-nu.csv").write_text("".join([*lines[:2], ",".join(row)]))
+    assert record(tmp_path / "out", ["check-overweight-nu"], committed) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  s_classical: rows moved 1, largest relative change 0.33"
+    ]
 
 
 if __name__ == "__main__":
