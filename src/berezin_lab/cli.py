@@ -26,12 +26,7 @@ import sys
 import numpy as np
 
 from .constants import SemiclassicalParams, c_const, lt_value
-from .errors import (
-    DomainParseError,
-    EnumerationLimitError,
-    NumericFailure,
-    UnsupportedDomainError,
-)
+from .errors import EnumerationLimitError, NumericFailure
 from .geometry import parse_domain, render_domain
 from .harness import BoundReport, asymptotic_diagnostics, sweep_riesz, sweep_sums
 from .remainder import epsilon_mu, nu_bounds, nu_ceiling
@@ -367,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainParseError, UnsupportedDomainError, ValueError) as exc:
+    except ValueError as exc:  # DomainParseError and UnsupportedDomainError too
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,11 +40,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    Domain, DomainParseError, EnumerationLimitError, NumericFailure, Record,
-    UnsupportedDomainError, check_domain,
+    Domain, DomainParseError, NumericFailure, Record, UnsupportedDomainError, check_domain,
 )
-from .remainder import lattice_sum
-from .spectra import ENUMERATION_LIMIT, _box_eigenvalues, _check_limit, _disk_eigenvalues
+from .remainder import _check_lattice_limit, lattice_sum
+from .spectra import _box_eigenvalues, _check_limit, _disk_eigenvalues
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -118,7 +117,7 @@ class _BoxFamily(Domain):
         if not all(_separated(*pair) for pair in itertools.combinations(self.boxes, 2)):
             raise UnsupportedDomainError("surface of a union needs pairwise separated boxes")
         faces = (sum(2.0 * _cross(b, i) for i in range(b.dim)) for b in self.boxes)
-        return _in_floats("surface", sum(faces), self)
+        return sum(faces)
 
     def moment_J(self) -> float:
         """The parallel-axis theorem in pairwise form,
@@ -193,7 +192,7 @@ class Disk(Domain):
         return DiskSections(self.radius)
 
     def surface(self) -> float:
-        return _in_floats("surface", 2.0 * math.pi * self.radius, self)
+        return 2.0 * math.pi * self.radius
 
     def moment_J(self) -> float:
         return 0.5 * math.pi * self.radius**4
@@ -422,12 +421,7 @@ class DiskSections(Record):
         r_dom = self.radius
         flat = l_crit.ravel()
         ratio = 2.0 * r_dom / flat
-        top = ratio.max(initial=0.0)
-        if not top < ENUMERATION_LIMIT + 1:
-            raise EnumerationLimitError(
-                f"disk lattice integral at 2R/l_crit = {top:.6g} would exceed the"
-                f" limit of {ENUMERATION_LIMIT} lattice indices"
-            )
+        _check_lattice_limit(ratio, "disk lattice integral at 2R/l_crit =")
         jmax = np.floor(ratio).astype(np.intp)
         ends = np.cumsum(jmax).tolist()
         out = np.empty(flat.size)
@@ -483,8 +477,9 @@ def volume(dom: Domain) -> float:
 
 
 def surface(dom: Domain) -> float:
-    """Boundary measure; unions must be separated for the per-box sum to hold."""
-    return check_domain(dom).surface()
+    """Boundary measure; unions must be separated for the per-box sum to hold.
+    NumericFailure if it underflows to 0 or overflows."""
+    return _in_floats("surface", check_domain(dom).surface(), dom)
 
 
 def _cross(box: AxisBox, i: int) -> float:

@@ -183,7 +183,7 @@ class BoundReport:
             keys[:words] = _WORD_SIZES
             if num:
                 x = np.stack([block[j] for j in num], axis=1, dtype=float)
-                _, unsigned, stop, left = _number_slots(x, limit, pool[words:])
+                unsigned, stop, left = _number_slots(x, limit, pool[words:])
                 stop[unsigned] += 26
                 keys[words:] = stop.reshape(-1)
                 if left.any():
@@ -283,22 +283,20 @@ _MARKS = _MARKS.view(np.int64).reshape(-1, 4)
 
 
 def _number_slots(
-    x: np.ndarray, limit: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """Slots of `"%.17g" % v` for the float64 array x where 1 <= |v| < limit
-    (at most 1e17, broadcast against x), whose text runs from byte 0, or 1
-    where v > 0 (the first array of masks), to one before the second array,
-    0 for the other values, and is followed by ","; and the mask of those
-    other values, which the caller writes. The slots are bytes 5-29 of each
-    value's 32-byte cell, in the rows of `out` if given."""
+    x: np.ndarray, limit: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write `"%.17g" % v` for the float64 array x where 1 <= |v| < limit (at
+    most 1e17, broadcast against x) into the slot, bytes 5-29, of v's 32-byte
+    cell, a row of `out` in the order of x's elements. The text runs from slot
+    byte 0, or 1 where v > 0 (the first mask returned), to one before the
+    second array, 0 for the other values, and is followed by ","; the last
+    mask is of those other values, which the caller writes."""
     a = np.abs(x)
     fast = (a >= 1.0) & (a < limit)  # false for NaN
     a[~fast] = 1.0
-    a = a.reshape(-1)
-    out = np.empty((a.size, 32), np.uint8) if out is None else out
-    stop = _digit_slots(*_decimal17(a), out).reshape(x.shape)
+    stop = _digit_slots(*_decimal17(a.reshape(-1)), out).reshape(x.shape)
     stop *= fast
-    return out[:, 5:30].reshape(*x.shape, 25), fast & (x > 0), stop, ~fast
+    return fast & (x > 0), stop, ~fast
 
 
 def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,6 +555,7 @@ def sweep_riesz(
         "vol_omega_lambda": st.vol_omega_lambda,
         "d_lambda": st.d_lambda,
     }
+    joins, gap = spec.merge_record()
     return _report(
         "riesz",
         domain,
@@ -568,8 +567,8 @@ def sweep_riesz(
         nu_nonneg_cap=nu_cap,
         lambda_max=lambda_max,
         eigenvalues_enumerated=spec.total_count,
-        merge_joins=spec.merge_joins,
-        merge_max_gap=spec.merge_max_gap,
+        merge_joins=joins,
+        merge_max_gap=gap,
         **eps_metadata,
     )
 
@@ -577,18 +576,20 @@ def sweep_riesz(
 def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
     d = dom.dim
     # The start scales like an eigenvalue (a dilation by t divides it by t^2).
-    # The cutoff grows by 1.4 until it holds count eigenvalues. Once a cutoff
-    # exceeds the enumeration limit, the next ones bisect between it and the
-    # last cutoff with too few: counts and entries both grow with the cutoff.
+    # The cutoff grows by 1.4 until it holds count eigenvalues, the largest
+    # float being the last one tried. Once a cutoff exceeds the enumeration
+    # limit, the next ones bisect between it and the last cutoff with too few:
+    # counts and entries both grow with the cutoff.
     try:
         weyl = ((count + 8) / (lt_value(0.0, d) * volume(dom))) ** (2.0 / d)
     except OverflowError:
         weyl = math.inf
-    lam = _in_floats("start cutoff", 1.35 * weyl, dom)
+    top = sys.float_info.max
+    lam = _in_floats("start cutoff", min(1.35 * weyl, top), dom)
     # The family's engine at the largest float refuses before building any
     # array once past the limit; below it, it gives every eigenvalue there is.
     try:
-        every = dom.eigenvalues(sys.float_info.max).size
+        every = dom.eigenvalues(top).size
     except EnumerationLimitError:
         every = count
     if every < count:
@@ -604,7 +605,7 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
             if spec.total_count >= count:
                 return spec
             below = lam
-        lam = below * 1.4 if too_many is None else math.sqrt(below) * math.sqrt(above)
+        lam = min(below * 1.4, top) if too_many is None else math.sqrt(below) * math.sqrt(above)
     if too_many is not None:
         raise too_many
     raise InsufficientCutoffError(
@@ -631,9 +632,9 @@ def sweep_sums(
     surf = _try_surface(domain)
     moment = moment_J(domain) if melas_m is not None else None
 
-    eigs = spec.expanded
+    eigs = spec.expanded[:n_max]
     lam_n = eigs[n - 1]
-    s1 = np.cumsum(eigs)[n - 1]
+    s1 = _no_overflow("s1", sigma, lambda: np.cumsum(eigs)[n - 1])
     if sigma > 0.0:
         scl_sig = _no_overflow(
             "s_classical_sigma", sigma, lambda: sum_classical(p, vol, n)

@@ -73,6 +73,17 @@ def _f_mu(mu: float, a: np.ndarray, half_beta: float) -> np.ndarray:
     return a * half_beta - lattice_sum(mu, a)
 
 
+def _check_lattice_limit(ratio: np.ndarray, where: str) -> float:
+    """The largest ratio, or EnumerationLimitError, its message led by
+    `where`, if the lattice indices j < ratio pass the enumeration limit."""
+    top = ratio.max(initial=0.0)
+    if not top < ENUMERATION_LIMIT + 1:
+        raise EnumerationLimitError(
+            f"{where} {top:.6g} would exceed the limit of {ENUMERATION_LIMIT} lattice indices"
+        )
+    return top
+
+
 def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
     """Sum over j >= 1 of (1 - j^2/r^2)_+^e, elementwise over r > 0, for e > 0.
 
@@ -84,12 +95,7 @@ def lattice_sum(e: float, r: ArrayLike) -> ArrayLike:
     """
     r = np.asarray(r, dtype=float)
     flat = r.ravel()
-    top = flat.max(initial=0.0)
-    if not top < ENUMERATION_LIMIT + 1:
-        raise EnumerationLimitError(
-            f"lattice sum at scaled section length {top:.6g} would exceed the"
-            f" limit of {ENUMERATION_LIMIT} lattice indices"
-        )
+    top = _check_lattice_limit(flat, "lattice sum at scaled section length")
     out = np.empty(flat.size)
     step = max(1, _BLOCK // max(int(top), 1))
     # An r*r that is 0 or subnormal has no term: 1 - inf clips to 0.

@@ -19,9 +19,10 @@ when v - first <= 1e-9 * v for the entry's first value, else starts one, so a
 run of neighbours each within 1e-9 of the next can still split. A Spectrum
 keeps the positions, in ascending order with multiplicity, of the eigenvalues
 joined to a first value that differs from them in any bit (rounding twins, or
-distinct values closer than 1e-9), and their gaps (v - first) / v. Its merge
-record, for all eigenvalues or the lowest few, is merge_joins, how many of
-those there are, and merge_max_gap, the widest gap among them (0.0 if none).
+distinct values closer than 1e-9), and their gaps (v - first) / v. Its
+merge_record, for all eigenvalues or the lowest few, is how many of those
+there are (merge_joins) and the widest gap among them (merge_max_gap, 0.0 if
+none).
 """
 
 from __future__ import annotations
@@ -88,14 +89,6 @@ class Spectrum(Record):
         multiplicity, or of all of them."""
         k = np.searchsorted(self.join_positions, math.inf if count is None else count)
         return int(k), float(np.max(self.join_gaps[:k], initial=0.0))
-
-    @property
-    def merge_joins(self) -> int:
-        return self.merge_record()[0]
-
-    @property
-    def merge_max_gap(self) -> float:
-        return self.merge_record()[1]
 
     @property
     def values(self) -> tuple[tuple[float, int], ...]:

@@ -522,13 +522,6 @@ def test_overflow_is_a_numeric_failure(argv, capsys):
           "--nu", "1"],
          "beta at a=1000000000001.5, b=0.5 cancels: log-Gamma terms of size 5.33e+13"
          " leave a relative error bound of 0.024, above 1e-11"),
-        # the Weyl start of the sums cutoff search overflows a float power
-        (["sums", "--domain", "box:1e-300", "--sigma", "2", "--n-max", "5"],
-         "start cutoff of AxisBox(sides=(1e-300,), origin=(0.0,), slicing_axis=1) is inf,"
-         " not a positive finite float"),
-        (["sums", "--domain", "box:1e-250", "--sigma", "2", "--n-max", "5"],
-         "start cutoff of AxisBox(sides=(1e-250,), origin=(0.0,), slicing_axis=1) is inf,"
-         " not a positive finite float"),
     ],
 )
 def test_a_constant_outside_the_floats_is_named(argv, message, capsys):
@@ -1178,6 +1171,71 @@ def test_thin_box_sums_cannot_enumerate(capsys):
             f"numeric failure: could not enumerate {n_max} eigenvalues:"
             f" {parse_domain(domain)!r} has 0 below the largest float\n"
         )
+
+
+@pytest.mark.parametrize("domain", ["box:1e-300", "box:1e-250"], ids=["1e-300", "1e-250"])
+def test_overflowing_sums_start_cutoff_is_clamped(domain, capsys):
+    # the Weyl start overflows a float power and is clamped to the largest
+    # float, where the engine finds no eigenvalue: the start is not named
+    with mock.patch.object(
+        harness, "enumerate_spectrum", wraps=harness.enumerate_spectrum
+    ) as enumerate_spectrum:
+        argv = ["sums", "--domain", domain, "--sigma", "2", "--n-max", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+    assert enumerate_spectrum.call_count == 0
+    assert capsys.readouterr() == ("", (
+        "numeric failure: could not enumerate 5 eigenvalues:"
+        f" {parse_domain(domain)!r} has 0 below the largest float\n"
+    ))
+
+
+_TINY_PAIR = (
+    "union:box(3.63e-154x3.63e-154)@(0,0)+box(3.63e-154x3.63e-154)@(3.63e-154,0)"
+)
+
+
+@pytest.mark.parametrize(
+    "domain, n_max, code, out, err",
+    [
+        # lambda_1 is about 1.579e308, and every float cutoff above it holds
+        # more lattice points than the limit: the search tries the largest
+        # float and then bisects below it
+        ("box:2.5e-154x1", "1", 3, "",
+         "numeric failure: enumeration exceeded the limit of 2000000 entries\n"),
+        # the Weyl start overflows, but lambda_1 = 2 pi^2 / a^2 is a float
+        (_TINY_PAIR, "1", 0, (
+            f"berezin-lab v{TOOL_VERSION} sums report\n"
+            "  cutoff_used: 1.7976931348623157e+308\n"
+            f"  domain: {parse_domain(_TINY_PAIR)!r}\n"
+            "  kind: sums\n"
+            "  melas_m: none\n"
+            "  merge_joins: 0\n"
+            "  merge_max_gap: 0.0\n"
+            "  n_max: 1\n"
+            "  sigma: 1.0\n"
+            "  slack: 1e-09\n"
+            f"  tool_version: {TOOL_VERSION}\n"
+            "  rows: 1\n"
+            "  check li_yau: pass=1 fail=0 n/a=0 worst_margin=1.2596e+308 (row 0)\n"
+            "  check lambda_lower: pass=1 fail=0 n/a=0 worst_margin=1.2596e+308 (row 0)\n"
+            "  check melas: pass=0 fail=0 n/a=1\n"
+            "  check holder_upper: pass=0 fail=0 n/a=1\n"
+            "  VERDICT: PASS\n"
+        ), ""),
+        # the rows read the two lowest eigenvalues, whose sum is no float
+        (_TINY_PAIR, "2", 3, "", "numeric failure: s1 overflows a float at sigma = 1\n"),
+    ],
+    ids=["thin-box", "tiny-pair-1", "tiny-pair-2"],
+)
+def test_sums_cutoff_search_ends_at_the_largest_float(domain, n_max, code, out, err, capsys):
+    argv = ["sums", "--domain", domain, "--sigma", "1", "--n-max", n_max]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr() == (out, err)
 
 
 def test_long_interval_sums_start_cutoff_underflows(capsys):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from berezin_lab import bounds, cli, geometry, harness, spectra
+from berezin_lab import bounds, cli, geometry, harness, remainder, spectra
 from berezin_lab.bounds import sliced_bound
 from berezin_lab.constants import SemiclassicalParams
 from berezin_lab.errors import EnumerationLimitError, NumericFailure, UnsupportedDomainError
@@ -192,7 +192,7 @@ def test_disk_lattice_integral_refuses_past_the_enumeration_limit(lam):
 
 def test_disk_lattice_integral_limit_counts_one_energys_indices(monkeypatch):
     # floor(2R/l_crit) indices per energy, not the grid's total, against the limit
-    monkeypatch.setattr(geometry, "ENUMERATION_LIMIT", 10)
+    monkeypatch.setattr(remainder, "ENUMERATION_LIMIT", 10)
     disk = geometry.DiskSections(1.0)
     assert disk.lattice_integral(2.0, np.full(5, 2.0 / 10.99)).shape == (5,)
     with pytest.raises(EnumerationLimitError, match="2R/l_crit = 11 "):

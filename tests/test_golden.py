@@ -1,11 +1,12 @@
 """Golden-matrix regression: CLI tables against recorded CSVs.
 
-Each case runs one CLI command and compares its exit code, and its CSV byte
-for byte with the table in tests/golden/ that an earlier version of the
-program wrote; a failure names the first row and column that differ.
+Each case runs one CLI command and compares its exit code, its CSV byte for
+byte with the table in tests/golden/ that an earlier version of the program
+wrote (a failure names the first row and column that differ), and its
+standard output byte for byte with the NAME.out beside that table.
 
-A deliberate change to the numbers re-records the tables it moves, by name,
-from a version whose numbers are trusted:
+A deliberate change to the numbers re-records the tables it moves, and their
+outputs, by name, from a version whose numbers are trusted:
 
     PYTHONPATH=src python tests/test_golden.py tests/golden NAME...
 
@@ -80,9 +81,11 @@ CASES = {
 }
 
 
-def _run(argv: list[str], dest: Path) -> int:
-    with redirect_stdout(io.StringIO()):
-        return main([*argv, "--csv", str(dest)])
+def _run(argv: list[str], dest: Path) -> tuple[int, str]:
+    """Exit code and standard output of the command, its CSV written to dest."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = main([*argv, "--csv", str(dest)])
+    return code, out.getvalue()
 
 
 def _moved(new: str, old: str) -> list[tuple[int, str, str, str]]:
@@ -130,14 +133,17 @@ def _column_diff(new: str, old: str) -> list[str]:
 def test_golden_matrix(name, tmp_path):
     argv, code = CASES[name]
     dest = tmp_path / f"{name}.csv"
-    assert _run(argv, dest) == code
+    got_code, out = _run(argv, dest)
+    assert got_code == code
     want = (GOLDEN_DIR / f"{name}.csv").read_text()
     _compare(dest.read_text(), want)
+    assert out == (GOLDEN_DIR / f"{name}.out").read_text()
 
 
 def record(out_dir: Path, names: list[str], committed: Path = GOLDEN_DIR) -> int:
-    """Write the tables of the named cases into out_dir, each after saying
-    how it differs from its table in `committed`; exit status."""
+    """Write the tables and outputs of the named cases into out_dir, each
+    table after saying how it differs from its table in `committed`; exit
+    status."""
     if not names or not set(names) <= CASES.keys():
         print(
             "usage: test_golden.py DIR NAME..., each NAME one of: "
@@ -150,7 +156,8 @@ def record(out_dir: Path, names: list[str], committed: Path = GOLDEN_DIR) -> int
         argv, code = CASES[name]
         before = committed / f"{name}.csv"
         old = before.read_text() if before.exists() else None
-        rc = _run(argv, out_dir / f"{name}.csv")
+        rc, out = _run(argv, out_dir / f"{name}.csv")
+        (out_dir / f"{name}.out").write_text(out)
         print(f"{name}: exit {rc} (expected {code})")
         try:
             diff = ["new table"] if old is None else _column_diff(
@@ -168,7 +175,9 @@ def test_record_writes_only_the_named_cases(tmp_path, capsys):
     assert record(tmp_path, ["no-such-case"]) == 2
     assert list(tmp_path.iterdir()) == []
     assert record(tmp_path, ["check-overweight-nu"]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["check-overweight-nu.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "check-overweight-nu.csv", "check-overweight-nu.out"
+    ]
     want = (GOLDEN_DIR / "check-overweight-nu.csv").read_text()
     _compare((tmp_path / "check-overweight-nu.csv").read_text(), want)
     capsys.readouterr()

@@ -210,7 +210,9 @@ near_numpy_range = st.builds(
 def _kernel_cells(values) -> tuple[list[str], list[bool]]:
     """The writer's numpy kernel on a float64 array: the text of each value's
     slot, and whether the kernel converted it (Python formats the others)."""
-    slots, unsigned, stop, _ = harness._number_slots(np.array(values, dtype=float), 1e17)
+    out = np.empty((len(values), 32), np.uint8)
+    unsigned, stop, _ = harness._number_slots(np.array(values, dtype=float), 1e17, out)
+    slots = out[:, 5:30]
     cells = [bytes(s[a:b]).decode() for s, a, b in zip(slots, unsigned.tolist(), stop.tolist())]
     return cells, (stop > 0).tolist()
 

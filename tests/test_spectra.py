@@ -418,7 +418,7 @@ def test_union_of_equal_boxes_doubles_every_value():
     one, two = enumerate_spectrum(box, 4e3), enumerate_spectrum(union, 4e3)
     assert two.eigenvalues.tobytes() == one.eigenvalues.tobytes()
     assert two.multiplicities.tolist() == (2 * one.multiplicities).tolist()
-    assert (two.merge_joins, two.merge_max_gap) == (0, 0.0)
+    assert two.merge_record() == (0, 0.0)
 
 
 def test_disk_orders_above_zero_count_twice():
@@ -435,7 +435,7 @@ def test_disk_orders_above_zero_count_twice():
     assert any(m > 0 and len(zs) for m, zs in enumerate(zeros))
     spec = enumerate_spectrum(Disk(radius), cutoff)
     assert spec.values == tuple(pairs)
-    assert (spec.merge_joins, spec.merge_max_gap) == (0, 0.0)
+    assert spec.merge_record() == (0, 0.0)
     raw = spectra._disk_eigenvalues(radius, cutoff)
     assert np.sort(raw).tobytes() == spec.expanded.tobytes()
 
@@ -443,7 +443,7 @@ def test_disk_orders_above_zero_count_twice():
 def test_merge_record():
     # 2x1: coincident eigenvalues are bit-equal, so nothing is recorded
     spec = enumerate_spectrum(AxisBox((2.0, 1.0)), 1e5)
-    assert (spec.merge_joins, spec.merge_max_gap) == (0, 0.0)
+    assert spec.merge_record() == (0, 0.0)
     assert spec.total_count > len(spec.eigenvalues)
     # near sqrt(2): distinct eigenvalues within 1e-9, in runs wider than 1e-9
     sides, cutoff = (1.41421356, 1.0), 2e5
@@ -451,13 +451,14 @@ def test_merge_record():
     raw = spectra._box_eigenvalues(sides, cutoff)
     pairs = [(v, 1) for v in raw.tolist()]
     assert spec.values == merge_reference(pairs)
-    assert (spec.merge_joins, spec.merge_max_gap) == merge_record_reference(pairs)
-    assert spec.merge_joins > 1000 and 1e-10 < spec.merge_max_gap <= 1e-9
+    joins, gap = spec.merge_record()
+    assert (joins, gap) == merge_record_reference(pairs)
+    assert joins > 1000 and 1e-10 < gap <= 1e-9
     # the sweeps report the record of the spectrum they read
     dom = AxisBox(sides)
     rep = sweep_riesz(dom, 1.5, (1e3, cutoff))
-    assert rep.metadata["merge_joins"] == spec.merge_joins
-    assert rep.metadata["merge_max_gap"] == spec.merge_max_gap
+    assert rep.metadata["merge_joins"] == joins
+    assert rep.metadata["merge_max_gap"] == gap
     rep = sweep_sums(dom, 2.0, (1, 20000))
     spec = enumerate_spectrum(dom, rep.metadata["cutoff_used"])
     joins, gap = spec.merge_record(20000)  # of the eigenvalues the rows read
@@ -624,5 +625,5 @@ def test_union_spectrum_is_multiset_union(sides, cutoff):
     assert union.total_count == sum(p.total_count for p in parts)
     merged = np.sort(np.concatenate([p.expanded for p in parts]))
     # merging moves a value to the first of its entry, by at most the merge gap
-    gap = union.merge_max_gap + max(p.merge_max_gap for p in parts)
+    gap = union.merge_record()[1] + max(p.merge_record()[1] for p in parts)
     np.testing.assert_allclose(union.expanded, merged, rtol=1e-12 + gap, atol=0.0)
