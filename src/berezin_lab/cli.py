@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from .bounds import _check_positive
 from .constants import SemiclassicalParams, c_const, lt_value
 from .errors import EnumerationLimitError, NumericFailure
 from .geometry import parse_domain, render_domain
@@ -69,13 +70,6 @@ def _emit_csv(report: BoundReport, dest: str) -> None:
         sys.stdout.write(_csv_text(report))
 
 
-def _positive(flag: str, value: float) -> float:
-    """A grid endpoint, rejected before numpy builds a grid from it."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
-    return value
-
-
 def _at_least(flag: str, size: int, least: int = 1) -> None:
     """A grid size too small for its command: exit 2, naming the flag."""
     if size < least:
@@ -96,7 +90,7 @@ def _energy_grid(args: argparse.Namespace, start: float) -> np.ndarray:
     """--points energies from start up to --lambda-max, geometrically spaced; one
     point is --lambda-max alone. Each flag is checked in turn, and named."""
     _at_least("--points", args.points)
-    end = _positive("--lambda-max", args.lambda_max)
+    end = _check_positive("--lambda-max", args.lambda_max)
     if args.points > 1 and end <= start:
         raise ValueError(f"--lambda-max must be > the grid start {start!r}, got {end!r}")
     _bound_grid("--points", args.points)
@@ -279,7 +273,7 @@ def _report_exit(report: BoundReport, csv: str | None) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
-    grid = [_positive("--lambda", args.lam)]
+    grid = [_check_positive("--lambda", args.lam)]
     report = sweep_riesz(dom, args.sigma, grid, nu=args.nu)
     if args.csv is not None:
         _emit_csv(report, args.csv)
@@ -326,7 +320,7 @@ def _cmd_sums(args: argparse.Namespace) -> int:
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     dom = parse_domain(args.domain)
     _at_least("--points", args.points, 2)
-    grid = _energy_grid(args, _positive("--lambda", args.lam))
+    grid = _energy_grid(args, _check_positive("--lambda", args.lam))
     report = asymptotic_diagnostics(dom, args.sigma, grid)
     return _report_exit(report, args.csv)
 

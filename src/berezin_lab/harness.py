@@ -413,10 +413,11 @@ def _try_surface(dom: Domain) -> float | None:
 
 # Per report kind, its checks in column order: the name, the sides lhs <= rhs
 # (a column, a fact such as holder_rhs, or a number) and whether it applies,
-# from the report's facts. The corrected bound is nonnegative on every domain
-# only for nu up to nu_nonneg_cap, so improved_nonneg is n/a above it; the
-# ratio of the Riesz mean to its classical value rises for sigma >= 2 (Harrell
-# and Hermi), which ratio_main_monotone checks.
+# from the report's facts; a fact that is a function is computed only there.
+# The corrected bound is nonnegative on every domain only for nu up to
+# nu_nonneg_cap, so improved_nonneg is n/a above it; the ratio of the Riesz
+# mean to its classical value rises for sigma >= 2 (Harrell and Hermi), which
+# ratio_main_monotone checks.
 _BEREZIN = ("berezin", "riesz_mean", "s_classical", lambda f: f.sigma >= 1.0)
 _CHECKS = {
     "riesz": (
@@ -452,7 +453,9 @@ def _report(
     apply, by its predicate over sigma, the domain and `facts`, is n/a in every
     row; a NaN side of one that applies is a NumericFailure naming the row.
     Elsewhere a row fails where lhs > rhs + _SLACK * max(1, |rhs|), and its
-    margin is rhs - lhs."""
+    margin is rhs - lhs. A side in `facts` may be a function of no arguments:
+    it is called only where its check applies, under `_no_overflow` naming
+    the check."""
     given = SimpleNamespace(sigma=sigma, domain=domain, **facts)
     known = {**values, **facts}
     columns = dict(values)
@@ -460,6 +463,7 @@ def _report(
         codes, margin = np.int8(2), math.nan
         if applies(given):
             a, b = (known.get(side, side) for side in (lhs, rhs))
+            a, b = (_no_overflow(name, sigma, s) if callable(s) else s for s in (a, b))
             nan = np.flatnonzero(np.isnan(a) | np.isnan(b))
             if nan.size:
                 raise NumericFailure(f"check {name}, {lhs} <= {rhs}: NaN side in row {nan[0]}")
@@ -606,11 +610,8 @@ def _spectrum_for_count(dom: Domain, count: int) -> Spectrum:
                 return spec
             below = lam
         lam = min(below * 1.4, top) if too_many is None else math.sqrt(below) * math.sqrt(above)
-    if too_many is not None:
-        raise too_many
-    raise InsufficientCutoffError(
-        f"could not enumerate {count} eigenvalues below cutoff {below}"
-    )
+    assert too_many is not None, "the probe found enough eigenvalues below the largest float"
+    raise too_many
 
 
 def sweep_sums(
@@ -630,7 +631,8 @@ def sweep_sums(
     spec = _spectrum_for_count(domain, n_max)
     vol = volume(domain)
     surf = _try_surface(domain)
-    moment = moment_J(domain) if melas_m is not None else None
+    # first, so that a moment outside the floats is named before any overflow
+    mel = melas_rhs(d, vol, moment_J(domain), n, melas_m) if melas_m is not None else math.nan
 
     eigs = spec.expanded[:n_max]
     lam_n = eigs[n - 1]
@@ -643,18 +645,16 @@ def sweep_sums(
     else:
         scl_sig = s_sig = math.nan
     ly = li_yau_rhs(d, vol, n)
-    mel = melas_rhs(d, vol, moment, n, melas_m) if melas_m is not None else math.nan
     lam_low = eigenvalue_lower(d, vol, n)
     ms2 = (
         _no_overflow("two_term_sum", sigma, lambda: two_term_sum(p, vol, surf, n))
         if surf is not None and sigma > 0.0
         else math.nan
     )
-    if sigma > 1.0:
-        conj_expo = sigma / (sigma - 1.0)
-        holder_rhs = s_sig ** (1.0 / sigma) * n.astype(float) ** (1.0 / conj_expo)
-    else:
-        holder_rhs = math.nan
+
+    def holder_rhs():  # s_sigma^(1/sigma) n^(1/q), q = sigma / (sigma - 1) conjugate to sigma
+        return s_sig ** (1.0 / sigma) * n.astype(float) ** (1.0 / (sigma / (sigma - 1.0)))
+
     values = {
         "n_index": n,
         "lambda_n": lam_n,
@@ -724,17 +724,15 @@ def asymptotic_diagnostics(
         "ratio_main": ratio_main,
         "ratio_second": ratio_second,
     }
-    lhs = rhs = math.nan
-    if sigma >= 2.0:
-        lhs, rhs = _no_overflow("ratio_main_monotone", sigma, lambda: (
-            (sigma + 0.5 * d) * s_val, sigma * lam * riesz_mean(spec, sigma - 1.0, lam)
-        ))
     return _report(
         "asymptotics",
         domain,
         sigma,
         values,
-        {"scaled_riesz_mean": lhs, "scaled_lower_mean": rhs},
+        {
+            "scaled_riesz_mean": lambda: (sigma + 0.5 * d) * s_val,
+            "scaled_lower_mean": lambda: sigma * lam * riesz_mean(spec, sigma - 1.0, lam),
+        },
         ratio_second_first=ratio_second[0].item(),
         ratio_second_last=ratio_second[-1].item(),
     )

@@ -6,13 +6,18 @@ moments and sliced bounds they compute never share code with the kernels
 they check. Domains are read through their data only: a disk's `radius`, a
 box's or union's `boxes`, `sides`, `origin` and `slicing_axis`. The one
 helper that does share code, `dimension_reduction_residual`, is an identity
-between two package functions, `lt_value` and `beta`.
+between two package functions, `lt_value` and `beta`; `box_riesz_twin`
+shares nothing with the package at all.
 """
 
+import bisect
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from berezin_lab.constants import lt_value
@@ -170,3 +175,48 @@ def disk_lattice_integral_reference(radius, e, l_crit):
         integrand = (num / den) ** e * cos[None, :]
         total.append((2.0 * uj * (integrand @ wphi)).sum())
     return np.reshape(total, l_crit.shape)
+
+
+def _real(f):
+    """The rational f as an mpmath number at the working precision."""
+    return mpmath.mpf(f.numerator) / f.denominator
+
+
+def box_riesz_twin(boxes, sigma, lams, digits=40):
+    """Riesz mean and classical value of the disjoint union of `boxes` at each
+    energy of `lams`, as two lists of mpmath numbers good to about `digits`
+    digits, from nothing in berezin_lab.
+
+    Each box is a tuple of its sides and sigma a number, all as decimal
+    texts, read exactly. The Dirichlet eigenvalues of a box with sides a_i are
+    pi^2 q for q = sum n_i^2 / a_i^2 over the integer lattice n_i >= 1, each
+    q an exact rational (a union's spectrum is its boxes' together); the
+    Riesz mean is sum (lam - lam_k)_+^sigma, with multiplicity, and the
+    classical value L_{sigma,d} |Omega| lam^(sigma + d/2), with L_{sigma,d} =
+    Gamma(sigma + 1) / ((4 pi)^(d/2) Gamma(sigma + 1 + d/2)). Each lam is a
+    float, taken exactly.
+    """
+    with mpmath.workdps(digits):
+        top = mpmath.mpf(max(lams)) / mpmath.pi**2  # the q of the eigenvalues below
+        levels = Counter()
+        for sides in boxes:
+            inv = [1 / Fraction(a) ** 2 for a in sides]
+            ranges = [range(1, int(mpmath.sqrt(top / _real(w))) + 2) for w in inv]
+            for ns in itertools.product(*ranges):
+                levels[sum(n * n * w for n, w in zip(ns, inv))] += 1
+        qs = sorted(levels)
+        values = [mpmath.pi**2 * _real(q) for q in qs]
+        s, half_d = _real(Fraction(sigma)), mpmath.mpf(len(boxes[0])) / 2
+        vol = sum(math.prod(Fraction(a) for a in sides) for sides in boxes)
+        weyl = (
+            mpmath.gamma(s + 1) / ((4 * mpmath.pi) ** half_d * mpmath.gamma(s + 1 + half_d))
+            * _real(vol)
+        )
+        means, classical = [], []
+        for lam in map(mpmath.mpf, lams):
+            below = bisect.bisect_left(values, lam)
+            means.append(mpmath.fsum(
+                levels[q] * (lam - v) ** s for q, v in zip(qs[:below], values[:below])
+            ))
+            classical.append(weyl * lam ** (s + half_d))
+        return means, classical

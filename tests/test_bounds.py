@@ -164,6 +164,12 @@ def test_two_term_orderings():
         two_term_sum(p, 1.0, 4.0, 0)
 
 
+def test_two_term_sum_requires_positive_sigma():
+    # sigma = 0 is a valid SemiclassicalParams, so only two_term_sum refuses it
+    with pytest.raises(ValueError, match=r"^two_term_sum requires sigma > 0$"):
+        two_term_sum(SemiclassicalParams(0.0, 2), 1.0, 4.0, [1, 2])
+
+
 def test_improved_rhs_degenerate_and_reduction():
     p = SemiclassicalParams(1.5, 2)
     zero = improved_rhs(params=p, lam=50.0, vol_omega_lambda=0.0, d_lambda=0.0, nu=1.9)

@@ -19,15 +19,19 @@ cannot silently rewrite the other tables.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from berezin_lab.cli import main
+from oracles import box_riesz_twin
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -138,6 +142,31 @@ def test_golden_matrix(name, tmp_path):
     want = (GOLDEN_DIR / f"{name}.csv").read_text()
     _compare(dest.read_text(), want)
     assert out == (GOLDEN_DIR / f"{name}.out").read_text()
+
+
+# Relative distance from the 40-digit twin allowed a box or union table's
+# riesz_mean and s_classical, about 30 times the worst seen (2.7e-15).
+TWIN_RTOL = 1e-13
+
+
+@pytest.mark.parametrize(
+    "name", ["sweep-box-3x1", "sweep-box-1x2x0.5", "sweep-union", "asymptotics-box-1x1"]
+)
+def test_golden_box_rows_match_a_40_digit_twin(name):
+    # every row of the committed table against box_riesz_twin, which computes
+    # from the exact integer lattice and shares no code with the program
+    argv, _ = CASES[name]
+    domain, sigma = argv[argv.index("--domain") + 1], argv[argv.index("--sigma") + 1]
+    boxes = [tuple(sides.split("x")) for sides in re.findall(r"box[:(]([\d.x]+)", domain)]
+    rows = list(csv.DictReader((GOLDEN_DIR / f"{name}.csv").read_text().splitlines()[1:]))
+    twin = dict(zip(
+        ("riesz_mean", "s_classical"),
+        box_riesz_twin(boxes, sigma, [float(row["lambda"]) for row in rows]),
+    ))
+    for col, want in twin.items():
+        for i, (row, exact) in enumerate(zip(rows, want)):
+            error = abs(mpmath.mpf(float(row[col])) - exact)
+            assert error <= TWIN_RTOL * abs(exact), f"row {i} {col}: {row[col]} != {exact}"
 
 
 def record(out_dir: Path, names: list[str], committed: Path = GOLDEN_DIR) -> int:

@@ -26,7 +26,7 @@ from berezin_lab.bounds import (
 )
 from berezin_lab.cli import main
 from berezin_lab.constants import SemiclassicalParams
-from berezin_lab.errors import EnumerationLimitError, InsufficientCutoffError, NumericFailure
+from berezin_lab.errors import EnumerationLimitError, NumericFailure
 from berezin_lab.geometry import AxisBox, Disk, slicing_stats
 from berezin_lab.harness import asymptotic_diagnostics, sweep_riesz, sweep_sums
 from berezin_lab.remainder import epsilon_mu
@@ -161,6 +161,43 @@ def test_a_nan_side_where_a_check_applies_fails_loudly(monkeypatch, kind):
     _nan_in_row(monkeypatch, bound, 1, order)
     with pytest.raises(NumericFailure, match=re.escape(f"check {check}: NaN side in row 1")):
         sweep()
+
+
+@pytest.mark.parametrize("applies", [False, True])
+def test_a_function_side_is_called_only_where_its_check_applies(applies):
+    # holder_upper reads the fact holder_rhs and applies for sigma > 1
+    calls = []
+
+    def holder_rhs():
+        if not applies:
+            raise AssertionError("a side of a check that does not apply was computed")
+        calls.append(1)
+        return np.array([3.0, 4.0])
+
+    values = {"n_index": np.array([1, 2]), "s1": np.array([2.0, 5.0]), "lambda_n": 1.0,
+              "li_yau_rhs": 1.0, "eigenvalue_lower": 1.0}
+    facts = {"melas_m": None, "holder_rhs": holder_rhs}
+    rep = harness._report("sums", AxisBox((1.0, 1.0)), 2.0 if applies else 1.0, values, facts)
+    assert len(calls) == applies
+    codes, margin = rep.columns["holder_upper"], rep.columns["holder_upper_margin"]
+    if applies:
+        assert codes.tolist() == [0, 1] and margin.tolist() == [1.0, -1.0]
+    else:
+        assert codes.tolist() == [2, 2] and np.isnan(margin).all()
+
+
+@pytest.mark.parametrize("sigma, calls", [(1.5, 1), (2.0, 2)])
+def test_asymptotics_computes_the_lower_mean_only_for_its_check(monkeypatch, sigma, calls):
+    # R_{sigma-1} is a side of ratio_main_monotone alone, which applies for sigma >= 2
+    orders = []
+
+    def counted(spec, order, lam):
+        orders.append(order)
+        return riesz_mean(spec, order, lam)
+
+    monkeypatch.setattr(harness, "riesz_mean", counted)
+    asymptotic_diagnostics(AxisBox((1.0, 1.0)), sigma, (50.0, 100.0))
+    assert orders == [sigma, sigma - 1.0][:calls]
 
 
 def test_a_nan_side_exits_3_naming_the_check_and_row(monkeypatch):
@@ -560,9 +597,14 @@ def test_spectrum_for_count_retries_until_enough():
 
 
 def test_spectrum_for_count_gives_up(monkeypatch):
+    # The probe at the largest float decides every real "too few" case, so a
+    # search that ends with too few means the enumerator disagrees with it:
+    # this stand-in gives a fixed small spectrum at every cutoff.
     small = enumerate_spectrum(AxisBox((1.0, 1.0)), 100.0)
     monkeypatch.setattr(harness, "enumerate_spectrum", lambda dom, lam: small)
-    with pytest.raises(InsufficientCutoffError):
+    with pytest.raises(
+        AssertionError, match="^the probe found enough eigenvalues below the largest float$"
+    ):
         harness._spectrum_for_count(AxisBox((1.0, 1.0)), 10_000)
 
 

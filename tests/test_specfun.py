@@ -325,6 +325,12 @@ def test_zeros_below_validates_orders():
         bessel_zeros_below([], 10.0)
 
 
+def test_zeros_below_validates_x_max():
+    for x_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^x_max must be positive and finite, got {x_max}$"):
+            bessel_zeros_below(0, x_max)
+
+
 @pytest.mark.parametrize("drop", [0, 5, -1])
 def test_certificate_catches_a_dropped_bracket(monkeypatch, drop):
     scan = specfun._brackets

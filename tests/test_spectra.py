@@ -309,6 +309,22 @@ def test_query_beyond_cutoff_rejected():
     assert counting(spec, 100.0) == spec.total_count  # the cutoff itself is fine
 
 
+def test_queries_must_be_finite():
+    # a NaN would count every eigenvalue, -inf none
+    spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 100.0)
+    for lam, text in ((math.nan, r"array\(nan\)"), (-math.inf, r"array\(-inf\)")):
+        for query in (counting, lambda s, lam: riesz_mean(s, 1.0, lam)):
+            with pytest.raises(ValueError, match=rf"^lambda must be finite, got {text}$"):
+                query(spec, lam)
+
+
+def test_riesz_mean_requires_a_finite_nonnegative_sigma():
+    spec = enumerate_spectrum(AxisBox((1.0, 1.0)), 100.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^sigma must be finite and >= 0, got {sigma}$"):
+            riesz_mean(spec, sigma, 50.0)
+
+
 def test_enumeration_guards(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(spectra, "ENUMERATION_LIMIT", 10)
